@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from .density import (
     LpDensityProblem,
@@ -30,7 +30,6 @@ from .density import (
 )
 from .expressions import ExpressionError
 from .fileio import (
-    LoadedProblem,
     ProblemFormatError,
     density_report_document,
     load_problem,
@@ -42,6 +41,7 @@ from .moment import (
     MomentProblem,
     ReportStatus,
     SolverConfig,
+    _exchange_options,
     check_dual_slater,
     check_primal_slater,
     duality_report,
@@ -120,21 +120,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _moment_config(loaded: LoadedProblem, args: argparse.Namespace) -> SolverConfig:
-    overrides = dict(loaded.solver)
-    if getattr(args, "grid", None) is not None:
-        overrides["grid_resolution"] = args.grid
-    if getattr(args, "tol", None) is not None:
-        overrides["tol"] = args.tol
-    if getattr(args, "max_iters", None) is not None:
-        overrides["max_iters"] = args.max_iters
+def _moment_config(solver: Mapping, args: argparse.Namespace) -> SolverConfig:
+    """The file's ``solver`` block with the command-line flags applied over it."""
+    overrides = dict(solver)
+    for key, flag in (("grid_resolution", "grid"), ("tol", "tol"), ("max_iters", "max_iters")):
+        if getattr(args, flag, None) is not None:
+            overrides[key] = getattr(args, flag)
     return SolverConfig(**overrides)
 
 
-def _density_resolutions(loaded: LoadedProblem, args: argparse.Namespace) -> dict:
-    solver = dict(loaded.solver)
-    if getattr(args, "grid", None) is not None:
-        solver["x_resolution"] = args.grid
+def _density_resolutions(solver: Mapping) -> dict:
     return {
         "x_resolution": solver.get("x_resolution", 64),
         "y_resolution": solver.get("y_resolution"),
@@ -146,7 +141,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     started = time.perf_counter()
     if loaded.kind == "moment":
-        config = _moment_config(loaded, args)
+        config = _moment_config(loaded.solver, args)
         report = duality_report(loaded.problem, config)
         elapsed = time.perf_counter() - started
         print(f"problem: {loaded.name or args.problem} (moment)")
@@ -167,9 +162,12 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             write_report(doc, args.report)
         return _STATUS_EXIT[report.status]
 
-    res = _density_resolutions(loaded, args)
-    gap_rtol = loaded.solver.get("gap_rtol", 1e-3)
-    report = collocation_report(loaded.problem, gap_rtol=gap_rtol, **res)
+    solver = dict(loaded.solver)
+    if args.grid is not None:
+        solver["x_resolution"] = args.grid
+    res = _density_resolutions(solver)
+    report = collocation_report(loaded.problem, gap_rtol=solver.get("gap_rtol", 1e-3), **res)
+    res["x_resolution"] = solver.get("slater_resolution", res["x_resolution"])
     slater = check_lp_slater(loaded.problem, **res)
     elapsed = time.perf_counter() - started
     print(f"problem: {loaded.name or args.problem} (lp_density, p={loaded.problem.p:g})")
@@ -209,10 +207,8 @@ def _cmd_primal(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
-        kwargs = {"tol": args.tol}
-        if args.max_iters is not None:
-            kwargs["max_iters"] = args.max_iters
-        result = exchange_solve(loaded.problem, **kwargs)
+        config = _moment_config(loaded.solver, args)
+        result = exchange_solve(loaded.problem, **_exchange_options(config))
         print(f"exchange dual: {result.status} after {result.iterations} iteration(s)")
         if result.value is not None:
             print(f"value: {_fmt(result.value)}")
@@ -223,9 +219,10 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         if result.status == "dual_unbounded":
             return EXIT_INFEASIBLE
         return EXIT_NOT_CONVERGED
-    _, dual = discretize_lp_density(loaded.problem, 64)
+    res = _density_resolutions(loaded.solver)
+    _, dual = discretize_lp_density(loaded.problem, **res)
     out = solve_lp(dual)
-    print(f"collocation dual (64 per axis): {out.status.value}")
+    print(f"collocation dual ({res['x_resolution']} per axis): {out.status.value}")
     if out.value is not None:
         print(f"value: {_fmt(out.value)}")
     return _LP_EXIT[out.status]
@@ -235,8 +232,9 @@ def _cmd_slater(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
         mp: MomentProblem = loaded.problem
-        primal = check_primal_slater(mp)
-        dual = check_dual_slater(mp)
+        config = _moment_config(loaded.solver, args)
+        primal = check_primal_slater(mp, config.slater_resolution)
+        dual = check_dual_slater(mp, **_exchange_options(config))
         print(f"primal margin: {_fmt(primal.margin)} (feasible: {primal.feasible})")
         print(f"equality rank: {primal.equality_rank} of {primal.n_equalities}")
         if primal.rank_deficient:
@@ -251,7 +249,9 @@ def _cmd_slater(args: argparse.Namespace) -> int:
             return EXIT_NOT_CONVERGED
         return EXIT_OK
     pb: LpDensityProblem = loaded.problem
-    rep = check_lp_slater(pb)
+    res = _density_resolutions(loaded.solver)
+    res["x_resolution"] = loaded.solver.get("slater_resolution", 33)  # check_lp_slater's default
+    rep = check_lp_slater(pb, **res)
     print(f"margin: {_fmt(rep.margin if rep.feasible else None)} (feasible: {rep.feasible})")
     print(f"equality rank: {rep.equality_rank} of {rep.n_equality_rows}")
     if rep.rank_deficient:
@@ -260,14 +260,7 @@ def _cmd_slater(args: argparse.Namespace) -> int:
 
 
 def _cmd_option_bound(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.grid is not None:
-        overrides["grid_resolution"] = args.grid
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    config = SolverConfig(**overrides)
+    config = _moment_config({}, args)
     started = time.perf_counter()
     result = solve_option_bound(
         spot_domain=args.domain,

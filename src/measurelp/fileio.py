@@ -51,7 +51,6 @@ DENSITY_SOLVER_KEYS = {
     "y_resolution": int,
     "z_resolution": int,
     "gap_rtol": float,
-    "quad_resolution": int,
     "slater_resolution": int,
 }
 
@@ -215,12 +214,6 @@ class LoadedProblem:
     name: str
     problem: MomentProblem | LpDensityProblem
     solver: dict
-
-    def solver_config(self) -> SolverConfig:
-        """Moment-problem SolverConfig with the file's overrides applied."""
-        if self.kind != "moment":
-            raise ValueError("solver_config applies to moment problems only")
-        return SolverConfig(**self.solver)
 
 
 def _load_moment(doc: Mapping) -> MomentProblem:

@@ -1,4 +1,4 @@
-"""Half-open boxes, partitions of a hull box, unit transforms, and grids."""
+"""Half-open boxes, partitions of a hull box, and grids."""
 
 from __future__ import annotations
 
@@ -62,25 +62,6 @@ class Box:
     def _check_dim(self, x) -> None:
         if len(x) != self.dim:
             raise ValueError(f"point has {len(x)} coordinates, box has {self.dim}")
-
-
-@dataclass(frozen=True)
-class UnitTransform:
-    """Affine bijection between a source box and the unit box [0,1)^dim."""
-
-    source: Box
-
-    def to_unit(self, x: Sequence[float]) -> tuple[float, ...]:
-        self.source._check_dim(x)
-        return tuple(
-            (v - l) / (u - l) for l, v, u in zip(self.source.lower, x, self.source.upper)
-        )
-
-    def from_unit(self, t: Sequence[float]) -> tuple[float, ...]:
-        self.source._check_dim(t)
-        return tuple(
-            l + v * (u - l) for l, v, u in zip(self.source.lower, t, self.source.upper)
-        )
 
 
 @dataclass(frozen=True)

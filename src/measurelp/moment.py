@@ -10,7 +10,13 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
   pointwise; the value  a.y + b.z  bounds the supremum from above.  The
   pointwise constraint is handled by an exchange method: solve a master LP
   over a working set of points, scan the boxes for the worst violation,
-  add it as a cut, repeat.
+  add it as a cut, repeat.  The dual Slater check runs the same loop with
+  a different master LP.
+
+``duality_report`` seeds every grid point into the exchange cut set, valued
+box by box with the evaluator the grid primal uses, so the seeded cuts are
+exactly the grid primal's columns.  Grid points that coincide with a box's
+corner or center keep the initial cut there, valued pointwise.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -223,6 +229,15 @@ class GridPrimal:
     box_indices: np.ndarray  # (G,)
 
 
+def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndarray:
+    """Rows phi_1..phi_M, psi_1..psi_N, h at one box's points: (M + N + 1, K)."""
+    fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
+    table = np.vstack([fn.values_on(box_index, points) for fn in fns])
+    if not np.all(np.isfinite(table)):
+        raise ValueError(f"non-finite function value in box {box_index}")
+    return table
+
+
 def assemble_grid_primal(mp: MomentProblem, resolution) -> GridPrimal:
     """LP over atom weights on the closed-box tensor grids of every box.
 
@@ -238,19 +253,9 @@ def assemble_grid_primal(mp: MomentProblem, resolution) -> GridPrimal:
         boxes.append(np.full(len(pts), i))
     points = np.vstack(blocks)
     box_idx = np.concatenate(boxes)
-
-    def row_for(fn: PiecewiseFunction) -> np.ndarray:
-        vals = [fn.values_on(i, blocks[i]) for i in range(len(blocks))]
-        return np.concatenate(vals)
-
-    h = row_for(mp.objective)
-    rows = [row_for(fn) for fn, _ in mp.inequalities]
-    rows += [row_for(fn) for fn, _ in mp.equalities]
+    table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
+    A, h = table[:-1], table[-1]
     rhs = [bound for _, bound in mp.inequalities] + [bound for _, bound in mp.equalities]
-    A = np.vstack(rows) if rows else np.zeros((0, len(points)))
-    for name, arr in (("objective", h), ("constraints", A)):
-        if not np.all(np.isfinite(arr)):
-            raise ValueError(f"{name} produced non-finite values on the grid")
     senses = ("<=",) * mp.n_ineq + ("=",) * mp.n_eq
     lp = make_lp("max", h, A, senses, rhs)
     return GridPrimal(lp=lp, points=points, box_indices=box_idx)
@@ -316,6 +321,55 @@ def initial_cuts(mp: MomentProblem) -> list[Cut]:
     return cuts
 
 
+def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> list[Cut]:
+    """``extra_cuts`` as new cuts, each box's points valued as the grid primal's are.
+
+    Points already in ``cuts``, and repeats, are dropped: the first
+    occurrence wins and the given order is kept.
+    """
+    if isinstance(extra_cuts, GridPrimal):
+        box_idx, points = extra_cuts.box_indices, extra_cuts.points
+    else:
+        box_idx = np.array([i for i, _ in extra_cuts], dtype=int)
+        points = np.array([p for _, p in extra_cuts], dtype=float)
+    if not len(box_idx):
+        return []
+    points = points.reshape(len(box_idx), mp.domain.dim)
+    lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
+    upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
+    outside = ~np.all((points >= lower - 1e-9) & (points <= upper + 1e-9), axis=1)
+    if outside.any():
+        g = int(np.argmax(outside))
+        pt = tuple(points[g].tolist())
+        raise ValueError(f"point {pt} is not in the closure of box {box_idx[g]}")
+    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
+    for i in np.unique(box_idx):
+        sel = box_idx == i
+        table[:, sel] = _box_table(mp, int(i), points[sel])
+
+    # first occurrence of each (box, point) among the old cuts, then the new
+    keys = np.vstack([
+        np.array([(c.box_index,) + c.point for c in cuts]),
+        np.column_stack([box_idx, points]),
+    ])
+    order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in given order
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    keep = np.sort(order[first]) - len(cuts)
+    keep = keep[keep >= 0]
+    M, N = mp.n_ineq, mp.n_eq
+    return [
+        Cut(box_index=b, point=tuple(p), phi=tuple(v[:M]), psi=tuple(v[M:M + N]), h=v[-1])
+        for b, p, v in zip(box_idx[keep].tolist(), points[keep].tolist(), table.T[keep].tolist())
+    ]
+
+
+def _cut_arrays(cuts: Sequence[Cut]) -> tuple[np.ndarray, np.ndarray]:
+    """One row (phi, psi) per cut, shape (C, M + N), and the cuts' h values."""
+    return np.array([c.phi + c.psi for c in cuts]), np.array([c.h for c in cuts])
+
+
 def restricted_dual_lp(
     mp: MomentProblem, cuts: Sequence[Cut], cap: float | None = None
 ) -> FiniteLP:
@@ -339,9 +393,10 @@ def restricted_dual_lp(
     return make_lp("min", obj, A, (">=",) * len(cuts), rhs, lower=lower, upper=upper)
 
 
-def _solve_master(mp: MomentProblem, cuts: Sequence[Cut], elastic: float | None = None):
+def _solve_master(mp: MomentProblem, rows, H, elastic: float | None = None):
     """Solve the cut-supported primal; its row duals are the restricted dual.
 
+    ``rows`` and ``H`` are the working cuts as ``_cut_arrays`` gives them.
     Returns (status, value, DualPoint | None).  Columns are cuts, rows are
     the M + N moment constraints, so the tableau stays small however many
     cuts tests seed.  With ``elastic``, extra columns that buy one unit of
@@ -350,12 +405,7 @@ def _solve_master(mp: MomentProblem, cuts: Sequence[Cut], elastic: float | None 
     dual with every multiplier capped at the elastic price.
     """
     M, N = mp.n_ineq, mp.n_eq
-    C = len(cuts)
-    H = np.array([c.h for c in cuts])
-    A = np.empty((M + N, C))
-    for j, cut in enumerate(cuts):
-        A[:M, j] = cut.phi
-        A[M:, j] = cut.psi
+    A = rows.T
     if elastic is not None:
         defect = np.zeros((M + N, M + 2 * N))
         defect[:M, :M] = -np.eye(M)
@@ -424,12 +474,7 @@ class _ScanOracle:
         self.steps = []    # per box: scan step per axis
         for i, box in enumerate(mp.domain.boxes):
             pts = grid_array(box, res)
-            rows = [fn.values_on(i, pts) for fn, _ in mp.inequalities]
-            rows += [fn.values_on(i, pts) for fn, _ in mp.equalities]
-            rows.append(mp.objective.values_on(i, pts))
-            table = np.vstack(rows)
-            if not np.all(np.isfinite(table)):
-                raise ValueError(f"non-finite function value while scanning box {i}")
+            table = _box_table(mp, i, pts)
             self.points.append(pts)
             self.tables.append(table)
             axes_res = res if not isinstance(res, int) else [res] * box.dim
@@ -509,20 +554,41 @@ class ExchangeResult:
     final_slack: float | None
 
 
+def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
+    """The exchange loop of both the dual and the dual Slater check.
+
+    ``master(rows, h)`` solves on the working cuts and returns (value, dual
+    point, target, tag); the loop stops once the oracle's worst slack is
+    >= target - tol, else adds that point as a cut.  Returns (converged,
+    the last tag, one IterationRecord per iteration).
+    """
+    oracle = _ScanOracle(mp, scan_resolution, refine_steps)
+    history: list[IterationRecord] = []
+    for _ in range(max(1, int(max_iters))):
+        value, dual, target, tag = master(*_cut_arrays(cuts))
+        sep = oracle.find(dual)
+        history.append(IterationRecord(value, dual, sep.point, sep.box_index, sep.slack))
+        if sep.slack >= target - tol:
+            return True, tag, history
+        cuts.append(make_cut(mp, sep.box_index, sep.point))
+    return False, tag, history
+
+
 def exchange_solve(
     mp: MomentProblem,
     tol: float = 1e-6,
     max_iters: int = 200,
     scan_resolution=None,
     refine_steps: int = 40,
-    extra_cuts: Sequence[tuple[int, Sequence[float]]] = (),
+    extra_cuts: Sequence[tuple[int, Sequence[float]]] | GridPrimal = (),
 ) -> ExchangeResult:
     """Exchange method for the dual: master LP on a working cut set + oracle.
 
-    Starts from the corner and center cuts of every box (plus ``extra_cuts``
-    given as (box_index, point) pairs) and stops when the worst slack is
-    >= -tol.  Master values are nondecreasing because cuts only ever add
-    columns to the cut-supported primal.
+    Starts from the corner and center cuts of every box, plus ``extra_cuts``
+    given as (box_index, point) pairs or as a GridPrimal whose points are all
+    seeded, and stops when the worst slack is >= -tol.  Master values are
+    nondecreasing because cuts only ever add columns to the cut-supported
+    primal.
 
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
@@ -534,19 +600,11 @@ def exchange_solve(
     "dual_unbounded".  An infeasible restricted dual (possible only when the
     primal is unbounded above) raises ExchangeError.
     """
-    max_iters = max(1, int(max_iters))
     cuts = initial_cuts(mp)
-    seen = {(c.box_index, c.point) for c in cuts}
-    for box_index, point in extra_cuts:
-        cut = make_cut(mp, int(box_index), point)
-        if (cut.box_index, cut.point) not in seen:
-            seen.add((cut.box_index, cut.point))
-            cuts.append(cut)
+    cuts += _seed_cuts(mp, cuts, extra_cuts)
 
-    oracle = _ScanOracle(mp, scan_resolution, refine_steps)
-    history: list[IterationRecord] = []
-    for it in range(1, max_iters + 1):
-        status, value, dual = _solve_master(mp, cuts)
+    def master(rows, h):
+        status, value, dual = _solve_master(mp, rows, h)
         if status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above "
@@ -554,30 +612,24 @@ def exchange_solve(
             )
         recovering = status == LPStatus.INFEASIBLE
         if recovering:
-            status, value, dual = _solve_master(mp, cuts, elastic=MULTIPLIER_CAP)
+            status, value, dual = _solve_master(mp, rows, h, elastic=MULTIPLIER_CAP)
             if status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
                     "the primal is unbounded above on the working cut set"
                 )
-        sep = oracle.find(dual)
-        history.append(
-            IterationRecord(
-                value=value, dual=dual, worst_point=sep.point,
-                worst_box=sep.box_index, slack=sep.slack,
-            )
-        )
-        if sep.slack >= -tol:
-            return ExchangeResult(
-                status="dual_unbounded" if recovering else "converged",
-                value=None if recovering else value,
-                dual=dual, cuts=cuts,
-                iterations=it, history=history, final_slack=sep.slack,
-            )
-        cuts.append(make_cut(mp, sep.box_index, sep.point))
+        return value, dual, 0.0, recovering
+
+    converged, recovering, history = _exchange(
+        mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
+    )
+    last = history[-1]
+    status = "not_converged" if not converged else "dual_unbounded" if recovering else "converged"
     return ExchangeResult(
-        status="not_converged", value=value, dual=dual, cuts=cuts,
-        iterations=max_iters, history=history, final_slack=sep.slack,
+        status=status,
+        value=None if status == "dual_unbounded" else last.value,
+        dual=last.dual, cuts=cuts,
+        iterations=len(history), history=history, final_slack=last.slack,
     )
 
 
@@ -621,45 +673,30 @@ def check_dual_slater(
     """
     M, N = mp.n_ineq, mp.n_eq
     eps = 1e-9  # lexicographic tie-break; shifts t* by at most eps * |(y, z)|_1
-    cuts = initial_cuts(mp)
-    oracle = _ScanOracle(mp, scan_resolution, refine_steps)
     # variables: y (M), z split into zp - zn (2N), then t
     width = M + 2 * N + 1
     obj = np.full(width, -eps)
     obj[-1] = 1.0
     lower = np.concatenate([np.zeros(M + 2 * N), [-np.inf]])
     upper = np.concatenate([np.full(M + 2 * N, np.inf), [cap]])
-    witness = None
-    margin = -math.inf
-    for it in range(1, max_iters + 1):
-        A = np.empty((len(cuts), width))
-        rhs = np.empty(len(cuts))
-        for r, cut in enumerate(cuts):
-            A[r, :M] = cut.phi
-            A[r, M:M + N] = cut.psi
-            A[r, M + N:M + 2 * N] = [-v for v in cut.psi]
-            A[r, -1] = -1.0
-            rhs[r] = cut.h
-        lp = make_lp("max", obj, A, (">=",) * len(cuts), rhs, lower=lower, upper=upper)
+
+    def master(rows, h):
+        A = np.hstack([rows, -rows[:, M:], np.full((len(rows), 1), -1.0)])
+        lp = make_lp("max", obj, A, (">=",) * len(rows), h, lower=lower, upper=upper)
         out = solve_lp(lp)
         if out.status != LPStatus.OPTIMAL:
             raise WeakDualityError(f"slater master reported {out.status.value}")
         t = float(out.x[-1])
-        y = _clip_duals(out.x, M)
         z = out.x[M:M + N] - out.x[M + N:M + 2 * N]
-        witness = DualPoint(y=tuple(y), z=tuple(z))
-        margin = t
-        sep = oracle.find(witness)
-        if sep.slack >= t - tol:
-            capped = t >= cap * (1.0 - 1e-6)
-            return DualSlaterReport(
-                margin=margin, witness=witness, converged=True, capped=capped,
-                iterations=it,
-            )
-        cuts.append(make_cut(mp, sep.box_index, sep.point))
+        return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), t, None
+
+    converged, _, history = _exchange(
+        mp, initial_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+    )
+    margin = history[-1].value
     return DualSlaterReport(
-        margin=margin, witness=witness, converged=False,
-        capped=margin >= cap * (1.0 - 1e-6), iterations=max_iters,
+        margin=margin, witness=history[-1].dual, converged=converged,
+        capped=margin >= cap * (1.0 - 1e-6), iterations=len(history),
     )
 
 
@@ -742,6 +779,14 @@ class SolverConfig:
     slater_resolution: int = 129
 
 
+def _exchange_options(config: SolverConfig) -> dict:
+    """The config fields that exchange_solve and check_dual_slater take."""
+    return {
+        "tol": config.tol, "max_iters": config.max_iters,
+        "scan_resolution": config.scan_resolution, "refine_steps": config.refine_steps,
+    }
+
+
 @dataclass
 class DualityReport:
     status: ReportStatus
@@ -773,9 +818,12 @@ def _verification_scan(mp, dual, config) -> float:
 def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> DualityReport:
     """Solve both routes, certify weak duality, and check both Slater conditions.
 
-    The primal grid points are seeded into the exchange cut set, so every
-    master value dominates the grid value by LP duality and the weak-duality
-    ordering holds structurally, not just numerically.  Raises
+    The grid primal's points are seeded into the exchange cut set, and the
+    seeded cuts are exactly the grid primal's columns: the same values from
+    the same evaluator.  So every master LP holds the grid LP's columns and
+    its value dominates the grid value by LP duality; the one exception is
+    a grid point at a box's corner or center, whose column is the initial
+    cut there, valued pointwise and so possibly a last bit apart.  Raises
     WeakDualityError if, despite that, a converged dual lands more than
     1e-8 * (1 + |dual|) below an optimal grid primal: that ordering can only
     fail through a solver bug.
@@ -784,26 +832,9 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     notes: list[str] = []
 
     primal = solve_grid_primal(mp, config.grid_resolution)
-    seeds = tuple(
-        (int(i), tuple(p))
-        for i, p in zip(primal.grid.box_indices, primal.grid.points)
-    )
-    ex = exchange_solve(
-        mp,
-        tol=config.tol,
-        max_iters=config.max_iters,
-        scan_resolution=config.scan_resolution,
-        refine_steps=config.refine_steps,
-        extra_cuts=seeds,
-    )
+    ex = exchange_solve(mp, extra_cuts=primal.grid, **_exchange_options(config))
     primal_slater = check_primal_slater(mp, config.slater_resolution)
-    dual_slater = check_dual_slater(
-        mp,
-        tol=config.tol,
-        max_iters=config.max_iters,
-        scan_resolution=config.scan_resolution,
-        refine_steps=config.refine_steps,
-    )
+    dual_slater = check_dual_slater(mp, **_exchange_options(config))
 
     has_mass = mp.has_mass_bound()
     if not has_mass:

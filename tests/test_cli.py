@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
+import inspect
 import json
 from pathlib import Path
 
 import pytest
 
+import measurelp.cli as cli
 from measurelp import canonical_json, load_report
 from measurelp.cli import run_cli
 
@@ -105,6 +108,82 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "certified bound: 0.5" in out
+
+
+def fixture_with_solver(tmp_path, name: str, **solver) -> str:
+    """A copy of a fixture whose solver block is updated with ``solver``."""
+    doc = json.loads(Path(fixture(name)).read_text())
+    doc["solver"].update(solver)
+    path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def spy(monkeypatch, name: str) -> list[dict]:
+    """Record the arguments, by name, of every call the CLI makes to ``name``."""
+    calls = []
+    real = getattr(cli, name)
+    signature = inspect.signature(real)
+
+    def recorded(*args, **kwargs):
+        calls.append(signature.bind(*args, **kwargs).arguments)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, recorded)
+    return calls
+
+
+class TestSolverBlock:
+    def test_moment_config_applies_file_overrides(self):
+        solver = {"grid_resolution": 65, "scan_resolution": 513}
+        no_flags = argparse.Namespace(grid=None, tol=None, max_iters=None)
+        config = cli._moment_config(solver, no_flags)
+        assert (config.grid_resolution, config.scan_resolution) == (65, 513)
+        assert config.tol == cli.SolverConfig().tol
+        flags = argparse.Namespace(grid=33, tol=1e-4, max_iters=None)
+        config = cli._moment_config(solver, flags)
+        assert (config.grid_resolution, config.tol) == (33, 1e-4)
+
+    def test_dual_honours_file_max_iters(self, tmp_path, capsys):
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", max_iters=1)
+        assert run_cli(["dual", path, "--tol", "1e-6"]) == 2
+        assert "not_converged after 1 iteration(s)" in capsys.readouterr().out
+
+    def test_slater_honours_file_block(self, monkeypatch, capsys):
+        primal = spy(monkeypatch, "check_primal_slater")
+        dual = spy(monkeypatch, "check_dual_slater")
+        assert run_cli(["slater", fixture("cauchy_schwarz.json")]) == 0
+        assert primal[0]["resolution"] == 65
+        assert dual[0]["scan_resolution"] == 513
+
+    def test_quad_resolution_rejected(self, tmp_path, capsys):
+        path = fixture_with_solver(tmp_path, "density_flat.json", quad_resolution=32)
+        assert run_cli(["solve", path]) == 4
+        assert "solver.quad_resolution" in capsys.readouterr().err
+
+    def test_density_slater_resolution(self, tmp_path, monkeypatch, capsys):
+        calls = spy(monkeypatch, "check_lp_slater")
+        path = fixture_with_solver(tmp_path, "density_flat.json", slater_resolution=5)
+        assert run_cli(["solve", path]) == 0
+        assert run_cli(["slater", path]) == 0
+        assert [c["x_resolution"] for c in calls] == [5, 5]
+        # without the key, solve keeps the collocation resolution and slater its 33
+        doc = json.loads(Path(path).read_text())
+        del doc["solver"]["slater_resolution"]
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", path]) == 0
+        assert run_cli(["slater", path]) == 0
+        assert [c["x_resolution"] for c in calls[2:]] == [16, 33]
+
+    def test_density_dual_x_resolution(self, tmp_path, capsys):
+        path = fixture_with_solver(tmp_path, "density_flat.json", x_resolution=8)
+        assert run_cli(["dual", path, "--tol", "1e-6"]) == 0
+        assert "collocation dual (8 per axis)" in capsys.readouterr().out
+        doc = json.loads(Path(path).read_text())
+        del doc["solver"]["x_resolution"]
+        Path(path).write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["dual", path, "--tol", "1e-6"]) == 0
+        assert "collocation dual (64 per axis)" in capsys.readouterr().out
 
 
 class TestValidationDiagnostics:

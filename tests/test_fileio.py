@@ -115,13 +115,6 @@ class TestProblemFiles:
         assert first.kind == "lp_density"
         assert first.problem.p == 2.0
 
-    def test_solver_config_applies(self):
-        loaded = problem_from_document(moment_doc())
-        config = loaded.solver_config()
-        assert isinstance(config, SolverConfig)
-        assert config.grid_resolution == 65
-        assert config.tol == SolverConfig().tol
-
     def test_density_defaults_p(self):
         doc = density_doc()
         del doc["p"]
@@ -211,7 +204,7 @@ class TestProblemErrors:
 class TestReportFiles:
     def make_moment_report(self):
         loaded = problem_from_document(moment_doc())
-        config = loaded.solver_config()
+        config = SolverConfig(**loaded.solver)
         report = duality_report(loaded.problem, config)
         return report, loaded, config
 

@@ -1,11 +1,11 @@
-"""Boxes, partitions, unit transforms, grids, and partition validation."""
+"""Boxes, partitions, grids, and partition validation."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from measurelp import Box, Partition, UnitTransform, grid_points, validate_partition
+from measurelp import Box, Partition, grid_points, validate_partition
 from measurelp.geometry import grid_array, grid_axes, halton_points
 
 
@@ -44,43 +44,6 @@ class TestBox:
         b = Box((0.0,), (1.0,))
         with pytest.raises(ValueError):
             b.contains((0.0, 0.0))
-
-
-class TestUnitTransform:
-    def test_round_trip_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            dim = int(rng.integers(1, 4))
-            lower = rng.uniform(-5.0, 4.0, dim)
-            upper = lower + rng.uniform(0.1, 6.0, dim)
-            box = Box(tuple(lower), tuple(upper))
-            t = UnitTransform(box)
-            for _ in range(1000):
-                x = rng.uniform(lower, upper)
-                back = t.from_unit(t.to_unit(x))
-                scale = 1.0 + np.abs(x)
-                assert np.all(np.abs(np.subtract(back, x)) <= 1e-12 * scale)
-
-    def test_endpoints(self):
-        box = Box((2.0, -1.0), (4.0, 3.0))
-        t = UnitTransform(box)
-        assert t.to_unit((2.0, -1.0)) == (0.0, 0.0)
-        assert t.to_unit((4.0, 3.0)) == (1.0, 1.0)
-        assert t.from_unit((0.0, 0.0)) == (2.0, -1.0)
-
-    def test_grids_commute_with_transforms(self):
-        rng = np.random.default_rng(5)
-        unit = Box((0.0, 0.0), (1.0, 1.0))
-        for _ in range(20):
-            lower = rng.uniform(-3.0, 2.0, 2)
-            upper = lower + rng.uniform(0.5, 4.0, 2)
-            box = Box(tuple(lower), tuple(upper))
-            t = UnitTransform(box)
-            mapped = [t.from_unit(p) for p in grid_points(unit, 5)]
-            direct = grid_points(box, 5)
-            for a, b in zip(mapped, direct):
-                scale = 1.0 + np.abs(b)
-                assert np.all(np.abs(np.subtract(a, b)) <= 1e-12 * scale)
 
 
 class TestGrids:

@@ -280,6 +280,36 @@ class TestExchange:
         with pytest.raises(ValueError):
             make_cut(mp, 0, (5.0,))
         assert len(initial_cuts(mp)) == 3  # two corners + center
+        with pytest.raises(ValueError):
+            exchange_solve(mp, extra_cuts=((0, (0.5,)), (0, (5.0,))), max_iters=1)
+
+    def test_seeded_cuts_are_grid_primal_columns(self):
+        # a quartic on a non-dyadic interval: scalar and vectorized evaluation
+        # disagree in the last bit at some of these grid points
+        mp = interval_problem(
+            -1.3, 2.7, "x1 ^ 3 - 0.7 * x1",
+            inequalities=(("x1 ^ 4 - 0.3 * x1 ^ 2", 4.1),),
+            equalities=(("1", 1.0), ("x1", 0.55), ("x1 ^ 2 + 0.1 * x1 ^ 3", 1.2)),
+        )
+        grid = assemble_grid_primal(mp, 1025)
+        pairs = tuple(
+            (int(i), tuple(p)) for i, p in zip(grid.box_indices, grid.points)
+        )
+        res = exchange_solve(mp, extra_cuts=pairs, max_iters=1, scan_resolution=257)
+        initial = initial_cuts(mp)
+        taken = {(c.box_index, c.point) for c in initial}
+        expected = [g for g, pair in enumerate(pairs) if pair not in taken]
+        seeded = res.cuts[len(initial):len(initial) + len(expected)]
+        assert len(seeded) == len(expected) > 1000
+        M = mp.n_ineq
+        for g, cut in zip(expected, seeded):
+            assert (cut.box_index, cut.point) == pairs[g]
+            assert cut.phi == tuple(grid.lp.rows[:M, g])
+            assert cut.psi == tuple(grid.lp.rows[M:, g])
+            assert cut.h == grid.lp.objective[g]
+        # the grid itself, passed whole, seeds the same cuts
+        whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
+        assert whole.cuts == res.cuts
 
 
 class TestSlaterChecks:
