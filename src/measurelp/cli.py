@@ -196,7 +196,9 @@ def _cmd_primal(args: argparse.Namespace) -> int:
             for p, w in zip(atoms.points, atoms.weights):
                 print(f"atom: weight {w:.9g} at {tuple(round(float(v), 12) for v in p)}")
         return _LP_EXIT[solve.status]
-    primal, _ = discretize_lp_density(loaded.problem, args.grid)
+    res = _density_resolutions(loaded.solver)
+    res["x_resolution"] = args.grid
+    primal, _ = discretize_lp_density(loaded.problem, **res)
     out = solve_lp(primal)
     print(f"collocation primal ({args.grid} per axis): {out.status.value}")
     if out.value is not None:

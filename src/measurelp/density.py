@@ -10,9 +10,11 @@ equality box.  This module provides
 - a randomized check that the induced integral operator obeys the triangle /
   Hoelder bound chain and a Lipschitz modulus ``M = max sampled rho``,
 - a collocation discretization producing a primal/dual pair of finite LPs
-  that are exact LP duals of each other (up to quadrature weighting), and
+  that are exact LP duals of each other (up to quadrature weighting); the
+  report solves the primal alone and reads the dual solution off its row
+  duals, checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
-  discretized equality operator.
+  discretized equality operator, solved as one row per collocation point.
 
 All quadrature uses the composite midpoint rule, which matches the piecewise
 constant density class used throughout: a discrete density takes one value
@@ -32,7 +34,8 @@ import numpy as np
 from .expressions import Expression, evaluate_many
 from .geometry import MAX_GRID_POINTS, Box
 from .moment import SLATER_CAP, ReportStatus
-from .simplex import FiniteLP, LPStatus, make_lp, solve_lp
+from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
+from .simplex import kkt_residuals, make_lp, solve_lp
 
 DEFAULT_QUAD_RESOLUTION = 128
 ROUNDOFF_SLACK = 1e-12
@@ -462,7 +465,13 @@ def collocation_report(
     gap_rtol: float = 1e-3,
     refine: bool = True,
 ) -> CollocationReport:
-    """Solve the collocation pair and label the outcome.
+    """Solve the collocated primal, read the dual from its row duals, and label.
+
+    Only the primal LP is solved.  Its row duals, divided by the cell
+    volumes, solve the dual LP, so the dual value is the KKT dual value; its
+    dual-sign and stationarity residuals check that the duals are dual
+    feasible, and one above ``FEAS_TOL * (1 + |value|)`` raises
+    ``NumericalFailure``.
 
     When refining the domain grid keeps pushing the value up by more than
     ``gap_rtol``-relative, the supremum is being approached by densities that
@@ -472,53 +481,39 @@ def collocation_report(
     """
     y_res = y_resolution or x_resolution
     z_res = z_resolution or x_resolution
-    primal, dual = discretize_lp_density(pb, x_resolution, y_res, z_res)
+    resolutions = dict(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
+    primal, _ = discretize_lp_density(pb, **resolutions)
     p_out = solve_lp(primal)
-    d_out = solve_lp(dual)
-    notes: list[str] = []
-
-    if p_out.status == LPStatus.INFEASIBLE:
+    if p_out.status != LPStatus.OPTIMAL:
+        infeasible = p_out.status == LPStatus.INFEASIBLE
         return CollocationReport(
-            status=ReportStatus.PRIMAL_INFEASIBLE,
-            primal_value=None,
-            dual_value=d_out.value if d_out.status == LPStatus.OPTIMAL else None,
-            gap=None,
-            x_resolution=x_resolution,
-            y_resolution=y_res,
-            z_resolution=z_res,
-            refined_primal_value=None,
-            notes=("collocated primal has no nonnegative density",),
-        )
-    if p_out.status == LPStatus.UNBOUNDED or d_out.status == LPStatus.INFEASIBLE:
-        return CollocationReport(
-            status=ReportStatus.NOT_CONVERGED,
+            status=(
+                ReportStatus.PRIMAL_INFEASIBLE if infeasible else ReportStatus.NOT_CONVERGED
+            ),
             primal_value=None,
             dual_value=None,
             gap=None,
-            x_resolution=x_resolution,
-            y_resolution=y_res,
-            z_resolution=z_res,
             refined_primal_value=None,
-            notes=("collocated primal is unbounded above; dual infeasible",),
-        )
-    if d_out.status == LPStatus.UNBOUNDED:
-        return CollocationReport(
-            status=ReportStatus.DUAL_UNBOUNDED,
-            primal_value=p_out.value,
-            dual_value=None,
-            gap=None,
-            x_resolution=x_resolution,
-            y_resolution=y_res,
-            z_resolution=z_res,
-            refined_primal_value=None,
-            notes=("collocated dual is unbounded below",),
+            notes=(
+                "collocated primal has no nonnegative density"
+                if infeasible
+                else "collocated primal is unbounded above; dual infeasible",
+            ),
+            **resolutions,
         )
 
-    gap = d_out.value - p_out.value
+    kkt = kkt_residuals(primal, p_out)
+    worst = max(kkt.dual_sign_residual, kkt.stationarity_residual)
+    if worst > FEAS_TOL * (1.0 + abs(p_out.value)):
+        raise NumericalFailure(
+            f"row duals of the collocated primal are not dual feasible ({worst:.3g})"
+        )
+    gap = kkt.dual_value - p_out.value
     status = ReportStatus.STRONG_DUALITY
-    if abs(gap) > gap_rtol * (1.0 + abs(d_out.value)):
+    if abs(gap) > gap_rtol * (1.0 + abs(kkt.dual_value)):
         status = ReportStatus.GAP_REMAINS
 
+    notes: list[str] = []
     refined_value = None
     if refine:
         refined, _ = discretize_lp_density(pb, 2 * x_resolution, y_res, z_res)
@@ -530,13 +525,11 @@ def collocation_report(
     return CollocationReport(
         status=status,
         primal_value=p_out.value,
-        dual_value=d_out.value,
+        dual_value=kkt.dual_value,
         gap=gap,
-        x_resolution=x_resolution,
-        y_resolution=y_res,
-        z_resolution=z_res,
         refined_primal_value=refined_value,
         notes=tuple(notes),
+        **resolutions,
     )
 
 
@@ -564,11 +557,14 @@ def check_lp_slater(
 ) -> DensitySlaterReport:
     """Maximize the margin delta with f_i ≥ delta and delta of slack per row.
 
-    Solves ``max delta`` subject to ``sum_i A(y_j, x_i) f_i dx + delta ≤
-    a(y_j)``, ``sum_i B(z_l, x_i) f_i dx = b(z_l)``, and ``f_i ≥ delta``.  A
-    positive margin exhibits a strictly positive density satisfying every
-    inequality strictly; an infeasible margin LP reports ``-inf``.  The rank
-    of the collocated equality matrix is reported as a finite surrogate for
+    The margin is ``max delta`` subject to ``sum_i A(y_j, x_i) f_i dx + delta
+    ≤ a(y_j)``, ``sum_i B(z_l, x_i) f_i dx = b(z_l)``, and ``f_i ≥ delta``.
+    Substituting ``f = g + delta`` with ``g ≥ 0`` turns the ``f_i ≥ delta``
+    rows into bounds and leaves the margin unchanged, so the LP solved has
+    one row per collocation point and only ``delta`` is free.  A positive
+    margin exhibits a strictly positive density satisfying every inequality
+    strictly; an infeasible margin LP reports ``-inf``.  The rank of the
+    collocated equality matrix is reported as a finite surrogate for
     surjectivity of the equality operator, so duplicated or dependent
     equality rows show up as a rank deficit.
     """
@@ -579,21 +575,18 @@ def check_lp_slater(
     n_y, n_z = a_tab.shape[0], b_tab.shape[0]
     rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
 
-    rows = np.zeros((n_y + n_z + n_x, n_x + 1))
-    rows[:n_y, :n_x] = a_tab * dx
-    rows[:n_y, n_x] = 1.0
-    rows[n_y : n_y + n_z, :n_x] = b_tab * dx
-    rows[n_y + n_z :, :n_x] = np.eye(n_x)
-    rows[n_y + n_z :, n_x] = -1.0
+    g_rows = np.vstack([a_tab, b_tab]) * dx
+    delta_col = g_rows.sum(axis=1)
+    delta_col[:n_y] += 1.0
     objective = np.zeros(n_x + 1)
     objective[n_x] = 1.0
     lp = FiniteLP(
         sense="max",
         objective=objective,
-        rows=rows,
-        row_senses=("<=",) * n_y + ("=",) * n_z + (">=",) * n_x,
-        rhs=np.concatenate([a_vals, b_vals, np.zeros(n_x)]),
-        lower=np.full(n_x + 1, -np.inf),
+        rows=np.column_stack([g_rows, delta_col]),
+        row_senses=("<=",) * n_y + ("=",) * n_z,
+        rhs=np.concatenate([a_vals, b_vals]),
+        lower=np.concatenate([np.zeros(n_x), [-np.inf]]),
         upper=np.concatenate([np.full(n_x, np.inf), [cap]]),
     )
     out = solve_lp(lp)

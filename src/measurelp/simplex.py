@@ -349,32 +349,25 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
     problem.  The only presolve is dropping all-zero rows (their duals are
     reported as 0) after checking them for trivial infeasibility.
     """
-    m = p.n_rows
-    nonzero = [i for i in range(m) if np.any(p.rows[i] != 0.0)]
-    for i in range(m):
-        if i in set(nonzero):
-            continue
-        b, s = p.rhs[i], p.row_senses[i]
-        bad = (
-            (s == "<=" and b < -FEAS_TOL)
-            or (s == ">=" and b > FEAS_TOL)
-            or (s == "=" and abs(b) > FEAS_TOL)
-        )
-        if bad:
+    nonzero = np.any(p.rows != 0.0, axis=1)
+    if not nonzero.all():
+        senses = np.asarray(p.row_senses)
+        b, s = p.rhs[~nonzero], senses[~nonzero]
+        # an all-zero row reads ``0 <sense> b``
+        if np.any(((b < -FEAS_TOL) & (s != ">=")) | ((b > FEAS_TOL) & (s != "<="))):
             return LPOutcome(status=LPStatus.INFEASIBLE)
-    if len(nonzero) < m:
         reduced = make_lp(
             p.sense,
             p.objective,
             p.rows[nonzero],
-            tuple(p.row_senses[i] for i in nonzero),
+            tuple(senses[nonzero].tolist()),
             p.rhs[nonzero],
             p.lower,
             p.upper,
         )
         out = solve_lp(reduced)
         if out.status == LPStatus.OPTIMAL:
-            duals = np.zeros(m)
+            duals = np.zeros(p.n_rows)
             duals[nonzero] = out.duals
             out.duals = duals
         return out

@@ -175,6 +175,13 @@ class TestSolverBlock:
         assert run_cli(["slater", path]) == 0
         assert [c["x_resolution"] for c in calls[2:]] == [16, 33]
 
+    def test_density_primal_honours_file_resolutions(self, tmp_path, monkeypatch, capsys):
+        calls = spy(monkeypatch, "discretize_lp_density")
+        path = fixture_with_solver(tmp_path, "density_flat.json", y_resolution=5)
+        assert run_cli(["primal", path, "--grid", "8"]) == 0
+        assert "collocation primal (8 per axis): optimal" in capsys.readouterr().out
+        assert (calls[0]["x_resolution"], calls[0]["y_resolution"]) == (8, 5)
+
     def test_density_dual_x_resolution(self, tmp_path, capsys):
         path = fixture_with_solver(tmp_path, "density_flat.json", x_resolution=8)
         assert run_cli(["dual", path, "--tol", "1e-6"]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from measurelp import (
     Box,
+    FiniteLP,
     LPStatus,
     LpDensityProblem,
     ReportStatus,
@@ -22,7 +23,8 @@ from measurelp import (
     solve_lp,
 )
 from measurelp.density import midpoint_axes, midpoint_grid
-from oracles import midpoint_quad, refined_quad
+from measurelp.moment import SLATER_CAP
+from oracles import midpoint_quad, refined_quad, scipy_solve
 from problems import (
     bilinear_density_problem,
     concentration_density_problem,
@@ -203,6 +205,9 @@ class TestDiscretization:
                 assert d_out.status == LPStatus.OPTIMAL
                 scale = 1.0 + abs(d_out.value)
                 assert abs(p_out.value - d_out.value) <= 1e-8 * scale
+                # the report reads its dual off the primal's row duals
+                report = collocation_report(pb, r, refine=False)
+                assert abs(report.dual_value - d_out.value) <= 1e-8 * scale
 
     def test_monotone_in_inequality_bound(self):
         rng = np.random.default_rng(43)
@@ -283,6 +288,29 @@ class TestDensitySlater:
         assert check_lp_slater(unit_problem("1", "2")).margin == pytest.approx(1.0, abs=1e-9)
         assert check_lp_slater(unit_problem("1", "1")).margin == pytest.approx(0.5, abs=1e-9)
         assert check_lp_slater(unit_problem("1", "0")).margin == pytest.approx(0.0, abs=1e-9)
+
+    def test_margin_matches_untransformed_lp(self):
+        # the margin LP as stated: f free with f_i >= delta, delta <= cap
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            pb = random_density_problem(rng)
+            for r in (8, 16):
+                primal, _ = discretize_lp_density(pb, r)
+                n = primal.n_vars
+                slack = np.array([[1.0 if s == "<=" else 0.0] for s in primal.row_senses])
+                stated = FiniteLP(
+                    sense="max",
+                    objective=np.eye(n + 1)[n],
+                    rows=np.block([[primal.rows, slack], [np.eye(n), -np.ones((n, 1))]]),
+                    row_senses=primal.row_senses + (">=",) * n,
+                    rhs=np.concatenate([primal.rhs, np.zeros(n)]),
+                    lower=-np.inf,
+                    upper=np.concatenate([np.full(n, np.inf), [SLATER_CAP]]),
+                )
+                status, margin = scipy_solve(stated)
+                rep = check_lp_slater(pb, x_resolution=r)
+                assert rep.feasible == (status == LPStatus.OPTIMAL)
+                assert abs(rep.margin - margin) <= 1e-8 * (1.0 + abs(margin))
 
     def test_negative_margin_when_no_strict_interior(self):
         # unit mass forced while the inequality demands nonpositive mass:

@@ -51,6 +51,27 @@ class TestFixedCases:
         assert out.status == LPStatus.OPTIMAL
         assert out.value == pytest.approx(2.0, abs=1e-10)
 
+    def test_all_zero_rows(self):
+        # max x + y s.t. x + 2y <= 4, x <= 3: value 3.5 at (3, 0.5)
+        rows = np.array([[1.0, 2.0], [1.0, 0.0]])
+        base = solve_lp(make_lp("max", np.ones(2), rows, ("<=",) * 2, np.array([4.0, 3.0])))
+        padded = make_lp(
+            "max",
+            np.ones(2),
+            np.insert(rows, 1, 0.0, axis=0),
+            ("<=",) * 3,
+            np.array([4.0, 1.0, 3.0]),
+        )
+        out = solve_lp(padded)
+        assert out.status == LPStatus.OPTIMAL
+        assert out.value == base.value == pytest.approx(3.5, abs=1e-12)
+        assert np.array_equal(out.x, base.x)
+        assert np.array_equal(out.duals, np.insert(base.duals, 1, 0.0))
+        infeasible = make_lp(
+            "max", np.ones(2), padded.rows, ("<=", ">=", "<="), padded.rhs
+        )
+        assert solve_lp(infeasible).status == LPStatus.INFEASIBLE
+
     def test_input_validation(self):
         with pytest.raises(ValueError):
             make_lp("max", np.array([np.nan]), np.zeros((0, 1)), (), np.zeros(0))
