@@ -13,10 +13,13 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
   add it as a cut, repeat.  The dual Slater check runs the same loop with
   a different master LP.
 
-``duality_report`` seeds every grid point into the exchange cut set, valued
-box by box with the evaluator the grid primal uses, so the seeded cuts are
-exactly the grid primal's columns.  Grid points that coincide with a box's
-corner or center keep the initial cut there, valued pointwise.
+The working cuts live in a ``CutSet``: one array per field (box index,
+point, the (phi, psi) row, h), which the master LPs read directly.
+``duality_report`` seeds every grid point into it, valued box by box with
+the evaluator the grid primal uses, so the seeded cuts are exactly the grid
+primal's columns and no per-point ``Cut`` is built.  Grid points that
+coincide with a box's corner or center keep the initial cut there, valued
+pointwise.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -321,19 +324,91 @@ def initial_cuts(mp: MomentProblem) -> list[Cut]:
     return cuts
 
 
-def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> list[Cut]:
-    """``extra_cuts`` as new cuts, each box's points valued as the grid primal's are.
+@dataclass
+class CutSet(Sequence):
+    """Cuts held as arrays, one entry per cut, in the order they were added.
 
-    Points already in ``cuts``, and repeats, are dropped: the first
+    ``box_index`` (C,), ``points`` (C, dim), ``rows`` (C, M + N) with each
+    cut's phi values then its psi values, and ``h`` (C,); the first
+    ``n_ineq`` columns of ``rows`` are phi.  It reads as a
+    ``Sequence[Cut]``: an integer index gives a ``Cut`` whose fields are
+    Python numbers and tuples, a slice gives a CutSet, and ``==`` compares
+    cut by cut.
+    """
+
+    n_ineq: int
+    box_index: np.ndarray
+    points: np.ndarray
+    rows: np.ndarray
+    h: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.h)
+
+    def __getitem__(self, k):
+        if isinstance(k, slice):
+            return CutSet(self.n_ineq, self.box_index[k], self.points[k], self.rows[k], self.h[k])
+        row = self.rows[k].tolist()
+        return Cut(
+            box_index=int(self.box_index[k]), point=tuple(self.points[k].tolist()),
+            phi=tuple(row[: self.n_ineq]), psi=tuple(row[self.n_ineq:]), h=float(self.h[k]),
+        )
+
+    def __iter__(self):
+        M = self.n_ineq
+        for b, p, row, h in zip(
+            self.box_index.tolist(), self.points.tolist(), self.rows.tolist(), self.h.tolist()
+        ):
+            yield Cut(box_index=b, point=tuple(p), phi=tuple(row[:M]), psi=tuple(row[M:]), h=h)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CutSet):
+            return NotImplemented
+        return self.n_ineq == other.n_ineq and all(
+            np.array_equal(a, b)
+            for a, b in zip(
+                (self.box_index, self.points, self.rows, self.h),
+                (other.box_index, other.points, other.rows, other.h),
+            )
+        )
+
+    def __repr__(self) -> str:
+        return f"CutSet({len(self)} cuts)"
+
+    def append(self, cut: Cut) -> None:
+        """Add one cut at the end; slices taken earlier keep their own cuts."""
+        self.box_index = np.append(self.box_index, cut.box_index)
+        self.points = np.vstack([self.points, [cut.point]])
+        self.rows = np.vstack([self.rows, [cut.phi + cut.psi]])
+        self.h = np.append(self.h, cut.h)
+
+
+def _cut_set(mp: MomentProblem, cuts: Sequence[Cut]) -> CutSet:
+    """A list of cuts as a CutSet (shapes hold for an empty list too)."""
+    C, M, N = len(cuts), mp.n_ineq, mp.n_eq
+    return CutSet(
+        M,
+        np.array([c.box_index for c in cuts], dtype=int),
+        np.array([c.point for c in cuts], dtype=float).reshape(C, mp.domain.dim),
+        np.array([c.phi + c.psi for c in cuts], dtype=float).reshape(C, M + N),
+        np.array([c.h for c in cuts], dtype=float),
+    )
+
+
+def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> CutSet:
+    """``cuts``, then ``extra_cuts`` with each box's points valued as the grid primal's are.
+
+    Extra points already in ``cuts``, and repeats, are dropped: the first
     occurrence wins and the given order is kept.
     """
+    old = _cut_set(mp, cuts)
     if isinstance(extra_cuts, GridPrimal):
         box_idx, points = extra_cuts.box_indices, extra_cuts.points
     else:
         box_idx = np.array([i for i, _ in extra_cuts], dtype=int)
         points = np.array([p for _, p in extra_cuts], dtype=float)
     if not len(box_idx):
-        return []
+        return old
     points = points.reshape(len(box_idx), mp.domain.dim)
     lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
     upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
@@ -349,25 +424,22 @@ def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> list[Cut]:
 
     # first occurrence of each (box, point) among the old cuts, then the new
     keys = np.vstack([
-        np.array([(c.box_index,) + c.point for c in cuts]),
+        np.column_stack([old.box_index, old.points]),
         np.column_stack([box_idx, points]),
     ])
     order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in given order
     ranked = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    keep = np.sort(order[first]) - len(cuts)
+    keep = np.sort(order[first]) - len(old)
     keep = keep[keep >= 0]
-    M, N = mp.n_ineq, mp.n_eq
-    return [
-        Cut(box_index=b, point=tuple(p), phi=tuple(v[:M]), psi=tuple(v[M:M + N]), h=v[-1])
-        for b, p, v in zip(box_idx[keep].tolist(), points[keep].tolist(), table.T[keep].tolist())
-    ]
-
-
-def _cut_arrays(cuts: Sequence[Cut]) -> tuple[np.ndarray, np.ndarray]:
-    """One row (phi, psi) per cut, shape (C, M + N), and the cuts' h values."""
-    return np.array([c.phi + c.psi for c in cuts]), np.array([c.h for c in cuts])
+    return CutSet(
+        old.n_ineq,
+        np.concatenate([old.box_index, box_idx[keep]]),
+        np.vstack([old.points, points[keep]]),
+        np.vstack([old.rows, table[:-1, keep].T]),
+        np.concatenate([old.h, table[-1, keep]]),
+    )
 
 
 def restricted_dual_lp(
@@ -396,7 +468,7 @@ def restricted_dual_lp(
 def _solve_master(mp: MomentProblem, rows, H, elastic: float | None = None):
     """Solve the cut-supported primal; its row duals are the restricted dual.
 
-    ``rows`` and ``H`` are the working cuts as ``_cut_arrays`` gives them.
+    ``rows`` and ``H`` are the working cuts' ``CutSet.rows`` and ``CutSet.h``.
     Returns (status, value, DualPoint | None).  Columns are cuts, rows are
     the M + N moment constraints, so the tableau stays small however many
     cuts tests seed.  With ``elastic``, extra columns that buy one unit of
@@ -545,10 +617,16 @@ class IterationRecord:
 
 @dataclass
 class ExchangeResult:
+    """Outcome of ``exchange_solve``.
+
+    ``cuts`` is the final working set as a CutSet: the initial cuts, then the
+    seeded ones, then one cut per iteration that did not stop the loop.
+    """
+
     status: str  # "converged" | "not_converged" | "dual_unbounded"
     value: float | None
     dual: DualPoint | None
-    cuts: list[Cut]
+    cuts: CutSet
     iterations: int
     history: list[IterationRecord]
     final_slack: float | None
@@ -557,15 +635,16 @@ class ExchangeResult:
 def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     """The exchange loop of both the dual and the dual Slater check.
 
-    ``master(rows, h)`` solves on the working cuts and returns (value, dual
-    point, target, tag); the loop stops once the oracle's worst slack is
-    >= target - tol, else adds that point as a cut.  Returns (converged,
-    the last tag, one IterationRecord per iteration).
+    ``cuts`` is the working CutSet.  ``master(rows, h)`` solves on its
+    arrays and returns (value, dual point, target, tag); the loop stops once
+    the oracle's worst slack is >= target - tol, else appends that point's
+    cut.  Returns (converged, the last tag, one IterationRecord per
+    iteration).
     """
     oracle = _ScanOracle(mp, scan_resolution, refine_steps)
     history: list[IterationRecord] = []
     for _ in range(max(1, int(max_iters))):
-        value, dual, target, tag = master(*_cut_arrays(cuts))
+        value, dual, target, tag = master(cuts.rows, cuts.h)
         sep = oracle.find(dual)
         history.append(IterationRecord(value, dual, sep.point, sep.box_index, sep.slack))
         if sep.slack >= target - tol:
@@ -586,9 +665,10 @@ def exchange_solve(
 
     Starts from the corner and center cuts of every box, plus ``extra_cuts``
     given as (box_index, point) pairs or as a GridPrimal whose points are all
-    seeded, and stops when the worst slack is >= -tol.  Master values are
-    nondecreasing because cuts only ever add columns to the cut-supported
-    primal.
+    seeded, and stops when the worst slack is >= -tol.  The working set is a
+    CutSet that grows by one cut per iteration and is returned as
+    ``ExchangeResult.cuts``.  Master values are nondecreasing because cuts
+    only ever add columns to the cut-supported primal.
 
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
@@ -600,8 +680,7 @@ def exchange_solve(
     "dual_unbounded".  An infeasible restricted dual (possible only when the
     primal is unbounded above) raises ExchangeError.
     """
-    cuts = initial_cuts(mp)
-    cuts += _seed_cuts(mp, cuts, extra_cuts)
+    cuts = _seed_cuts(mp, initial_cuts(mp), extra_cuts)
 
     def master(rows, h):
         status, value, dual = _solve_master(mp, rows, h)
@@ -691,7 +770,8 @@ def check_dual_slater(
         return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), t, None
 
     converged, _, history = _exchange(
-        mp, initial_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+        mp, _cut_set(mp, initial_cuts(mp)), master, tol, max_iters, scan_resolution,
+        refine_steps,
     )
     margin = history[-1].value
     return DualSlaterReport(

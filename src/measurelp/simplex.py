@@ -2,9 +2,12 @@
 
 Everything is kept deliberately simple: dense tableau, Dantzig pricing with
 lowest-index tie-breaks, Bland's rule engaged after a run of degenerate
-pivots, duals read off the final basis.  Problems here have at most a few
-thousand columns and a handful of rows (or vice versa), so a dense tableau
-is the right tool.
+pivots, duals read off the final basis.  The LPs here are either wide and
+short (a grid primal has a handful of rows and up to ~66k columns at 257^2
+grid points) or square and up to about a thousand rows (density
+collocation), so the tableau's size is the cost that matters, and
+``standardize`` builds it with array operations rather than column by
+column.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem
@@ -113,14 +116,23 @@ class LPOutcome:
     duals: np.ndarray | None = None
 
 
+# variable kinds in ``StandardizedLP.columns``
+SHIFT, MIRROR, SPLIT = 0, 1, 2
+_SLACK_SIGN = {"<=": 1.0, ">=": -1.0}
+
+
 @dataclass
 class StandardizedLP:
     """Computational standard form: min objective . x, rows x = rhs, x >= 0.
 
-    ``columns`` records, for each original variable, how to undo the
-    substitution: ("shift", col, l) means x = l + x'_col, ("mirror", col, u)
-    means x = u - x'_col, ("split", c1, c2) means x = x'_c1 - x'_c2.  Finite
-    upper bounds become extra rows appended after the original ones.
+    ``columns`` is ``(kind, first, base)``, three arrays over the original
+    variables that undo the substitution.  ``kind[j]`` is SHIFT (x = base +
+    x'_first), MIRROR (x = base - x'_first) or SPLIT (x = x'_first -
+    x'_(first+1), base 0); ``first[j]`` is the variable's first structural
+    column, in variable order, one column per kind except two for SPLIT.
+    Finite upper bounds of SHIFT variables become extra rows appended after
+    the original ones; slack columns follow the structural ones, first one
+    per inequality row, then one per upper-bound row.
     """
 
     objective: np.ndarray
@@ -128,7 +140,7 @@ class StandardizedLP:
     rhs: np.ndarray
     constant: float
     negate: bool
-    columns: list[tuple]
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     m_original: int
     n_original: int
 
@@ -137,15 +149,11 @@ class StandardizedLP:
         return make_lp("min", self.objective, self.rows, ("=",) * m, self.rhs)
 
     def recover_x(self, x_std: np.ndarray) -> np.ndarray:
-        x = np.empty(self.n_original)
-        for j, layout in enumerate(self.columns):
-            kind = layout[0]
-            if kind == "shift":
-                x[j] = layout[2] + x_std[layout[1]]
-            elif kind == "mirror":
-                x[j] = layout[2] - x_std[layout[1]]
-            else:
-                x[j] = x_std[layout[1]] - x_std[layout[2]]
+        kind, first, base = self.columns
+        lead = x_std[first]
+        x = np.where(kind == MIRROR, base - lead, base + lead)
+        split = kind == SPLIT
+        x[split] = lead[split] - x_std[first[split] + 1]
         return x
 
     def recover_value(self, value_std: float) -> float:
@@ -160,61 +168,38 @@ class StandardizedLP:
 def standardize(p: FiniteLP) -> StandardizedLP:
     """Rewrite as min c'.x', A'x' = b', x' >= 0 with a recorded inverse map."""
     m, n = p.n_rows, p.n_vars
-    A = p.rows
-    c = p.objective
-    base = np.zeros(n)
-    col_vecs: list[np.ndarray] = []
-    col_costs: list[float] = []
-    columns: list[tuple] = []
-    upper_rows: list[tuple[int, float]] = []  # (structural col, bound on shifted var)
-    for j in range(n):
-        l, u = p.lower[j], p.upper[j]
-        aj = A[:, j]
-        if np.isfinite(l):
-            idx = len(col_vecs)
-            col_vecs.append(aj.copy())
-            col_costs.append(float(c[j]))
-            columns.append(("shift", idx, float(l)))
-            base[j] = l
-            if np.isfinite(u):
-                upper_rows.append((idx, float(u - l)))
-        elif np.isfinite(u):
-            idx = len(col_vecs)
-            col_vecs.append(-aj)
-            col_costs.append(float(-c[j]))
-            columns.append(("mirror", idx, float(u)))
-            base[j] = u
-        else:
-            idx = len(col_vecs)
-            col_vecs.append(aj.copy())
-            col_costs.append(float(c[j]))
-            col_vecs.append(-aj)
-            col_costs.append(float(-c[j]))
-            columns.append(("split", idx, idx + 1))
+    A, c = p.rows, p.objective
+    has_lower = np.isfinite(p.lower)
+    has_upper = np.isfinite(p.upper)
+    kind = np.full(n, SPLIT)
+    kind[has_upper] = MIRROR
+    kind[has_lower] = SHIFT
+    base = np.where(has_lower, p.lower, p.upper)
+    sign = np.where(kind == MIRROR, -1.0, 1.0)
+    split = np.flatnonzero(kind == SPLIT)
+    first = np.arange(n)
+    first += np.searchsorted(split, first)  # a split variable before j owns two columns
+    n_struct = n + len(split)
+    boxed = has_lower & has_upper
+    bounded = first[boxed]  # shifted columns with a finite upper bound
+    ineq = [i for i, s in enumerate(p.row_senses) if s != "="]
+    slack = n_struct + np.arange(len(ineq) + len(bounded))
 
-    n_struct = len(col_vecs)
-    n_slack = sum(1 for s in p.row_senses if s != "=") + len(upper_rows)
-    m_all = m + len(upper_rows)
-    width = n_struct + n_slack
-    S = np.zeros((m_all, width))
-    if n_struct:
-        S[:m, :n_struct] = np.column_stack(col_vecs) if m else np.zeros((0, n_struct))
-    rhs = np.concatenate([p.rhs - A @ base, [b for _, b in upper_rows]])
-    for k, (cidx, _) in enumerate(upper_rows):
-        S[m + k, cidx] = 1.0
-    obj = np.zeros(width)
-    obj[:n_struct] = col_costs
-    scol = n_struct
-    for i, s in enumerate(p.row_senses):
-        if s == "<=":
-            S[i, scol] = 1.0
-            scol += 1
-        elif s == ">=":
-            S[i, scol] = -1.0
-            scol += 1
-    for k in range(len(upper_rows)):
-        S[m + k, scol] = 1.0
-        scol += 1
+    S = np.zeros((m + len(bounded), n_struct + len(slack)))
+    obj = np.zeros(n_struct + len(slack))
+    S[:m, first] = A * sign
+    obj[first] = c * sign
+    if len(split):
+        S[:m, first[split] + 1] = -A[:, split]
+        obj[first[split] + 1] = -c[split]
+        base[split] = 0.0
+    S[ineq, slack[: len(ineq)]] = [_SLACK_SIGN[p.row_senses[i]] for i in ineq]
+    rhs = p.rhs - A @ base
+    if len(bounded):
+        upper_rows = np.arange(m, m + len(bounded))
+        S[upper_rows, bounded] = 1.0
+        S[upper_rows, slack[len(ineq):]] = 1.0
+        rhs = np.concatenate([rhs, (p.upper - p.lower)[boxed]])
     negate = p.sense == "max"
     if negate:
         obj = -obj
@@ -224,7 +209,7 @@ def standardize(p: FiniteLP) -> StandardizedLP:
         rhs=rhs,
         constant=float(c @ base),
         negate=negate,
-        columns=columns,
+        columns=(kind, first, base),
         m_original=m,
         n_original=n,
     )

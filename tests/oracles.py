@@ -1,7 +1,8 @@
 """Independent reference implementations used to cross-check the solvers.
 
 Nothing here reuses the package's LP code paths: finite LPs are checked by
-brute-force vertex enumeration and by scipy's HiGHS backend, moment values by
+brute-force vertex enumeration and by scipy's HiGHS backend, the standard
+form by a column-at-a-time rebuild of the package's layout, moment values by
 a fine-grid LP assembled directly from the expressions and solved with scipy,
 option bounds by an exhaustive two-atom search, and kernel norms by a local
 midpoint quadrature with refinement.
@@ -78,6 +79,102 @@ def vertex_enumeration(lp, feas_tol: float = 1e-8):
     values = x[ok] @ lp.objective
     best = float(np.max(values) if lp.sense == "max" else np.min(values))
     return "optimal", best
+
+
+# ---------------------------------------------------------------------------
+# standard form built one column at a time
+
+
+class LoopStandardized:
+    """Standard form of a FiniteLP with a per-variable inverse map.
+
+    ``columns[j]`` is ("shift", col, l): x = l + x'_col, ("mirror", col, u):
+    x = u - x'_col, or ("split", c1, c2): x = x'_c1 - x'_c2.
+    """
+
+    def __init__(self, objective, rows, rhs, constant, negate, columns, m_original):
+        self.objective = objective
+        self.rows = rows
+        self.rhs = rhs
+        self.constant = constant
+        self.negate = negate
+        self.columns = columns
+        self.m_original = m_original
+
+    def recover_x(self, x_std):
+        x = np.empty(len(self.columns))
+        for j, (kind, a, b) in enumerate(self.columns):
+            if kind == "shift":
+                x[j] = b + x_std[a]
+            elif kind == "mirror":
+                x[j] = b - x_std[a]
+            else:
+                x[j] = x_std[a] - x_std[b]
+        return x
+
+    def recover_value(self, value_std):
+        return self.constant + (-value_std if self.negate else value_std)
+
+    def recover_duals(self, y_std):
+        y = np.asarray(y_std[: self.m_original], dtype=float)
+        return -y if self.negate else y
+
+
+def loop_standardize(p) -> LoopStandardized:
+    """min c'.x', A'x' = b', x' >= 0, built by a Python loop over the columns.
+
+    Column order: each variable's structural column(s) in variable order (a
+    free variable gets x'+ then x'-), then one slack per inequality row, then
+    one slack per finite upper bound of a lower-bounded variable, whose row
+    is appended after the original rows.
+    """
+    m, n = p.n_rows, p.n_vars
+    A, c = p.rows, p.objective
+    base = np.zeros(n)
+    col_vecs, col_costs, columns, upper_rows = [], [], [], []
+    for j in range(n):
+        l, u = p.lower[j], p.upper[j]
+        aj = A[:, j]
+        idx = len(col_vecs)
+        if np.isfinite(l):
+            col_vecs.append(aj.copy())
+            col_costs.append(float(c[j]))
+            columns.append(("shift", idx, float(l)))
+            base[j] = l
+            if np.isfinite(u):
+                upper_rows.append((idx, float(u - l)))
+        elif np.isfinite(u):
+            col_vecs.append(-aj)
+            col_costs.append(float(-c[j]))
+            columns.append(("mirror", idx, float(u)))
+            base[j] = u
+        else:
+            col_vecs += [aj.copy(), -aj]
+            col_costs += [float(c[j]), float(-c[j])]
+            columns.append(("split", idx, idx + 1))
+
+    n_struct = len(col_vecs)
+    n_slack = sum(1 for s in p.row_senses if s != "=") + len(upper_rows)
+    S = np.zeros((m + len(upper_rows), n_struct + n_slack))
+    if n_struct and m:
+        S[:m, :n_struct] = np.column_stack(col_vecs)
+    rhs = np.concatenate([p.rhs - A @ base, [b for _, b in upper_rows]])
+    for k, (cidx, _) in enumerate(upper_rows):
+        S[m + k, cidx] = 1.0
+    obj = np.zeros(n_struct + n_slack)
+    obj[:n_struct] = col_costs
+    scol = n_struct
+    for i, s in enumerate(p.row_senses):
+        if s != "=":
+            S[i, scol] = 1.0 if s == "<=" else -1.0
+            scol += 1
+    for k in range(len(upper_rows)):
+        S[m + k, scol] = 1.0
+        scol += 1
+    negate = p.sense == "max"
+    return LoopStandardized(
+        -obj if negate else obj, S, rhs, float(c @ base), negate, columns, m
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,28 @@ def ev(source: str, *point: float, arity: int | None = None) -> float:
     return evaluate(e, point or (0.0,))
 
 
+def random_node(rng, depth, full=False):
+    """Random tree over two variables with + - * / min max abs and negation.
+
+    ``full`` puts operators at every level above the leaves.
+    """
+    kind = rng.integers(2 if full and depth > 0 else 0, 5 if depth > 0 else 2)
+    if kind == 0:
+        return Literal(float(np.round(rng.uniform(-4.0, 4.0), 3)))
+    if kind == 1:
+        slot = int(rng.integers(0, 2))
+        return Variable(slot, f"x{slot + 1}")
+    if kind == 2:
+        return Negate(random_node(rng, depth - 1, full))
+    if kind == 3:
+        op = ("+", "-", "*", "/")[rng.integers(0, 4)]
+        return Binary(op, random_node(rng, depth - 1, full), random_node(rng, depth - 1, full))
+    name = ("min", "max", "abs")[rng.integers(0, 3)]
+    if name == "abs":
+        return Call(name, (random_node(rng, depth - 1, full),))
+    return Call(name, (random_node(rng, depth - 1, full), random_node(rng, depth - 1, full)))
+
+
 class TestParsing:
     def test_precedence(self):
         assert ev("2 + 3 * 4", 0.0) == 14.0
@@ -128,29 +150,12 @@ class TestEvaluation:
 
 
 class TestRoundTrip:
-    def random_node(self, rng, depth):
-        kind = rng.integers(0, 5 if depth > 0 else 2)
-        if kind == 0:
-            return Literal(float(np.round(rng.uniform(-4.0, 4.0), 3)))
-        if kind == 1:
-            slot = int(rng.integers(0, 2))
-            return Variable(slot, f"x{slot + 1}")
-        if kind == 2:
-            return Negate(self.random_node(rng, depth - 1))
-        if kind == 3:
-            op = ("+", "-", "*", "/")[rng.integers(0, 4)]
-            return Binary(op, self.random_node(rng, depth - 1), self.random_node(rng, depth - 1))
-        name = ("min", "max", "abs")[rng.integers(0, 3)]
-        if name == "abs":
-            return Call(name, (self.random_node(rng, depth - 1),))
-        return Call(name, (self.random_node(rng, depth - 1), self.random_node(rng, depth - 1)))
-
     def test_print_parse_round_trip(self):
         rng = np.random.default_rng(23)
         pts = rng.uniform(-2.0, 2.0, (20, 2))
         checked = 0
         for _ in range(300):
-            e = Expression(self.random_node(rng, 4), 2)
+            e = Expression(random_node(rng, 4), 2)
             text = format_expression(e)
             back = parse_expression(text, 2)
             for p in pts:
@@ -167,3 +172,79 @@ class TestRoundTrip:
         text = format_expression(e)
         back = parse_expression(text, 3, (("y", 2), ("x", 1)))
         assert evaluate(back, (1.0, 7.0, 3.0)) == 21.0
+
+
+class TestEvaluateParity:
+    """``evaluate_many`` against ``evaluate`` point by point, on 20,000 points."""
+
+    @staticmethod
+    def scalar_values(e, pts):
+        """Every point's scalar value, or the first point's DomainError text."""
+        out = np.empty(len(pts))
+        for k, p in enumerate(pts):
+            try:
+                out[k] = evaluate(e, p)
+            except DomainError as exc:
+                return None, str(exc)
+        return out, None
+
+    def check(self, e, pts, ulps):
+        """Same DomainError, or values apart by at most ``ulps`` ulp; returns the error."""
+        singles, error = self.scalar_values(e, pts)
+        if error is not None:
+            with pytest.raises(DomainError) as info:
+                evaluate_many(e, pts)
+            assert str(info.value) == error, format_expression(e)
+            return error
+        batch = evaluate_many(e, pts)
+        if ulps == 0:
+            assert np.array_equal(batch, singles), format_expression(e)
+        else:
+            gap = np.abs(batch - singles)
+            assert np.all(gap <= ulps * np.spacing(np.abs(singles))), format_expression(e)
+        return None
+
+    def test_without_powers_exact(self):
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(-2.0, 2.0, (20_000, 2))
+        clean = 0
+        for _ in range(12):
+            e = Expression(random_node(rng, 3, full=True), 2)
+            clean += self.check(e, pts, ulps=0) is None
+        assert clean >= 8
+
+    def test_powers_within_one_ulp(self):
+        # the power is the root, so the 1-ulp disagreement of math.pow and
+        # np.power is not amplified by later operations
+        rng = np.random.default_rng(43)
+        pts = rng.uniform(-2.0, 2.0, (20_000, 2))
+        errors, clean = [], 0
+        for exponent in (2.0, 3.0, 4.0, -1.0, -2.0, 0.5, 1.5, -0.5):
+            for _ in range(2):
+                base = random_node(rng, 2, full=True)
+                e = Expression(Binary("^", base, Literal(exponent)), 2)
+                error = self.check(e, pts, ulps=1)
+                clean += error is None
+                errors.append(error)
+        assert clean >= 6
+        assert any(err and err.startswith("invalid power") for err in errors)
+
+    def test_domain_errors_agree(self):
+        # a dyadic grid that contains 0, so denominators and log/sqrt
+        # arguments hit exactly zero
+        rng = np.random.default_rng(47)
+        pts = rng.integers(-32, 33, (20_000, 2)) / 16.0
+        seen = set()
+        for k in range(32):
+            inner = random_node(rng, 2)
+            # numpy's vectorized log and power may differ from libm's by an ulp
+            root, ulps = (
+                (Call("log", (inner,)), 1),
+                (Call("sqrt", (inner,)), 0),
+                (Binary("/", random_node(rng, 1), inner), 0),
+                (Binary("^", inner, Literal(0.5 if k % 8 == 3 else -1.5)), 1),
+            )[k % 4]
+            error = self.check(Expression(root, 2), pts, ulps)
+            if error:
+                seen.add(error.split(" (")[0].split(" in ")[0])
+        assert {"invalid log", "invalid sqrt", "division by zero", "invalid power"} <= seen

@@ -24,6 +24,7 @@ from measurelp import (
     solve_grid_primal,
 )
 from measurelp.moment import (
+    CutSet,
     ExchangeError,
     assemble_grid_primal,
     initial_cuts,
@@ -310,6 +311,49 @@ class TestExchange:
         # the grid itself, passed whole, seeds the same cuts
         whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
         assert whole.cuts == res.cuts
+
+    def test_cut_set_reads_as_cut_sequence(self):
+        # Cauchy-Schwarz with the second moment as an inequality: phi and psi
+        mp = interval_problem(
+            -2.0, 2.0, "x1", inequalities=(("x1^2", 1.0),), equalities=(("1", 1.0),)
+        )
+        seeds = ((0, (0.25,)), (0, (-1.5,)))
+        res = exchange_solve(mp, extra_cuts=seeds, scan_resolution=257)
+        assert res.status == "converged" and res.iterations >= 3
+        cuts = res.cuts
+        assert cuts[0].phi and cuts[0].psi
+        assert isinstance(cuts, CutSet)
+        initial = initial_cuts(mp)
+        appended = res.history[:-1]  # the converged iteration adds no cut
+        assert len(cuts) == len(initial) + len(seeds) + len(appended)
+        for k, cut in enumerate(initial):
+            assert cuts[k] == cut
+        for k, (box, point) in enumerate(seeds):
+            seeded = cuts[len(initial) + k]
+            assert (seeded.box_index, seeded.point) == (box, point)
+        start = len(initial) + len(seeds)
+        for k, rec in enumerate(appended):
+            assert cuts[start + k] == make_cut(mp, rec.worst_box, rec.worst_point)
+
+        listed = list(cuts)
+        assert listed == [cuts[k] for k in range(len(cuts))]
+        assert cuts[-1] == listed[-1]
+        with pytest.raises(IndexError):
+            cuts[len(cuts)]
+        for cut in listed:
+            assert type(cut.box_index) is int and type(cut.h) is float
+            values = cut.point + cut.phi + cut.psi
+            assert all(type(v) is float for v in values)
+
+        head = cuts[: start + 1]
+        assert isinstance(head, CutSet) and list(head) == listed[: start + 1]
+        assert head == cuts[: start + 1] and head != cuts[: start + 2]
+        from_set = restricted_dual_lp(mp, head, cap=10.0)
+        from_list = restricted_dual_lp(mp, listed[: start + 1], cap=10.0)
+        assert from_set.sense == from_list.sense
+        assert from_set.row_senses == from_list.row_senses
+        for field in ("objective", "rows", "rhs", "lower", "upper"):
+            assert np.array_equal(getattr(from_set, field), getattr(from_list, field))
 
 
 class TestSlaterChecks:

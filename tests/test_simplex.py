@@ -7,7 +7,7 @@ import pytest
 
 from measurelp import FiniteLP, LPStatus, solve_lp, standardize
 from measurelp.simplex import kkt_residuals, make_lp
-from oracles import scipy_solve, vertex_enumeration
+from oracles import loop_standardize, scipy_solve, vertex_enumeration
 from problems import random_lp
 
 
@@ -95,6 +95,65 @@ class TestStandardize:
                 assert sp_status == LPStatus.OPTIMAL
                 recovered = std.recover_value(sp_value)
                 assert recovered == pytest.approx(out.value, abs=1e-7, rel=1e-7)
+
+    @staticmethod
+    def bounds_lp(rng, m, n, kinds):
+        """LP with the given bound kind per variable and random row senses."""
+        lower = np.full(n, -np.inf)
+        upper = np.full(n, np.inf)
+        for j, kind in enumerate(kinds):
+            if kind in ("shift", "boxed"):
+                lower[j] = rng.uniform(-2.0, 2.0)
+            if kind == "boxed":
+                upper[j] = lower[j] + rng.choice([0.0, rng.uniform(0.1, 3.0)])
+            if kind == "mirror":
+                upper[j] = rng.uniform(-2.0, 2.0)
+        # exact zeros (and negative zeros) exercise the signs of copied zeros
+        rows = rng.uniform(-2.0, 2.0, (m, n)) * rng.choice([0.0, -0.0, 1.0, 1.0], (m, n))
+        objective = rng.uniform(-2.0, 2.0, n) * rng.choice([0.0, -0.0, 1.0, 1.0], n)
+        senses = tuple(rng.choice(["<=", "=", ">="], m))
+        sense = "max" if rng.random() < 0.5 else "min"
+        rhs = rng.uniform(-3.0, 3.0, m)
+        return make_lp(sense, objective, rows, senses, rhs, lower=lower, upper=upper)
+
+    def test_matches_column_loop_bit_for_bit(self):
+        def same(a, b):
+            a, b = np.asarray(a), np.asarray(b)
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()  # also tells 0.0 from -0.0
+
+        kinds = ("shift", "boxed", "mirror", "split")
+        rng = np.random.default_rng(131)
+        lps = [
+            self.bounds_lp(rng, 0, 3, kinds[:3]),                 # m = 0
+            self.bounds_lp(rng, 0, 2, ("split", "split")),
+            self.bounds_lp(rng, 3, 4, ("split",) * 4),            # no finite bound
+            self.bounds_lp(rng, 2, 4, kinds),
+        ]
+        for _ in range(200):
+            m, n = int(rng.integers(0, 7)), int(rng.integers(1, 9))
+            lps.append(self.bounds_lp(rng, m, n, rng.choice(kinds, n)))
+        seen_kinds, seen_senses = set(), set()
+        for lp in lps:
+            std, ref = standardize(lp), loop_standardize(lp)
+            seen_kinds.update(kind for kind, _, _ in ref.columns)
+            seen_senses.update(lp.row_senses)
+            same(std.rows, ref.rows)
+            same(std.rhs, ref.rhs)
+            same(std.objective, ref.objective)
+            assert std.constant == ref.constant
+            assert std.negate == ref.negate
+            width, m_all = std.rows.shape[1], std.rows.shape[0]
+            for _ in range(3):
+                x_std = rng.uniform(0.0, 3.0, width) * rng.choice([0.0, 1.0], width)
+                same(std.recover_x(x_std), ref.recover_x(x_std))
+                y_std = rng.uniform(-2.0, 2.0, m_all)
+                same(std.recover_duals(y_std), ref.recover_duals(y_std))
+                value = float(rng.uniform(-5.0, 5.0))
+                assert std.recover_value(value) == ref.recover_value(value)
+        assert seen_kinds == {"shift", "mirror", "split"}
+        assert seen_senses == {"<=", "=", ">="}
+        assert any(np.isfinite(lp.upper - lp.lower).any() for lp in lps)  # boxed shifts
 
 
 class TestRandomSuite:
