@@ -16,7 +16,6 @@ blocks ("y1..ym" then "x1..xn") laid out consecutively in the evaluation point.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
@@ -354,81 +353,46 @@ def evaluate(e: Expression, point: Sequence[float]) -> float:
         raise ExpressionError(
             f"arity mismatch: expression takes {e.arity} value(s), point has {len(point)}"
         )
-    value = _eval_node(e.root, point)
-    if math.isnan(value):
-        raise DomainError("evaluation produced NaN", format_node(e.root))
-    return value
-
-
-def _eval_node(node: Node, point: Sequence[float]) -> float:
-    if isinstance(node, Literal):
-        return node.value
-    if isinstance(node, Variable):
-        return float(point[node.slot])
-    if isinstance(node, Negate):
-        return -_eval_node(node.operand, point)
-    if isinstance(node, Binary):
-        a = _eval_node(node.left, point)
-        b = _eval_node(node.right, point)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            if b == 0.0:
-                raise DomainError("division by zero", format_node(node))
-            return a / b
-        try:
-            return math.pow(a, b)
-        except (ValueError, OverflowError) as exc:
-            raise DomainError(f"invalid power ({exc})", format_node(node)) from None
-    args = [_eval_node(a, point) for a in node.args]
-    f = node.func
-    if f == "min":
-        return min(args)
-    if f == "max":
-        return max(args)
-    if f == "abs":
-        return abs(args[0])
-    try:
-        if f == "exp":
-            return math.exp(args[0])
-        if f == "log":
-            return math.log(args[0])
-        return math.sqrt(args[0])
-    except (ValueError, OverflowError) as exc:
-        raise DomainError(f"invalid {f} ({exc})", format_node(node)) from None
+    return float(evaluate_many(e, np.array([point], dtype=float))[0])
 
 
 def evaluate_many(e: Expression, points: np.ndarray) -> np.ndarray:
     """Evaluate at ``points`` of shape (k, arity), returning shape (k,).
 
-    Domain failures raise the same DomainError the scalar path raises at the
-    first offending point, so callers see one behaviour for both entry points.
+    Each value is the same bit for bit whatever the other points are, so
+    ``evaluate`` is one row of this.  A domain failure raises DomainError
+    at the first offending point, naming the first node that fails there in
+    evaluation order (children before parents, left to right).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != e.arity:
         raise ExpressionError(
             f"points must have shape (k, {e.arity}), got {pts.shape}"
         )
-    bad: list[np.ndarray] = []
+    bad: list[tuple[np.ndarray, str, Node]] = []
     with np.errstate(all="ignore"):
         raw = _eval_vec(e.root, pts, bad)
-    values = np.broadcast_to(np.asarray(raw, dtype=float), (pts.shape[0],)).copy()
-    mask = np.isnan(values)
-    for b in bad:
-        mask |= np.broadcast_to(b, mask.shape)
-    if mask.any():
-        idx = int(np.argmax(mask))
-        evaluate(e, tuple(pts[idx]))  # raises the precise DomainError
-        raise DomainError("vectorized evaluation failed", format_expression(e))
+    values = np.empty(pts.shape[0])
+    values[:] = raw
+    failed = np.isnan(values)
+    for mask, _, _ in bad:
+        failed |= mask
+    if failed.any():
+        k = int(np.argmax(failed))
+        for mask, message, node in bad:
+            if np.broadcast_to(mask, failed.shape)[k]:
+                raise DomainError(message, format_node(node))
+        raise DomainError("evaluation produced NaN", format_node(e.root))
     return values
 
 
-def _eval_vec(node: Node, pts: np.ndarray, bad: list[np.ndarray]):
+def _eval_vec(node: Node, pts: np.ndarray, bad: list):
+    """Values of ``node`` at every point.
+
+    A node that fails at some point appends (failure mask, message, node)
+    to ``bad``, after its children's entries; the messages are Python's
+    ``math`` module's for the same failures.
+    """
     if isinstance(node, Literal):
         return np.float64(node.value)
     if isinstance(node, Variable):
@@ -446,11 +410,16 @@ def _eval_vec(node: Node, pts: np.ndarray, bad: list[np.ndarray]):
         if op == "*":
             return a * b
         if op == "/":
-            bad.append(np.asarray(b == 0.0))
+            _tag(bad, b == 0.0, "division by zero", node)
             return a / b
         r = np.power(a, b)
-        # scalar math.pow raises exactly when finite inputs give a non-finite result
-        bad.append(np.asarray(~np.isfinite(r) & np.isfinite(a) & np.isfinite(b)))
+        if not np.isfinite(r).all():
+            # finite inputs with a non-finite result: a NaN or a pole is a
+            # domain error, any other infinity an overflow
+            failed = ~np.isfinite(r) & np.isfinite(a) & np.isfinite(b)
+            pole = np.isnan(r) | (a == 0.0)
+            _tag(bad, failed & pole, "invalid power (math domain error)", node)
+            _tag(bad, failed & ~pole, "invalid power (math range error)", node)
         return r
     args = [_eval_vec(a, pts, bad) for a in node.args]
     f = node.func
@@ -462,13 +431,19 @@ def _eval_vec(node: Node, pts: np.ndarray, bad: list[np.ndarray]):
         return np.abs(args[0])
     if f == "exp":
         r = np.exp(args[0])
-        bad.append(np.asarray(np.isinf(r) & np.isfinite(args[0])))
+        if not np.isfinite(r).all():
+            _tag(bad, np.isinf(r) & np.isfinite(args[0]), "invalid exp (math range error)", node)
         return r
     if f == "log":
-        bad.append(np.asarray(args[0] <= 0.0))
+        _tag(bad, args[0] <= 0.0, "invalid log (math domain error)", node)
         return np.log(args[0])
-    bad.append(np.asarray(args[0] < 0.0))
+    _tag(bad, args[0] < 0.0, "invalid sqrt (math domain error)", node)
     return np.sqrt(args[0])
+
+
+def _tag(bad: list, mask, message: str, node: Node) -> None:
+    if mask.any():
+        bad.append((mask, message, node))
 
 
 def substitute_variables(e: Expression, replacements: Sequence[Node], arity: int) -> Expression:

@@ -10,16 +10,18 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
   pointwise; the value  a.y + b.z  bounds the supremum from above.  The
   pointwise constraint is handled by an exchange method: solve a master LP
   over a working set of points, scan the boxes for the worst violation,
-  add it as a cut, repeat.  The dual Slater check runs the same loop with
-  a different master LP.
+  zoom in on it, add it as a cut, repeat.  The dual Slater check runs the
+  same loop with a different master LP.
 
 The working cuts live in a ``CutSet``: one array per field (box index,
-point, the (phi, psi) row, h), which the master LPs read directly.
-``duality_report`` seeds every grid point into it, valued box by box with
-the evaluator the grid primal uses, so the seeded cuts are exactly the grid
-primal's columns and no per-point ``Cut`` is built.  Grid points that
-coincide with a box's corner or center keep the initial cut there, valued
-pointwise.
+point, the (phi, psi) row, h), which the master LPs read directly.  The
+grid primal, the cuts and the oracle value the problem's functions through
+``_box_table``: one box's functions at a batch of its points, from
+``evaluate_many``, whose values do not depend on the batch.  So a point
+gets the same values bit for bit wherever it is valued, and the oracle's
+column is the cut it appends.  ``duality_report`` seeds every grid point
+into the cut set by reading the grid primal's columns, and no per-point
+``Cut`` is built.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -29,7 +31,7 @@ mean a solver bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Sequence
 
@@ -202,12 +204,8 @@ class DualPoint:
 
     def slack_at(self, mp: MomentProblem, x: Sequence[float], box_index: int) -> float:
         """Σ y φ(x) + Σ z ψ(x) - h(x), evaluated with box ``box_index``'s pieces."""
-        s = -mp.objective.value_at(x, box_index)
-        for ys, (fn, _) in zip(self.y, mp.inequalities):
-            s += ys * fn.value_at(x, box_index)
-        for zt, (fn, _) in zip(self.z, mp.equalities):
-            s += zt * fn.value_at(x, box_index)
-        return s
+        table = _box_table(mp, box_index, np.array([x], dtype=float))
+        return float(_slack(np.concatenate([self.y, self.z]), table)[0])
 
 
 def _clip_duals(raw: np.ndarray, count: int) -> np.ndarray:
@@ -239,6 +237,11 @@ def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndar
     if not np.all(np.isfinite(table)):
         raise ValueError(f"non-finite function value in box {box_index}")
     return table
+
+
+def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """Σ y φ + Σ z ψ - h at every column of a ``_box_table``."""
+    return yz @ table[:-1] - table[-1]
 
 
 def assemble_grid_primal(mp: MomentProblem, resolution) -> GridPrimal:
@@ -306,22 +309,17 @@ def make_cut(mp: MomentProblem, box_index: int, point: Sequence[float]) -> Cut:
     pt = tuple(float(v) for v in point)
     if not mp.domain.boxes[box_index].closure_contains(pt, tol=1e-9):
         raise ValueError(f"point {pt} is not in the closure of box {box_index}")
+    column = _box_table(mp, box_index, np.array([pt]))[:, 0].tolist()
+    M, N = mp.n_ineq, mp.n_eq
     return Cut(
-        box_index=box_index,
-        point=pt,
-        phi=tuple(fn.value_at(pt, box_index) for fn, _ in mp.inequalities),
-        psi=tuple(fn.value_at(pt, box_index) for fn, _ in mp.equalities),
-        h=mp.objective.value_at(pt, box_index),
+        box_index=box_index, point=pt,
+        phi=tuple(column[:M]), psi=tuple(column[M:M + N]), h=column[-1],
     )
 
 
 def initial_cuts(mp: MomentProblem) -> list[Cut]:
     """Corners and center of every box (closed-box corners)."""
-    cuts = []
-    for i, box in enumerate(mp.domain.boxes):
-        for p in box.corners() + [box.center()]:
-            cuts.append(make_cut(mp, i, p))
-    return cuts
+    return list(_seed_cuts(mp))
 
 
 @dataclass
@@ -375,41 +373,37 @@ class CutSet(Sequence):
     def __repr__(self) -> str:
         return f"CutSet({len(self)} cuts)"
 
-    def append(self, cut: Cut) -> None:
-        """Add one cut at the end; slices taken earlier keep their own cuts."""
-        self.box_index = np.append(self.box_index, cut.box_index)
-        self.points = np.vstack([self.points, [cut.point]])
-        self.rows = np.vstack([self.rows, [cut.phi + cut.psi]])
-        self.h = np.append(self.h, cut.h)
+    def append(self, box_index: int, point: np.ndarray, column: np.ndarray) -> None:
+        """Add one cut at the end; ``column`` is its ``_box_table`` column.
+
+        Slices taken earlier keep their own cuts.
+        """
+        self.box_index = np.append(self.box_index, box_index)
+        self.points = np.vstack([self.points, [point]])
+        self.rows = np.vstack([self.rows, [column[:-1]]])
+        self.h = np.append(self.h, column[-1])
 
 
-def _cut_set(mp: MomentProblem, cuts: Sequence[Cut]) -> CutSet:
-    """A list of cuts as a CutSet (shapes hold for an empty list too)."""
-    C, M, N = len(cuts), mp.n_ineq, mp.n_eq
-    return CutSet(
-        M,
-        np.array([c.box_index for c in cuts], dtype=int),
-        np.array([c.point for c in cuts], dtype=float).reshape(C, mp.domain.dim),
-        np.array([c.phi + c.psi for c in cuts], dtype=float).reshape(C, M + N),
-        np.array([c.h for c in cuts], dtype=float),
-    )
+def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
+    """The corner and center cuts of every box, then ``extra_cuts``.
 
-
-def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> CutSet:
-    """``cuts``, then ``extra_cuts`` with each box's points valued as the grid primal's are.
-
-    Extra points already in ``cuts``, and repeats, are dropped: the first
+    Points are valued box by box with ``_box_table``; a GridPrimal's values
+    are read from its LP, which holds that table.  Extra points already
+    among the corners and centers, and repeats, are dropped: the first
     occurrence wins and the given order is kept.
     """
-    old = _cut_set(mp, cuts)
-    if isinstance(extra_cuts, GridPrimal):
-        box_idx, points = extra_cuts.box_indices, extra_cuts.points
-    else:
-        box_idx = np.array([i for i, _ in extra_cuts], dtype=int)
-        points = np.array([p for _, p in extra_cuts], dtype=float)
-    if not len(box_idx):
-        return old
-    points = points.reshape(len(box_idx), mp.domain.dim)
+    seeds = [
+        (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
+    ]
+    grid = extra_cuts if isinstance(extra_cuts, GridPrimal) else None
+    if grid is None:
+        seeds += list(extra_cuts)
+    n = len(seeds)
+    box_idx = np.array([i for i, _ in seeds], dtype=int)
+    points = np.array([p for _, p in seeds], dtype=float).reshape(n, mp.domain.dim)
+    if grid is not None:
+        box_idx = np.concatenate([box_idx, grid.box_indices])
+        points = np.vstack([points, grid.points])
     lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
     upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
     outside = ~np.all((points >= lower - 1e-9) & (points <= upper + 1e-9), axis=1)
@@ -417,29 +411,23 @@ def _seed_cuts(mp: MomentProblem, cuts: Sequence[Cut], extra_cuts) -> CutSet:
         g = int(np.argmax(outside))
         pt = tuple(points[g].tolist())
         raise ValueError(f"point {pt} is not in the closure of box {box_idx[g]}")
-    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
-    for i in np.unique(box_idx):
-        sel = box_idx == i
-        table[:, sel] = _box_table(mp, int(i), points[sel])
 
-    # first occurrence of each (box, point) among the old cuts, then the new
-    keys = np.vstack([
-        np.column_stack([old.box_index, old.points]),
-        np.column_stack([box_idx, points]),
-    ])
+    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
+    for i in np.unique(box_idx[:n]):
+        sel = np.flatnonzero(box_idx[:n] == i)
+        table[:, sel] = _box_table(mp, int(i), points[sel])
+    if grid is not None:
+        table[:-1, n:] = grid.lp.rows
+        table[-1, n:] = grid.lp.objective
+
+    # first occurrence of each (box, point)
+    keys = np.column_stack([box_idx, points])
     order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in given order
     ranked = keys[order]
     first = np.ones(len(keys), dtype=bool)
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    keep = np.sort(order[first]) - len(old)
-    keep = keep[keep >= 0]
-    return CutSet(
-        old.n_ineq,
-        np.concatenate([old.box_index, box_idx[keep]]),
-        np.vstack([old.points, points[keep]]),
-        np.vstack([old.rows, table[:-1, keep].T]),
-        np.concatenate([old.h, table[-1, keep]]),
-    )
+    keep = np.sort(order[first])
+    return CutSet(mp.n_ineq, box_idx[keep], points[keep], table[:-1, keep].T, table[-1, keep])
 
 
 def restricted_dual_lp(
@@ -500,31 +488,12 @@ class SeparationResult:
     box_index: int
     point: tuple[float, ...]
     slack: float
+    # the point's ``_box_table`` column: phi, psi, then h
+    column: np.ndarray = field(repr=False, compare=False)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
-
-
-def _golden_min(f, lo: float, hi: float, iters: int) -> tuple[float, float]:
-    """Golden-section search; returns the best point actually evaluated."""
-    c = hi - _INVPHI * (hi - lo)
-    d = lo + _INVPHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    best_x, best_f = (c, fc) if fc <= fd else (d, fd)
-    for _ in range(iters):
-        if fc <= fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INVPHI * (hi - lo)
-            fc = f(c)
-            if fc < best_f:
-                best_x, best_f = c, fc
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INVPHI * (hi - lo)
-            fd = f(d)
-            if fd < best_f:
-                best_x, best_f = d, fd
-    return best_x, best_f
+_ZOOM_POINTS = 129  # points per zoom round; a round keeps 2 of their 128 gaps
 
 
 def _scan_axes(dim: int, scan_resolution) -> list[int] | int:
@@ -535,7 +504,12 @@ def _scan_axes(dim: int, scan_resolution) -> list[int] | int:
 
 
 class _ScanOracle:
-    """Separation oracle with the grid values cached across exchange iterations."""
+    """Separation oracle: a scan of cached per-box grids, then a zoom on the argmin.
+
+    The grid values are computed once and reused by every exchange
+    iteration.  The zoom scores points with the scan's own slack formula,
+    on ``_box_table`` columns, so the column it returns is the cut.
+    """
 
     def __init__(self, mp: MomentProblem, scan_resolution, refine_steps: int):
         self.mp = mp
@@ -557,37 +531,42 @@ class _ScanOracle:
     def find(self, dual: DualPoint) -> SeparationResult:
         yz = np.concatenate([dual.y, dual.z])
         best = None
-        for i in range(len(self.points)):
-            table = self.tables[i]
-            slack = yz @ table[:-1] - table[-1] if yz.size else -table[-1]
+        for i, (points, table) in enumerate(zip(self.points, self.tables)):
+            slack = _slack(yz, table)
             g = int(np.argmin(slack))
-            cand = (float(slack[g]), i, tuple(self.points[i][g]))
-            if best is None or cand[0] < best[0]:
-                best = cand
-        slack0, box_index, point = best
-        point, slack0 = self._refine(dual, box_index, list(point), slack0)
-        return SeparationResult(box_index=box_index, point=tuple(point), slack=slack0)
+            if best is None or slack[g] < best[0]:
+                best = (float(slack[g]), i, points[g], table[:, g])
+        slack, box_index, point, column = best
+        if self.refine_steps > 0:
+            slack, point, column = self._zoom(yz, box_index, point, slack, column)
+        return SeparationResult(box_index, tuple(point.tolist()), slack, column)
 
-    def _refine(self, dual, box_index, x, fbest):
-        if self.refine_steps <= 0:
-            return x, fbest
+    def _zoom(self, yz, box_index, x, slack, column):
+        """Coordinate-wise zoom around the scan argmin ``x``; returns the best point seen.
+
+        Axis j starts from the bracket of one scan step either side of x_j,
+        clipped to the box.  Each round values ``_ZOOM_POINTS`` equally
+        spaced points in one ``_box_table`` call and keeps the gaps either
+        side of the best one, until the bracket is no wider than a
+        golden-section search's after ``refine_steps`` steps.
+        """
         box = self.mp.domain.boxes[box_index]
-        for j in range(box.dim):
-            lo = max(box.lower[j], x[j] - self.steps[box_index][j])
-            hi = min(box.upper[j], x[j] + self.steps[box_index][j])
-            if hi <= lo:
-                continue
-
-            def along(v, j=j):
-                trial = list(x)
-                trial[j] = v
-                return dual.slack_at(self.mp, trial, box_index)
-
-            xj, fj = _golden_min(along, lo, hi, self.refine_steps)
-            if fj < fbest:
-                x[j] = xj
-                fbest = fj
-        return x, fbest
+        for j, step in enumerate(self.steps[box_index]):
+            lo, hi = max(box.lower[j], x[j] - step), min(box.upper[j], x[j] + step)
+            width = (hi - lo) * _INVPHI ** self.refine_steps
+            while hi - lo > width:
+                trial = np.repeat([x], _ZOOM_POINTS, axis=0)
+                trial[:, j] = np.linspace(lo, hi, _ZOOM_POINTS)
+                table = _box_table(self.mp, box_index, trial)
+                s = _slack(yz, table)
+                k = int(np.argmin(s))
+                if s[k] < slack:
+                    slack, x, column = float(s[k]), trial[k], table[:, k]
+                bracket = trial[max(k - 1, 0), j], trial[min(k + 1, _ZOOM_POINTS - 1), j]
+                if bracket == (lo, hi):  # no float left between the points
+                    break
+                lo, hi = bracket
+        return slack, x, column
 
 
 def separation_oracle(
@@ -598,10 +577,13 @@ def separation_oracle(
 ) -> SeparationResult:
     """Most-violated point of the dual constraint: argmin of the slack.
 
-    Scans a per-box tensor grid, then refines coordinate-wise with a
-    golden-section search; the returned point is the best point actually
-    evaluated, so it is never worse than the scan argmin.  slack < 0 means
-    the dual point is infeasible at that point.
+    Scans a per-box tensor grid, then zooms in coordinate-wise: each round
+    values a bracket of equally spaced points in one batch and shrinks it to
+    the best point's neighbours, until it is no wider than a golden-section
+    bracket after ``refine_steps`` steps (0 turns the zoom off).  The
+    returned point is the best point actually evaluated, so it is never
+    worse than the scan argmin.  slack < 0 means the dual point is
+    infeasible at that point.
     """
     return _ScanOracle(mp, scan_resolution, refine_steps).find(dual)
 
@@ -649,7 +631,7 @@ def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
         history.append(IterationRecord(value, dual, sep.point, sep.box_index, sep.slack))
         if sep.slack >= target - tol:
             return True, tag, history
-        cuts.append(make_cut(mp, sep.box_index, sep.point))
+        cuts.append(sep.box_index, sep.point, sep.column)
     return False, tag, history
 
 
@@ -680,7 +662,7 @@ def exchange_solve(
     "dual_unbounded".  An infeasible restricted dual (possible only when the
     primal is unbounded above) raises ExchangeError.
     """
-    cuts = _seed_cuts(mp, initial_cuts(mp), extra_cuts)
+    cuts = _seed_cuts(mp, extra_cuts)
 
     def master(rows, h):
         status, value, dual = _solve_master(mp, rows, h)
@@ -770,8 +752,7 @@ def check_dual_slater(
         return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), t, None
 
     converged, _, history = _exchange(
-        mp, _cut_set(mp, initial_cuts(mp)), master, tol, max_iters, scan_resolution,
-        refine_steps,
+        mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
     )
     margin = history[-1].value
     return DualSlaterReport(
@@ -899,14 +880,14 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     """Solve both routes, certify weak duality, and check both Slater conditions.
 
     The grid primal's points are seeded into the exchange cut set, and the
-    seeded cuts are exactly the grid primal's columns: the same values from
-    the same evaluator.  So every master LP holds the grid LP's columns and
-    its value dominates the grid value by LP duality; the one exception is
-    a grid point at a box's corner or center, whose column is the initial
-    cut there, valued pointwise and so possibly a last bit apart.  Raises
-    WeakDualityError if, despite that, a converged dual lands more than
-    1e-8 * (1 + |dual|) below an optimal grid primal: that ordering can only
-    fail through a solver bug.
+    seeded cuts are exactly the grid primal's columns, corner and center
+    cuts included: the same values from the same evaluator.  So every
+    master LP holds the grid LP's columns and its value dominates the grid
+    value by LP duality.  Raises WeakDualityError if, despite that, a
+    converged dual lands more than 1e-8 * (1 + |dual|) below an optimal grid
+    primal: that ordering can only fail through a solver bug.  A grid
+    primal that is unbounded above makes the exchange raise ExchangeError,
+    because the master LP holds the same columns.
     """
     config = config or SolverConfig()
     notes: list[str] = []
@@ -941,9 +922,6 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
         status = ReportStatus.PRIMAL_INFEASIBLE
     elif ex.status == "dual_unbounded":
         status = ReportStatus.DUAL_UNBOUNDED
-    elif primal.status == LPStatus.UNBOUNDED:
-        status = ReportStatus.NOT_CONVERGED
-        notes.append("grid primal unbounded above; no finite dual certificate")
     elif ex.status == "not_converged":
         status = ReportStatus.NOT_CONVERGED
     elif gap is not None and gap <= config.gap_rtol * (1.0 + abs(ex.value)):

@@ -4,8 +4,9 @@ Nothing here reuses the package's LP code paths: finite LPs are checked by
 brute-force vertex enumeration and by scipy's HiGHS backend, the standard
 form by a column-at-a-time rebuild of the package's layout, moment values by
 a fine-grid LP assembled directly from the expressions and solved with scipy,
-option bounds by an exhaustive two-atom search, and kernel norms by a local
-midpoint quadrature with refinement.
+option bounds by an exhaustive two-atom search, kernel norms by a local
+midpoint quadrature with refinement, and expressions by a scalar tree-walker
+over Python's ``math`` module.
 """
 
 from __future__ import annotations
@@ -16,7 +17,62 @@ import math
 import numpy as np
 from scipy.optimize import linprog
 
-from measurelp import LPStatus, evaluate_many
+from measurelp import DomainError, LPStatus, evaluate_many
+from measurelp.expressions import Binary, Literal, Negate, Variable, format_node
+
+
+# ---------------------------------------------------------------------------
+# scalar expression walker on libm
+
+
+def reference_evaluate(e, point) -> float:
+    """Value of ``e`` at one point, one node at a time with Python floats and ``math``.
+
+    Raises DomainError at the first node that fails in evaluation order
+    (children before parents, left to right), with Python's message for it.
+    """
+    value = _reference_node(e.root, point)
+    if math.isnan(value):
+        raise DomainError("evaluation produced NaN", format_node(e.root))
+    return value
+
+
+def _reference_node(node, point) -> float:
+    if isinstance(node, Literal):
+        return node.value
+    if isinstance(node, Variable):
+        return float(point[node.slot])
+    if isinstance(node, Negate):
+        return -_reference_node(node.operand, point)
+    if isinstance(node, Binary):
+        a = _reference_node(node.left, point)
+        b = _reference_node(node.right, point)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if node.op == "/":
+            if b == 0.0:
+                raise DomainError("division by zero", format_node(node))
+            return a / b
+        try:
+            return math.pow(a, b)
+        except (ValueError, OverflowError) as exc:
+            raise DomainError(f"invalid power ({exc})", format_node(node)) from None
+    args = [_reference_node(a, point) for a in node.args]
+    f = node.func
+    if f == "min":
+        return min(args)
+    if f == "max":
+        return max(args)
+    if f == "abs":
+        return abs(args[0])
+    try:
+        return {"exp": math.exp, "log": math.log, "sqrt": math.sqrt}[f](args[0])
+    except (ValueError, OverflowError) as exc:
+        raise DomainError(f"invalid {f} ({exc})", format_node(node)) from None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from measurelp import (
     parse_expression,
 )
 from measurelp.expressions import Binary, Call, Literal, Negate, Variable
+from oracles import reference_evaluate
 
 
 def ev(source: str, *point: float, arity: int | None = None) -> float:
@@ -126,13 +127,13 @@ class TestEvaluation:
             e = parse_expression(src, 2)
             pts = rng.uniform(-3.0, 3.0, (200, 2))
             batch = evaluate_many(e, pts)
-            singles = np.array([evaluate(e, p) for p in pts])
+            singles = np.array([reference_evaluate(e, p) for p in pts])
             assert np.array_equal(batch, singles)
         # numpy's vectorized exp/log may differ from libm by an ulp
         e = parse_expression("exp(0 - abs(x1)) + log(1 + abs(x2))", 2)
         pts = rng.uniform(-3.0, 3.0, (200, 2))
         batch = evaluate_many(e, pts)
-        singles = np.array([evaluate(e, p) for p in pts])
+        singles = np.array([reference_evaluate(e, p) for p in pts])
         np.testing.assert_allclose(batch, singles, rtol=1e-14, atol=0.0)
 
     def test_evaluation_is_pure(self):
@@ -142,6 +143,30 @@ class TestEvaluation:
         first = evaluate_many(e, pts)
         second = evaluate_many(e, pts)
         assert np.array_equal(first, second)
+
+    def test_first_failing_node_is_named(self):
+        # several nodes fail at the same point: the first in evaluation order
+        # (children before parents, left to right) is named, as the libm
+        # reference walker names it
+        for src, x, want in (
+            ("log(x1) + sqrt(x1)", -1.0, "invalid log (math domain error) in 'log(x1)'"),
+            ("sqrt(x1) + log(x1)", -1.0, "invalid sqrt (math domain error) in 'sqrt(x1)'"),
+            ("1 / x1 + log(x1)", 0.0, "division by zero in '(1.0 / x1)'"),
+            ("x1 ^ (0 - 1)", 0.0, "invalid power (math domain error) in '(x1 ^ (0.0 - 1.0))'"),
+            ("x1 ^ 400 + exp(x1)", 10.0, "invalid power (math range error) in '(x1 ^ 400.0)'"),
+            ("exp(x1) + x1 ^ 400", 1000.0, "invalid exp (math range error) in 'exp(x1)'"),
+            ("x1 * 1e308 * 10 - x1 * 1e308 * 10", 1.0,
+             "evaluation produced NaN in '(((x1 * 1e+308) * 10.0) - ((x1 * 1e+308) * 10.0))'"),
+        ):
+            e = parse_expression(src, 1)
+            for call in (
+                lambda: reference_evaluate(e, (x,)),
+                lambda: evaluate(e, (x,)),
+                lambda: evaluate_many(e, np.array([[1.0], [x], [-1.0]])),
+            ):
+                with pytest.raises(DomainError) as info:
+                    call()
+                assert str(info.value) == want
 
     def test_evaluate_many_domain_error(self):
         e = parse_expression("log(x1)", 1)
@@ -160,10 +185,10 @@ class TestRoundTrip:
             back = parse_expression(text, 2)
             for p in pts:
                 try:
-                    want = evaluate(e, p)
+                    want = reference_evaluate(e, p)
                 except DomainError:
                     continue
-                assert evaluate(back, p) == want
+                assert reference_evaluate(back, p) == want
                 checked += 1
         assert checked > 1000
 
@@ -171,19 +196,19 @@ class TestRoundTrip:
         e = parse_expression("y2 * x1", 3, (("y", 2), ("x", 1)))
         text = format_expression(e)
         back = parse_expression(text, 3, (("y", 2), ("x", 1)))
-        assert evaluate(back, (1.0, 7.0, 3.0)) == 21.0
+        assert reference_evaluate(back, (1.0, 7.0, 3.0)) == 21.0
 
 
 class TestEvaluateParity:
-    """``evaluate_many`` against ``evaluate`` point by point, on 20,000 points."""
+    """``evaluate_many`` against the libm reference walker point by point, on 20,000 points."""
 
     @staticmethod
     def scalar_values(e, pts):
-        """Every point's scalar value, or the first point's DomainError text."""
+        """Every point's reference value, or the first point's DomainError text."""
         out = np.empty(len(pts))
         for k, p in enumerate(pts):
             try:
-                out[k] = evaluate(e, p)
+                out[k] = reference_evaluate(e, p)
             except DomainError as exc:
                 return None, str(exc)
         return out, None
@@ -248,3 +273,37 @@ class TestEvaluateParity:
             if error:
                 seen.add(error.split(" (")[0].split(" in ")[0])
         assert {"invalid log", "invalid sqrt", "division by zero", "invalid power"} <= seen
+
+    def test_evaluate_is_one_row_of_evaluate_many(self):
+        # exact, powers, exp and log included: a value does not depend on the
+        # other points of its batch, and a failing point raises the same text
+        rng = np.random.default_rng(53)
+        pts = np.vstack([
+            rng.uniform(-2.0, 2.0, (1_000, 2)),
+            rng.integers(-8, 9, (200, 2)) / 4.0,  # hits 0 exactly
+        ])
+        rng.shuffle(pts)
+        seen_error = seen_clean = 0
+        for k in range(24):
+            a, b = random_node(rng, 2, full=True), random_node(rng, 2, full=True)
+            root = (
+                Binary("^", a, Literal((2.0, 3.0, -1.0, 0.5, 1.5, -0.5)[k % 6])),
+                Binary("+", Call("exp", (a,)), Call("log", (Call("abs", (b,)),))),
+                Binary("*", Binary("^", Call("abs", (a,)), b), Call("sqrt", (b,))),
+            )[k % 3]
+            e = Expression(root, 2)
+            singles, errors = np.empty(len(pts)), {}
+            for g, p in enumerate(pts):
+                try:
+                    singles[g] = evaluate(e, p)
+                except DomainError as exc:
+                    errors[g] = str(exc)
+            clean = np.array([g not in errors for g in range(len(pts))])
+            assert np.array_equal(evaluate_many(e, pts[clean]), singles[clean])
+            if errors:
+                with pytest.raises(DomainError) as info:
+                    evaluate_many(e, pts)
+                assert str(info.value) == next(iter(errors.values())), format_expression(e)
+            seen_error += bool(errors)
+            seen_clean += int(clean.sum()) > 100
+        assert seen_error >= 8 and seen_clean >= 16

@@ -23,6 +23,7 @@ from measurelp import (
     parse_expression,
     solve_grid_primal,
 )
+from measurelp.geometry import grid_array
 from measurelp.moment import (
     CutSet,
     ExchangeError,
@@ -197,6 +198,30 @@ class TestSeparationOracle:
         assert sep.point[0] == pytest.approx(1.0, abs=1e-4)
         assert -1e-12 <= sep.slack <= 1e-6
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_refinement_lands_on_kink_off_the_mesh(self, dim):
+        # slack 1 + Σ |x_j - c_j| on the unit box: a kink at c, between the
+        # points of an 8-point scan on every axis
+        c = (0.3141592653589793, 0.7071067811865476)[:dim]
+        objective = " - ".join(["0"] + [f"abs(x{j + 1} - {c[j]!r})" for j in range(dim)])
+        box = Box((0.0,) * dim, (1.0,) * dim)
+        part = Partition((box,))
+        mp = MomentProblem(
+            domain=part, hull=box, objective=pw(part, objective),
+            inequalities=((pw(part, "1"), 1.0),), equalities=(),
+        )
+        d = DualPoint(y=(1.0,), z=())
+        mesh = grid_array(box, 8)
+        scan = 1.0 + np.abs(mesh - c).sum(axis=1)
+        g = int(np.argmin(scan))
+        off = separation_oracle(mp, d, scan_resolution=8, refine_steps=0)
+        assert off.point == tuple(mesh[g]) and off.slack == scan[g]
+        sep = separation_oracle(mp, d, scan_resolution=8)
+        # two scan steps, shrunk as 40 golden-section steps would
+        width = 2.0 / 7.0 * ((5.0 ** 0.5 - 1.0) / 2.0) ** 40
+        assert np.all(np.abs(np.array(sep.point) - c) <= width)
+        assert sep.slack == d.slack_at(mp, sep.point, 0) < off.slack
+
     def test_refinement_never_worse_than_scan(self):
         mp = piecewise_problem()
         d = DualPoint(y=(), z=(0.9,))
@@ -269,6 +294,10 @@ class TestExchange:
         mp = interval_problem(0.0, 2.0, "x1", inequalities=(("0 - x1", 0.0),))
         with pytest.raises(ExchangeError):
             exchange_solve(mp, scan_resolution=64)
+        # the report's grid primal is unbounded on the same columns
+        assert solve_grid_primal(mp, FAST.grid_resolution).status == LPStatus.UNBOUNDED
+        with pytest.raises(ExchangeError):
+            duality_report(mp, FAST)
 
     def test_max_iters_exhausted(self):
         mp = cauchy_schwarz_problem()
@@ -285,32 +314,47 @@ class TestExchange:
             exchange_solve(mp, extra_cuts=((0, (0.5,)), (0, (5.0,))), max_iters=1)
 
     def test_seeded_cuts_are_grid_primal_columns(self):
-        # a quartic on a non-dyadic interval: scalar and vectorized evaluation
-        # disagree in the last bit at some of these grid points
-        mp = interval_problem(
-            -1.3, 2.7, "x1 ^ 3 - 0.7 * x1",
-            inequalities=(("x1 ^ 4 - 0.3 * x1 ^ 2", 4.1),),
-            equalities=(("1", 1.0), ("x1", 0.55), ("x1 ^ 2 + 0.1 * x1 ^ 3", 1.2)),
-        )
-        grid = assemble_grid_primal(mp, 1025)
-        pairs = tuple(
-            (int(i), tuple(p)) for i, p in zip(grid.box_indices, grid.points)
-        )
-        res = exchange_solve(mp, extra_cuts=pairs, max_iters=1, scan_resolution=257)
-        initial = initial_cuts(mp)
-        taken = {(c.box_index, c.point) for c in initial}
-        expected = [g for g, pair in enumerate(pairs) if pair not in taken]
-        seeded = res.cuts[len(initial):len(initial) + len(expected)]
-        assert len(seeded) == len(expected) > 1000
-        M = mp.n_ineq
-        for g, cut in zip(expected, seeded):
-            assert (cut.box_index, cut.point) == pairs[g]
-            assert cut.phi == tuple(grid.lp.rows[:M, g])
-            assert cut.psi == tuple(grid.lp.rows[M:, g])
-            assert cut.h == grid.lp.objective[g]
-        # the grid itself, passed whole, seeds the same cuts
-        whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
-        assert whole.cuts == res.cuts
+        # a quartic on a non-dyadic interval, whose center is not a grid
+        # point, and on one whose center is: math.pow and np.power disagree
+        # in the last bit at some of these grid points (on the second, at its
+        # upper corner and its center), so every cut must come from the one
+        # batch evaluator
+        for lo, hi, on_grid in ((-1.3, 2.7, 2), (-1.533, 2.467, 3)):
+            mp = interval_problem(
+                lo, hi, "x1 ^ 3 - 0.7 * x1",
+                inequalities=(("x1 ^ 4 - 0.3 * x1 ^ 2", 4.1),),
+                equalities=(("1", 1.0), ("x1", 0.55), ("x1 ^ 2 + 0.1 * x1 ^ 3", 1.2)),
+            )
+            grid = assemble_grid_primal(mp, 1025)
+            pairs = tuple(
+                (int(i), tuple(p)) for i, p in zip(grid.box_indices, grid.points)
+            )
+            res = exchange_solve(mp, extra_cuts=pairs, max_iters=1, scan_resolution=257)
+            initial = initial_cuts(mp)
+            assert list(res.cuts[:len(initial)]) == initial
+            taken = {(c.box_index, c.point) for c in initial}
+            expected = [g for g, pair in enumerate(pairs) if pair not in taken]
+            seeded = res.cuts[len(initial):len(initial) + len(expected)]
+            assert len(seeded) == len(expected) > 1000
+            M = mp.n_ineq
+
+            def assert_is_column(cut, g):
+                assert (cut.box_index, cut.point) == pairs[g]
+                assert cut.phi == tuple(grid.lp.rows[:M, g])
+                assert cut.psi == tuple(grid.lp.rows[M:, g])
+                assert cut.h == grid.lp.objective[g]
+
+            for g, cut in zip(expected, seeded):
+                assert_is_column(cut, g)
+            # corner and center cuts that sit on grid points are those columns too
+            column_of = {pair: g for g, pair in enumerate(pairs)}
+            shared = [c for c in initial if (c.box_index, c.point) in column_of]
+            assert len(shared) == on_grid
+            for cut in shared:
+                assert_is_column(cut, column_of[(cut.box_index, cut.point)])
+            # the grid itself, passed whole, seeds the same cuts
+            whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
+            assert whole.cuts == res.cuts
 
     def test_cut_set_reads_as_cut_sequence(self):
         # Cauchy-Schwarz with the second moment as an inequality: phi and psi
