@@ -11,8 +11,9 @@ Subcommands:
   and optional call quotes, without a problem file.
 - ``validate <problem.json>``: parse and validate, reporting diagnostics.
 
-Exit codes: 0 solved/converged/valid; 2 gap remains or not converged;
-3 infeasible or unbounded; 4 invalid input.
+Exit codes: 0 solved/converged/valid; 2 gap remains, not converged, or the
+solver stopped on a numerical failure; 3 infeasible or unbounded; 4 invalid
+input.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ from .moment import (
     MomentProblem,
     ReportStatus,
     SolverConfig,
+    WeakDualityError,
     _exchange_options,
     check_dual_slater,
     check_primal_slater,
@@ -49,7 +51,7 @@ from .moment import (
     solve_grid_primal,
 )
 from .options import solve_option_bound
-from .simplex import LPStatus, solve_lp
+from .simplex import LPStatus, NumericalFailure, solve_lp
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -337,6 +339,9 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except ExchangeError as e:
         print(f"solver stopped: {e}", file=sys.stderr)
         return EXIT_INFEASIBLE
+    except (NumericalFailure, WeakDualityError) as e:
+        print(f"solver stopped: {e}", file=sys.stderr)
+        return EXIT_NOT_CONVERGED
     except OSError as e:
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT

@@ -390,7 +390,10 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     Points are valued box by box with ``_box_table``; a GridPrimal's values
     are read from its LP, which holds that table.  Extra points already
     among the corners and centers, and repeats, are dropped: the first
-    occurrence wins and the given order is kept.
+    occurrence wins and the given order is kept.  A grid's points are
+    distinct and inside their boxes by construction, so only the seeds are
+    closure-checked and deduplicated, and a grid point is dropped only when
+    it equals a seed.
     """
     seeds = [
         (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
@@ -398,12 +401,8 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     grid = extra_cuts if isinstance(extra_cuts, GridPrimal) else None
     if grid is None:
         seeds += list(extra_cuts)
-    n = len(seeds)
     box_idx = np.array([i for i, _ in seeds], dtype=int)
-    points = np.array([p for _, p in seeds], dtype=float).reshape(n, mp.domain.dim)
-    if grid is not None:
-        box_idx = np.concatenate([box_idx, grid.box_indices])
-        points = np.vstack([points, grid.points])
+    points = np.array([p for _, p in seeds], dtype=float).reshape(len(seeds), mp.domain.dim)
     lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
     upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
     outside = ~np.all((points >= lower - 1e-9) & (points <= upper + 1e-9), axis=1)
@@ -412,14 +411,6 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
         pt = tuple(points[g].tolist())
         raise ValueError(f"point {pt} is not in the closure of box {box_idx[g]}")
 
-    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
-    for i in np.unique(box_idx[:n]):
-        sel = np.flatnonzero(box_idx[:n] == i)
-        table[:, sel] = _box_table(mp, int(i), points[sel])
-    if grid is not None:
-        table[:-1, n:] = grid.lp.rows
-        table[-1, n:] = grid.lp.objective
-
     # first occurrence of each (box, point)
     keys = np.column_stack([box_idx, points])
     order = np.lexsort(keys.T[::-1])  # stable: equal keys stay in given order
@@ -427,7 +418,24 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     first = np.ones(len(keys), dtype=bool)
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     keep = np.sort(order[first])
-    return CutSet(mp.n_ineq, box_idx[keep], points[keep], table[:-1, keep].T, table[-1, keep])
+    box_idx, points = box_idx[keep], points[keep]
+
+    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
+    for i in np.unique(box_idx):
+        sel = np.flatnonzero(box_idx == i)
+        table[:, sel] = _box_table(mp, int(i), points[sel])
+    if grid is not None:
+        # only a grid point sharing a seed's first coordinate can equal it
+        near = np.flatnonzero(np.isin(grid.points[:, 0], points[:, 0]))
+        same = (grid.box_indices[near, None] == box_idx) & np.all(
+            grid.points[near, None, :] == points, axis=2
+        )
+        fresh = np.delete(np.arange(len(grid.points)), near[same.any(axis=1)])
+        box_idx = np.concatenate([box_idx, grid.box_indices.take(fresh)])
+        points = np.vstack([points, grid.points.take(fresh, axis=0)])
+        grid_table = np.vstack([grid.lp.rows, grid.lp.objective])
+        table = np.hstack([table, grid_table.take(fresh, axis=1)])
+    return CutSet(mp.n_ineq, box_idx, points, table[:-1].T, table[-1])
 
 
 def restricted_dual_lp(

@@ -2,7 +2,15 @@
 
 Everything is kept deliberately simple: dense tableau, Dantzig pricing with
 lowest-index tie-breaks, Bland's rule engaged after a run of degenerate
-pivots, duals read off the final basis.  The LPs here are either wide and
+pivots, duals read off the final basis.  The simplex starts from the slack
+basis: ``standardize`` records each inequality and upper-bound row's slack
+column, a row whose slack has the sign of its rhs starts with that slack
+basic, the rows whose slack has the wrong sign share one auxiliary column
+x0 that a single pivot makes feasible for all of them (Chvátal, *Linear
+Programming*, ch. 8), and only equality rows get artificials of their own.
+Phase 1 runs only when x0 or an artificial is basic, so an LP with ``<=``
+rows and nonnegative right-hand sides goes straight to phase 2.  The LPs
+here are either wide and
 short (a grid primal has a handful of rows and up to ~66k columns at 257^2
 grid points) or square and up to about a thousand rows (density
 collocation), so the tableau's size is the cost that matters, and
@@ -132,7 +140,9 @@ class StandardizedLP:
     column, in variable order, one column per kind except two for SPLIT.
     Finite upper bounds of SHIFT variables become extra rows appended after
     the original ones; slack columns follow the structural ones, first one
-    per inequality row, then one per upper-bound row.
+    per inequality row, then one per upper-bound row.  ``slack[i]`` is row
+    ``i``'s slack column (its only nonzero, ±1, is in row ``i``), or -1 for
+    an equality row.
     """
 
     objective: np.ndarray
@@ -143,6 +153,7 @@ class StandardizedLP:
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]
     m_original: int
     n_original: int
+    slack: np.ndarray
 
     def as_lp(self) -> FiniteLP:
         m = self.rows.shape[0]
@@ -200,6 +211,9 @@ def standardize(p: FiniteLP) -> StandardizedLP:
         S[upper_rows, bounded] = 1.0
         S[upper_rows, slack[len(ineq):]] = 1.0
         rhs = np.concatenate([rhs, (p.upper - p.lower)[boxed]])
+    row_slack = np.full(m + len(bounded), -1)
+    row_slack[ineq] = slack[: len(ineq)]
+    row_slack[m:] = slack[len(ineq):]
     negate = p.sense == "max"
     if negate:
         obj = -obj
@@ -212,6 +226,7 @@ def standardize(p: FiniteLP) -> StandardizedLP:
         columns=(kind, first, base),
         m_original=m,
         n_original=n,
+        slack=row_slack,
     )
 
 
@@ -263,8 +278,19 @@ def _pivot_loop(T, basis, cost, enterable, pivot_tol) -> str:
     raise NumericalFailure("simplex pivot limit exceeded")
 
 
-def _solve_standard(A, b, c, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
-    """Two-phase simplex on min c.x, Ax = b, x >= 0.
+def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
+    """Two-phase simplex on min c.x, Ax = b, x >= 0, started from the slack basis.
+
+    ``slack[i]`` names a column that is ±1 in row ``i`` and zero elsewhere,
+    or is -1 where row ``i`` has none.  Each row is flipped so that its
+    slack, or else its rhs, is positive.  A row whose slack then has a
+    nonnegative rhs starts with the slack basic; an equality row gets its
+    own artificial; the rows whose flipped rhs is negative share one
+    artificial x0 with entry -1, which is pivoted in on the most negative
+    row so that every such row becomes feasible at once.  Phase 1 runs only
+    if an artificial is basic.  The starting basis is the identity, so the
+    columns it was made of hold B^-1 throughout, and the duals are read from
+    them.
 
     Returns (status, x, y, value); y holds one dual per row, zeros for rows
     dropped as redundant during phase 1.
@@ -274,39 +300,52 @@ def _solve_standard(A, b, c, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
         if np.any(c < -pivot_tol):
             return LPStatus.UNBOUNDED, None, None, None
         return LPStatus.OPTIMAL, np.zeros(n), np.zeros(0), 0.0
+    has = slack >= 0
     sign = np.where(b < 0.0, -1.0, 1.0)
-    T = np.zeros((m, n + m + 1))
+    sign[has] = A[has, slack[has]]
+    rhs = b * sign
+    opposed = has & (rhs < 0.0)
+    equality = np.flatnonzero(~has)
+    n_art = len(equality) + bool(opposed.any())
+    x0 = n + n_art - 1
+    T = np.zeros((m, n + n_art + 1))
     T[:, :n] = A * sign[:, None]
-    T[:, n:n + m] = np.eye(m)
-    T[:, -1] = b * sign
-    basis = list(range(n, n + m))
+    inverse = slack.copy()  # the identity's columns, which hold B^-1
+    inverse[equality] = n + np.arange(len(equality))
+    T[equality, inverse[equality]] = 1.0
+    T[:, -1] = rhs
+    basis = inverse.tolist()
     row_ids = list(range(m))
-    enterable = np.zeros(n + m, dtype=bool)
+    enterable = np.zeros(n + n_art, dtype=bool)
     enterable[:n] = True
+    if opposed.any():
+        T[opposed, x0] = -1.0
+        _pivot(T, basis, int(np.argmin(rhs)), x0)
 
-    cost1 = np.concatenate([np.zeros(n), np.ones(m)])
-    if _pivot_loop(T, basis, cost1, enterable, pivot_tol) != "optimal":
-        raise NumericalFailure("phase 1 claimed an unbounded direction")
-    infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
     scale = 1.0 + float(np.max(np.abs(b)))
-    if infeas > feas_tol * scale:
-        return LPStatus.INFEASIBLE, None, None, None
+    if max(basis) >= n:
+        cost1 = np.concatenate([np.zeros(n), np.ones(n_art)])
+        if _pivot_loop(T, basis, cost1, enterable, pivot_tol) != "optimal":
+            raise NumericalFailure("phase 1 claimed an unbounded direction")
+        infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
+        if infeas > feas_tol * scale:
+            return LPStatus.INFEASIBLE, None, None, None
 
-    redundant = []
-    for i in range(len(basis)):
-        if basis[i] < n:
-            continue
-        cand = np.flatnonzero(np.abs(T[i, :n]) > pivot_tol)
-        if cand.size:
-            _pivot(T, basis, i, int(cand[0]))
-        else:
-            redundant.append(i)
-    for i in reversed(redundant):
-        T = np.delete(T, i, axis=0)
-        del basis[i]
-        del row_ids[i]
+        redundant = []
+        for i in range(len(basis)):
+            if basis[i] < n:
+                continue
+            cand = np.flatnonzero(np.abs(T[i, :n]) > pivot_tol)
+            if cand.size:
+                _pivot(T, basis, i, int(cand[0]))
+            else:
+                redundant.append(i)
+        for i in reversed(redundant):
+            T = np.delete(T, i, axis=0)
+            del basis[i]
+            del row_ids[i]
 
-    cost2 = np.concatenate([c, np.zeros(m)])
+    cost2 = np.concatenate([c, np.zeros(n_art)])
     if _pivot_loop(T, basis, cost2, enterable, pivot_tol) == "unbounded":
         return LPStatus.UNBOUNDED, None, None, None
 
@@ -320,7 +359,7 @@ def _solve_standard(A, b, c, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
     x = np.maximum(x, 0.0)
     value = float(c @ x)
     cB = cost2[basis]
-    ybar = cB @ T[:, n:n + m]
+    ybar = cB @ T[:, inverse]
     live = np.zeros(m, dtype=bool)
     live[row_ids] = True
     y = np.where(live, ybar * sign, 0.0)
@@ -358,7 +397,9 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
         return out
 
     std = standardize(p)
-    status, x_std, y_std, value_std = _solve_standard(std.rows, std.rhs, std.objective)
+    status, x_std, y_std, value_std = _solve_standard(
+        std.rows, std.rhs, std.objective, std.slack
+    )
     if status != LPStatus.OPTIMAL:
         return LPOutcome(status=status)
     return LPOutcome(
@@ -389,55 +430,37 @@ def kkt_residuals(p: FiniteLP, out: LPOutcome, active_tol: float = 1e-7) -> KKTR
     if out.status != LPStatus.OPTIMAL:
         raise ValueError("kkt_residuals needs an optimal outcome")
     x = out.x
-    lam = out.duals
     sigma = 1.0 if p.sense == "min" else -1.0
+    senses = np.array(p.row_senses, dtype="U2")
+    le, ge = senses == "<=", senses == ">="
     r_rows = p.rows @ x - p.rhs
-
-    primal = 0.0
-    for i, s in enumerate(p.row_senses):
-        if s == "<=":
-            primal = max(primal, r_rows[i])
-        elif s == ">=":
-            primal = max(primal, -r_rows[i])
-        else:
-            primal = max(primal, abs(r_rows[i]))
+    row_viol = np.where(le, r_rows, np.where(ge, -r_rows, np.abs(r_rows)))
     with np.errstate(invalid="ignore"):
-        primal = max(primal, float(np.max(np.maximum(p.lower - x, 0.0), initial=0.0)))
-        primal = max(primal, float(np.max(np.maximum(x - p.upper, 0.0), initial=0.0)))
+        primal = max(
+            float(np.max(row_viol, initial=0.0)),
+            float(np.max(np.maximum(p.lower - x, 0.0), initial=0.0)),
+            float(np.max(np.maximum(x - p.upper, 0.0), initial=0.0)),
+        )
 
-    lam_t = sigma * lam
-    sign_res = 0.0
-    for i, s in enumerate(p.row_senses):
-        if s == "<=":
-            sign_res = max(sign_res, lam_t[i])
-        elif s == ">=":
-            sign_res = max(sign_res, -lam_t[i])
+    lam_t = sigma * out.duals
+    sign_res = float(np.max(np.where(le, lam_t, np.where(ge, -lam_t, 0.0)), initial=0.0))
 
     rt = sigma * p.objective - p.rows.T @ lam_t
-    stat = 0.0
-    cs = 0.0
-    dual_t = float(p.rhs @ lam_t)
-    for j in range(p.n_vars):
-        l, u = p.lower[j], p.upper[j]
-        at_l = np.isfinite(l) and x[j] <= l + active_tol
-        at_u = np.isfinite(u) and x[j] >= u - active_tol
-        if at_l and at_u:
-            v = 0.0
-        elif at_l:
-            v = max(0.0, -rt[j])
-        elif at_u:
-            v = max(0.0, rt[j])
-        else:
-            v = abs(rt[j])
-        stat = max(stat, v)
-        if np.isfinite(l) and rt[j] > 0.0:
-            cs = max(cs, rt[j] * (x[j] - l))
-            dual_t += l * rt[j]
-        if np.isfinite(u) and rt[j] < 0.0:
-            cs = max(cs, -rt[j] * (u - x[j]))
-            dual_t += u * rt[j]
-    for i in range(p.n_rows):
-        cs = max(cs, abs(lam_t[i] * r_rows[i]))
+    has_l, has_u = np.isfinite(p.lower), np.isfinite(p.upper)
+    l = np.where(has_l, p.lower, 0.0)
+    u = np.where(has_u, p.upper, 0.0)
+    at_l = has_l & (x <= l + active_tol)
+    at_u = has_u & (x >= u - active_tol)
+    v = np.where(at_l, np.maximum(0.0, -rt), np.where(at_u, np.maximum(0.0, rt), np.abs(rt)))
+    stat = float(np.max(np.where(at_l & at_u, 0.0, v), initial=0.0))
+    from_l = has_l & (rt > 0.0)
+    from_u = has_u & (rt < 0.0)
+    cs = max(
+        float(np.max(np.where(from_l, rt * (x - l), 0.0), initial=0.0)),
+        float(np.max(np.where(from_u, -rt * (u - x), 0.0), initial=0.0)),
+        float(np.max(np.abs(lam_t * r_rows), initial=0.0)),
+    )
+    dual_t = float(p.rhs @ lam_t) + float(l[from_l] @ rt[from_l]) + float(u[from_u] @ rt[from_u])
 
     dual_value = sigma * dual_t
     gap = abs(out.value - dual_value) / (1.0 + abs(out.value))

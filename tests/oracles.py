@@ -2,7 +2,8 @@
 
 Nothing here reuses the package's LP code paths: finite LPs are checked by
 brute-force vertex enumeration and by scipy's HiGHS backend, the standard
-form by a column-at-a-time rebuild of the package's layout, moment values by
+form by a column-at-a-time rebuild of the package's layout, optimality
+residuals by loops over rows and variables, moment values by
 a fine-grid LP assembled directly from the expressions and solved with scipy,
 option bounds by an exhaustive two-atom search, kernel norms by a local
 midpoint quadrature with refinement, and expressions by a scalar tree-walker
@@ -19,6 +20,7 @@ from scipy.optimize import linprog
 
 from measurelp import DomainError, LPStatus, evaluate_many
 from measurelp.expressions import Binary, Literal, Negate, Variable, format_node
+from measurelp.simplex import KKTReport
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +276,73 @@ def scipy_solve(lp):
         raise RuntimeError(f"scipy linprog returned status {res.status}: {res.message}")
     value = sign * float(res.fun) if status == LPStatus.OPTIMAL else None
     return status, value
+
+
+# ---------------------------------------------------------------------------
+# optimality residuals, one row and one variable at a time
+
+
+def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
+    """``simplex.kkt_residuals`` written as Python loops over rows and variables."""
+    x = out.x
+    lam = out.duals
+    sigma = 1.0 if p.sense == "min" else -1.0
+    r_rows = p.rows @ x - p.rhs
+
+    primal = 0.0
+    for i, s in enumerate(p.row_senses):
+        if s == "<=":
+            primal = max(primal, r_rows[i])
+        elif s == ">=":
+            primal = max(primal, -r_rows[i])
+        else:
+            primal = max(primal, abs(r_rows[i]))
+    for j in range(p.n_vars):
+        primal = max(primal, p.lower[j] - x[j], x[j] - p.upper[j])
+
+    lam_t = sigma * lam
+    sign_res = 0.0
+    for i, s in enumerate(p.row_senses):
+        if s == "<=":
+            sign_res = max(sign_res, lam_t[i])
+        elif s == ">=":
+            sign_res = max(sign_res, -lam_t[i])
+
+    rt = sigma * p.objective - p.rows.T @ lam_t
+    stat = 0.0
+    cs = 0.0
+    dual_t = float(p.rhs @ lam_t)
+    for j in range(p.n_vars):
+        l, u = p.lower[j], p.upper[j]
+        at_l = math.isfinite(l) and x[j] <= l + active_tol
+        at_u = math.isfinite(u) and x[j] >= u - active_tol
+        if at_l and at_u:
+            v = 0.0
+        elif at_l:
+            v = max(0.0, -rt[j])
+        elif at_u:
+            v = max(0.0, rt[j])
+        else:
+            v = abs(rt[j])
+        stat = max(stat, v)
+        if math.isfinite(l) and rt[j] > 0.0:
+            cs = max(cs, rt[j] * (x[j] - l))
+            dual_t += l * rt[j]
+        if math.isfinite(u) and rt[j] < 0.0:
+            cs = max(cs, -rt[j] * (u - x[j]))
+            dual_t += u * rt[j]
+    for i in range(p.n_rows):
+        cs = max(cs, abs(lam_t[i] * r_rows[i]))
+
+    dual_value = sigma * dual_t
+    return KKTReport(
+        primal_residual=float(primal),
+        dual_sign_residual=float(sign_res),
+        stationarity_residual=float(stat),
+        comp_slack_residual=float(cs),
+        dual_value=float(dual_value),
+        gap=float(abs(out.value - dual_value) / (1.0 + abs(out.value))),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ import pytest
 import measurelp.cli as cli
 from measurelp import canonical_json, load_report
 from measurelp.cli import run_cli
+from measurelp.moment import WeakDualityError
+from measurelp.simplex import NumericalFailure
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -108,6 +110,25 @@ class TestExitCodes:
         assert code == 0
         out = capsys.readouterr().out
         assert "certified bound: 0.5" in out
+
+
+@pytest.mark.parametrize("error", [NumericalFailure, WeakDualityError])
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("duality_report", ["solve", fixture("cauchy_schwarz.json")]),
+        ("collocation_report", ["solve", fixture("density_flat.json")]),
+    ],
+)
+def test_solver_failure_exits_not_converged(monkeypatch, capsys, error, name, argv):
+    def fail(*args, **kwargs):
+        raise error("pivoting went astray")
+
+    monkeypatch.setattr(cli, name, fail)
+    assert run_cli(argv) == cli.EXIT_NOT_CONVERGED == 2
+    err = capsys.readouterr().err
+    assert err == "solver stopped: pivoting went astray\n"
+    assert "Traceback" not in err
 
 
 def fixture_with_solver(tmp_path, name: str, **solver) -> str:

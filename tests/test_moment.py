@@ -27,6 +27,8 @@ from measurelp.geometry import grid_array
 from measurelp.moment import (
     CutSet,
     ExchangeError,
+    _box_table,
+    _seed_cuts,
     assemble_grid_primal,
     initial_cuts,
     make_cut,
@@ -44,6 +46,32 @@ from problems import (
 )
 
 FAST = SolverConfig(grid_resolution=257, scan_resolution=257, slater_resolution=65)
+
+
+def lexsort_seed_cuts(mp, grid):
+    """Seeds plus grid, closure-checked and deduplicated over every point at once."""
+    seeds = [
+        (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
+    ]
+    box_idx = np.concatenate([[i for i, _ in seeds], grid.box_indices])
+    points = np.vstack([[p for _, p in seeds], grid.points])
+    lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
+    upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
+    assert np.all((points >= lower - 1e-9) & (points <= upper + 1e-9))
+    n = len(seeds)
+    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
+    for i in np.unique(box_idx[:n]):
+        sel = np.flatnonzero(box_idx[:n] == i)
+        table[:, sel] = _box_table(mp, int(i), points[sel])
+    table[:-1, n:] = grid.lp.rows
+    table[-1, n:] = grid.lp.objective
+    keys = np.column_stack([box_idx, points])
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    first = np.ones(len(keys), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    keep = np.sort(order[first])
+    return CutSet(mp.n_ineq, box_idx[keep], points[keep], table[:-1, keep].T, table[-1, keep])
 
 
 def seeded_exchange(mp, resolution, **kwargs):
@@ -355,6 +383,34 @@ class TestExchange:
             # the grid itself, passed whole, seeds the same cuts
             whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
             assert whole.cuts == res.cuts
+
+    @pytest.mark.parametrize("resolution", [9, 8])
+    def test_grid_seeding_matches_lexsort_dedup(self, resolution):
+        # odd: every corner and center is a grid point; even: the centers are not
+        hull = Box((0.0, -0.5), (2.0, 1.0))
+        partition = Partition(
+            (Box((0.0, -0.5), (1.25, 1.0)), Box((1.25, -0.5), (2.0, 1.0)))
+        )
+        mp = MomentProblem(
+            domain=partition,
+            hull=hull,
+            objective=pw(partition, "x1 * x2 ^ 3", "2 - x1 + exp(x2)"),
+            inequalities=((pw(partition, "x1 ^ 2 + x2", "sqrt(x1) * x2"), 1.5),),
+            equalities=((pw(partition, "1", "1"), 1.0), (pw(partition, "x1", "x1"), 0.9)),
+        )
+        grid = assemble_grid_primal(mp, resolution)
+        new, ref = _seed_cuts(mp, grid), lexsort_seed_cuts(mp, grid)
+        centers_on_grid = resolution % 2 == 1
+        assert len(new) == len(grid.points) + (0 if centers_on_grid else 2)
+        for a, b in (
+            (new.box_index, ref.box_index),
+            (new.points, ref.points),
+            (new.rows, ref.rows),
+            (new.h, ref.h),
+        ):
+            assert a.shape == b.shape and a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        assert new.n_ineq == ref.n_ineq
 
     def test_cut_set_reads_as_cut_sequence(self):
         # Cauchy-Schwarz with the second moment as an inequality: phi and psi

@@ -5,10 +5,59 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import measurelp.simplex as simplex
 from measurelp import FiniteLP, LPStatus, solve_lp, standardize
 from measurelp.simplex import kkt_residuals, make_lp
-from oracles import loop_standardize, scipy_solve, vertex_enumeration
+from oracles import loop_kkt_residuals, loop_standardize, scipy_solve, vertex_enumeration
 from problems import random_lp
+
+
+def assert_optimality_residuals(lp, out):
+    rep = kkt_residuals(lp, out)
+    rhs_scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))
+    assert rep.primal_residual <= 1e-9 * rhs_scale
+    assert rep.dual_sign_residual <= 1e-8
+    assert rep.stationarity_residual <= 1e-8 * (1.0 + abs(out.value))
+    assert rep.comp_slack_residual <= 1e-8 * (1.0 + abs(out.value))
+    assert rep.gap <= 1e-8
+
+
+def crash_lp(rng: np.random.Generator):
+    """Random bounded LP (<= 12 vars, <= 30 rows) whose slacks mostly oppose their rhs.
+
+    ``<=`` rows are drawn to have a negative rhs and ``>=`` rows a positive
+    one, around an interior point x0 with slack at least 0.1; about 20 % are
+    made robustly infeasible by a pair of contradictory rows.
+    """
+    n = int(rng.integers(1, 13))
+    m = int(rng.integers(1, 31))
+    lower = np.where(rng.random(n) < 0.2, -rng.uniform(0.5, 2.0, n), 0.0)
+    upper = lower + rng.uniform(0.5, 3.0, n)
+    upper[rng.random(n) < 0.2] = np.inf
+    x0 = rng.uniform(lower, np.where(np.isfinite(upper), upper, lower + 3.0))
+    sense = "max" if rng.random() < 0.5 else "min"
+    objective = rng.uniform(-2.0, 2.0, n)
+    senses = rng.choice(["<=", ">=", "="], m, p=[0.45, 0.45, 0.1])
+    rows = np.where((senses == "<=")[:, None], -1.0, 1.0) * rng.uniform(-0.5, 2.0, (m, n))
+    reach = rows @ x0
+    margin = rng.uniform(0.1, 1.0, m)
+    rhs = np.where(senses == "<=", reach + margin, np.where(senses == ">=", reach - margin, reach))
+    if m >= 2 and rng.random() < 0.2:
+        rows[1] = rows[0]
+        senses[0], rhs[0] = "<=", reach[0]
+        senses[1], rhs[1] = ">=", reach[0] + 1.0
+    free_above = ~np.isfinite(upper)  # their costs push toward the lower bound
+    objective[free_above] = (1.0 if sense == "min" else -1.0) * np.abs(objective[free_above])
+    return make_lp(sense, objective, rows, tuple(senses), rhs, lower=lower, upper=upper)
+
+
+def opposed_slacks(lp) -> tuple[bool, bool]:
+    """Whether a ``<=`` row, and a ``>=`` row, has a slack opposing its shifted rhs."""
+    std = standardize(lp)
+    has = std.slack >= 0
+    unit = std.rows[has, std.slack[has]]
+    opposed = unit * std.rhs[has] < 0.0
+    return bool(np.any(opposed & (unit > 0.0))), bool(np.any(opposed & (unit < 0.0)))
 
 
 class TestFixedCases:
@@ -156,6 +205,52 @@ class TestStandardize:
         assert any(np.isfinite(lp.upper - lp.lower).any() for lp in lps)  # boxed shifts
 
 
+class TestCrashStart:
+    def test_slack_feasible_lp_skips_phase_one(self, monkeypatch):
+        calls = []
+        real = simplex._pivot_loop
+
+        def counted(*args):
+            calls.append(real(*args))
+            return calls[-1]
+
+        monkeypatch.setattr(simplex, "_pivot_loop", counted)
+        rng = np.random.default_rng(151)
+        rows = rng.uniform(-1.0, 2.0, (12, 7))
+        rhs = rng.uniform(0.0, 3.0, 12)
+        rhs[3] = 0.0
+        lp = make_lp("max", rng.uniform(0.0, 1.0, 7), rows, ("<=",) * 12, rhs, upper=4.0)
+        out = solve_lp(lp)
+        assert out.status == LPStatus.OPTIMAL
+        assert calls == ["optimal"]  # phase 2 only
+        sp_status, sp_value = scipy_solve(lp)
+        assert sp_status == LPStatus.OPTIMAL
+        assert out.value == pytest.approx(sp_value, abs=1e-9, rel=1e-9)
+        # one row whose slack opposes its rhs brings phase 1 back
+        calls.clear()
+        flipped = make_lp("max", lp.objective, rows, ("<=",) * 11 + (">=",), rhs, upper=4.0)
+        assert solve_lp(flipped).status == scipy_solve(flipped)[0]
+        assert len(calls) == 2
+
+    def test_opposed_slacks_match_scipy(self):
+        rng = np.random.default_rng(157)
+        statuses = {LPStatus.OPTIMAL: 0, LPStatus.INFEASIBLE: 0}
+        opposed = np.zeros(2, dtype=int)
+        for _ in range(300):
+            lp = crash_lp(rng)
+            opposed += opposed_slacks(lp)
+            out = solve_lp(lp)
+            sp_status, sp_value = scipy_solve(lp)
+            assert out.status == sp_status
+            statuses[out.status] += 1
+            if out.status == LPStatus.OPTIMAL:
+                assert out.value == pytest.approx(sp_value, abs=1e-8, rel=1e-8)
+                assert_optimality_residuals(lp, out)
+        assert np.all(opposed >= 250)  # both senses take the shared x0 path
+        assert 30 <= statuses[LPStatus.INFEASIBLE] <= 90
+        assert statuses[LPStatus.OPTIMAL] >= 200
+
+
 class TestRandomSuite:
     def test_matches_scipy(self):
         rng = np.random.default_rng(101)
@@ -191,14 +286,31 @@ class TestRandomSuite:
             if out.status != LPStatus.OPTIMAL:
                 continue
             checked += 1
-            rep = kkt_residuals(lp, out)
-            rhs_scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))
-            assert rep.primal_residual <= 1e-9 * rhs_scale
-            assert rep.dual_sign_residual <= 1e-8
-            assert rep.stationarity_residual <= 1e-8 * (1.0 + abs(out.value))
-            assert rep.comp_slack_residual <= 1e-8 * (1.0 + abs(out.value))
-            assert rep.gap <= 1e-8
+            assert_optimality_residuals(lp, out)
         assert checked > 100
+
+    def test_kkt_residuals_match_loop_form(self):
+        rng = np.random.default_rng(163)
+        kinds = ("shift", "boxed", "mirror", "split")
+        lps = [random_lp(rng) for _ in range(200)] + [crash_lp(rng) for _ in range(100)]
+        lps += [
+            TestStandardize.bounds_lp(rng, int(rng.integers(0, 7)), n, rng.choice(kinds, n))
+            for n in rng.integers(1, 9, 300)
+        ]
+        checked = 0
+        for lp in lps:
+            out = solve_lp(lp)
+            if out.status != LPStatus.OPTIMAL:
+                continue
+            checked += 1
+            rep, ref = kkt_residuals(lp, out), loop_kkt_residuals(lp, out)
+            assert rep.primal_residual == ref.primal_residual
+            assert rep.dual_sign_residual == ref.dual_sign_residual
+            assert rep.stationarity_residual == ref.stationarity_residual
+            assert rep.comp_slack_residual == ref.comp_slack_residual
+            assert abs(rep.dual_value - ref.dual_value) <= 1e-12 * (1.0 + abs(ref.dual_value))
+            assert abs(rep.gap - ref.gap) <= 1e-12 * (1.0 + abs(ref.gap))
+        assert checked > 300
 
     def test_status_scale_invariance(self):
         rng = np.random.default_rng(109)
