@@ -5,13 +5,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
 
 MAX_GRID_POINTS = 100_000_000
-COVERAGE_SAMPLES = 10_000
-VOLUME_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -179,61 +178,103 @@ def halton_points(count: int, dim: int) -> np.ndarray:
 
 
 def validate_partition(partition: Partition, hull: Box) -> PartitionReport:
-    """Check the partition tiles the hull.
+    """Check exactly that the partition tiles the hull.
 
-    Three checks: (a) pairwise disjointness of the half-open boxes, (b) box
-    volumes sum to the hull volume, (c) every sampled hull point (10k Halton
-    points) lies in exactly one box.  Problems name the offending boxes.
+    Each axis is cut at the sorted unique bounds of every box and of the
+    hull.  The cuts split space into cells that each box covers whole or
+    misses, so counting the boxes over every cell decides the question: a
+    tiling covers each cell inside the hull exactly once and each cell
+    outside it not at all (Bentley's coordinate compression for unions of
+    boxes).  There is no sampling and no tolerance; faces meant to touch
+    must be bit-equal floats, and a gap or overlap one ulp wide is found.
+
+    Problems name overlapping box pairs, boxes that extend outside the hull,
+    the volume deficit or excess (summed exactly), and the centres of up to
+    three hull cells not covered exactly once.  A partition whose cell array
+    would exceed ``MAX_GRID_POINTS`` cells is rejected without building it,
+    and then none of ``disjoint``, ``volume_match`` or ``covered`` holds.
     """
     if partition.dim != hull.dim:
         raise ValueError(
             f"partition dimension {partition.dim} != hull dimension {hull.dim}"
         )
+    boxes = partition.boxes
+    lower, upper = np.array([b.lower for b in boxes]), np.array([b.upper for b in boxes])
+    cuts = [
+        np.unique(np.concatenate((lower[:, j], upper[:, j], (hull.lower[j], hull.upper[j]))))
+        for j in range(hull.dim)
+    ]
+    shape = tuple(len(c) - 1 for c in cuts)
+    cells = math.prod(shape)
+    if cells > MAX_GRID_POINTS:
+        message = f"checking the partition needs {cells} cells, over the limit {MAX_GRID_POINTS}"
+        return PartitionReport(False, False, False, False, (message,))
+
+    # +1 at each box's lower corner, alternating signs over its other
+    # corners; prefix sums along every axis then give the per-cell counts.
+    lo = [np.searchsorted(c, lower[:, j]) for j, c in enumerate(cuts)]
+    hi = [np.searchsorted(c, upper[:, j]) for j, c in enumerate(cuts)]
+    count = np.zeros(tuple(s + 1 for s in shape), dtype=np.min_scalar_type(-len(boxes) - 1))
+    for corner in itertools.product((0, 1), repeat=hull.dim):
+        index = tuple(h if c else l for c, l, h in zip(corner, lo, hi))
+        np.add.at(count, index, -1 if sum(corner) % 2 else 1)
+    for axis in range(hull.dim):
+        np.cumsum(count, axis=axis, out=count)
+    count = count[tuple(slice(0, s) for s in shape)]
+    inside = tuple(
+        slice(int(np.searchsorted(c, l)), int(np.searchsorted(c, u)))
+        for c, l, u in zip(cuts, hull.lower, hull.upper)
+    )
     problems: list[str] = []
 
-    disjoint = True
-    boxes = partition.boxes
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            a, b = boxes[i], boxes[j]
-            overlaps = all(
-                max(la, lb) < min(ua, ub)
-                for la, ua, lb, ub in zip(a.lower, a.upper, b.lower, b.upper)
+    disjoint = bool(count.max() <= 1)
+    if not disjoint:
+        for i in range(len(boxes) - 1):
+            meet = np.maximum(lower[i], lower[i + 1:]) < np.minimum(upper[i], upper[i + 1:])
+            later = i + 1 + np.flatnonzero(np.all(meet, axis=1))
+            problems.extend(f"boxes {i} and {j} overlap" for j in later)
+
+    outside = np.flatnonzero(np.any((lower < hull.lower) | (upper > hull.upper), axis=1))
+    problems.extend(f"box {i} extends outside the hull" for i in outside)
+
+    hull_counts = count[inside]
+    miscovered = np.flatnonzero(hull_counts != 1)
+    covered = miscovered.size == 0
+
+    tiling = disjoint and covered and outside.size == 0
+    volume_match = tiling
+    if not tiling:  # a tiling has the hull's volume; otherwise sum exactly
+        total = sum(_exact_volume(b) for b in boxes)
+        hull_volume = _exact_volume(hull)
+        volume_match = total == hull_volume
+        if not volume_match:
+            word = "deficit" if total < hull_volume else "excess"
+            problems.append(
+                f"volume {word}: boxes sum to {float(total)!r}, "
+                f"hull volume is {float(hull_volume)!r}"
             )
-            if overlaps:
-                disjoint = False
-                problems.append(f"boxes {i} and {j} overlap")
 
-    total = sum(b.volume for b in boxes)
-    volume_match = math.isclose(total, hull.volume, rel_tol=VOLUME_RTOL, abs_tol=0.0)
-    if not volume_match:
-        word = "deficit" if total < hull.volume else "excess"
-        problems.append(
-            f"volume {word}: boxes sum to {total!r}, hull volume is {hull.volume!r}"
-        )
+    for flat in miscovered[:3]:
+        cell = [int(k) + s.start for k, s in zip(np.unravel_index(flat, hull_counts.shape), inside)]
+        point = tuple(_cell_centre(c[k], c[k + 1]) for c, k in zip(cuts, cell))
+        problems.append(f"hull point {point} lies in {hull_counts.flat[flat]} boxes")
+    if miscovered.size > 3:
+        problems.append(f"{miscovered.size} of {hull_counts.size} hull cells miscovered")
 
-    covered = True
-    samples = halton_points(COVERAGE_SAMPLES, hull.dim)
-    width = np.subtract(hull.upper, hull.lower)
-    misses = 0
-    for t in samples:
-        x = tuple(np.asarray(hull.lower) + t * width)
-        hits = sum(1 for b in boxes if b.contains(x))
-        if hits != 1:
-            covered = False
-            misses += 1
-            if misses <= 3:
-                problems.append(
-                    f"hull point {tuple(round(float(v), 12) for v in x)} lies in {hits} boxes"
-                )
-    if misses > 3:
-        problems.append(f"{misses} of {COVERAGE_SAMPLES} sampled points miscovered")
-
-    ok = disjoint and volume_match and covered
     return PartitionReport(
-        ok=ok,
+        ok=tiling,
         disjoint=disjoint,
         volume_match=volume_match,
         covered=covered,
         problems=tuple(problems),
     )
+
+
+def _exact_volume(box: Box) -> Fraction:
+    return math.prod(Fraction(u) - Fraction(l) for l, u in zip(box.lower, box.upper))
+
+
+def _cell_centre(a: float, b: float) -> float:
+    """Midpoint of [a, b), or a when the cell is too narrow for one."""
+    mid = 0.5 * a + 0.5 * b
+    return float(mid) if a <= mid < b else float(a)

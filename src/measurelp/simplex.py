@@ -425,7 +425,8 @@ def kkt_residuals(p: FiniteLP, out: LPOutcome, active_tol: float = 1e-7) -> KKTR
 
     All residuals are ~0 (below solver tolerances) at a correct optimum;
     ``gap`` is |primal - dual| / (1 + |primal|) with the dual value rebuilt
-    from the reported row duals and reduced costs.
+    from the reported row duals and the reduced costs of the variables
+    active (within ``active_tol``) at a bound.
     """
     if out.status != LPStatus.OPTIMAL:
         raise ValueError("kkt_residuals needs an optimal outcome")
@@ -453,8 +454,11 @@ def kkt_residuals(p: FiniteLP, out: LPOutcome, active_tol: float = 1e-7) -> KKTR
     at_u = has_u & (x >= u - active_tol)
     v = np.where(at_l, np.maximum(0.0, -rt), np.where(at_u, np.maximum(0.0, rt), np.abs(rt)))
     stat = float(np.max(np.where(at_l & at_u, 0.0, v), initial=0.0))
-    from_l = has_l & (rt > 0.0)
-    from_u = has_u & (rt < 0.0)
+    # a bound carries dual weight only where the variable is active at it;
+    # elsewhere |rt| is already charged to stationarity, and multiplying
+    # roundoff by a far bound would only inflate the residuals
+    from_l = at_l & (rt > 0.0)
+    from_u = at_u & (rt < 0.0)
     cs = max(
         float(np.max(np.where(from_l, rt * (x - l), 0.0), initial=0.0)),
         float(np.max(np.where(from_u, -rt * (u - x), 0.0), initial=0.0)),

@@ -6,14 +6,16 @@ form by a column-at-a-time rebuild of the package's layout, optimality
 residuals by loops over rows and variables, moment values by
 a fine-grid LP assembled directly from the expressions and solved with scipy,
 option bounds by an exhaustive two-atom search, kernel norms by a local
-midpoint quadrature with refinement, and expressions by a scalar tree-walker
-over Python's ``math`` module.
+midpoint quadrature with refinement, expressions by a scalar tree-walker
+over Python's ``math`` module, and partition coverage by testing every
+breakpoint cell's exact midpoint against every box.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.optimize import linprog
@@ -325,10 +327,10 @@ def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
         else:
             v = abs(rt[j])
         stat = max(stat, v)
-        if math.isfinite(l) and rt[j] > 0.0:
+        if at_l and rt[j] > 0.0:
             cs = max(cs, rt[j] * (x[j] - l))
             dual_t += l * rt[j]
-        if math.isfinite(u) and rt[j] < 0.0:
+        if at_u and rt[j] < 0.0:
             cs = max(cs, -rt[j] * (u - x[j]))
             dual_t += u * rt[j]
     for i in range(p.n_rows):
@@ -343,6 +345,43 @@ def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
         dual_value=float(dual_value),
         gap=float(abs(out.value - dual_value) / (1.0 + abs(out.value))),
     )
+
+
+# ---------------------------------------------------------------------------
+# partition coverage by brute force over the breakpoint cells
+
+
+def cell_coverage(partition, hull) -> dict:
+    """How many boxes hold each cell of the breakpoint grid, one point at a time.
+
+    The cells are cut at every box and hull bound on each axis.  Each is
+    represented by its midpoint, computed exactly as a ``Fraction`` (so it
+    lies inside even a one-ulp cell), and tested with ``Box.contains``.
+    Returns ``disjoint`` (no cell in two boxes), ``covered`` (every hull cell
+    in exactly one box), ``outside`` (boxes holding a cell outside the hull)
+    and ``miscovered`` (the hull cells' box counts other than 1, in order).
+    """
+    axes = [
+        sorted({v for b in partition.boxes for v in (b.lower[j], b.upper[j])}
+               | {hull.lower[j], hull.upper[j]})
+        for j in range(hull.dim)
+    ]
+    disjoint, outside, miscovered = True, set(), []
+    for cell in itertools.product(*(zip(a[:-1], a[1:]) for a in axes)):
+        mid = tuple((Fraction(lo) + Fraction(up)) / 2 for lo, up in cell)
+        hits = [i for i, b in enumerate(partition.boxes) if b.contains(mid)]
+        disjoint = disjoint and len(hits) <= 1
+        if hull.contains(mid):
+            if len(hits) != 1:
+                miscovered.append(len(hits))
+        else:
+            outside.update(hits)
+    return {
+        "disjoint": disjoint,
+        "covered": not miscovered,
+        "outside": sorted(outside),
+        "miscovered": miscovered,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -228,6 +228,12 @@ class TestValidationDiagnostics:
         assert "boxes sum to 1.0, hull volume is 2.0" in err
         assert "lies in 0 boxes" in err
 
+    def test_thin_gap_rejected(self, capsys):
+        assert run_cli(["validate", fixture("thin_gap.json")]) == 4
+        err = capsys.readouterr().err
+        assert "volume deficit" in err
+        assert "hull point (0.30000000000005, 0.5) lies in 0 boxes" in err
+
     def test_bad_expression_reports_offset(self, capsys):
         assert run_cli(["validate", fixture("bad_expression.json")]) == 4
         err = capsys.readouterr().err

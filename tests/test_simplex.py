@@ -5,8 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import measurelp.density as density
 import measurelp.simplex as simplex
-from measurelp import FiniteLP, LPStatus, solve_lp, standardize
+from measurelp import (
+    Box, FiniteLP, LPStatus, LpDensityProblem, parse_expression, solve_lp, standardize,
+)
 from measurelp.simplex import kkt_residuals, make_lp
 from oracles import loop_kkt_residuals, loop_standardize, scipy_solve, vertex_enumeration
 from problems import random_lp
@@ -312,6 +315,29 @@ class TestRandomSuite:
             assert abs(rep.gap - ref.gap) <= 1e-12 * (1.0 + abs(ref.gap))
         assert checked > 300
 
+    def test_row_scaling_and_order_invariance(self):
+        rng = np.random.default_rng(167)
+        optima = 0
+        for _ in range(300):
+            lp = random_lp(rng)
+            base = solve_lp(lp)
+            scale = 10.0 ** rng.uniform(-3.0, 3.0, lp.n_rows)
+            order = rng.permutation(lp.n_rows)
+            moved = solve_lp(make_lp(
+                lp.sense,
+                lp.objective,
+                (lp.rows * scale[:, None])[order],
+                tuple(lp.row_senses[i] for i in order),
+                (lp.rhs * scale)[order],
+                lower=lp.lower,
+                upper=lp.upper,
+            ))
+            assert moved.status == base.status
+            if base.status == LPStatus.OPTIMAL:
+                optima += 1
+                assert abs(moved.value - base.value) <= 1e-9 * (1.0 + abs(base.value))
+        assert optima > 150
+
     def test_status_scale_invariance(self):
         rng = np.random.default_rng(109)
         for _ in range(100):
@@ -340,3 +366,43 @@ class TestRandomSuite:
                 assert a.value == b.value
                 assert np.array_equal(a.x, b.x)
                 assert np.array_equal(a.duals, b.duals)
+
+
+class TestKKTResiduals:
+    def test_far_bound_does_not_amplify_roundoff(self, monkeypatch):
+        # Gaussian-kernel density problem on the unit square whose Slater
+        # margin LP leaves delta basic, far below its cap of 1e6, with a
+        # reduced cost of ~6e-14: charged against the cap, that roundoff
+        # read as a complementary-slackness residual of 6.1e-8
+        unit = Box((0.0, 0.0), (1.0, 1.0))
+        pb = LpDensityProblem(
+            domain=unit,
+            objective=parse_expression(
+                "0.6896412493864108 + 0.16628336569478197*x1"
+                " + 0.2480687321513595*x2 - 0.16551177545809503*x1*x2", 2
+            ),
+            p=2.440027805704576,
+            kernel_a=parse_expression(
+                "exp(-1.5358650040815212*((y1 - x1)^2 + (y2 - x2)^2))", 4, (("y", 2), ("x", 2))
+            ),
+            bound_a=parse_expression(
+                "1.3259788593644717 - 0.0948454125625974*y1 - 0.0905531873777739*y2", 2, (("y", 2),)
+            ),
+            ineq_domain=unit,
+        )
+        solved = []
+
+        def keep(lp):
+            solved.append((lp, solve_lp(lp)))
+            return solved[-1][1]
+
+        monkeypatch.setattr(density, "solve_lp", keep)
+        report = density.check_lp_slater(pb, x_resolution=16)
+        lp, out = solved[-1]
+        delta = lp.n_vars - 1
+        assert report.feasible and not report.capped
+        assert lp.upper[delta] == 1e6 and out.x[delta] < 1.0
+        rep = kkt_residuals(lp, out)
+        assert rep.comp_slack_residual <= 1e-8
+        assert rep.gap <= 1e-8
+        assert_optimality_residuals(lp, out)
