@@ -23,12 +23,7 @@ import sys
 import time
 from typing import Mapping, Sequence
 
-from .density import (
-    LpDensityProblem,
-    check_lp_slater,
-    collocation_report,
-    discretize_lp_density,
-)
+from .density import check_lp_slater, collocation_report, discretize_lp_density
 from .expressions import ExpressionError
 from .fileio import (
     ProblemFormatError,
@@ -39,7 +34,6 @@ from .fileio import (
 )
 from .moment import (
     ExchangeError,
-    MomentProblem,
     ReportStatus,
     SolverConfig,
     WeakDualityError,
@@ -131,12 +125,18 @@ def _moment_config(solver: Mapping, args: argparse.Namespace) -> SolverConfig:
     return SolverConfig(**overrides)
 
 
-def _density_resolutions(solver: Mapping) -> dict:
-    return {
-        "x_resolution": solver.get("x_resolution", 64),
-        "y_resolution": solver.get("y_resolution"),
-        "z_resolution": solver.get("z_resolution"),
-    }
+def _density_settings(solver: Mapping, args: argparse.Namespace) -> tuple[dict, float, dict]:
+    """(resolutions, gap_rtol, check_lp_slater arguments) of a density problem.
+
+    ``--grid`` overrides the file's ``x_resolution`` (64 by default), and
+    ``slater_resolution`` defaults to the x resolution in use.
+    """
+    res = {key: solver.get(key) for key in ("y_resolution", "z_resolution")}
+    res["x_resolution"] = solver.get("x_resolution", 64)
+    if getattr(args, "grid", None) is not None:
+        res["x_resolution"] = args.grid
+    slater = {**res, "x_resolution": solver.get("slater_resolution", res["x_resolution"])}
+    return res, solver.get("gap_rtol", 1e-3), slater
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -164,13 +164,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             write_report(doc, args.report)
         return _STATUS_EXIT[report.status]
 
-    solver = dict(loaded.solver)
-    if args.grid is not None:
-        solver["x_resolution"] = args.grid
-    res = _density_resolutions(solver)
-    report = collocation_report(loaded.problem, gap_rtol=solver.get("gap_rtol", 1e-3), **res)
-    res["x_resolution"] = solver.get("slater_resolution", res["x_resolution"])
-    slater = check_lp_slater(loaded.problem, **res)
+    res, gap_rtol, slater_args = _density_settings(loaded.solver, args)
+    report = collocation_report(loaded.problem, gap_rtol=gap_rtol, **res)
+    slater = check_lp_slater(loaded.problem, **slater_args)
     elapsed = time.perf_counter() - started
     print(f"problem: {loaded.name or args.problem} (lp_density, p={loaded.problem.p:g})")
     print(f"primal value (collocation {report.x_resolution}): {_fmt(report.primal_value)}")
@@ -198,8 +194,7 @@ def _cmd_primal(args: argparse.Namespace) -> int:
             for p, w in zip(atoms.points, atoms.weights):
                 print(f"atom: weight {w:.9g} at {tuple(round(float(v), 12) for v in p)}")
         return _LP_EXIT[solve.status]
-    res = _density_resolutions(loaded.solver)
-    res["x_resolution"] = args.grid
+    res, _, _ = _density_settings(loaded.solver, args)
     primal, _ = discretize_lp_density(loaded.problem, **res)
     out = solve_lp(primal)
     print(f"collocation primal ({args.grid} per axis): {out.status.value}")
@@ -223,7 +218,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         if result.status == "dual_unbounded":
             return EXIT_INFEASIBLE
         return EXIT_NOT_CONVERGED
-    res = _density_resolutions(loaded.solver)
+    res, _, _ = _density_settings(loaded.solver, args)
     _, dual = discretize_lp_density(loaded.problem, **res)
     out = solve_lp(dual)
     print(f"collocation dual ({res['x_resolution']} per axis): {out.status.value}")
@@ -235,10 +230,9 @@ def _cmd_dual(args: argparse.Namespace) -> int:
 def _cmd_slater(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
-        mp: MomentProblem = loaded.problem
         config = _moment_config(loaded.solver, args)
-        primal = check_primal_slater(mp, config.slater_resolution)
-        dual = check_dual_slater(mp, **_exchange_options(config))
+        primal = check_primal_slater(loaded.problem, config.slater_resolution)
+        dual = check_dual_slater(loaded.problem, **_exchange_options(config))
         print(f"primal margin: {_fmt(primal.margin)} (feasible: {primal.feasible})")
         print(f"equality rank: {primal.equality_rank} of {primal.n_equalities}")
         if primal.rank_deficient:
@@ -252,10 +246,8 @@ def _cmd_slater(args: argparse.Namespace) -> int:
         if not dual.converged:
             return EXIT_NOT_CONVERGED
         return EXIT_OK
-    pb: LpDensityProblem = loaded.problem
-    res = _density_resolutions(loaded.solver)
-    res["x_resolution"] = loaded.solver.get("slater_resolution", 33)  # check_lp_slater's default
-    rep = check_lp_slater(pb, **res)
+    _, _, slater_args = _density_settings(loaded.solver, args)
+    rep = check_lp_slater(loaded.problem, **slater_args)
     print(f"margin: {_fmt(rep.margin if rep.feasible else None)} (feasible: {rep.feasible})")
     print(f"equality rank: {rep.equality_rank} of {rep.n_equality_rows}")
     if rep.rank_deficient:
@@ -321,11 +313,16 @@ _COMMANDS = {
 }
 
 
+_PARSER: argparse.ArgumentParser | None = None  # built on the first run_cli call
+
+
 def run_cli(argv: Sequence[str] | None = None) -> int:
     """Parse arguments, dispatch, and map every outcome to an exit code."""
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     try:

@@ -453,6 +453,7 @@ class CollocationReport:
     x_resolution: int
     y_resolution: int
     z_resolution: int
+    gap_rtol: float
     refined_primal_value: float | None
     notes: tuple[str, ...]
 
@@ -493,6 +494,7 @@ def collocation_report(
             primal_value=None,
             dual_value=None,
             gap=None,
+            gap_rtol=gap_rtol,
             refined_primal_value=None,
             notes=(
                 "collocated primal has no nonnegative density"
@@ -527,6 +529,7 @@ def collocation_report(
         primal_value=p_out.value,
         dual_value=kkt.dual_value,
         gap=gap,
+        gap_rtol=gap_rtol,
         refined_primal_value=refined_value,
         notes=tuple(notes),
         **resolutions,
@@ -542,6 +545,7 @@ class DensitySlaterReport:
     capped: bool
     equality_rank: int
     n_equality_rows: int
+    x_resolution: int
 
     @property
     def rank_deficient(self) -> bool:
@@ -597,6 +601,7 @@ def check_lp_slater(
             capped=False,
             equality_rank=rank,
             n_equality_rows=n_z,
+            x_resolution=x_resolution,
         )
     if out.status != LPStatus.OPTIMAL:
         raise RuntimeError(f"margin LP ended {out.status} despite the cap {cap:g}")
@@ -607,4 +612,5 @@ def check_lp_slater(
         capped=margin >= cap * (1.0 - 1e-6),
         equality_rank=rank,
         n_equality_rows=n_z,
+        x_resolution=x_resolution,
     )

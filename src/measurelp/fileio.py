@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -427,22 +427,29 @@ def _dual_doc(dual: DualPoint | None) -> dict | None:
 
 
 def _primal_slater_doc(rep: PrimalSlaterReport) -> dict:
-    return {
-        "margin": _finite_or_none(rep.margin),
-        "feasible": rep.feasible,
-        "equality_rank": rep.equality_rank,
-        "n_equalities": rep.n_equalities,
-        "capped": rep.capped,
-    }
+    return {**asdict(rep), "margin": _finite_or_none(rep.margin)}
 
 
 def _dual_slater_doc(rep: DualSlaterReport) -> dict:
+    witness = _dual_doc(rep.witness)
+    return {**asdict(rep), "margin": _finite_or_none(rep.margin), "witness": witness}
+
+
+def _report_document(kind: str, name: str, report, timings, **fields) -> dict:
+    """The fields every report has, then ``fields``; the gap is dual - primal as written."""
+    primal = _finite_or_none(report.primal_value)
+    dual = _finite_or_none(report.dual_value)
     return {
-        "margin": _finite_or_none(rep.margin),
-        "witness": _dual_doc(rep.witness),
-        "converged": rep.converged,
-        "capped": rep.capped,
-        "iterations": rep.iterations,
+        "format_version": FORMAT_VERSION,
+        "kind": kind,
+        "name": name,
+        "status": report.status.value,
+        "primal_value": primal,
+        "dual_value": dual,
+        "gap": None if primal is None or dual is None else dual - primal,
+        "notes": list(report.notes),
+        "timings": dict(timings or {}),
+        **fields,
     }
 
 
@@ -461,37 +468,17 @@ def moment_report_document(
                 report.atoms.points, report.atoms.weights, report.atoms.box_indices
             )
         ]
-    primal = _finite_or_none(report.primal_value)
-    dual = _finite_or_none(report.dual_value)
-    gap = None if primal is None or dual is None else dual - primal
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "moment",
-        "name": name,
-        "status": report.status.value,
-        "primal_value": primal,
-        "dual_value": dual,
-        "gap": gap,
-        "max_dual_violation": _finite_or_none(report.max_dual_violation),
-        "iterations": report.iterations,
-        "atoms": atoms,
-        "dual": _dual_doc(report.dual),
-        "primal_slater": _primal_slater_doc(report.primal_slater),
-        "dual_slater": _dual_slater_doc(report.dual_slater),
-        "has_mass_bound": report.has_mass_bound,
-        "notes": list(report.notes),
-        "solver": {
-            "grid_resolution": config.grid_resolution,
-            "tol": config.tol,
-            "max_iters": config.max_iters,
-            "scan_resolution": config.scan_resolution,
-            "refine_steps": config.refine_steps,
-            "gap_rtol": config.gap_rtol,
-            "verification_factor": config.verification_factor,
-            "slater_resolution": config.slater_resolution,
-        },
-        "timings": dict(timings or {}),
-    }
+    return _report_document(
+        "moment", name, report, timings,
+        max_dual_violation=_finite_or_none(report.max_dual_violation),
+        iterations=report.iterations,
+        atoms=atoms,
+        dual=_dual_doc(report.dual),
+        primal_slater=_primal_slater_doc(report.primal_slater),
+        dual_slater=_dual_slater_doc(report.dual_slater),
+        has_mass_bound=report.has_mass_bound,
+        solver=asdict(config),
+    )
 
 
 def density_report_document(
@@ -502,9 +489,6 @@ def density_report_document(
     timings: Mapping[str, float] | None = None,
 ) -> dict:
     """Full report document for a density-problem solve."""
-    primal = _finite_or_none(report.primal_value)
-    dual = _finite_or_none(report.dual_value)
-    gap = None if primal is None or dual is None else dual - primal
     slater_doc = None
     if slater is not None:
         slater_doc = {
@@ -514,25 +498,19 @@ def density_report_document(
             "equality_rank": slater.equality_rank,
             "n_equality_rows": slater.n_equality_rows,
         }
-    return {
-        "format_version": FORMAT_VERSION,
-        "kind": "lp_density",
-        "name": name,
-        "status": report.status.value,
-        "primal_value": primal,
-        "dual_value": dual,
-        "gap": gap,
-        "refined_primal_value": _finite_or_none(report.refined_primal_value),
-        "slater": slater_doc,
-        "notes": list(report.notes),
-        "solver": {
+    return _report_document(
+        "lp_density", name, report, timings,
+        refined_primal_value=_finite_or_none(report.refined_primal_value),
+        slater=slater_doc,
+        solver={
             "p": p,
             "x_resolution": report.x_resolution,
             "y_resolution": report.y_resolution,
             "z_resolution": report.z_resolution,
+            "gap_rtol": report.gap_rtol,
+            "slater_resolution": None if slater is None else slater.x_resolution,
         },
-        "timings": dict(timings or {}),
-    }
+    )
 
 
 def write_report(doc: Mapping, path: str | Path) -> None:

@@ -20,8 +20,8 @@ grid primal, the cuts and the oracle value the problem's functions through
 ``evaluate_many``, whose values do not depend on the batch.  So a point
 gets the same values bit for bit wherever it is valued, and the oracle's
 column is the cut it appends.  ``duality_report`` seeds every grid point
-into the cut set by reading the grid primal's columns, and no per-point
-``Cut`` is built.
+into the cut set by reading the grid primal's columns, so its first master
+LP is the grid LP, solved once, and no per-point ``Cut`` is built.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -276,17 +276,22 @@ class PrimalSolve:
     grid: GridPrimal
 
 
+def _atoms(points: np.ndarray, box_indices: np.ndarray, weights: np.ndarray) -> AtomicMeasure:
+    """The atoms of an LP's weights over its columns, dropping those at the floor."""
+    keep = np.flatnonzero(weights > ATOM_WEIGHT_FLOOR)
+    return AtomicMeasure(
+        points=tuple(map(tuple, points[keep].tolist())),
+        weights=tuple(weights[keep].tolist()),
+        box_indices=tuple(box_indices[keep].tolist()),
+    )
+
+
 def solve_grid_primal(mp: MomentProblem, resolution) -> PrimalSolve:
     grid = assemble_grid_primal(mp, resolution)
     out = solve_lp(grid.lp)
     if out.status != LPStatus.OPTIMAL:
         return PrimalSolve(out.status, None, None, out, grid)
-    keep = np.flatnonzero(out.x > ATOM_WEIGHT_FLOOR)
-    measure = AtomicMeasure(
-        points=tuple(tuple(float(v) for v in grid.points[g]) for g in keep),
-        weights=tuple(float(out.x[g]) for g in keep),
-        box_indices=tuple(int(grid.box_indices[g]) for g in keep),
-    )
+    measure = _atoms(grid.points, grid.box_indices, out.x)
     return PrimalSolve(out.status, float(out.value), measure, out, grid)
 
 
@@ -461,19 +466,20 @@ def restricted_dual_lp(
     return make_lp("min", obj, A, (">=",) * len(cuts), rhs, lower=lower, upper=upper)
 
 
-def _solve_master(mp: MomentProblem, rows, H, elastic: float | None = None):
+def _solve_master(mp: MomentProblem, cuts: CutSet, elastic: float | None = None):
     """Solve the cut-supported primal; its row duals are the restricted dual.
 
-    ``rows`` and ``H`` are the working cuts' ``CutSet.rows`` and ``CutSet.h``.
-    Returns (status, value, DualPoint | None).  Columns are cuts, rows are
-    the M + N moment constraints, so the tableau stays small however many
-    cuts tests seed.  With ``elastic``, extra columns that buy one unit of
-    constraint defect at that price make the LP feasible for any right-hand
-    side; by LP duality the row duals are then the optimum of the restricted
-    dual with every multiplier capped at the elastic price.
+    Returns (status, value, DualPoint | None, AtomicMeasure | None), the
+    measure being the optimal weights as atoms at the cut points.  Columns
+    are cuts, rows are the M + N moment constraints, so the tableau stays
+    small however many cuts tests seed.  With ``elastic``, extra columns
+    that buy one unit of constraint defect at that price make the LP
+    feasible for any right-hand side; by LP duality the row duals are then
+    the optimum of the restricted dual with every multiplier capped at the
+    elastic price, and the measure is None.
     """
     M, N = mp.n_ineq, mp.n_eq
-    A = rows.T
+    A, H = cuts.rows.T, cuts.h
     if elastic is not None:
         defect = np.zeros((M + N, M + 2 * N))
         defect[:M, :M] = -np.eye(M)
@@ -485,10 +491,11 @@ def _solve_master(mp: MomentProblem, rows, H, elastic: float | None = None):
     lp = make_lp("max", H, A, ("<=",) * M + ("=",) * N, rhs)
     out = solve_lp(lp)
     if out.status != LPStatus.OPTIMAL:
-        return out.status, None, None
+        return out.status, None, None, None
     y = _clip_duals(out.duals, M)
     z = out.duals[M:]
-    return LPStatus.OPTIMAL, float(out.value), DualPoint(y=tuple(y), z=tuple(z))
+    measure = None if elastic is not None else _atoms(cuts.points, cuts.box_index, out.x)
+    return LPStatus.OPTIMAL, float(out.value), DualPoint(y=tuple(y), z=tuple(z)), measure
 
 
 @dataclass(frozen=True)
@@ -600,6 +607,7 @@ def separation_oracle(
 class IterationRecord:
     value: float
     dual: DualPoint
+    measure: AtomicMeasure | None  # the master's primal measure, if it has one
     worst_point: tuple[float, ...]
     worst_box: int
     slack: float
@@ -611,6 +619,8 @@ class ExchangeResult:
 
     ``cuts`` is the final working set as a CutSet: the initial cuts, then the
     seeded ones, then one cut per iteration that did not stop the loop.
+    Each ``history`` record holds its master's primal measure (None where
+    the master needed elastic recovery): a feasible measure, so a lower bound.
     """
 
     status: str  # "converged" | "not_converged" | "dual_unbounded"
@@ -625,22 +635,22 @@ class ExchangeResult:
 def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     """The exchange loop of both the dual and the dual Slater check.
 
-    ``cuts`` is the working CutSet.  ``master(rows, h)`` solves on its
-    arrays and returns (value, dual point, target, tag); the loop stops once
-    the oracle's worst slack is >= target - tol, else appends that point's
-    cut.  Returns (converged, the last tag, one IterationRecord per
+    ``cuts`` is the working CutSet.  ``master(cuts)`` solves on it and
+    returns (value, dual point, primal measure or None, target); the loop
+    stops once the oracle's worst slack is >= target - tol, else appends
+    that point's cut.  Returns (converged, one IterationRecord per
     iteration).
     """
     oracle = _ScanOracle(mp, scan_resolution, refine_steps)
     history: list[IterationRecord] = []
     for _ in range(max(1, int(max_iters))):
-        value, dual, target, tag = master(cuts.rows, cuts.h)
+        value, dual, measure, target = master(cuts)
         sep = oracle.find(dual)
-        history.append(IterationRecord(value, dual, sep.point, sep.box_index, sep.slack))
+        history.append(IterationRecord(value, dual, measure, sep.point, sep.box_index, sep.slack))
         if sep.slack >= target - tol:
-            return True, tag, history
+            return True, history
         cuts.append(sep.box_index, sep.point, sep.column)
-    return False, tag, history
+    return False, history
 
 
 def exchange_solve(
@@ -672,27 +682,27 @@ def exchange_solve(
     """
     cuts = _seed_cuts(mp, extra_cuts)
 
-    def master(rows, h):
-        status, value, dual = _solve_master(mp, rows, h)
+    def master(cuts):
+        status, value, dual, measure = _solve_master(mp, cuts)
         if status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above "
                 "on the working cut set"
             )
-        recovering = status == LPStatus.INFEASIBLE
-        if recovering:
-            status, value, dual = _solve_master(mp, rows, h, elastic=MULTIPLIER_CAP)
+        if status == LPStatus.INFEASIBLE:
+            status, value, dual, measure = _solve_master(mp, cuts, elastic=MULTIPLIER_CAP)
             if status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
                     "the primal is unbounded above on the working cut set"
                 )
-        return value, dual, 0.0, recovering
+        return value, dual, measure, 0.0
 
-    converged, recovering, history = _exchange(
+    converged, history = _exchange(
         mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
     )
     last = history[-1]
+    recovering = last.measure is None  # the last master needed elastic recovery
     status = "not_converged" if not converged else "dual_unbounded" if recovering else "converged"
     return ExchangeResult(
         status=status,
@@ -749,17 +759,17 @@ def check_dual_slater(
     lower = np.concatenate([np.zeros(M + 2 * N), [-np.inf]])
     upper = np.concatenate([np.full(M + 2 * N, np.inf), [cap]])
 
-    def master(rows, h):
-        A = np.hstack([rows, -rows[:, M:], np.full((len(rows), 1), -1.0)])
-        lp = make_lp("max", obj, A, (">=",) * len(rows), h, lower=lower, upper=upper)
+    def master(cuts):
+        A = np.hstack([cuts.rows, -cuts.rows[:, M:], np.full((len(cuts), 1), -1.0)])
+        lp = make_lp("max", obj, A, (">=",) * len(cuts), cuts.h, lower=lower, upper=upper)
         out = solve_lp(lp)
         if out.status != LPStatus.OPTIMAL:
             raise WeakDualityError(f"slater master reported {out.status.value}")
         t = float(out.x[-1])
         z = out.x[M:M + N] - out.x[M + N:M + 2 * N]
-        return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), t, None
+        return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), None, t
 
-    converged, _, history = _exchange(
+    converged, history = _exchange(
         mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
     )
     margin = history[-1].value
@@ -885,23 +895,28 @@ def _verification_scan(mp, dual, config) -> float:
 
 
 def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> DualityReport:
-    """Solve both routes, certify weak duality, and check both Slater conditions.
+    """Solve both routes from one exchange, certify weak duality, check Slater.
 
-    The grid primal's points are seeded into the exchange cut set, and the
-    seeded cuts are exactly the grid primal's columns, corner and center
-    cuts included: the same values from the same evaluator.  So every
-    master LP holds the grid LP's columns and its value dominates the grid
-    value by LP duality.  Raises WeakDualityError if, despite that, a
-    converged dual lands more than 1e-8 * (1 + |dual|) below an optimal grid
-    primal: that ordering can only fail through a solver bug.  A grid
-    primal that is unbounded above makes the exchange raise ExchangeError,
-    because the master LP holds the same columns.
+    Every grid point is seeded into the exchange cut set as the grid LP's
+    own column, so the first master LP is the grid primal, and the primal
+    value and atoms are read from it; the primal is infeasible exactly when
+    that master needed elastic recovery.  At odd resolutions every corner
+    and center is a grid point and the master is the grid LP with its
+    columns reordered.  At even resolutions it also holds the box centers:
+    its measure is still feasible, so still a certified lower bound, with a
+    value at least the grid LP's.  Later masters only add columns, so the
+    dual value dominates the primal; WeakDualityError is raised if a
+    converged dual still lands more than 1e-8 * (1 + |dual|) below it, which
+    only a solver bug can cause.  A grid primal that is unbounded above
+    makes the exchange raise ExchangeError.
     """
     config = config or SolverConfig()
     notes: list[str] = []
 
-    primal = solve_grid_primal(mp, config.grid_resolution)
-    ex = exchange_solve(mp, extra_cuts=primal.grid, **_exchange_options(config))
+    grid = assemble_grid_primal(mp, config.grid_resolution)
+    ex = exchange_solve(mp, extra_cuts=grid, **_exchange_options(config))
+    first = ex.history[0]
+    primal_value = None if first.measure is None else first.value
     primal_slater = check_primal_slater(mp, config.slater_resolution)
     dual_slater = check_dual_slater(mp, **_exchange_options(config))
 
@@ -919,14 +934,14 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
         max_violation = _verification_scan(mp, ex.dual, config)
 
     gap = None
-    if primal.value is not None and ex.value is not None:
-        gap = ex.value - primal.value
+    if primal_value is not None and ex.value is not None:
+        gap = ex.value - primal_value
         if ex.status == "converged" and gap < -WEAK_DUALITY_RTOL * (1.0 + abs(ex.value)):
             raise WeakDualityError(
-                f"weak duality violated: primal {primal.value!r} > dual {ex.value!r}"
+                f"weak duality violated: primal {primal_value!r} > dual {ex.value!r}"
             )
 
-    if primal.status == LPStatus.INFEASIBLE:
+    if primal_value is None:
         status = ReportStatus.PRIMAL_INFEASIBLE
     elif ex.status == "dual_unbounded":
         status = ReportStatus.DUAL_UNBOUNDED
@@ -939,12 +954,12 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
 
     return DualityReport(
         status=status,
-        primal_value=primal.value,
+        primal_value=primal_value,
         dual_value=ex.value,
         gap=gap,
         max_dual_violation=max_violation,
         iterations=ex.iterations,
-        atoms=primal.measure,
+        atoms=first.measure,
         dual=ex.dual,
         primal_slater=primal_slater,
         dual_slater=dual_slater,

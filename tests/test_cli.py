@@ -188,13 +188,26 @@ class TestSolverBlock:
         assert run_cli(["solve", path]) == 0
         assert run_cli(["slater", path]) == 0
         assert [c["x_resolution"] for c in calls] == [5, 5]
-        # without the key, solve keeps the collocation resolution and slater its 33
+        # without the key, both commands use the collocation resolution
         doc = json.loads(Path(path).read_text())
         del doc["solver"]["slater_resolution"]
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli(["solve", path]) == 0
         assert run_cli(["slater", path]) == 0
-        assert [c["x_resolution"] for c in calls[2:]] == [16, 33]
+        assert [c["x_resolution"] for c in calls[2:]] == [16, 16]
+
+    def test_density_slater_and_solve_report_agree(self, tmp_path, capsys):
+        doc = json.loads(Path(fixture("density_concentration.json")).read_text())
+        del doc["solver"]["slater_resolution"]
+        path, report = tmp_path / "problem.json", tmp_path / "report.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path), "--report", str(report)]) == 0
+        capsys.readouterr()
+        assert run_cli(["slater", str(path)]) == 0
+        assert "equality rank: 1 of 16" in capsys.readouterr().out
+        doc = load_report(report)
+        assert (doc["slater"]["equality_rank"], doc["slater"]["n_equality_rows"]) == (1, 16)
+        assert (doc["solver"]["slater_resolution"], doc["solver"]["gap_rtol"]) == (16, 1e-3)
 
     def test_density_primal_honours_file_resolutions(self, tmp_path, monkeypatch, capsys):
         calls = spy(monkeypatch, "discretize_lp_density")
@@ -212,6 +225,25 @@ class TestSolverBlock:
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
         assert run_cli(["dual", path, "--tol", "1e-6"]) == 0
         assert "collocation dual (64 per axis)" in capsys.readouterr().out
+
+
+class TestParser:
+    def test_built_once_per_process(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "_PARSER", None)
+        builds = spy(monkeypatch, "build_parser")
+        assert run_cli(["validate", fixture("cauchy_schwarz.json")]) == 0
+        assert run_cli(["validate", fixture("density_flat.json")]) == 0
+        assert len(builds) == 1
+
+    def test_quotes_do_not_leak_into_the_next_run(self, monkeypatch, capsys):
+        calls = spy(monkeypatch, "solve_option_bound")
+        argv = [
+            "option-bound", "--domain", "0", "4", "--forward", "1",
+            "--payoff", "max(x1 - 2, 0)", "--direction", "sup", "--grid", "65",
+        ]
+        assert run_cli(argv + ["--quote", "1", "0.4"]) == 0
+        run_cli(argv)
+        assert [c["vanilla_quotes"] for c in calls] == [[(1.0, 0.4)], []]
 
 
 class TestValidationDiagnostics:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -25,6 +26,7 @@ from measurelp import (
     write_problem,
     write_report,
 )
+from measurelp.fileio import MOMENT_SOLVER_KEYS
 
 
 def moment_doc(**overrides):
@@ -231,6 +233,13 @@ class TestReportFiles:
         write_report(doc, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_solver_block_echoes_every_config_field(self):
+        report, loaded, config = self.make_moment_report()
+        doc = moment_report_document(report, loaded.name, config, {})
+        fields = {f.name for f in dataclasses.fields(SolverConfig)}
+        assert set(doc["solver"]) == set(MOMENT_SOLVER_KEYS) == fields
+        assert doc["solver"]["slater_resolution"] == 33
+
     def test_density_report_document(self, tmp_path):
         loaded = problem_from_document(density_doc())
         rep = collocation_report(loaded.problem, 8)
@@ -242,6 +251,7 @@ class TestReportFiles:
         assert doc["kind"] == "lp_density"
         assert doc["gap"] == doc["dual_value"] - doc["primal_value"]
         assert doc["slater"]["margin"] == pytest.approx(0.5)
+        assert (doc["solver"]["gap_rtol"], doc["solver"]["slater_resolution"]) == (1e-3, 33)
         path = tmp_path / "density_report.json"
         write_report(doc, path)
         assert load_report(path) == doc

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,9 +22,11 @@ from measurelp import (
     check_primal_slater,
     duality_report,
     exchange_solve,
+    load_problem,
     parse_expression,
     solve_grid_primal,
 )
+import measurelp.moment as moment
 from measurelp.geometry import grid_array
 from measurelp.moment import (
     CutSet,
@@ -46,6 +50,7 @@ from problems import (
 )
 
 FAST = SolverConfig(grid_resolution=257, scan_resolution=257, slater_resolution=65)
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def lexsort_seed_cuts(mp, grid):
@@ -575,3 +580,66 @@ class TestDualityReport:
         report = duality_report(mp, FAST)
         assert not report.has_mass_bound
         assert any("total-mass" in note for note in report.notes)
+
+
+def report_cases():
+    """(problem, config): seeded random instances at their own grid, then the fixtures."""
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(12):
+        mp, resolution = random_moment_problem(rng)
+        config = SolverConfig(grid_resolution=resolution, scan_resolution=257, slater_resolution=9)
+        cases.append((mp, config))
+    for name in ("cauchy_schwarz.json", "piecewise.json"):
+        loaded = load_problem(FIXTURES / name)
+        cases.append((loaded.problem, SolverConfig(**loaded.solver)))
+    return cases
+
+
+def assert_feasible_atoms(mp, atoms, value):
+    """The atoms meet every moment constraint to 1e-8 and integrate h to ``value``."""
+    for fn, bound in mp.inequalities:
+        assert atoms.integrate(fn) <= bound + 1e-8
+    for fn, bound in mp.equalities:
+        assert abs(atoms.integrate(fn) - bound) <= 1e-8
+    assert abs(atoms.integrate(mp.objective) - value) <= 1e-8 * (1.0 + abs(value))
+
+
+class TestReportPrimal:
+    """The report's primal comes from the first exchange master, not a second grid LP."""
+
+    def test_odd_resolution_matches_grid_primal(self):
+        for mp, config in report_cases():
+            assert config.grid_resolution % 2 == 1
+            report = duality_report(mp, config)
+            grid = solve_grid_primal(mp, config.grid_resolution)
+            assert grid.status == LPStatus.OPTIMAL
+            v = grid.value
+            assert abs(report.primal_value - v) <= 1e-12 * (1.0 + abs(v))
+            assert_feasible_atoms(mp, report.atoms, report.primal_value)
+
+    def test_even_resolution_is_feasible_and_dominates_grid(self):
+        for mp, config in report_cases():
+            config = SolverConfig(
+                grid_resolution=64, scan_resolution=config.scan_resolution,
+                slater_resolution=config.slater_resolution,
+            )
+            report = duality_report(mp, config)
+            v = solve_grid_primal(mp, 64).value
+            assert report.primal_value >= v - 1e-12 * (1.0 + abs(v))
+            assert_feasible_atoms(mp, report.atoms, report.primal_value)
+
+    @pytest.mark.parametrize("make", [cauchy_schwarz_problem, piecewise_problem])
+    def test_one_grid_width_lp_per_iteration(self, monkeypatch, make):
+        mp = make()
+        widths = []
+        real = moment.solve_lp
+
+        def counted(lp, *args, **kwargs):
+            widths.append(len(lp.objective))
+            return real(lp, *args, **kwargs)
+
+        monkeypatch.setattr(moment, "solve_lp", counted)
+        report = duality_report(mp, FAST)
+        grid_size = FAST.grid_resolution * len(mp.domain.boxes)
+        assert sum(w >= grid_size for w in widths) == report.iterations
