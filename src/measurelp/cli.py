@@ -37,6 +37,7 @@ from .moment import (
     ReportStatus,
     SolverConfig,
     WeakDualityError,
+    _check_tolerance,
     _exchange_options,
     check_dual_slater,
     check_primal_slater,
@@ -136,7 +137,9 @@ def _density_settings(solver: Mapping, args: argparse.Namespace) -> tuple[dict, 
     if getattr(args, "grid", None) is not None:
         res["x_resolution"] = args.grid
     slater = {**res, "x_resolution": solver.get("slater_resolution", res["x_resolution"])}
-    return res, solver.get("gap_rtol", 1e-3), slater
+    gap_rtol = solver.get("gap_rtol", 1e-3)
+    _check_tolerance("gap_rtol", gap_rtol)  # every subcommand rejects what solve would
+    return res, gap_rtol, slater
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

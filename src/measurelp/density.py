@@ -33,7 +33,7 @@ import numpy as np
 
 from .expressions import Expression, evaluate_many
 from .geometry import MAX_GRID_POINTS, Box
-from .moment import SLATER_CAP, ReportStatus
+from .moment import SLATER_CAP, ReportStatus, _check_tolerance
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
 
@@ -478,8 +478,10 @@ def collocation_report(
     ``gap_rtol``-relative, the supremum is being approached by densities that
     pile mass into ever-smaller cells, and no limiting density exists; the
     report then carries the note "value approached, optimizer escapes the
-    density class".
+    density class".  A ``gap_rtol`` that is not finite or is below 0 raises
+    ValueError.
     """
+    _check_tolerance("gap_rtol", gap_rtol)
     y_res = y_resolution or x_resolution
     z_res = z_resolution or x_resolution
     resolutions = dict(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)

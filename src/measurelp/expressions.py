@@ -12,11 +12,18 @@ Grammar (EBNF):
 Numbers use standard float syntax including exponent form.  Variables are a
 prefix followed by a 1-based index ("x1", "x2", ...); kernels use two prefix
 blocks ("y1..ym" then "x1..xn") laid out consecutively in the evaluation point.
+
+There is one evaluator, ``_Program``: it compiles a tuple of expressions
+into a straight-line numpy program whose structurally equal subtrees are
+computed once, and values them all at a batch of points in one pass.
+``evaluate_many`` is its one-row case and ``evaluate`` one point of that;
+``moment`` values all of a box's functions with one program per box.
 """
 
 from __future__ import annotations
 
 import re
+import struct
 from dataclasses import dataclass
 from typing import Mapping, Sequence, Union
 
@@ -359,91 +366,244 @@ def evaluate(e: Expression, point: Sequence[float]) -> float:
 def evaluate_many(e: Expression, points: np.ndarray) -> np.ndarray:
     """Evaluate at ``points`` of shape (k, arity), returning shape (k,).
 
-    Each value is the same bit for bit whatever the other points are, so
-    ``evaluate`` is one row of this.  A domain failure raises DomainError
-    at the first offending point, naming the first node that fails there in
-    evaluation order (children before parents, left to right).
+    This is the one-row case of ``_Program``, the evaluator behind every
+    value in the package.  Each value is the same bit for bit whatever the
+    other points are, so ``evaluate`` is one row of this.  A domain failure
+    raises DomainError at the first offending point, naming the first node
+    that fails there in evaluation order (children before parents, left to
+    right); a NaN that no node is blamed for names the whole expression.
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != e.arity:
-        raise ExpressionError(
-            f"points must have shape (k, {e.arity}), got {pts.shape}"
-        )
-    bad: list[tuple[np.ndarray, str, Node]] = []
-    with np.errstate(all="ignore"):
-        raw = _eval_vec(e.root, pts, bad)
-    values = np.empty(pts.shape[0])
-    values[:] = raw
-    failed = np.isnan(values)
-    for mask, _, _ in bad:
-        failed |= mask
-    if failed.any():
-        k = int(np.argmax(failed))
-        for mask, message, node in bad:
-            if np.broadcast_to(mask, failed.shape)[k]:
-                raise DomainError(message, format_node(node))
-        raise DomainError("evaluation produced NaN", format_node(e.root))
-    return values
+    return _Program((e,)).run(points)[0][0]
 
 
-def _eval_vec(node: Node, pts: np.ndarray, bad: list):
-    """Values of ``node`` at every point.
+# ufuncs by op; negation is "neg"
+_UFUNCS = {
+    "neg": np.negative, "+": np.add, "-": np.subtract, "*": np.multiply,
+    "/": np.divide, "^": np.power, "min": np.minimum, "max": np.maximum,
+    "abs": np.absolute, "exp": np.exp, "log": np.log, "sqrt": np.sqrt,
+}
+# correctly rounded or exact, so a result written into a dead operand's
+# buffer has the bits of a fresh one; only a NaN's sign or payload may
+# differ, and no op turns a NaN into a number that depends on them
+_IN_PLACE = frozenset(("neg", "+", "-", "*", "min", "max", "abs"))
+# the ops that can fail on finite input; each failure gives a non-finite value
+_CHECKED = frozenset(("/", "^", "exp", "log", "sqrt"))
 
-    A node that fails at some point appends (failure mask, message, node)
-    to ``bad``, after its children's entries; the messages are Python's
-    ``math`` module's for the same failures.
+
+class _Program:
+    """A tuple of same-arity expressions compiled to one straight-line program.
+
+    Nodes are numbered in postorder, expression after expression, and a
+    subtree equal to one already numbered (the same op on the same operand
+    registers; literals compared by bit pattern, so 0.0 and -0.0 differ)
+    reuses its register.  ``run`` values every expression at points of
+    shape (k, arity) into a (len(exprs), k) table under one ``errstate``.
+    Each register is dropped after its last use, a row is copied into the
+    table as soon as its root is computed, and an exact op (``+ - *``,
+    negation, ``min max abs``) writes into an operand's buffer when that
+    operand is a column the program allocated and this is its last use, so
+    a long chain holds only a few columns.  Every op is the same ufunc on
+    the same operands as when its expression is valued alone, so every row
+    is too, bit for bit.
+
+    Only ``/ ^ exp log sqrt`` can fail on finite operands, and each failure
+    gives a non-finite value there, so a run whose checked nodes and table
+    are finite failed nowhere.  Otherwise the program runs again recording
+    each checked node's failure masks, and the rows are diagnosed in order:
+    a row fails at its first NaN or failing point, blaming the first node
+    in its own postorder that fails there, and the first failing row
+    raises its DomainError.
     """
-    if isinstance(node, Literal):
-        return np.float64(node.value)
-    if isinstance(node, Variable):
-        return pts[:, node.slot]
-    if isinstance(node, Negate):
-        return -_eval_vec(node.operand, pts, bad)
-    if isinstance(node, Binary):
-        a = _eval_vec(node.left, pts, bad)
-        b = _eval_vec(node.right, pts, bad)
-        op = node.op
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            _tag(bad, b == 0.0, "division by zero", node)
-            return a / b
-        r = np.power(a, b)
-        if not np.isfinite(r).all():
-            # finite inputs with a non-finite result: a NaN or a pole is a
-            # domain error, any other infinity an overflow
-            failed = ~np.isfinite(r) & np.isfinite(a) & np.isfinite(b)
-            pole = np.isnan(r) | (a == 0.0)
-            _tag(bad, failed & pole, "invalid power (math domain error)", node)
-            _tag(bad, failed & ~pole, "invalid power (math range error)", node)
-        return r
-    args = [_eval_vec(a, pts, bad) for a in node.args]
-    f = node.func
-    if f == "min":
-        return np.minimum(args[0], args[1])
-    if f == "max":
-        return np.maximum(args[0], args[1])
-    if f == "abs":
-        return np.abs(args[0])
-    if f == "exp":
-        r = np.exp(args[0])
-        if not np.isfinite(r).all():
-            _tag(bad, np.isinf(r) & np.isfinite(args[0]), "invalid exp (math range error)", node)
-        return r
-    if f == "log":
-        _tag(bad, args[0] <= 0.0, "invalid log (math domain error)", node)
-        return np.log(args[0])
-    _tag(bad, args[0] < 0.0, "invalid sqrt (math domain error)", node)
-    return np.sqrt(args[0])
+
+    def __init__(self, exprs: Sequence[Expression]):
+        self.arity = exprs[0].arity
+        if any(e.arity != self.arity for e in exprs):
+            raise ValueError("a program's expressions must share one arity")
+        self.roots = tuple(e.root for e in exprs)
+        registers: dict[tuple, int] = {}
+        constants: list = []  # a literal's value, else None (filled per run)
+        column: list[bool] = []  # whether a register holds a (k,) array
+        slots: list[tuple[int, int]] = []  # (register, point slot)
+        code: list[tuple[str, tuple[int, ...], int]] = []  # (op, operands, result)
+
+        def compile_node(node: Node, checked: dict) -> int:
+            kind = type(node)
+            if kind is Binary:
+                operands = (compile_node(node.left, checked), compile_node(node.right, checked))
+                key = (node.op,) + operands
+            elif kind is Literal:
+                operands, key = (), ("lit", struct.pack("<d", node.value))
+            elif kind is Variable:
+                operands, key = (), ("var", node.slot)
+            elif kind is Negate:
+                operands = (compile_node(node.operand, checked),)
+                key = ("neg",) + operands
+            else:
+                operands = tuple(compile_node(a, checked) for a in node.args)
+                key = (node.func,) + operands
+            reg = registers.get(key)
+            if reg is None:
+                reg = registers[key] = len(column)
+                # a variable is a column, an op on a column a fresh column,
+                # and an op on literals alone a scalar
+                if kind is Literal:
+                    column.append(False)
+                    constants.append(np.float64(node.value))
+                else:
+                    constants.append(None)
+                    if kind is Variable:
+                        column.append(True)
+                        slots.append((reg, node.slot))
+                    else:
+                        column.append(column[operands[0]] or column[operands[-1]])
+                        code.append((key[0], operands, reg))
+            if key[0] in _CHECKED and reg not in checked:
+                checked[reg] = node
+            return reg
+
+        self._checks: list[tuple[tuple[int, Node], ...]] = []  # per row, in postorder
+        roots = []
+        for root in self.roots:
+            checked: dict[int, Node] = {}
+            roots.append(compile_node(root, checked))
+            self._checks.append(tuple(checked.items()))
+        self._constants, self._slots = constants, slots
+        self._link(code, column, roots)
+
+    def _link(self, code, column, roots) -> None:
+        """Attach buffer reuse, register release and row stores to the steps.
+
+        A row is stored right after the step that computes its root, and a
+        row whose root is a literal or a variable after the last step; a
+        register is dropped after its last use as an operand, or after its
+        stores if it has none.
+        """
+        last = {}
+        for i, (_, operands, _) in enumerate(code):
+            for r in operands:
+                last[r] = i
+        owned = {reg for _, _, reg in code if column[reg]}  # a variable is a view
+        rows_of: dict[int, list[int]] = {}
+        for row, r in enumerate(roots):
+            rows_of.setdefault(r, []).append(row)
+        computed = {reg for _, _, reg in code}
+        self._leaf_rows = tuple((row, r) for row, r in enumerate(roots) if r not in computed)
+        steps = []
+        for i, (op, operands, reg) in enumerate(code):
+            dying = tuple({r for r in operands if r in owned and last[r] == i})
+            out = dying[0] if dying and op in _IN_PLACE else -1
+            rows = tuple(rows_of.get(reg, ()))
+            b = operands[1] if len(operands) > 1 else -1
+            check = op if op in _CHECKED else None
+            steps.append((_UFUNCS[op], operands[0], b, reg, out, check, dying, rows, reg in last))
+        self._steps = tuple(steps)
+
+    def run(self, points) -> tuple[np.ndarray, bool]:
+        """The (len(exprs), k) table at ``points``, and whether all of it is finite.
+
+        Raises DomainError as ``evaluate_many`` would on the first failing
+        row; an infinity that no node is blamed for is returned.
+        """
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != self.arity:
+            raise ExpressionError(
+                f"points must have shape (k, {self.arity}), got {pts.shape}"
+            )
+        with np.errstate(all="ignore"):
+            table, checked_finite = self._execute(pts, None)
+            finite = bool(np.isfinite(table).all())
+            if not (checked_finite and finite):
+                bad: dict[int, list] = {}
+                self._execute(pts, bad)
+                self._diagnose(table, bad)
+        return table, finite
+
+    def _execute(self, pts: np.ndarray, bad: dict | None):
+        """One pass; returns (table, whether every checked node was finite).
+
+        With ``bad`` None the checked values are summed into one number,
+        which is finite if they all were (it may also overflow, which only
+        costs the second pass); otherwise each checked node that is not
+        finite puts its failures in ``bad``.  The table is allocated at the
+        first store, once the columns before it are dropped.
+        """
+        regs = list(self._constants)
+        for reg, slot in self._slots:
+            regs[reg] = pts[:, slot]
+        shape = (len(self.roots), pts.shape[0])
+        table = None
+        total = 0.0
+        for ufunc, a, b, reg, out, check, dying, rows, keep in self._steps:
+            x = regs[a]
+            if b < 0:
+                y = None
+                value = ufunc(x) if out < 0 else ufunc(x, out=regs[out])
+            else:
+                y = regs[b]
+                value = ufunc(x, y) if out < 0 else ufunc(x, y, out=regs[out])
+            if check is not None:
+                if bad is None:
+                    total += value.sum()
+                elif not np.isfinite(value).all():
+                    bad[reg] = _failures(check, x, y, value)
+            for r in dying:
+                regs[r] = None
+            if rows:
+                x = y = None  # dropped operands are not held while the table is made
+                if table is None:
+                    table = np.empty(shape)
+                for row in rows:
+                    table[row] = value
+            if keep:
+                regs[reg] = value
+            else:
+                value = None  # not held while the next step runs
+        if table is None:
+            table = np.empty(shape)
+        for row, r in self._leaf_rows:
+            table[row] = regs[r]
+        return table, bool(np.isfinite(total))
+
+    def _diagnose(self, table: np.ndarray, bad: dict) -> None:
+        """Raise the first failing row's DomainError, as if valued alone."""
+        for row, checks in enumerate(self._checks):
+            tags = [(mask, message, node) for r, node in checks for mask, message in bad.get(r, ())]
+            failed = np.isnan(table[row])
+            for mask, _, _ in tags:
+                failed |= mask
+            if failed.any():
+                k = int(np.argmax(failed))
+                for mask, message, node in tags:
+                    if np.broadcast_to(mask, failed.shape)[k]:
+                        raise DomainError(message, format_node(node))
+                raise DomainError("evaluation produced NaN", format_node(self.roots[row]))
 
 
-def _tag(bad: list, mask, message: str, node: Node) -> None:
-    if mask.any():
-        bad.append((mask, message, node))
+def _failures(op: str, a, b, r) -> list[tuple[np.ndarray, str]]:
+    """(mask, message) for each way a checked op failed at some point.
+
+    ``a`` and ``b`` are the operands (``b`` None for a function of one
+    argument) and ``r`` the result.  The messages are Python's ``math``
+    module's for the same failures.
+    """
+    if op == "/":
+        tags = [(b == 0.0, "division by zero")]
+    elif op == "^":
+        # finite inputs with a non-finite result: a NaN or a pole is a
+        # domain error, any other infinity an overflow
+        failed = ~np.isfinite(r) & np.isfinite(a) & np.isfinite(b)
+        pole = np.isnan(r) | (a == 0.0)
+        tags = [
+            (failed & pole, "invalid power (math domain error)"),
+            (failed & ~pole, "invalid power (math range error)"),
+        ]
+    elif op == "exp":
+        tags = [(np.isinf(r) & np.isfinite(a), "invalid exp (math range error)")]
+    elif op == "log":
+        tags = [(a <= 0.0, "invalid log (math domain error)")]
+    else:
+        tags = [(a < 0.0, "invalid sqrt (math domain error)")]
+    return [(mask, message) for mask, message in tags if mask.any()]
 
 
 def substitute_variables(e: Expression, replacements: Sequence[Node], arity: int) -> Expression:

@@ -16,12 +16,14 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
 The working cuts live in a ``CutSet``: one array per field (box index,
 point, the (phi, psi) row, h), which the master LPs read directly.  The
 grid primal, the cuts and the oracle value the problem's functions through
-``_box_table``: one box's functions at a batch of its points, from
-``evaluate_many``, whose values do not depend on the batch.  So a point
-gets the same values bit for bit wherever it is valued, and the oracle's
-column is the cut it appends.  ``duality_report`` seeds every grid point
-into the cut set by reading the grid primal's columns, so its first master
-LP is the grid LP, solved once, and no per-point ``Cut`` is built.
+``_box_table``: one box's functions at a batch of its points, in one pass
+of the box's ``expressions._Program``, which is compiled once per problem
+and gives each function's ``evaluate_many`` values bit for bit, whatever
+the batch.  So a point gets the same values wherever it is valued, and the
+oracle's column is the cut it appends.  ``duality_report`` seeds every
+grid point into the cut set by reading the grid primal's columns, so its
+first master LP is the grid LP, solved once, and no per-point ``Cut`` is
+built.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -42,8 +44,8 @@ from .expressions import (
     Expression,
     Literal,
     Variable,
+    _Program,
     evaluate,
-    evaluate_many,
     free_variables,
     substitute_variables,
 )
@@ -96,9 +98,6 @@ class PiecewiseFunction:
             if box_index is None:
                 raise ValueError(f"point {tuple(x)} lies outside the partition")
         return evaluate(self.pieces[box_index], x)
-
-    def values_on(self, box_index: int, points: np.ndarray) -> np.ndarray:
-        return evaluate_many(self.pieces[box_index], points)
 
     def is_constant_one(self) -> bool:
         """True when every piece is the constant 1 (a total-mass integrand)."""
@@ -231,12 +230,43 @@ class GridPrimal:
 
 
 def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndarray:
-    """Rows phi_1..phi_M, psi_1..psi_N, h at one box's points: (M + N + 1, K)."""
-    fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
-    table = np.vstack([fn.values_on(box_index, points) for fn in fns])
-    if not np.all(np.isfinite(table)):
+    """Rows phi_1..phi_M, psi_1..psi_N, h at one box's points: (M + N + 1, K).
+
+    The box's M + N + 1 pieces are valued in one pass of one ``_Program``,
+    compiled once per problem, so a subexpression the pieces share (a
+    monomial, say) is computed once.  Each row is bit for bit
+    ``evaluate_many`` of its piece.  A domain failure raises the DomainError
+    of the first failing row; a value that is infinite without one (an
+    overflow in ``*``, say) raises ValueError naming the box.
+    """
+    table, finite = _box_program(mp, box_index).run(points)
+    if not finite:
         raise ValueError(f"non-finite function value in box {box_index}")
     return table
+
+
+# the compiled box programs of the last problem valued: (problem, one per box)
+_PROGRAMS: tuple = (None, [])
+
+
+def _box_program(mp: MomentProblem, box_index: int) -> _Program:
+    """Box ``box_index``'s program, compiled on first use for problem ``mp``.
+
+    One exchange, its Slater check and the report's scans value the same
+    problem many times, so one cached problem covers them; a problem is
+    frozen, and the cache holds it, so its identity is a safe key.  The
+    programs live here rather than on the problem, so the problems a caller
+    keeps alive hold none.
+    """
+    global _PROGRAMS
+    problem, programs = _PROGRAMS
+    if problem is not mp:
+        programs = [None] * len(mp.domain.boxes)
+        _PROGRAMS = (mp, programs)
+    if programs[box_index] is None:
+        fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
+        programs[box_index] = _Program(tuple(fn.pieces[box_index] for fn in fns))
+    return programs[box_index]
 
 
 def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -848,6 +878,8 @@ class ReportStatus(str, Enum):
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Settings of ``duality_report``; an out-of-range one raises ValueError naming it."""
+
     grid_resolution: int | tuple[int, ...] = 1025
     tol: float = 1e-6
     max_iters: int = 200
@@ -856,6 +888,20 @@ class SolverConfig:
     gap_rtol: float = 1e-3
     verification_factor: int = 4
     slater_resolution: int = 129
+
+    def __post_init__(self):
+        _check_tolerance("tol", self.tol)
+        _check_tolerance("gap_rtol", self.gap_rtol)
+        for name, least in (("max_iters", 1), ("verification_factor", 1), ("refine_steps", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _exchange_options(config: SolverConfig) -> dict:

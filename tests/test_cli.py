@@ -227,6 +227,37 @@ class TestSolverBlock:
         assert "collocation dual (64 per axis)" in capsys.readouterr().out
 
 
+class TestInvalidSettings:
+    """An out-of-range setting exits 4 before any solve, naming the key."""
+
+    def test_tol_flag_nan(self, capsys):
+        # this ran 200 iterations and exited 2
+        assert run_cli(["solve", fixture("cauchy_schwarz.json"), "--tol", "nan"]) == 4
+        assert "input error: tol must be a finite number >= 0, got nan" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("tol", float("inf")),  # written as Infinity; it certified from the first master
+        ("gap_rtol", float("nan")),
+        ("max_iters", 0),
+        ("verification_factor", 0),  # failed only after the solve, without the key
+        ("refine_steps", -3),  # quietly meant 0
+    ])
+    def test_moment_solver_key(self, tmp_path, monkeypatch, capsys, key, value):
+        calls = spy(monkeypatch, "duality_report")
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", **{key: value})
+        assert run_cli(["solve", path]) == 4
+        assert f"input error: {key} must be" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("command, flags", [
+        ("solve", []), ("primal", ["--grid", "8"]), ("dual", ["--tol", "1e-6"]), ("slater", []),
+    ])
+    def test_density_gap_rtol(self, tmp_path, capsys, command, flags):
+        path = fixture_with_solver(tmp_path, "density_flat.json", gap_rtol=-1e-3)
+        assert run_cli([command, path, *flags]) == 4
+        assert "input error: gap_rtol must be a finite number >= 0" in capsys.readouterr().err
+
+
 class TestParser:
     def test_built_once_per_process(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "_PARSER", None)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from measurelp import (
     free_variables,
     parse_expression,
 )
-from measurelp.expressions import Binary, Call, Literal, Negate, Variable
+from measurelp.expressions import Binary, Call, Literal, Negate, Variable, _Program
 from oracles import reference_evaluate
 
 
@@ -307,3 +309,125 @@ class TestEvaluateParity:
             seen_error += bool(errors)
             seen_clean += int(clean.sum()) > 100
         assert seen_error >= 8 and seen_clean >= 16
+
+
+def bits(a: np.ndarray) -> bytes:
+    """The bytes of a float array: equal only if every value, sign of zero included, is."""
+    return np.ascontiguousarray(a, dtype=float).tobytes()
+
+
+def shared_trees(rng, count: int) -> list[Expression]:
+    """``count`` expressions over two variables that share subtrees from a pool of four.
+
+    Each puts a power, an exp or a log over its shared parts, so a program
+    compiled from all of them shares checked nodes as well as exact ones.
+    """
+    pool = [random_node(rng, 2, full=True) for _ in range(4)]
+    trees = []
+    for k in range(count):
+        a, b = pool[rng.integers(4)], pool[rng.integers(4)]
+        trees.append((
+            Binary("+", Binary("^", a, Literal(float(rng.integers(2, 5)))), b),
+            Binary("*", Call("exp", (Binary("*", Literal(-0.25), Call("abs", (a,))),)), b),
+            Call("log", (Binary("+", Literal(1.0), Binary("*", b, b)),)),
+            Binary("-", Binary("^", Call("abs", (a,)), Literal(0.5)), a),
+        )[k % 4])
+    return [Expression(t, 2) for t in trees]
+
+
+class TestProgram:
+    """Several expressions valued by one compiled program, against one at a time."""
+
+    def test_rows_equal_evaluate_many_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        pts = rng.uniform(-2.0, 2.0, (2_000, 2))
+        clean = 0
+        for _ in range(30):
+            exprs = shared_trees(rng, 6)
+            program = _Program(exprs)
+            # structurally equal subtrees of different rows share their steps
+            alone = sum(len(_Program((e,))._steps) for e in exprs)
+            assert len(program._steps) < alone
+            try:
+                rows = [evaluate_many(e, pts) for e in exprs]
+            except DomainError as exc:
+                with pytest.raises(DomainError) as info:
+                    program.run(pts)
+                assert str(info.value) == str(exc)
+                continue
+            table, finite = program.run(pts)
+            assert bits(table) == bits(np.vstack(rows))
+            assert finite == bool(np.isfinite(table).all())
+            clean += 1
+        assert clean >= 20
+
+    def test_operand_order_is_part_of_a_key(self):
+        sources = ("x1 - x2", "x2 - x1", "x1 / x2", "x2 / x1", "(x1 - x2) / (x2 - x1 + 3)")
+        exprs = [parse_expression(src, 2) for src in sources]
+        pts = np.random.default_rng(61).uniform(1.0, 2.0, (50, 2))
+        table, _ = _Program(exprs).run(pts)
+        want = [[reference_evaluate(e, p) for p in pts] for e in exprs]
+        assert bits(table) == bits(want)
+
+    def test_signed_zero_literals_stay_apart(self):
+        x1 = Variable(0, "x1")
+        roots = (Literal(0.0), Literal(-0.0), Binary("*", Literal(-0.0), x1), Binary("*", Literal(0.0), x1))
+        table, finite = _Program([Expression(r, 1) for r in roots]).run(np.array([[1.0], [2.0]]))
+        assert finite
+        assert np.signbit(table).tolist() == [[False] * 2, [True] * 2, [True] * 2, [False] * 2]
+
+    def test_failure_hidden_by_a_later_node_still_raises(self):
+        # 1/0 is inf and 1/inf is 0, so the row is finite, but the inner division failed
+        e = parse_expression("1 / (1 / x1)", 1)
+        program = _Program((parse_expression("x1", 1), e))
+        with pytest.raises(DomainError) as info:
+            program.run(np.array([[2.0], [0.0]]))
+        assert str(info.value) == "division by zero in '(1.0 / x1)'"
+        assert bits(program.run(np.array([[2.0], [4.0]]))[0][1]) == bits([2.0, 4.0])
+
+    def test_first_failing_row_wins(self):
+        # log fails at the last point only, sqrt at the first two
+        pts = np.array([[1.0], [2.0], [-1.0]])
+        log_ = parse_expression("log(x1)", 1)
+        sqrt_ = parse_expression("sqrt(0 - x1)", 1)
+        overflow = parse_expression("x1 * 1e308 * 10", 1)  # infinite, but no failure
+        for exprs, want in (
+            ((log_, sqrt_), "invalid log (math domain error) in 'log(x1)'"),
+            ((sqrt_, log_), "invalid sqrt (math domain error) in 'sqrt((0.0 - x1))'"),
+            ((overflow, log_), "invalid log (math domain error) in 'log(x1)'"),
+        ):
+            with pytest.raises(DomainError) as info:
+                _Program(exprs).run(pts)
+            assert str(info.value) == want
+        table, finite = _Program((overflow,)).run(pts)
+        assert not finite and np.isinf(table).tolist() == [[True, True, True]]
+
+    @pytest.mark.parametrize("checked", [False, True])
+    def test_long_chain_holds_few_columns(self, checked):
+        # 40 nodes at 10^6 points, then minus x1*x1: each intermediate is
+        # dropped after its one use and the exact ops write into it, so at
+        # most two columns are live, the last two being the row and its table
+        x1 = Variable(0, "x1")
+        node = x1
+        for k in range(40):
+            if checked and k % 8 == 7:
+                node = Call("sqrt", (Call("abs", (node,)),))
+                continue
+            node = (
+                Binary("+", node, Literal(0.5)), Binary("*", Literal(0.75), node), Negate(node),
+                Call("abs", (node,)), Call("max", (node, Literal(-1.0))),
+            )[k % 5]
+        node = Binary("-", node, Binary("*", x1, x1))
+        e = Expression(node, 1)
+        pts = np.linspace(-1.0, 1.0, 1_000_000)[:, None]
+        program = _Program((e,))
+        tracemalloc.start()
+        try:
+            table, finite = program.run(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * pts.nbytes
+        assert finite
+        for g in (0, 123_456, 999_999):
+            assert table[0, g] == reference_evaluate(e, pts[g])

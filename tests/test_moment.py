@@ -21,6 +21,7 @@ from measurelp import (
     check_dual_slater,
     check_primal_slater,
     duality_report,
+    evaluate_many,
     exchange_solve,
     load_problem,
     parse_expression,
@@ -459,6 +460,56 @@ class TestExchange:
         assert from_set.row_senses == from_list.row_senses
         for field in ("objective", "rows", "rhs", "lower", "upper"):
             assert np.array_equal(getattr(from_set, field), getattr(from_list, field))
+
+
+def shared_monomial_problem(objective=("x1^3 - 2*x1^2 + x1", "0.5*x1^2 - 0.1*x1^3")):
+    """Two boxes whose pieces share x1, x1^2 and x1^3 within each box."""
+    partition = Partition((Box((0.0,), (1.0,)), Box((1.0,), (2.5,))))
+    return MomentProblem(
+        domain=partition,
+        hull=Box((0.0,), (2.5,)),
+        objective=pw(partition, *objective),
+        inequalities=((pw(partition, "x1^2", "x1^2 + x1^3"), 6.0),),
+        equalities=((pw(partition, "1", "1"), 1.0), (pw(partition, "x1", "x1"), 1.2)),
+        name="shared-monomials",
+    )
+
+
+def stacked_rows(mp, box_index, points):
+    """phi, psi, h rows of one box valued one function at a time."""
+    fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
+    return np.vstack([evaluate_many(fn.pieces[box_index], points) for fn in fns])
+
+
+class TestBoxTable:
+    """A box's pieces valued by one shared program equal them valued one by one."""
+
+    def test_table_is_the_stacked_rows(self):
+        mp = shared_monomial_problem()
+        for i, box in enumerate(mp.domain.boxes):
+            pts = grid_array(box, 257)
+            assert _box_table(mp, i, pts).tobytes() == stacked_rows(mp, i, pts).tobytes()
+
+    def test_exchange_cuts_are_the_stacked_rows(self):
+        mp = shared_monomial_problem()
+        res = exchange_solve(mp, tol=1e-9)
+        assert res.status == "converged" and res.iterations > 1
+        cuts = res.cuts
+        table = np.empty((mp.n_ineq + mp.n_eq + 1, len(cuts)))
+        for i in range(len(mp.domain.boxes)):
+            sel = np.flatnonzero(cuts.box_index == i)
+            table[:, sel] = stacked_rows(mp, i, cuts.points[sel])
+        assert cuts.rows.tobytes() == np.ascontiguousarray(table[:-1].T).tobytes()
+        assert cuts.h.tobytes() == table[-1].tobytes()
+
+    def test_overflow_in_a_product_names_the_box(self):
+        # no node fails, but 1e308 * x1 is infinite on box 1
+        mp = shared_monomial_problem(objective=("x1", "1e308 * x1 - x1^2"))
+        assert np.isfinite(_box_table(mp, 0, np.array([[0.5]]))).all()
+        with pytest.raises(ValueError, match="non-finite function value in box 1"):
+            _box_table(mp, 1, np.array([[1.5], [2.5]]))
+        with pytest.raises(ValueError, match="non-finite function value in box 1"):
+            exchange_solve(mp)
 
 
 class TestSlaterChecks:
