@@ -189,7 +189,8 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_primal(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
-        solve = solve_grid_primal(loaded.problem, args.grid)
+        config = _moment_config(loaded.solver, args)  # rejects what solve would
+        solve = solve_grid_primal(loaded.problem, config.grid_resolution)
         print(f"grid primal ({args.grid} per axis): {solve.status.value}")
         if solve.value is not None:
             print(f"value: {_fmt(solve.value)}")

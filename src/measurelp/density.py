@@ -33,7 +33,7 @@ import numpy as np
 
 from .expressions import Expression, evaluate_many
 from .geometry import MAX_GRID_POINTS, Box
-from .moment import SLATER_CAP, ReportStatus, _check_tolerance
+from .moment import ReportStatus, _capped, _check_tolerance, _max_margin
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
 
@@ -207,10 +207,8 @@ class KernelNorms:
     tau_norm: float
 
 
-def _norm_summary(
-    pb: LpDensityProblem, which: str, quad_resolution: int
-) -> tuple[float, float]:
-    """(tau_norm, uniform_bound) on midpoint grids at one resolution."""
+def _norm_summary(pb: LpDensityProblem, which: str, quad_resolution: int) -> tuple:
+    """(tau_norm, uniform_bound, table, tau, dx, dy) on midpoint grids at one resolution."""
     kernel, _, kbox = _family(pb, which)
     outer, dy = midpoint_grid(kbox, quad_resolution)
     x_pts, dx = midpoint_grid(pb.domain, quad_resolution)
@@ -218,7 +216,7 @@ def _norm_summary(
     tau = (np.sum(np.abs(table) ** pb.p, axis=0) * dy) ** (1.0 / pb.p)
     rho = (np.sum(np.abs(table) ** pb.q, axis=1) * dx) ** (1.0 / pb.q)
     tau_norm = float((np.sum(tau**pb.q) * dx) ** (1.0 / pb.q))
-    return tau_norm, float(np.max(rho))
+    return tau_norm, float(np.max(rho)), table, tau, dx, dy
 
 
 def kernel_norms(
@@ -227,7 +225,7 @@ def kernel_norms(
     quad_resolution: int = DEFAULT_QUAD_RESOLUTION,
 ) -> KernelNorms:
     """Bundle tau/rho evaluators with their sampled summary norms."""
-    tau_norm, uniform_bound = _norm_summary(pb, which, quad_resolution)
+    tau_norm, uniform_bound = _norm_summary(pb, which, quad_resolution)[:2]
     return KernelNorms(
         tau=lambda x: kernel_tau(pb, which, x, quad_resolution),
         rho=lambda y: kernel_rho(pb, which, y, quad_resolution),
@@ -293,11 +291,10 @@ def operator_bound_check(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    kernel, _, kbox = _family(pb, which)
     coarse = max(2, quad_resolution // 2)
-    tau_c, rho_c = _norm_summary(pb, which, coarse)
-    tau_norm, uniform_bound = _norm_summary(pb, which, quad_resolution)
-    tau_f, rho_f = _norm_summary(pb, which, 2 * quad_resolution)
+    tau_c, rho_c = _norm_summary(pb, which, coarse)[:2]
+    tau_norm, uniform_bound, table, tau, dx, dy = _norm_summary(pb, which, quad_resolution)
+    tau_f, rho_f = _norm_summary(pb, which, 2 * quad_resolution)[:2]
     delta_coarse = max(abs(tau_c - tau_norm), abs(rho_c - uniform_bound))
     delta_fine = max(abs(tau_norm - tau_f), abs(uniform_bound - rho_f))
     ratio = delta_coarse / delta_fine if delta_fine > 0.0 else math.inf
@@ -310,11 +307,6 @@ def operator_bound_check(
             "uniform bound M is unreliable"
         )
 
-    outer, dy = midpoint_grid(kbox, quad_resolution)
-    x_pts, dx = midpoint_grid(pb.domain, quad_resolution)
-    table = _kernel_table(kernel, outer, x_pts)
-    tau = (np.sum(np.abs(table) ** pb.p, axis=0) * dy) ** (1.0 / pb.p)
-
     def image_norm(values: np.ndarray) -> float:
         image = (table @ values) * dx
         return float((np.sum(np.abs(image) ** pb.p) * dy) ** (1.0 / pb.p))
@@ -325,8 +317,8 @@ def operator_bound_check(
     rng = np.random.default_rng(seed)
     results = []
     for _ in range(trials):
-        f = rng.uniform(-1.0, 1.0, x_pts.shape[0])
-        f2 = rng.uniform(-1.0, 1.0, x_pts.shape[0])
+        f = rng.uniform(-1.0, 1.0, table.shape[1])
+        f2 = rng.uniform(-1.0, 1.0, table.shape[1])
         operator_norm = image_norm(f)
         envelope = float(np.sum(np.abs(f) * tau) * dx)
         holder = density_norm(f) * tau_norm
@@ -559,59 +551,37 @@ def check_lp_slater(
     x_resolution: int = 33,
     y_resolution: int | None = None,
     z_resolution: int | None = None,
-    cap: float = SLATER_CAP,
 ) -> DensitySlaterReport:
     """Maximize the margin delta with f_i ≥ delta and delta of slack per row.
 
     The margin is ``max delta`` subject to ``sum_i A(y_j, x_i) f_i dx + delta
-    ≤ a(y_j)``, ``sum_i B(z_l, x_i) f_i dx = b(z_l)``, and ``f_i ≥ delta``.
-    Substituting ``f = g + delta`` with ``g ≥ 0`` turns the ``f_i ≥ delta``
-    rows into bounds and leaves the margin unchanged, so the LP solved has
-    one row per collocation point and only ``delta`` is free.  A positive
-    margin exhibits a strictly positive density satisfying every inequality
-    strictly; an infeasible margin LP reports ``-inf``.  The rank of the
-    collocated equality matrix is reported as a finite surrogate for
-    surjectivity of the equality operator, so duplicated or dependent
-    equality rows show up as a rank deficit.
+    ≤ a(y_j)``, ``sum_i B(z_l, x_i) f_i dx = b(z_l)``, ``f_i ≥ delta`` and
+    ``delta ≤ SLATER_CAP``.  Substituting ``f = g + delta`` with ``g ≥ 0``
+    turns the ``f_i ≥ delta`` rows into bounds and leaves the margin
+    unchanged, so the LP solved has one row per collocation point and only
+    ``delta`` is free.  A positive margin exhibits a strictly positive
+    density satisfying every inequality strictly; an infeasible margin LP
+    reports ``-inf``.  The rank of the collocated equality matrix is
+    reported as a finite surrogate for surjectivity of the equality
+    operator, so duplicated or dependent equality rows show up as a rank
+    deficit.
     """
-    x_pts, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = _tables(
+    _, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = _tables(
         pb, x_resolution, y_resolution, z_resolution
     )
-    n_x = x_pts.shape[0]
     n_y, n_z = a_tab.shape[0], b_tab.shape[0]
     rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
 
     g_rows = np.vstack([a_tab, b_tab]) * dx
     delta_col = g_rows.sum(axis=1)
     delta_col[:n_y] += 1.0
-    objective = np.zeros(n_x + 1)
-    objective[n_x] = 1.0
-    lp = FiniteLP(
-        sense="max",
-        objective=objective,
-        rows=np.column_stack([g_rows, delta_col]),
-        row_senses=("<=",) * n_y + ("=",) * n_z,
-        rhs=np.concatenate([a_vals, b_vals]),
-        lower=np.concatenate([np.zeros(n_x), [-np.inf]]),
-        upper=np.concatenate([np.full(n_x, np.inf), [cap]]),
+    margin, x = _max_margin(
+        g_rows, delta_col, ("<=",) * n_y + ("=",) * n_z, np.concatenate([a_vals, b_vals])
     )
-    out = solve_lp(lp)
-    if out.status == LPStatus.INFEASIBLE:
-        return DensitySlaterReport(
-            margin=-math.inf,
-            feasible=False,
-            capped=False,
-            equality_rank=rank,
-            n_equality_rows=n_z,
-            x_resolution=x_resolution,
-        )
-    if out.status != LPStatus.OPTIMAL:
-        raise RuntimeError(f"margin LP ended {out.status} despite the cap {cap:g}")
-    margin = float(out.x[n_x])
     return DensitySlaterReport(
         margin=margin,
-        feasible=True,
-        capped=margin >= cap * (1.0 - 1e-6),
+        feasible=x is not None,
+        capped=_capped(margin),
         equality_rank=rank,
         n_equality_rows=n_z,
         x_resolution=x_resolution,

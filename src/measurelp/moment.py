@@ -54,13 +54,12 @@ from .simplex import FiniteLP, LPOutcome, LPStatus, make_lp, solve_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
 ATOM_WEIGHT_FLOOR = 1e-12
-SLATER_CAP = 1e6
 MULTIPLIER_CAP = 1e8  # keeps the restricted dual bounded while cuts are scarce
 WEAK_DUALITY_RTOL = 1e-8
 
 
 class WeakDualityError(RuntimeError):
-    """Primal value exceeded dual value beyond LP tolerances: a solver bug."""
+    """A result only a solver bug gives: primal above dual, or an unbounded margin LP."""
 
 
 class ExchangeError(RuntimeError):
@@ -745,10 +744,41 @@ def exchange_solve(
 # ---------------------------------------------------------------------------
 # Slater condition checks
 
+SLATER_CAP = 1e6
+
+
+def _max_margin(rows, column, row_senses, rhs, cost: float = 0.0):
+    """(t, x) of max t - cost * Σ v over [rows | column] (v, t), v >= 0, t <= SLATER_CAP.
+
+    Every Slater check solves this margin LP; x is (v, t).  An infeasible
+    LP gives (-inf, None).  The cap bounds the optimum, so any other status
+    is a solver bug and raises WeakDualityError.
+    """
+    n = rows.shape[1]
+    objective = np.zeros(n + 1)
+    objective[:n] -= cost  # np.full(n, -cost) would write -0.0 for cost 0
+    objective[n] = 1.0
+    lp = make_lp(
+        "max", objective, np.column_stack([rows, column]), row_senses, rhs,
+        lower=np.concatenate([np.zeros(n), [-np.inf]]),
+        upper=np.concatenate([np.full(n, np.inf), [SLATER_CAP]]),
+    )
+    out = solve_lp(lp)
+    if out.status == LPStatus.INFEASIBLE:
+        return -math.inf, None
+    if out.status != LPStatus.OPTIMAL:
+        raise WeakDualityError(f"slater margin LP reported {out.status.value}")
+    return float(out.x[n]), out.x
+
+
+def _capped(margin: float) -> bool:
+    """Whether a margin sits at SLATER_CAP, up to the simplex's roundoff."""
+    return margin >= SLATER_CAP * (1.0 - 1e-6)
+
 
 @dataclass
 class DualSlaterReport:
-    """Largest t with Σ y φ + Σ z ψ - h >= t everywhere (capped at 1e6)."""
+    """Largest t with Σ y φ + Σ z ψ - h >= t everywhere, capped at SLATER_CAP."""
 
     margin: float
     witness: DualPoint | None
@@ -763,16 +793,15 @@ def check_dual_slater(
     max_iters: int = 200,
     scan_resolution=None,
     refine_steps: int = 0,
-    cap: float = SLATER_CAP,
 ) -> DualSlaterReport:
     """Maximize the uniform dual slack t over the scan mesh (exchange loop).
 
-    The LP has variables (y >= 0, z, t <= cap) and one row per cut; the
-    margin is certified against the scan points, so refinement is off by
-    default.  Margin > 0 certifies the strict-positivity hypothesis on the
-    mesh.  Whenever a constraint can lift the slack uniformly (any problem
-    with a total-mass constraint), the margin is unbounded and reports the
-    cap.
+    The master is the margin LP over (y >= 0, z split into two nonnegative
+    parts, t <= SLATER_CAP) with one row per cut; the margin is certified
+    against the scan points, so refinement is off by default.  Margin > 0
+    certifies the strict-positivity hypothesis on the mesh.  Whenever a
+    constraint can lift the slack uniformly (any problem with a total-mass
+    constraint), the margin is unbounded and reports the cap.
 
     A tiny penalty on the multiplier norm breaks the master's degeneracy:
     once t sits at the cap every feasible (y, z) is optimal, and without
@@ -782,22 +811,16 @@ def check_dual_slater(
     """
     M, N = mp.n_ineq, mp.n_eq
     eps = 1e-9  # lexicographic tie-break; shifts t* by at most eps * |(y, z)|_1
-    # variables: y (M), z split into zp - zn (2N), then t
-    width = M + 2 * N + 1
-    obj = np.full(width, -eps)
-    obj[-1] = 1.0
-    lower = np.concatenate([np.zeros(M + 2 * N), [-np.inf]])
-    upper = np.concatenate([np.full(M + 2 * N, np.inf), [cap]])
 
     def master(cuts):
-        A = np.hstack([cuts.rows, -cuts.rows[:, M:], np.full((len(cuts), 1), -1.0)])
-        lp = make_lp("max", obj, A, (">=",) * len(cuts), cuts.h, lower=lower, upper=upper)
-        out = solve_lp(lp)
-        if out.status != LPStatus.OPTIMAL:
-            raise WeakDualityError(f"slater master reported {out.status.value}")
-        t = float(out.x[-1])
-        z = out.x[M:M + N] - out.x[M + N:M + 2 * N]
-        return t, DualPoint(y=tuple(_clip_duals(out.x, M)), z=tuple(z)), None, t
+        t, x = _max_margin(
+            np.hstack([cuts.rows, -cuts.rows[:, M:]]), np.full(len(cuts), -1.0),
+            (">=",) * len(cuts), cuts.h, cost=eps,
+        )
+        if x is None:  # t is free below, so only a solver bug lands here
+            raise WeakDualityError("slater master reported infeasible")
+        z = x[M:M + N] - x[M + N:M + 2 * N]
+        return t, DualPoint(y=tuple(_clip_duals(x, M)), z=tuple(z)), None, t
 
     converged, history = _exchange(
         mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
@@ -805,13 +828,13 @@ def check_dual_slater(
     margin = history[-1].value
     return DualSlaterReport(
         margin=margin, witness=history[-1].dual, converged=converged,
-        capped=margin >= cap * (1.0 - 1e-6), iterations=len(history),
+        capped=_capped(margin), iterations=len(history),
     )
 
 
 @dataclass
 class PrimalSlaterReport:
-    """Largest uniform inequality slack of a feasible grid measure (capped).
+    """Largest uniform inequality slack of a feasible grid measure, capped at SLATER_CAP.
 
     ``margin`` is -inf when even the equalities cannot be met on the grid.
     ``equality_rank`` is the numerical rank of the equality moment rows on
@@ -829,38 +852,16 @@ class PrimalSlaterReport:
         return self.equality_rank < self.n_equalities
 
 
-def check_primal_slater(
-    mp: MomentProblem, resolution=129, cap: float = SLATER_CAP
-) -> PrimalSlaterReport:
+def check_primal_slater(mp: MomentProblem, resolution=129) -> PrimalSlaterReport:
+    """Maximize delta with moments(w) + delta <= a and moments(w) = b over grid weights w >= 0."""
     grid = assemble_grid_primal(mp, resolution)
     M, N = mp.n_ineq, mp.n_eq
-    G = grid.lp.rows.shape[1]
-    psi_rows = grid.lp.rows[M:, :]
-    rank = int(np.linalg.matrix_rank(psi_rows)) if N else 0
-
-    # maximize delta s.t. moments(w) + delta <= a (ineq rows), = b (eq rows)
-    obj = np.zeros(G + 1)
-    obj[-1] = 1.0
-    A = np.zeros((M + N, G + 1))
-    A[:, :G] = grid.lp.rows
-    A[:M, -1] = 1.0
-    lower = np.concatenate([np.zeros(G), [-np.inf]])
-    upper = np.concatenate([np.full(G, np.inf), [cap]])
-    lp = make_lp(
-        "max", obj, A, grid.lp.row_senses, grid.lp.rhs, lower=lower, upper=upper
-    )
-    out = solve_lp(lp)
-    if out.status == LPStatus.INFEASIBLE:
-        return PrimalSlaterReport(
-            margin=-math.inf, feasible=False, equality_rank=rank,
-            n_equalities=N, capped=False,
-        )
-    if out.status != LPStatus.OPTIMAL:
-        raise WeakDualityError(f"primal slater LP reported {out.status.value}")
-    margin = float(out.value)
+    rank = int(np.linalg.matrix_rank(grid.lp.rows[M:, :])) if N else 0
+    delta = np.concatenate([np.ones(M), np.zeros(N)])
+    margin, x = _max_margin(grid.lp.rows, delta, grid.lp.row_senses, grid.lp.rhs)
     return PrimalSlaterReport(
-        margin=margin, feasible=True, equality_rank=rank, n_equalities=N,
-        capped=margin >= cap * (1.0 - 1e-9),
+        margin=margin, feasible=x is not None, equality_rank=rank, n_equalities=N,
+        capped=_capped(margin),
     )
 
 
@@ -896,6 +897,10 @@ class SolverConfig:
             value = getattr(self, name)
             if not value >= least:
                 raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        for name in ("grid_resolution", "slater_resolution", "scan_resolution"):
+            value = getattr(self, name)
+            if value is not None and any(r < 2 for r in np.atleast_1d(value)):
+                raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
 
 
 def _check_tolerance(name: str, value: float) -> None:

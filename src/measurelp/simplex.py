@@ -25,14 +25,14 @@ with ``<=`` rows the duals are nonnegative, and at optimality
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
 PIVOT_TOL = 1e-10
 FEAS_TOL = 1e-9
+ACTIVE_TOL = 1e-7  # kkt_residuals: a variable this close to a bound is active at it
 
 ROW_SENSES = ("<=", "=", ">=")
 
@@ -238,7 +238,7 @@ def _pivot(T: np.ndarray, basis: list[int], r: int, e: int) -> None:
     basis[r] = e
 
 
-def _pivot_loop(T, basis, cost, enterable, pivot_tol) -> str:
+def _pivot_loop(T, basis, cost, enterable) -> str:
     m = T.shape[0]
     n_total = T.shape[1] - 1
     bland = False
@@ -249,7 +249,7 @@ def _pivot_loop(T, basis, cost, enterable, pivot_tol) -> str:
     for _ in range(max_iters):
         cB = cost[basis]
         z = cost - cB @ T[:, :-1]
-        cand = np.flatnonzero(enterable & (z < -pivot_tol))
+        cand = np.flatnonzero(enterable & (z < -PIVOT_TOL))
         if cand.size == 0:
             return "optimal"
         if bland:
@@ -257,7 +257,7 @@ def _pivot_loop(T, basis, cost, enterable, pivot_tol) -> str:
         else:
             e = int(cand[np.argmin(z[cand])])
         col = T[:, e]
-        pos = np.flatnonzero(col > pivot_tol)
+        pos = np.flatnonzero(col > PIVOT_TOL)
         if pos.size == 0:
             return "unbounded"
         ratios = T[pos, -1] / col[pos]
@@ -278,7 +278,7 @@ def _pivot_loop(T, basis, cost, enterable, pivot_tol) -> str:
     raise NumericalFailure("simplex pivot limit exceeded")
 
 
-def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
+def _solve_standard(A, b, c, slack):
     """Two-phase simplex on min c.x, Ax = b, x >= 0, started from the slack basis.
 
     ``slack[i]`` names a column that is ±1 in row ``i`` and zero elsewhere,
@@ -297,7 +297,7 @@ def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
     """
     m, n = A.shape
     if m == 0:
-        if np.any(c < -pivot_tol):
+        if np.any(c < -PIVOT_TOL):
             return LPStatus.UNBOUNDED, None, None, None
         return LPStatus.OPTIMAL, np.zeros(n), np.zeros(0), 0.0
     has = slack >= 0
@@ -325,17 +325,17 @@ def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
     scale = 1.0 + float(np.max(np.abs(b)))
     if max(basis) >= n:
         cost1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        if _pivot_loop(T, basis, cost1, enterable, pivot_tol) != "optimal":
+        if _pivot_loop(T, basis, cost1, enterable) != "optimal":
             raise NumericalFailure("phase 1 claimed an unbounded direction")
         infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
-        if infeas > feas_tol * scale:
+        if infeas > FEAS_TOL * scale:
             return LPStatus.INFEASIBLE, None, None, None
 
         redundant = []
         for i in range(len(basis)):
             if basis[i] < n:
                 continue
-            cand = np.flatnonzero(np.abs(T[i, :n]) > pivot_tol)
+            cand = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
             if cand.size:
                 _pivot(T, basis, i, int(cand[0]))
             else:
@@ -346,7 +346,7 @@ def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
             del row_ids[i]
 
     cost2 = np.concatenate([c, np.zeros(n_art)])
-    if _pivot_loop(T, basis, cost2, enterable, pivot_tol) == "unbounded":
+    if _pivot_loop(T, basis, cost2, enterable) == "unbounded":
         return LPStatus.UNBOUNDED, None, None, None
 
     x = np.zeros(n)
@@ -354,7 +354,7 @@ def _solve_standard(A, b, c, slack, *, pivot_tol=PIVOT_TOL, feas_tol=FEAS_TOL):
         if bi < n:
             x[bi] = T[i, -1]
     worst = float(np.min(x)) if n else 0.0
-    if worst < -feas_tol * scale:
+    if worst < -FEAS_TOL * scale:
         raise NumericalFailure(f"basic solution drifted negative ({worst})")
     x = np.maximum(x, 0.0)
     value = float(c @ x)
@@ -370,32 +370,9 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
     """Solve a FiniteLP; statuses are optimal/infeasible/unbounded.
 
     Tolerance failures raise NumericalFailure instead of mislabeling the
-    problem.  The only presolve is dropping all-zero rows (their duals are
-    reported as 0) after checking them for trivial infeasibility.
+    problem.  All-zero rows need no presolve: the simplex gives a feasible
+    one dual 0 and finds an infeasible one in phase 1.
     """
-    nonzero = np.any(p.rows != 0.0, axis=1)
-    if not nonzero.all():
-        senses = np.asarray(p.row_senses)
-        b, s = p.rhs[~nonzero], senses[~nonzero]
-        # an all-zero row reads ``0 <sense> b``
-        if np.any(((b < -FEAS_TOL) & (s != ">=")) | ((b > FEAS_TOL) & (s != "<="))):
-            return LPOutcome(status=LPStatus.INFEASIBLE)
-        reduced = make_lp(
-            p.sense,
-            p.objective,
-            p.rows[nonzero],
-            tuple(senses[nonzero].tolist()),
-            p.rhs[nonzero],
-            p.lower,
-            p.upper,
-        )
-        out = solve_lp(reduced)
-        if out.status == LPStatus.OPTIMAL:
-            duals = np.zeros(p.n_rows)
-            duals[nonzero] = out.duals
-            out.duals = duals
-        return out
-
     std = standardize(p)
     status, x_std, y_std, value_std = _solve_standard(
         std.rows, std.rhs, std.objective, std.slack
@@ -420,13 +397,13 @@ class KKTReport:
     gap: float
 
 
-def kkt_residuals(p: FiniteLP, out: LPOutcome, active_tol: float = 1e-7) -> KKTReport:
+def kkt_residuals(p: FiniteLP, out: LPOutcome) -> KKTReport:
     """Residuals of the optimality system for an OPTIMAL outcome.
 
     All residuals are ~0 (below solver tolerances) at a correct optimum;
     ``gap`` is |primal - dual| / (1 + |primal|) with the dual value rebuilt
     from the reported row duals and the reduced costs of the variables
-    active (within ``active_tol``) at a bound.
+    active (within ``ACTIVE_TOL``) at a bound.
     """
     if out.status != LPStatus.OPTIMAL:
         raise ValueError("kkt_residuals needs an optimal outcome")
@@ -450,8 +427,8 @@ def kkt_residuals(p: FiniteLP, out: LPOutcome, active_tol: float = 1e-7) -> KKTR
     has_l, has_u = np.isfinite(p.lower), np.isfinite(p.upper)
     l = np.where(has_l, p.lower, 0.0)
     u = np.where(has_u, p.upper, 0.0)
-    at_l = has_l & (x <= l + active_tol)
-    at_u = has_u & (x >= u - active_tol)
+    at_l = has_l & (x <= l + ACTIVE_TOL)
+    at_u = has_u & (x >= u - ACTIVE_TOL)
     v = np.where(at_l, np.maximum(0.0, -rt), np.where(at_u, np.maximum(0.0, rt), np.abs(rt)))
     stat = float(np.max(np.where(at_l & at_u, 0.0, v), initial=0.0))
     # a bound carries dual weight only where the variable is active at it;

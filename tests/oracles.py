@@ -9,6 +9,11 @@ option bounds by an exhaustive two-atom search, kernel norms by a local
 midpoint quadrature with refinement, expressions by a scalar tree-walker
 over Python's ``math`` module, and partition coverage by testing every
 breakpoint cell's exact midpoint against every box.
+
+The one exception is the Slater margin LPs: each check's LP is kept here as
+it was first built, by hand and separately per check, and solved with the
+package's own simplex, so that the shared margin LP can be pinned to it bit
+for bit.
 """
 
 from __future__ import annotations
@@ -20,9 +25,10 @@ from fractions import Fraction
 import numpy as np
 from scipy.optimize import linprog
 
-from measurelp import DomainError, LPStatus, evaluate_many
+from measurelp import DomainError, FiniteLP, LPStatus, evaluate_many, solve_lp
+from measurelp import density, moment
 from measurelp.expressions import Binary, Literal, Negate, Variable, format_node
-from measurelp.simplex import KKTReport
+from measurelp.simplex import KKTReport, make_lp
 
 
 # ---------------------------------------------------------------------------
@@ -344,6 +350,105 @@ def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
         comp_slack_residual=float(cs),
         dual_value=float(dual_value),
         gap=float(abs(out.value - dual_value) / (1.0 + abs(out.value))),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the three Slater margin LPs, each built by hand as its check first did
+
+
+def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, refine_steps=0):
+    """``check_dual_slater`` with its master LP assembled column block by column block."""
+    cap = moment.SLATER_CAP
+    M, N = mp.n_ineq, mp.n_eq
+    eps = 1e-9
+    width = M + 2 * N + 1
+    obj = np.full(width, -eps)
+    obj[-1] = 1.0
+    lower = np.concatenate([np.zeros(M + 2 * N), [-np.inf]])
+    upper = np.concatenate([np.full(M + 2 * N, np.inf), [cap]])
+
+    def master(cuts):
+        A = np.hstack([cuts.rows, -cuts.rows[:, M:], np.full((len(cuts), 1), -1.0)])
+        lp = make_lp("max", obj, A, (">=",) * len(cuts), cuts.h, lower=lower, upper=upper)
+        out = solve_lp(lp)
+        assert out.status == LPStatus.OPTIMAL
+        t = float(out.x[-1])
+        z = out.x[M:M + N] - out.x[M + N:M + 2 * N]
+        y = tuple(moment._clip_duals(out.x, M))
+        return t, moment.DualPoint(y=y, z=tuple(z)), None, t
+
+    converged, history = moment._exchange(
+        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+    )
+    margin = history[-1].value
+    return moment.DualSlaterReport(
+        margin=margin, witness=history[-1].dual, converged=converged,
+        capped=margin >= cap * (1.0 - 1e-6), iterations=len(history),
+    )
+
+
+def hand_built_primal_slater(mp, resolution=129):
+    """``check_primal_slater`` with its LP assembled into a zeroed matrix.
+
+    ``capped`` keeps this form's own rule, 1e-9 relative of the cap.
+    """
+    cap = moment.SLATER_CAP
+    grid = moment.assemble_grid_primal(mp, resolution)
+    M, N = mp.n_ineq, mp.n_eq
+    G = grid.lp.rows.shape[1]
+    rank = int(np.linalg.matrix_rank(grid.lp.rows[M:, :])) if N else 0
+    obj = np.zeros(G + 1)
+    obj[-1] = 1.0
+    A = np.zeros((M + N, G + 1))
+    A[:, :G] = grid.lp.rows
+    A[:M, -1] = 1.0
+    lower = np.concatenate([np.zeros(G), [-np.inf]])
+    upper = np.concatenate([np.full(G, np.inf), [cap]])
+    out = solve_lp(
+        make_lp("max", obj, A, grid.lp.row_senses, grid.lp.rhs, lower=lower, upper=upper)
+    )
+    if out.status == LPStatus.INFEASIBLE:
+        return moment.PrimalSlaterReport(
+            margin=-math.inf, feasible=False, equality_rank=rank, n_equalities=N, capped=False,
+        )
+    assert out.status == LPStatus.OPTIMAL
+    margin = float(out.value)
+    return moment.PrimalSlaterReport(
+        margin=margin, feasible=True, equality_rank=rank, n_equalities=N,
+        capped=margin >= cap * (1.0 - 1e-9),
+    )
+
+
+def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=None):
+    """``check_lp_slater`` with its LP written out as a FiniteLP."""
+    cap = moment.SLATER_CAP
+    x_pts, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = density._tables(
+        pb, x_resolution, y_resolution, z_resolution
+    )
+    n_x = x_pts.shape[0]
+    n_y, n_z = a_tab.shape[0], b_tab.shape[0]
+    rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
+    g_rows = np.vstack([a_tab, b_tab]) * dx
+    delta_col = g_rows.sum(axis=1)
+    delta_col[:n_y] += 1.0
+    objective = np.zeros(n_x + 1)
+    objective[n_x] = 1.0
+    out = solve_lp(FiniteLP(
+        sense="max",
+        objective=objective,
+        rows=np.column_stack([g_rows, delta_col]),
+        row_senses=("<=",) * n_y + ("=",) * n_z,
+        rhs=np.concatenate([a_vals, b_vals]),
+        lower=np.concatenate([np.zeros(n_x), [-np.inf]]),
+        upper=np.concatenate([np.full(n_x, np.inf), [cap]]),
+    ))
+    feasible = out.status == LPStatus.OPTIMAL
+    assert feasible or out.status == LPStatus.INFEASIBLE
+    margin = float(out.x[n_x]) if feasible else -math.inf
+    return density.DensitySlaterReport(
+        margin=margin, feasible=feasible, capped=margin >= cap * (1.0 - 1e-6),
+        equality_rank=rank, n_equality_rows=n_z, x_resolution=x_resolution,
     )
 
 

@@ -241,12 +241,27 @@ class TestInvalidSettings:
         ("max_iters", 0),
         ("verification_factor", 0),  # failed only after the solve, without the key
         ("refine_steps", -3),  # quietly meant 0
+        ("grid_resolution", 1),  # these three named no key; slater_resolution
+        ("scan_resolution", 1),  # failed only after the exchange had run
+        ("slater_resolution", 1),
     ])
     def test_moment_solver_key(self, tmp_path, monkeypatch, capsys, key, value):
         calls = spy(monkeypatch, "duality_report")
         path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", **{key: value})
         assert run_cli(["solve", path]) == 4
         assert f"input error: {key} must be" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("argv, solver", [
+        (["solve", fixture("piecewise.json")], "duality_report"),
+        (["primal", fixture("piecewise.json")], "solve_grid_primal"),
+        (["option-bound", "--domain", "0", "4", "--forward", "1",
+          "--payoff", "max(x1 - 2, 0)", "--direction", "sup"], "solve_option_bound"),
+    ])
+    def test_grid_flag_below_two(self, monkeypatch, capsys, argv, solver):
+        calls = spy(monkeypatch, solver)
+        assert run_cli(argv + ["--grid", "1"]) == 4
+        assert "input error: grid_resolution must be >= 2 per axis" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("command, flags", [

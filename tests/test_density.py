@@ -22,9 +22,10 @@ from measurelp import (
     parse_expression,
     solve_lp,
 )
+import measurelp.density as density
 from measurelp.density import midpoint_axes, midpoint_grid
 from measurelp.moment import SLATER_CAP
-from oracles import midpoint_quad, refined_quad, scipy_solve
+from oracles import hand_built_lp_slater, midpoint_quad, refined_quad, scipy_solve
 from problems import (
     bilinear_density_problem,
     concentration_density_problem,
@@ -169,6 +170,20 @@ class TestOperatorBoundCheck:
         b = operator_bound_check(pb, trials=5, quad_resolution=32, seed=9)
         assert a.trials == b.trials
 
+    def test_one_kernel_table_per_resolution(self, monkeypatch):
+        # the base resolution's table serves both its norms and the trials
+        resolutions = []
+        real = density._kernel_table
+
+        def counted(kernel, outer, x_pts):
+            resolutions.append(x_pts.shape[0])
+            return real(kernel, outer, x_pts)
+
+        monkeypatch.setattr(density, "_kernel_table", counted)
+        report = operator_bound_check(bilinear_density_problem(), trials=5, quad_resolution=16)
+        assert resolutions == [8, 16, 32]
+        assert report.all_passed
+
 
 class TestDiscretization:
     def test_shapes_and_senses(self):
@@ -311,6 +326,14 @@ class TestDensitySlater:
                 rep = check_lp_slater(pb, x_resolution=r)
                 assert rep.feasible == (status == LPStatus.OPTIMAL)
                 assert abs(rep.margin - margin) <= 1e-8 * (1.0 + abs(margin))
+
+    def test_margin_matches_hand_built_lp(self):
+        rng = np.random.default_rng(53)
+        cases = [(flat_density_problem(), 16), (concentration_density_problem(), 16)]
+        cases += [(bilinear_density_problem(), 8), (unit_problem("1", "0"), 33)]
+        cases += [(random_density_problem(rng), r) for _ in range(8) for r in (8, 16)]
+        for pb, r in cases:
+            assert repr(check_lp_slater(pb, x_resolution=r)) == repr(hand_built_lp_slater(pb, r))
 
     def test_negative_margin_when_no_strict_interior(self):
         # unit mass forced while the inequality demands nonpositive mass:

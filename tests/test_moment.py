@@ -41,6 +41,7 @@ from measurelp.moment import (
     separation_oracle,
 )
 from measurelp.simplex import solve_lp
+from oracles import hand_built_dual_slater, hand_built_primal_slater
 from problems import (
     cauchy_schwarz_problem,
     contradictory_problem,
@@ -551,6 +552,24 @@ class TestSlaterChecks:
         assert rep.margin == -np.inf
         assert rep.equality_rank == 1 and rep.n_equalities == 2
         assert rep.rank_deficient
+
+    @pytest.mark.parametrize("source", [
+        "cauchy_schwarz.json", "contradictory.json", "piecewise.json",
+        cauchy_schwarz_problem, contradictory_problem,  # criterion 9's instances
+    ])
+    def test_margins_match_hand_built_lps(self, source):
+        if callable(source):
+            mp, solver = source(), {}
+        else:
+            loaded = load_problem(FIXTURES / source)
+            mp, solver = loaded.problem, loaded.solver
+        config = SolverConfig(**solver)
+        options = moment._exchange_options(config)
+        dual = check_dual_slater(mp, **options)
+        assert repr(dual) == repr(hand_built_dual_slater(mp, **options))
+        for resolution in (config.slater_resolution, 33):
+            primal = check_primal_slater(mp, resolution)
+            assert repr(primal) == repr(hand_built_primal_slater(mp, resolution))
 
 
 class TestUnitNormalization:

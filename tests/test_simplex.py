@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import measurelp.density as density
+import measurelp.moment as moment
 import measurelp.simplex as simplex
 from measurelp import (
     Box, FiniteLP, LPStatus, LpDensityProblem, parse_expression, solve_lp, standardize,
@@ -123,6 +124,34 @@ class TestFixedCases:
             "max", np.ones(2), padded.rows, ("<=", ">=", "<="), padded.rhs
         )
         assert solve_lp(infeasible).status == LPStatus.INFEASIBLE
+        # 0 x = 0 is dropped as redundant in phase 1, with dual 0
+        out = solve_lp(make_lp("max", np.ones(2), padded.rows, ("<=", "=", "<="), [4.0, 0.0, 3.0]))
+        assert out.status == LPStatus.OPTIMAL
+        assert out.value == pytest.approx(base.value, abs=1e-12)
+        assert np.allclose(out.x, base.x, rtol=0.0, atol=1e-12)
+        assert out.duals[1] == 0.0
+        for sense, rhs in (("=", 1.0), ("<=", -1.0)):
+            lp = make_lp("max", np.ones(2), padded.rows, ("<=", sense, "<="), [4.0, rhs, 3.0])
+            assert solve_lp(lp).status == LPStatus.INFEASIBLE
+
+    def test_feasible_zero_row_changes_nothing(self):
+        rng = np.random.default_rng(163)
+        for _ in range(50):
+            lp = random_lp(rng)
+            at = int(rng.integers(0, lp.n_rows + 1))
+            sense, rhs = ("<=", float(rng.uniform(0.0, 2.0))) if rng.random() < 0.5 else ("=", 0.0)
+            padded = make_lp(
+                lp.sense, lp.objective, np.insert(lp.rows, at, 0.0, axis=0),
+                lp.row_senses[:at] + (sense,) + lp.row_senses[at:], np.insert(lp.rhs, at, rhs),
+                lower=lp.lower, upper=lp.upper,
+            )
+            base, out = solve_lp(lp), solve_lp(padded)
+            assert out.status == base.status
+            if base.status == LPStatus.OPTIMAL:
+                close = 1e-12 * (1.0 + abs(base.value))
+                assert abs(out.value - base.value) <= close
+                assert np.max(np.abs(out.x - base.x)) <= close
+                assert out.duals[at] == 0.0
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -396,7 +425,7 @@ class TestKKTResiduals:
             solved.append((lp, solve_lp(lp)))
             return solved[-1][1]
 
-        monkeypatch.setattr(density, "solve_lp", keep)
+        monkeypatch.setattr(moment, "solve_lp", keep)  # the margin LP's solver
         report = density.check_lp_slater(pb, x_resolution=16)
         lp, out = solved[-1]
         delta = lp.n_vars - 1
