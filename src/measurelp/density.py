@@ -11,7 +11,10 @@ equality box.  This module provides
   Hoelder bound chain and a Lipschitz modulus ``M = max sampled rho``,
 - a collocation discretization producing a primal/dual pair of finite LPs
   that are exact LP duals of each other (up to quadrature weighting); the
-  report solves the primal alone and reads the dual solution off its row
+  report solves the primal alone by row-and-column generation, valuing only
+  the kernel blocks of the rows and cells it takes in and stopping on the
+  full LP's KKT certificate (the dense primal is the fallback when a
+  restricted LP is not optimal), and reads the dual solution off its row
   duals, checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
   discretized equality operator, solved as one row per collocation point.
@@ -135,10 +138,11 @@ def midpoint_grid(box: Box, resolution) -> tuple[np.ndarray, float]:
 
 def _pair_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """All (left_j, right_i) concatenations, left-major ordering."""
-    j, i = left.shape[0], right.shape[0]
-    return np.concatenate(
-        [np.repeat(left, i, axis=0), np.tile(right, (j, 1))], axis=1
-    )
+    (j, d), i = left.shape, right.shape[0]
+    pairs = np.empty((j, i, d + right.shape[1]))
+    pairs[:, :, :d] = left[:, None, :]
+    pairs[:, :, d:] = right[None, :, :]
+    return pairs.reshape(j * i, -1)
 
 
 def _kernel_table(kernel: Expression, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
@@ -383,6 +387,12 @@ def _tables(
     return x_pts, dx, c, a_tab, a_vals, dy, b_tab, b_vals, dz
 
 
+def _check_resolutions(**resolutions) -> None:
+    for label, value in resolutions.items():
+        if value is not None and value < 2:
+            raise ValueError(f"{label} must be >= 2, got {value}")
+
+
 def discretize_lp_density(
     pb: LpDensityProblem,
     x_resolution: int,
@@ -400,13 +410,9 @@ def discretize_lp_density(
     rescaling of the dual variables, so their optimal values coincide to
     solver accuracy at every resolution.
     """
-    for label, value in (
-        ("x_resolution", x_resolution),
-        ("y_resolution", y_resolution),
-        ("z_resolution", z_resolution),
-    ):
-        if value is not None and value < 2:
-            raise ValueError(f"{label} must be >= 2, got {value}")
+    _check_resolutions(
+        x_resolution=x_resolution, y_resolution=y_resolution, z_resolution=z_resolution
+    )
     x_pts, dx, c, a_tab, a_vals, dy, b_tab, b_vals, dz = _tables(
         pb, x_resolution, y_resolution, z_resolution
     )
@@ -432,6 +438,112 @@ def discretize_lp_density(
         upper=np.full(n_y + n_z, np.inf),
     )
     return primal, dual
+
+
+_SEED_CELLS = 4  # cells that start the generation loop, each with the row bounding it alone
+_BATCH = 4  # most rows, and most cells, that one round of the loop adds
+
+
+class _Rows:
+    """The collocation points: the inequality rows, then the equality rows.
+
+    ``table(rows, x_pts)`` values the kernels on the (point, x) pairs of the
+    rows asked for only, shape ``(len(rows), len(x_pts))``.
+    """
+
+    def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
+        self.families = []  # (kernel, first row, points)
+        rhs, equality = [], []
+        for kernel, bound, box, res, eq in (
+            (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, False),
+            (pb.kernel_b, pb.bound_b, pb.eq_domain, z_resolution, True),
+        ):
+            if kernel is not None:
+                pts, _ = midpoint_grid(box, res)
+                self.families.append((kernel, len(rhs), pts))
+                rhs.extend(evaluate_many(bound, pts))
+                equality.extend([eq] * len(pts))
+        self.rhs = np.array(rhs)
+        self.equality = np.array(equality)
+
+    def table(self, rows: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(rows), len(x_pts)))
+        for kernel, first, pts in self.families:
+            mine = (rows >= first) & (rows < first + len(pts))
+            if out.size and mine.any():
+                out[mine] = _kernel_table(kernel, pts[rows[mine] - first], x_pts)
+        return out
+
+
+def _most(scores: np.ndarray, tol: float) -> np.ndarray:
+    """Up to ``_BATCH`` indices of the largest scores above ``tol``, largest first."""
+    top = np.argsort(-scores, kind="stable")[:_BATCH]
+    return top[scores[top] > tol]
+
+
+def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
+    """Indices on the grid of ``2 * x_resolution`` cells of each cell's 2^dim subcells."""
+    shape = np.broadcast_to(np.asarray(x_resolution, dtype=int), (dim,))
+    index = np.array(np.unravel_index(cells, shape))
+    offsets = np.indices((2,) * dim).reshape(dim, -1)
+    fine = 2 * index[:, :, None] + offsets[:, None, :]
+    return np.ravel_multi_index(tuple(fine.reshape(dim, -1)), 2 * shape)
+
+
+def _generate(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
+    """The collocated primal by row-and-column generation: ``(lp, outcome, (R, C))``.
+
+    Each round solves the primal restricted to rows ``R`` and cells ``C``
+    (the other cells held at 0), then checks every row against its solution
+    and prices every cell against its row duals.  At most ``_BATCH`` of the
+    rows violated, and of the cells with a positive reduced cost, beyond
+    ``FEAS_TOL * (1 + |value|)`` join; when none does, the solution is
+    feasible and its duals dual feasible for the full collocated LP within
+    that tolerance, which certifies it optimal there.  Only the kernel
+    blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
+
+    ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
+    ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
+    the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
+    over ``A_ji > 0``).  A restricted LP that is not optimal may only lack
+    rows or cells, so it decides nothing: the dense primal of
+    ``discretize_lp_density`` is solved instead and returned with ``None``.
+    """
+    x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
+    cost = evaluate_many(pb.objective, x_pts) * dx
+    every_row = np.arange(len(rows.rhs))
+    if start is None:
+        cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
+        columns = rows.table(every_row, x_pts[cells]) * dx
+        ratio = np.full(columns.shape, np.inf)
+        np.divide(rows.rhs[:, None], columns, out=ratio, where=columns > 0.0)
+        bounded = np.isfinite(ratio).any(axis=0)
+        active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
+    else:
+        active, cells = start
+        columns = rows.table(every_row, x_pts[cells]) * dx
+    block = rows.table(active, x_pts) * dx
+    while True:
+        senses = np.where(rows.equality[active], "=", "<=").tolist()
+        lp = make_lp("max", cost[cells], block[:, cells], senses, rows.rhs[active])
+        out = solve_lp(lp)
+        if out.status != LPStatus.OPTIMAL:
+            break
+        tol = FEAS_TOL * (1.0 + abs(out.value))
+        excess = columns @ out.x - rows.rhs
+        excess = np.where(rows.equality, np.abs(excess), excess)
+        excess[active] = -np.inf
+        reduced = cost - out.duals @ block
+        reduced[cells] = -np.inf
+        new_rows, new_cells = _most(excess, tol), _most(reduced, tol)
+        if not (new_rows.size or new_cells.size):
+            return lp, out, (active, cells)
+        active = np.concatenate([active, new_rows])
+        block = np.vstack([block, rows.table(new_rows, x_pts) * dx])
+        cells = np.concatenate([cells, new_cells])
+        columns = np.hstack([columns, rows.table(every_row, x_pts[new_cells]) * dx])
+    primal, _ = discretize_lp_density(pb, **resolutions)
+    return primal, solve_lp(primal), None
 
 
 @dataclass(frozen=True)
@@ -460,11 +572,21 @@ def collocation_report(
 ) -> CollocationReport:
     """Solve the collocated primal, read the dual from its row duals, and label.
 
-    Only the primal LP is solved.  Its row duals, divided by the cell
-    volumes, solve the dual LP, so the dual value is the KKT dual value; its
-    dual-sign and stationarity residuals check that the duals are dual
-    feasible, and one above ``FEAS_TOL * (1 + |value|)`` raises
-    ``NumericalFailure``.
+    Only the primal LP is solved, by row-and-column generation: an LP
+    restricted to a few collocation rows and domain cells grows until every
+    other row holds and every other cell's reduced cost is at most
+    ``FEAS_TOL * (1 + |value|)``.  Those two checks are the full collocated
+    LP's KKT certificate, so the values are that LP's own, yet only the
+    kernel values of the rows and cells taken in are computed; the refined
+    primal starts from the rows and the subcells of the cells the first one
+    ended with.  A restricted LP that is not optimal may only lack rows or
+    cells, so the dense primal of ``discretize_lp_density`` is solved in its
+    place and decides the status.
+
+    The primal's row duals, divided by the cell volumes, solve the dual LP,
+    so the dual value is the KKT dual value; its dual-sign and stationarity
+    residuals check that the duals are dual feasible, and one above
+    ``FEAS_TOL * (1 + |value|)`` raises ``NumericalFailure``.
 
     When refining the domain grid keeps pushing the value up by more than
     ``gap_rtol``-relative, the supremum is being approached by densities that
@@ -477,8 +599,9 @@ def collocation_report(
     y_res = y_resolution or x_resolution
     z_res = z_resolution or x_resolution
     resolutions = dict(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
-    primal, _ = discretize_lp_density(pb, **resolutions)
-    p_out = solve_lp(primal)
+    _check_resolutions(**resolutions)
+    rows = _Rows(pb, y_res, z_res)
+    primal, p_out, active = _generate(pb, rows, resolutions)
     if p_out.status != LPStatus.OPTIMAL:
         infeasible = p_out.status == LPStatus.INFEASIBLE
         return CollocationReport(
@@ -498,6 +621,8 @@ def collocation_report(
             **resolutions,
         )
 
+    # the generation loop stops only once every cell outside the restricted
+    # LP prices below this tolerance, so its residuals are the full LP's
     kkt = kkt_residuals(primal, p_out)
     worst = max(kkt.dual_sign_residual, kkt.stationarity_residual)
     if worst > FEAS_TOL * (1.0 + abs(p_out.value)):
@@ -512,8 +637,10 @@ def collocation_report(
     notes: list[str] = []
     refined_value = None
     if refine:
-        refined, _ = discretize_lp_density(pb, 2 * x_resolution, y_res, z_res)
-        r_out = solve_lp(refined)
+        if active is not None:  # the y grid is shared; each cell splits into subcells
+            active = active[0], _subcells(active[1], x_resolution, pb.domain.dim)
+        fine = dict(resolutions, x_resolution=2 * x_resolution)
+        _, r_out, _ = _generate(pb, rows, fine, active)
         if r_out.status == LPStatus.OPTIMAL:
             refined_value = r_out.value
             if refined_value - p_out.value > gap_rtol * (1.0 + abs(refined_value)):

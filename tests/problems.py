@@ -111,6 +111,22 @@ def concentration_density_problem() -> LpDensityProblem:
     )
 
 
+def gaussian_density_problem() -> LpDensityProblem:
+    """Gaussian kernel on [0, 1]^2 with an affine bound: the density bench's shape."""
+    unit = Box((0.0, 0.0), (1.0, 1.0))
+    return LpDensityProblem(
+        domain=unit,
+        objective=parse_expression("0.75 + 0.2*x1 - 0.3*x2 + 0.1*x1*x2", 2),
+        p=2.0,
+        kernel_a=parse_expression(
+            "exp(-2*((y1 - x1)^2 + (y2 - x2)^2))", 4, (("y", 2), ("x", 2))
+        ),
+        bound_a=parse_expression("1.5 + 0.1*y1 - 0.1*y2", 2, (("y", 2),)),
+        ineq_domain=unit,
+        name="gaussian",
+    )
+
+
 # ---------------------------------------------------------------------------
 # seeded random generators
 

@@ -48,6 +48,12 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "optimizer escapes the density class" in out
 
+    def test_solve_density_2d_at_the_default_resolution(self, capsys):
+        assert run_cli(["solve", fixture("density_gauss_2d.json")]) == 0
+        out = capsys.readouterr().out
+        assert "primal value (collocation 64)" in out
+        assert "status: strong_duality_numerically" in out
+
     def test_dual_iteration_limited(self, capsys):
         code = run_cli(
             ["dual", fixture("cauchy_schwarz.json"), "--tol", "1e-12", "--max-iters", "1"]

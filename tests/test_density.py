@@ -30,6 +30,7 @@ from problems import (
     bilinear_density_problem,
     concentration_density_problem,
     flat_density_problem,
+    gaussian_density_problem,
     random_density_problem,
 )
 
@@ -296,6 +297,79 @@ class TestCollocationReport:
         report = collocation_report(pb, x_resolution=8)
         assert report.status == ReportStatus.NOT_CONVERGED
         assert report.primal_value is None
+
+
+def dense_generate(pb, rows, resolutions, start=None):
+    """The dense primal in place of the generation loop: the reference path."""
+    primal, _ = discretize_lp_density(pb, **resolutions)
+    return primal, solve_lp(primal), None
+
+
+def no_dense_primal(*args, **kwargs):
+    raise AssertionError("the generation loop fell back to the dense primal")
+
+
+class TestGeneration:
+    def assert_matches_dense(self, monkeypatch, pb, r):
+        with monkeypatch.context() as m:
+            m.setattr(density, "_generate", dense_generate)
+            dense = collocation_report(pb, r)
+        with monkeypatch.context() as m:
+            m.setattr(density, "discretize_lp_density", no_dense_primal)
+            report = collocation_report(pb, r)
+        assert report.status == dense.status and report.notes == dense.notes
+        for field in ("primal_value", "dual_value", "refined_primal_value"):
+            value, expected = getattr(report, field), getattr(dense, field)
+            assert abs(value - expected) <= 1e-9 * (1.0 + abs(expected)), field
+        return report
+
+    def test_matches_dense_on_criterion_8_instances(self, monkeypatch):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            pb = random_density_problem(rng)
+            for r in (8, 16, 32):
+                self.assert_matches_dense(monkeypatch, pb, r)
+
+    def test_anchors(self, monkeypatch):
+        monkeypatch.setattr(density, "discretize_lp_density", no_dense_primal)
+        for r in (2, 3, 4, 5, 8, 16, 32, 64):
+            report = collocation_report(flat_density_problem(), r)
+            for value in (report.primal_value, report.dual_value, report.refined_primal_value):
+                assert value == pytest.approx(1.0, abs=1e-9)
+        for r in (8, 16, 32):
+            report = collocation_report(concentration_density_problem(), r)
+            assert report.primal_value == pytest.approx(1.0 - 1.0 / (2 * r), abs=1e-9)
+            assert report.dual_value == pytest.approx(1.0 - 1.0 / (2 * r), abs=1e-9)
+            assert report.refined_primal_value == pytest.approx(1.0 - 1.0 / (4 * r), abs=1e-9)
+
+    def test_values_few_kernel_pairs_in_2d(self, monkeypatch):
+        pb = gaussian_density_problem()
+        self.assert_matches_dense(monkeypatch, pb, 16)
+        pairs = []
+        real = density._kernel_table
+
+        def counted(kernel, outer, x_pts):
+            pairs.append(outer.shape[0] * x_pts.shape[0])
+            return real(kernel, outer, x_pts)
+
+        monkeypatch.setattr(density, "_kernel_table", counted)
+        collocation_report(pb, 16, refine=False)
+        assert 0 < sum(pairs) < 256 * 256 / 4
+
+    def test_subcells_lie_in_their_cell(self):
+        box = Box((0.0, -1.0), (1.0, 2.0))
+        coarse, _ = midpoint_grid(box, (3, 5))
+        fine, _ = midpoint_grid(box, (6, 10))
+        cells = np.array([0, 7, 14])
+        sub = density._subcells(cells, (3, 5), 2).reshape(len(cells), 4)
+        offsets = np.abs(fine[sub] - coarse[cells][:, None, :])
+        assert np.allclose(offsets, [1.0 / 12.0, 3.0 / 20.0])
+        assert len(np.unique(sub)) == sub.size
+
+    def test_pair_points_order(self):
+        left, right = np.arange(6.0).reshape(3, 2), -np.arange(4.0).reshape(4, 1)
+        expected = np.concatenate([np.repeat(left, 4, axis=0), np.tile(right, (3, 1))], axis=1)
+        assert density._pair_points(left, right).tobytes() == expected.tobytes()
 
 
 class TestDensitySlater:

@@ -264,6 +264,14 @@ class TestSeparationOracle:
         refined = separation_oracle(mp, d, scan_resolution=8, refine_steps=40)
         assert refined.slack <= coarse.slack + 1e-15
 
+    def test_zoom_axis_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(59)
+        for _ in range(20_000):
+            lo = float(rng.uniform(-10.0, 10.0))
+            hi = lo + 10.0 ** float(rng.uniform(-12.0, 1.0))
+            expected = np.linspace(lo, hi, moment._ZOOM_POINTS)
+            assert moment._zoom_axis(lo, hi).tobytes() == expected.tobytes()
+
 
 class TestExchange:
     def test_zero_objective(self):
