@@ -23,7 +23,12 @@ import sys
 import time
 from typing import Mapping, Sequence
 
-from .density import check_lp_slater, collocation_report, discretize_lp_density
+from .density import (
+    _check_resolutions,
+    check_lp_slater,
+    collocation_report,
+    discretize_lp_density,
+)
 from .expressions import ExpressionError
 from .fileio import (
     ProblemFormatError,
@@ -130,12 +135,15 @@ def _density_settings(solver: Mapping, args: argparse.Namespace) -> tuple[dict, 
     """(resolutions, gap_rtol, check_lp_slater arguments) of a density problem.
 
     ``--grid`` overrides the file's ``x_resolution`` (64 by default), and
-    ``slater_resolution`` defaults to the x resolution in use.
+    ``slater_resolution`` defaults to the x resolution in use.  A
+    ``slater_resolution`` below 2 raises ValueError naming the key, before
+    any solve.
     """
     res = {key: solver.get(key) for key in ("y_resolution", "z_resolution")}
     res["x_resolution"] = solver.get("x_resolution", 64)
     if getattr(args, "grid", None) is not None:
         res["x_resolution"] = args.grid
+    _check_resolutions(slater_resolution=solver.get("slater_resolution"))
     slater = {**res, "x_resolution": solver.get("slater_resolution", res["x_resolution"])}
     gap_rtol = solver.get("gap_rtol", 1e-3)
     _check_tolerance("gap_rtol", gap_rtol)  # every subcommand rejects what solve would

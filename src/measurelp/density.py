@@ -17,7 +17,9 @@ equality box.  This module provides
   restricted LP is not optimal), and reads the dual solution off its row
   duals, checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
-  discretized equality operator, solved as one row per collocation point.
+  discretized equality operator; its margin LP runs on the same generation
+  loop, with the margin as a column in every restricted LP, its row sums
+  valued a chunk of rows at a time (the dense margin LP is the fallback).
 
 All quadrature uses the composite midpoint rule, which matches the piecewise
 constant density class used throughout: a discrete density takes one value
@@ -30,13 +32,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import Expression, evaluate_many
+from .expressions import Expression, _Program
 from .geometry import MAX_GRID_POINTS, Box
-from .moment import ReportStatus, _capped, _check_tolerance, _max_margin
+from .moment import SLATER_CAP, ReportStatus, _capped, _check_tolerance, _max_margin
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
 
@@ -137,17 +139,49 @@ def midpoint_grid(box: Box, resolution) -> tuple[np.ndarray, float]:
 
 
 def _pair_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """All (left_j, right_i) concatenations, left-major ordering."""
+    """All (left_j, right_i) concatenations, left-major ordering.
+
+    The array is stored column-major, so each variable a program reads is
+    one contiguous column.
+    """
     (j, d), i = left.shape, right.shape[0]
-    pairs = np.empty((j, i, d + right.shape[1]))
-    pairs[:, :, :d] = left[:, None, :]
-    pairs[:, :, d:] = right[None, :, :]
-    return pairs.reshape(j * i, -1)
+    columns = np.empty((d + right.shape[1], j * i))
+    columns[:d].reshape(d, j, i)[...] = left.T[:, :, None]
+    columns[d:].reshape(-1, j, i)[...] = right.T[:, None, :]
+    return columns.T
 
 
-def _kernel_table(kernel: Expression, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
+# the compiled programs of the last problem valued: (problem, {id(expression): program})
+_PROGRAMS: tuple = (None, {})
+
+
+def _program(pb: LpDensityProblem, expr: Expression) -> _Program:
+    """The program of ``expr``, one of ``pb``'s expressions, compiled on first use.
+
+    A report, its refinement and the Slater check value the same kernels,
+    bounds and objective many times, so one cached problem covers them, as
+    in ``moment._box_program``.  The cache holds ``pb`` and so its
+    expressions, so their identities are safe keys.
+    """
+    global _PROGRAMS
+    problem, programs = _PROGRAMS
+    if problem is not pb:
+        programs = {}
+        _PROGRAMS = (pb, programs)
+    program = programs.get(id(expr))
+    if program is None:
+        program = programs[id(expr)] = _Program((expr,))
+    return program
+
+
+def _values(pb: LpDensityProblem, expr: Expression, points: np.ndarray) -> np.ndarray:
+    """``evaluate_many(expr, points)``, run on ``pb``'s cached program."""
+    return _program(pb, expr).run(points)[0][0]
+
+
+def _kernel_table(kernel: _Program, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
     """Kernel values on the product grid, shape (len(outer), len(x_pts))."""
-    values = evaluate_many(kernel, _pair_points(outer, x_pts))
+    values = kernel.run(_pair_points(outer, x_pts))[0][0]
     return values.reshape(outer.shape[0], x_pts.shape[0])
 
 
@@ -175,7 +209,7 @@ def kernel_tau(
     if not pb.domain.closure_contains(point, tol=1e-12):
         raise ValueError(f"point {point} lies outside the closed domain")
     outer, weight = midpoint_grid(kbox, quad_resolution)
-    column = _kernel_table(kernel, outer, np.asarray([point]))[:, 0]
+    column = _kernel_table(_program(pb, kernel), outer, np.asarray([point]))[:, 0]
     return float((np.sum(np.abs(column) ** pb.p) * weight) ** (1.0 / pb.p))
 
 
@@ -191,7 +225,7 @@ def kernel_rho(
     if not kbox.closure_contains(point, tol=1e-12):
         raise ValueError(f"point {point} lies outside the closed constraint box")
     x_pts, weight = midpoint_grid(pb.domain, quad_resolution)
-    row = _kernel_table(kernel, np.asarray([point]), x_pts)[0, :]
+    row = _kernel_table(_program(pb, kernel), np.asarray([point]), x_pts)[0, :]
     return float((np.sum(np.abs(row) ** pb.q) * weight) ** (1.0 / pb.q))
 
 
@@ -216,7 +250,7 @@ def _norm_summary(pb: LpDensityProblem, which: str, quad_resolution: int) -> tup
     kernel, _, kbox = _family(pb, which)
     outer, dy = midpoint_grid(kbox, quad_resolution)
     x_pts, dx = midpoint_grid(pb.domain, quad_resolution)
-    table = _kernel_table(kernel, outer, x_pts)
+    table = _kernel_table(_program(pb, kernel), outer, x_pts)
     tau = (np.sum(np.abs(table) ** pb.p, axis=0) * dy) ** (1.0 / pb.p)
     rho = (np.sum(np.abs(table) ** pb.q, axis=1) * dx) ** (1.0 / pb.q)
     tau_norm = float((np.sum(tau**pb.q) * dx) ** (1.0 / pb.q))
@@ -366,20 +400,20 @@ def _tables(
 ):
     """Midpoint grids, weights, kernel tables, and bound/objective samples."""
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
-    c = evaluate_many(pb.objective, x_pts)
+    c = _values(pb, pb.objective, x_pts)
     n_x = x_pts.shape[0]
     if pb.has_inequalities:
         y_pts, dy = midpoint_grid(pb.ineq_domain, y_resolution or x_resolution)
-        a_tab = _kernel_table(pb.kernel_a, y_pts, x_pts)
-        a_vals = evaluate_many(pb.bound_a, y_pts)
+        a_tab = _kernel_table(_program(pb, pb.kernel_a), y_pts, x_pts)
+        a_vals = _values(pb, pb.bound_a, y_pts)
     else:
         dy = 0.0
         a_tab = np.zeros((0, n_x))
         a_vals = np.zeros(0)
     if pb.has_equalities:
         z_pts, dz = midpoint_grid(pb.eq_domain, z_resolution or x_resolution)
-        b_tab = _kernel_table(pb.kernel_b, z_pts, x_pts)
-        b_vals = evaluate_many(pb.bound_b, z_pts)
+        b_tab = _kernel_table(_program(pb, pb.kernel_b), z_pts, x_pts)
+        b_vals = _values(pb, pb.bound_b, z_pts)
     else:
         dz = 0.0
         b_tab = np.zeros((0, n_x))
@@ -440,8 +474,9 @@ def discretize_lp_density(
     return primal, dual
 
 
-_SEED_CELLS = 4  # cells that start the generation loop, each with the row bounding it alone
+_SEED_CELLS = 4  # cells that start the report's loop, each with the row bounding it alone
 _BATCH = 4  # most rows, and most cells, that one round of the loop adds
+_SUM_PAIRS = 1 << 14  # most kernel pairs valued at once for the margin column's row sums
 
 
 class _Rows:
@@ -452,7 +487,7 @@ class _Rows:
     """
 
     def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
-        self.families = []  # (kernel, first row, points)
+        self.families = []  # (kernel program, first row, points)
         rhs, equality = [], []
         for kernel, bound, box, res, eq in (
             (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, False),
@@ -460,8 +495,8 @@ class _Rows:
         ):
             if kernel is not None:
                 pts, _ = midpoint_grid(box, res)
-                self.families.append((kernel, len(rhs), pts))
-                rhs.extend(evaluate_many(bound, pts))
+                self.families.append((_program(pb, kernel), len(rhs), pts))
+                rhs.extend(_values(pb, bound, pts))
                 equality.extend([eq] * len(pts))
         self.rhs = np.array(rhs)
         self.equality = np.array(equality)
@@ -473,6 +508,20 @@ class _Rows:
             if out.size and mine.any():
                 out[mine] = _kernel_table(kernel, pts[rows[mine] - first], x_pts)
         return out
+
+    def sums(self, x_pts: np.ndarray, dx: float) -> np.ndarray:
+        """Every row's ``sum_i K(p_j, x_i) dx``, valued a chunk of rows at a time.
+
+        A chunk holds at most ``_SUM_PAIRS`` kernel pairs (one row at least),
+        so the whole table is never held; each row is summed alone, so the
+        sums are bit for bit those of the whole table's rows.
+        """
+        step = max(1, _SUM_PAIRS // len(x_pts))
+        every_row = np.arange(len(self.rhs))
+        return np.concatenate([
+            (self.table(every_row[i:i + step], x_pts) * dx).sum(axis=1)
+            for i in range(0, len(every_row), step)
+        ])
 
 
 def _most(scores: np.ndarray, tol: float) -> np.ndarray:
@@ -490,47 +539,54 @@ def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(fine.reshape(dim, -1)), 2 * shape)
 
 
-def _generate(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
-    """The collocated primal by row-and-column generation: ``(lp, outcome, (R, C))``.
+class _Fixed(NamedTuple):
+    """Columns that stay in every restricted LP of the loop."""
 
-    Each round solves the primal restricted to rows ``R`` and cells ``C``
-    (the other cells held at 0), then checks every row against its solution
-    and prices every cell against its row duals.  At most ``_BATCH`` of the
-    rows violated, and of the cells with a positive reduced cost, beyond
-    ``FEAS_TOL * (1 + |value|)`` join; when none does, the solution is
-    feasible and its duals dual feasible for the full collocated LP within
-    that tolerance, which certifies it optimal there.  Only the kernel
-    blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
+    cost: np.ndarray  # (k,)
+    lower: np.ndarray  # (k,)
+    upper: np.ndarray  # (k,)
+    rows: np.ndarray  # (number of rows, k): the coefficients on every row
 
-    ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
-    ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
-    the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
-    over ``A_ji > 0``).  A restricted LP that is not optimal may only lack
-    rows or cells, so it decides nothing: the dense primal of
-    ``discretize_lp_density`` is solved instead and returned with ``None``.
+
+def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start, fixed=None):
+    """A collocated LP by row-and-column generation: ``(lp, outcome, (R, C))`` or None.
+
+    The LP is ``max cost . g + fixed.cost . t`` over cell values ``g ≥ 0``
+    and the ``fixed`` columns ``t`` within their bounds, subject to
+    ``sum_i K(p_j, x_i) dx g_i + fixed.rows[j] . t`` (``≤`` or ``=``)
+    ``rhs_j`` on every row ``j``.  Each round solves it restricted to rows
+    ``R`` and cells ``C`` (the other cells held at 0, ``t`` always in), then
+    checks every row against its solution and prices every cell against its
+    row duals.  At most ``_BATCH`` of the rows violated, and of the cells
+    with a positive reduced cost, beyond ``FEAS_TOL * (1 + |value|)`` join;
+    when none does, the solution is feasible and its duals dual feasible for
+    the full LP within that tolerance, which certifies it optimal there.
+    Only the kernel blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
+
+    The loop begins from ``start = (R, C)``.  A restricted LP that is not
+    optimal may only lack rows or cells, so it decides nothing, and the loop
+    returns None for the caller's dense LP to decide.
     """
-    x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
-    cost = evaluate_many(pb.objective, x_pts) * dx
+    if fixed is None:
+        fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((len(rows.rhs), 0)))
     every_row = np.arange(len(rows.rhs))
-    if start is None:
-        cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
-        columns = rows.table(every_row, x_pts[cells]) * dx
-        ratio = np.full(columns.shape, np.inf)
-        np.divide(rows.rhs[:, None], columns, out=ratio, where=columns > 0.0)
-        bounded = np.isfinite(ratio).any(axis=0)
-        active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
-    else:
-        active, cells = start
-        columns = rows.table(every_row, x_pts[cells]) * dx
+    active, cells = start
+    columns = rows.table(every_row, x_pts[cells]) * dx
     block = rows.table(active, x_pts) * dx
     while True:
         senses = np.where(rows.equality[active], "=", "<=").tolist()
-        lp = make_lp("max", cost[cells], block[:, cells], senses, rows.rhs[active])
+        lp = make_lp(
+            "max", np.append(cost[cells], fixed.cost),
+            np.column_stack([block[:, cells], fixed.rows[active]]), senses, rows.rhs[active],
+            lower=np.append(np.zeros(len(cells)), fixed.lower),
+            upper=np.append(np.full(len(cells), np.inf), fixed.upper),
+        )
         out = solve_lp(lp)
         if out.status != LPStatus.OPTIMAL:
-            break
+            return None
         tol = FEAS_TOL * (1.0 + abs(out.value))
-        excess = columns @ out.x - rows.rhs
+        n = len(cells)
+        excess = columns @ out.x[:n] + fixed.rows @ out.x[n:] - rows.rhs
         excess = np.where(rows.equality, np.abs(excess), excess)
         excess[active] = -np.inf
         reduced = cost - out.duals @ block
@@ -542,6 +598,30 @@ def _generate(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
         block = np.vstack([block, rows.table(new_rows, x_pts) * dx])
         cells = np.concatenate([cells, new_cells])
         columns = np.hstack([columns, rows.table(every_row, x_pts[new_cells]) * dx])
+
+
+def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
+    """The collocated primal on the generation loop: ``(lp, outcome, (R, C))``.
+
+    ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
+    ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
+    the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
+    over ``A_ji > 0``).  When the loop decides nothing, the dense primal of
+    ``discretize_lp_density`` is solved instead and returned with ``None``.
+    """
+    x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
+    cost = _values(pb, pb.objective, x_pts) * dx
+    if start is None:
+        cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
+        columns = rows.table(np.arange(len(rows.rhs)), x_pts[cells]) * dx
+        ratio = np.full(columns.shape, np.inf)
+        np.divide(rows.rhs[:, None], columns, out=ratio, where=columns > 0.0)
+        bounded = np.isfinite(ratio).any(axis=0)
+        active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
+        start = active, cells
+    found = _generate(rows, x_pts, dx, cost, start)
+    if found is not None:
+        return found
     primal, _ = discretize_lp_density(pb, **resolutions)
     return primal, solve_lp(primal), None
 
@@ -601,7 +681,7 @@ def collocation_report(
     resolutions = dict(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
     _check_resolutions(**resolutions)
     rows = _Rows(pb, y_res, z_res)
-    primal, p_out, active = _generate(pb, rows, resolutions)
+    primal, p_out, active = _collocated_primal(pb, rows, resolutions)
     if p_out.status != LPStatus.OPTIMAL:
         infeasible = p_out.status == LPStatus.INFEASIBLE
         return CollocationReport(
@@ -640,7 +720,7 @@ def collocation_report(
         if active is not None:  # the y grid is shared; each cell splits into subcells
             active = active[0], _subcells(active[1], x_resolution, pb.domain.dim)
         fine = dict(resolutions, x_resolution=2 * x_resolution)
-        _, r_out, _ = _generate(pb, rows, fine, active)
+        _, r_out, _ = _collocated_primal(pb, rows, fine, active)
         if r_out.status == LPStatus.OPTIMAL:
             refined_value = r_out.value
             if refined_value - p_out.value > gap_rtol * (1.0 + abs(refined_value)):
@@ -685,31 +765,53 @@ def check_lp_slater(
     ≤ a(y_j)``, ``sum_i B(z_l, x_i) f_i dx = b(z_l)``, ``f_i ≥ delta`` and
     ``delta ≤ SLATER_CAP``.  Substituting ``f = g + delta`` with ``g ≥ 0``
     turns the ``f_i ≥ delta`` rows into bounds and leaves the margin
-    unchanged, so the LP solved has one row per collocation point and only
-    ``delta`` is free.  A positive margin exhibits a strictly positive
-    density satisfying every inequality strictly; an infeasible margin LP
-    reports ``-inf``.  The rank of the collocated equality matrix is
-    reported as a finite surrogate for surjectivity of the equality
-    operator, so duplicated or dependent equality rows show up as a rank
-    deficit.
-    """
-    _, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = _tables(
-        pb, x_resolution, y_resolution, z_resolution
-    )
-    n_y, n_z = a_tab.shape[0], b_tab.shape[0]
-    rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
+    unchanged: ``delta`` is then a free column whose coefficient on row
+    ``j`` is ``u_j = sum_i K(p_j, x_i) dx``, plus 1 on an inequality row.
 
-    g_rows = np.vstack([a_tab, b_tab]) * dx
-    delta_col = g_rows.sum(axis=1)
-    delta_col[:n_y] += 1.0
-    margin, x = _max_margin(
-        g_rows, delta_col, ("<=",) * n_y + ("=",) * n_z, np.concatenate([a_vals, b_vals])
-    )
+    That LP is solved on the report's generation loop with zero cell costs
+    and ``delta`` as a column in every restricted LP.  It starts from the
+    equality rows and the inequality row of least ``a_j / u_j`` over
+    ``u_j > 0``, the one that bounds ``delta`` alone, and no cells, and it
+    stops on the full margin LP's KKT certificate at ``FEAS_TOL * (1 +
+    |delta|)``.  The sums ``u`` are taken a chunk of rows at a time, so the
+    whole kernel table is never held.  A restricted LP that is not optimal
+    decides nothing, and the dense margin LP is solved instead.
+
+    A positive margin exhibits a strictly positive density satisfying every
+    inequality strictly; an infeasible margin LP reports ``-inf``.  The rank
+    of the collocated equality matrix, valued in full, is reported as a
+    finite surrogate for surjectivity of the equality operator, so
+    duplicated or dependent equality rows show up as a rank deficit.  A
+    resolution below 2 raises ValueError.
+    """
+    y_res = y_resolution or x_resolution
+    z_res = z_resolution or x_resolution
+    _check_resolutions(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
+    rows = _Rows(pb, y_res, z_res)
+    x_pts, dx = midpoint_grid(pb.domain, x_resolution)
+    equalities = np.flatnonzero(rows.equality)
+    rank = int(np.linalg.matrix_rank(rows.table(equalities, x_pts))) if equalities.size else 0
+
+    u = rows.sums(x_pts, dx)
+    u[~rows.equality] += 1.0
+    ratio = np.full(u.shape, np.inf)
+    np.divide(rows.rhs, u, out=ratio, where=~rows.equality & (u > 0.0))
+    first = [np.argmin(ratio)] if np.isfinite(ratio).any() else []
+    start = np.concatenate([equalities, first]).astype(int), np.zeros(0, dtype=int)
+    delta = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), u[:, None])
+    found = _generate(rows, x_pts, dx, np.zeros(len(x_pts)), start, delta)
+    if found is not None:
+        margin, feasible = float(found[1].x[-1]), True
+    else:
+        every_row = np.arange(len(rows.rhs))
+        senses = np.where(rows.equality, "=", "<=").tolist()
+        margin, x = _max_margin(rows.table(every_row, x_pts) * dx, u, senses, rows.rhs)
+        feasible = x is not None
     return DensitySlaterReport(
         margin=margin,
-        feasible=x is not None,
+        feasible=feasible,
         capped=_capped(margin),
         equality_rank=rank,
-        n_equality_rows=n_z,
+        n_equality_rows=len(equalities),
         x_resolution=x_resolution,
     )

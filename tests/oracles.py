@@ -420,32 +420,40 @@ def hand_built_primal_slater(mp, resolution=129):
     )
 
 
-def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=None):
-    """``check_lp_slater`` with its LP written out as a FiniteLP."""
-    cap = moment.SLATER_CAP
+def hand_built_margin_lp(pb, x_resolution=33, y_resolution=None, z_resolution=None):
+    """``check_lp_slater``'s margin LP over (g, delta), dense, as a FiniteLP; delta is last."""
     x_pts, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = density._tables(
         pb, x_resolution, y_resolution, z_resolution
     )
     n_x = x_pts.shape[0]
     n_y, n_z = a_tab.shape[0], b_tab.shape[0]
-    rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
     g_rows = np.vstack([a_tab, b_tab]) * dx
     delta_col = g_rows.sum(axis=1)
     delta_col[:n_y] += 1.0
     objective = np.zeros(n_x + 1)
     objective[n_x] = 1.0
-    out = solve_lp(FiniteLP(
+    return FiniteLP(
         sense="max",
         objective=objective,
         rows=np.column_stack([g_rows, delta_col]),
         row_senses=("<=",) * n_y + ("=",) * n_z,
         rhs=np.concatenate([a_vals, b_vals]),
         lower=np.concatenate([np.zeros(n_x), [-np.inf]]),
-        upper=np.concatenate([np.full(n_x, np.inf), [cap]]),
-    ))
+        upper=np.concatenate([np.full(n_x, np.inf), [moment.SLATER_CAP]]),
+    )
+
+
+def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=None):
+    """``check_lp_slater`` with its margin LP solved dense, the whole LP at once."""
+    cap = moment.SLATER_CAP
+    b_tab = density._tables(pb, x_resolution, y_resolution, z_resolution)[6]
+    n_z = b_tab.shape[0]
+    rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
+    lp = hand_built_margin_lp(pb, x_resolution, y_resolution, z_resolution)
+    out = solve_lp(lp)
     feasible = out.status == LPStatus.OPTIMAL
     assert feasible or out.status == LPStatus.INFEASIBLE
-    margin = float(out.x[n_x]) if feasible else -math.inf
+    margin = float(out.x[-1]) if feasible else -math.inf
     return density.DensitySlaterReport(
         margin=margin, feasible=feasible, capped=margin >= cap * (1.0 - 1e-6),
         equality_rank=rank, n_equality_rows=n_z, x_resolution=x_resolution,

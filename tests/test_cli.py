@@ -258,6 +258,18 @@ class TestInvalidSettings:
         assert f"input error: {key} must be" in capsys.readouterr().err
         assert calls == []
 
+    @pytest.mark.parametrize("command", ["solve", "slater"])
+    @pytest.mark.parametrize("key, value", [
+        ("slater_resolution", 1),  # the slater command gave a margin and exited 0
+        ("slater_resolution", 0),
+    ])
+    def test_density_solver_key(self, tmp_path, monkeypatch, capsys, command, key, value):
+        slater, report = spy(monkeypatch, "check_lp_slater"), spy(monkeypatch, "collocation_report")
+        path = fixture_with_solver(tmp_path, "density_flat.json", **{key: value})
+        assert run_cli([command, path]) == 4
+        assert f"input error: {key} must be" in capsys.readouterr().err
+        assert slater == [] and report == []
+
     @pytest.mark.parametrize("argv, solver", [
         (["solve", fixture("piecewise.json")], "duality_report"),
         (["primal", fixture("piecewise.json")], "solve_grid_primal"),

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,14 @@ from measurelp import (
     solve_lp,
 )
 import measurelp.density as density
+import measurelp.moment as moment
 from measurelp.density import midpoint_axes, midpoint_grid
+from measurelp.expressions import _Program
 from measurelp.moment import SLATER_CAP
-from oracles import hand_built_lp_slater, midpoint_quad, refined_quad, scipy_solve
+from measurelp.simplex import FEAS_TOL, LPOutcome, kkt_residuals
+from oracles import (
+    hand_built_lp_slater, hand_built_margin_lp, midpoint_quad, refined_quad, scipy_solve,
+)
 from problems import (
     bilinear_density_problem,
     concentration_density_problem,
@@ -312,7 +319,7 @@ def no_dense_primal(*args, **kwargs):
 class TestGeneration:
     def assert_matches_dense(self, monkeypatch, pb, r):
         with monkeypatch.context() as m:
-            m.setattr(density, "_generate", dense_generate)
+            m.setattr(density, "_collocated_primal", dense_generate)
             dense = collocation_report(pb, r)
         with monkeypatch.context() as m:
             m.setattr(density, "discretize_lp_density", no_dense_primal)
@@ -407,7 +414,91 @@ class TestDensitySlater:
         cases += [(bilinear_density_problem(), 8), (unit_problem("1", "0"), 33)]
         cases += [(random_density_problem(rng), r) for _ in range(8) for r in (8, 16)]
         for pb, r in cases:
-            assert repr(check_lp_slater(pb, x_resolution=r)) == repr(hand_built_lp_slater(pb, r))
+            report, expected = check_lp_slater(pb, x_resolution=r), hand_built_lp_slater(pb, r)
+            for field in ("feasible", "capped", "equality_rank", "n_equality_rows", "x_resolution"):
+                assert getattr(report, field) == getattr(expected, field), field
+            # a restricted solve cannot match the dense tableau's last bits
+            m = expected.margin
+            assert report.margin == m or abs(report.margin - m) <= 1e-9 * (1.0 + abs(m))
+
+    def test_loop_certificate_holds_on_the_dense_margin_lp(self, monkeypatch):
+        # the loop's (g, delta) and row duals, padded with zeros, are an
+        # optimal pair for the whole margin LP up to FEAS_TOL * (1 + |delta|)
+        found = []
+        real = density._generate
+
+        def kept(*args, **kwargs):
+            found.append(real(*args, **kwargs))
+            return found[-1]
+
+        monkeypatch.setattr(density, "_generate", kept)
+        rng = np.random.default_rng(59)
+        cases = [(flat_density_problem(), 16), (concentration_density_problem(), 16)]
+        cases += [(bilinear_density_problem(), 8)]
+        cases += [(random_density_problem(rng), (8, 16)[k % 2]) for k in range(16)]
+        cases += [(gaussian_density_problem(), 16), (gaussian_density_problem(), 32)]
+        for pb, r in cases:
+            found.clear()
+            report = check_lp_slater(pb, x_resolution=r)
+            assert found[-1] is not None, "the loop fell back to the dense margin LP"
+            _, out, (active, cells) = found[-1]
+            lp = hand_built_margin_lp(pb, r)
+            delta = lp.n_vars - 1
+            x = np.zeros(lp.n_vars)
+            x[cells], x[delta] = out.x[:-1], out.x[-1]
+            duals = np.zeros(lp.n_rows)
+            duals[active] = out.duals
+            kkt = kkt_residuals(lp, LPOutcome(LPStatus.OPTIMAL, float(x[delta]), x, duals))
+            tol = FEAS_TOL * (1.0 + abs(x[delta]))
+            assert kkt.primal_residual <= tol
+            assert kkt.dual_sign_residual <= tol
+            assert kkt.stationarity_residual <= tol
+            assert report.margin == x[delta] and report.feasible
+
+    def test_default_resolution_in_2d_stays_small(self, monkeypatch):
+        # the dense margin LP here has 4,096 rows and took 1.2 GB
+        rows = []
+
+        def counted(lp):
+            rows.append(lp.n_rows)
+            return solve_lp(lp)
+
+        for module in (density, moment):  # the loop's LPs, and the dense fallback's
+            monkeypatch.setattr(module, "solve_lp", counted)
+        tracemalloc.start()
+        try:
+            report = check_lp_slater(gaussian_density_problem(), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and 0.0 < report.margin < 1.0 and not report.capped
+        assert peak < 150e6
+        assert rows and max(rows) <= 300
+
+    def test_resolution_below_two_rejected(self):
+        for kwargs in (dict(x_resolution=1), dict(x_resolution=8, y_resolution=1)):
+            with pytest.raises(ValueError, match="resolution must be >= 2"):
+                check_lp_slater(flat_density_problem(), **kwargs)
+
+    def test_kernels_compiled_once_per_problem(self, monkeypatch):
+        compiled = []
+        real = _Program.__init__
+
+        def counted(self, exprs):
+            compiled.extend(id(e) for e in exprs)
+            real(self, exprs)
+
+        monkeypatch.setattr(_Program, "__init__", counted)
+        rng = np.random.default_rng(61)
+        for pb in (
+            gaussian_density_problem(), concentration_density_problem(),
+            random_density_problem(rng), random_density_problem(rng),
+        ):
+            compiled.clear()
+            collocation_report(pb, 16)
+            check_lp_slater(pb, 16)
+            parts = (pb.objective, pb.kernel_a, pb.bound_a, pb.kernel_b, pb.bound_b)
+            assert sorted(compiled) == sorted(id(e) for e in parts if e is not None)
 
     def test_negative_margin_when_no_strict_interior(self):
         # unit mass forced while the inequality demands nonpositive mass:

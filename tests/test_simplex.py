@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 
 import measurelp.density as density
-import measurelp.moment as moment
 import measurelp.simplex as simplex
 from measurelp import (
     Box, FiniteLP, LPStatus, LpDensityProblem, parse_expression, solve_lp, standardize,
 )
 from measurelp.simplex import kkt_residuals, make_lp
-from oracles import loop_kkt_residuals, loop_standardize, scipy_solve, vertex_enumeration
+from oracles import (
+    hand_built_margin_lp, loop_kkt_residuals, loop_standardize, scipy_solve, vertex_enumeration,
+)
 from problems import random_lp
 
 
@@ -398,7 +399,7 @@ class TestRandomSuite:
 
 
 class TestKKTResiduals:
-    def test_far_bound_does_not_amplify_roundoff(self, monkeypatch):
+    def test_far_bound_does_not_amplify_roundoff(self):
         # Gaussian-kernel density problem on the unit square whose Slater
         # margin LP leaves delta basic, far below its cap of 1e6, with a
         # reduced cost of ~6e-14: charged against the cap, that roundoff
@@ -419,17 +420,11 @@ class TestKKTResiduals:
             ),
             ineq_domain=unit,
         )
-        solved = []
-
-        def keep(lp):
-            solved.append((lp, solve_lp(lp)))
-            return solved[-1][1]
-
-        monkeypatch.setattr(moment, "solve_lp", keep)  # the margin LP's solver
         report = density.check_lp_slater(pb, x_resolution=16)
-        lp, out = solved[-1]
-        delta = lp.n_vars - 1
         assert report.feasible and not report.capped
+        lp = hand_built_margin_lp(pb, 16)  # the dense margin LP the check used to solve
+        out = solve_lp(lp)
+        delta = lp.n_vars - 1
         assert lp.upper[delta] == 1e6 and out.x[delta] < 1.0
         rep = kkt_residuals(lp, out)
         assert rep.comp_slack_residual <= 1e-8
