@@ -4,12 +4,16 @@ Subcommands:
 
 - ``solve <problem.json>``: both solution routes plus diagnostics and an
   optional JSON report.
-- ``primal <problem.json> --grid R``: the grid/collocation primal only.
-- ``dual <problem.json> --tol T``: the exchange/collocation dual only.
+- ``primal <problem.json> --grid R``: the grid primal only.
+- ``dual <problem.json> --tol T``: the exchange dual only.
 - ``slater <problem.json>``: strict-feasibility diagnostics only.
 - ``option-bound``: build and solve a payoff-bound problem from a forward
   and optional call quotes, without a problem file.
 - ``validate <problem.json>``: parse and validate, reporting diagnostics.
+
+On a density file, ``primal`` and ``dual`` run the same collocation solve
+as ``solve`` without its refinement and Slater check, and print its primal
+value or its dual value, which is read from the primal's row duals.
 
 Exit codes: 0 solved/converged/valid; 2 gap remains, not converged, or the
 solver stopped on a numerical failure; 3 infeasible or unbounded; 4 invalid
@@ -23,12 +27,7 @@ import sys
 import time
 from typing import Mapping, Sequence
 
-from .density import (
-    _check_resolutions,
-    check_lp_slater,
-    collocation_report,
-    discretize_lp_density,
-)
+from .density import _check_resolutions, check_lp_slater, collocation_report
 from .expressions import ExpressionError
 from .fileio import (
     ProblemFormatError,
@@ -51,7 +50,7 @@ from .moment import (
     solve_grid_primal,
 )
 from .options import solve_option_bound
-from .simplex import LPStatus, NumericalFailure, solve_lp
+from .simplex import LPStatus, NumericalFailure
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -63,6 +62,7 @@ _STATUS_EXIT = {
     ReportStatus.GAP_REMAINS: EXIT_NOT_CONVERGED,
     ReportStatus.NOT_CONVERGED: EXIT_NOT_CONVERGED,
     ReportStatus.PRIMAL_INFEASIBLE: EXIT_INFEASIBLE,
+    ReportStatus.PRIMAL_UNBOUNDED: EXIT_INFEASIBLE,
     ReportStatus.DUAL_UNBOUNDED: EXIT_INFEASIBLE,
 }
 
@@ -194,6 +194,17 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return _STATUS_EXIT[report.status]
 
 
+def _density_side(loaded, args: argparse.Namespace, side: str) -> int:
+    """The ``side`` value of the unrefined collocation report, as ``solve`` would find it."""
+    res, gap_rtol, _ = _density_settings(loaded.solver, args)
+    report = collocation_report(loaded.problem, gap_rtol=gap_rtol, refine=False, **res)
+    print(f"collocation {side} ({report.x_resolution} per axis): {report.status.value}")
+    value = report.primal_value if side == "primal" else report.dual_value
+    if value is not None:
+        print(f"value: {_fmt(value)}")
+    return _STATUS_EXIT[report.status]
+
+
 def _cmd_primal(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
@@ -206,13 +217,7 @@ def _cmd_primal(args: argparse.Namespace) -> int:
             for p, w in zip(atoms.points, atoms.weights):
                 print(f"atom: weight {w:.9g} at {tuple(round(float(v), 12) for v in p)}")
         return _LP_EXIT[solve.status]
-    res, _, _ = _density_settings(loaded.solver, args)
-    primal, _ = discretize_lp_density(loaded.problem, **res)
-    out = solve_lp(primal)
-    print(f"collocation primal ({args.grid} per axis): {out.status.value}")
-    if out.value is not None:
-        print(f"value: {_fmt(out.value)}")
-    return _LP_EXIT[out.status]
+    return _density_side(loaded, args, "primal")
 
 
 def _cmd_dual(args: argparse.Namespace) -> int:
@@ -230,13 +235,7 @@ def _cmd_dual(args: argparse.Namespace) -> int:
         if result.status == "dual_unbounded":
             return EXIT_INFEASIBLE
         return EXIT_NOT_CONVERGED
-    res, _, _ = _density_settings(loaded.solver, args)
-    _, dual = discretize_lp_density(loaded.problem, **res)
-    out = solve_lp(dual)
-    print(f"collocation dual ({res['x_resolution']} per axis): {out.status.value}")
-    if out.value is not None:
-        print(f"value: {_fmt(out.value)}")
-    return _LP_EXIT[out.status]
+    return _density_side(loaded, args, "dual")
 
 
 def _cmd_slater(args: argparse.Namespace) -> int:

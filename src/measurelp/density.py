@@ -13,13 +13,18 @@ equality box.  This module provides
   that are exact LP duals of each other (up to quadrature weighting); the
   report solves the primal alone by row-and-column generation, valuing only
   the kernel blocks of the rows and cells it takes in and stopping on the
-  full LP's KKT certificate (the dense primal is the fallback when a
-  restricted LP is not optimal), and reads the dual solution off its row
-  duals, checked for dual feasibility, and
+  full LP's KKT certificate, and reads the dual solution off its row duals,
+  checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
   discretized equality operator; its margin LP runs on the same generation
   loop, with the margin as a column in every restricted LP, its row sums
-  valued a chunk of rows at a time (the dense margin LP is the fallback).
+  valued a chunk of rows at a time.
+
+That loop, ``_generate``, solves every collocated LP.  When a restricted LP
+is not optimal, its last round is the full LP, the same LP as the dense one
+of ``discretize_lp_density`` (or the dense margin LP), and that round
+decides the outcome.  ``discretize_lp_density`` builds the dense pair from
+the same rows; nothing in the package solves it.
 
 All quadrature uses the composite midpoint rule, which matches the piecewise
 constant density class used throughout: a discrete density takes one value
@@ -38,7 +43,7 @@ import numpy as np
 
 from .expressions import Expression, _Program
 from .geometry import MAX_GRID_POINTS, Box
-from .moment import SLATER_CAP, ReportStatus, _capped, _check_tolerance, _max_margin
+from .moment import SLATER_CAP, ReportStatus, WeakDualityError, _capped, _check_tolerance
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
 
@@ -392,86 +397,21 @@ def operator_bound_check(
     )
 
 
-def _tables(
-    pb: LpDensityProblem,
-    x_resolution: int,
-    y_resolution: int | None,
-    z_resolution: int | None,
-):
-    """Midpoint grids, weights, kernel tables, and bound/objective samples."""
-    x_pts, dx = midpoint_grid(pb.domain, x_resolution)
-    c = _values(pb, pb.objective, x_pts)
-    n_x = x_pts.shape[0]
-    if pb.has_inequalities:
-        y_pts, dy = midpoint_grid(pb.ineq_domain, y_resolution or x_resolution)
-        a_tab = _kernel_table(_program(pb, pb.kernel_a), y_pts, x_pts)
-        a_vals = _values(pb, pb.bound_a, y_pts)
-    else:
-        dy = 0.0
-        a_tab = np.zeros((0, n_x))
-        a_vals = np.zeros(0)
-    if pb.has_equalities:
-        z_pts, dz = midpoint_grid(pb.eq_domain, z_resolution or x_resolution)
-        b_tab = _kernel_table(_program(pb, pb.kernel_b), z_pts, x_pts)
-        b_vals = _values(pb, pb.bound_b, z_pts)
-    else:
-        dz = 0.0
-        b_tab = np.zeros((0, n_x))
-        b_vals = np.zeros(0)
-    return x_pts, dx, c, a_tab, a_vals, dy, b_tab, b_vals, dz
-
-
 def _check_resolutions(**resolutions) -> None:
     for label, value in resolutions.items():
         if value is not None and value < 2:
             raise ValueError(f"{label} must be >= 2, got {value}")
 
 
-def discretize_lp_density(
-    pb: LpDensityProblem,
-    x_resolution: int,
-    y_resolution: int | None = None,
-    z_resolution: int | None = None,
-) -> tuple[FiniteLP, FiniteLP]:
-    """Collocate the density problem into an exact primal/dual LP pair.
-
-    The primal variables are the density's cell values ``f_i ≥ 0`` on the
-    domain midpoint grid; constraints are collocated at the midpoints of the
-    inequality and equality boxes.  The dual variables are a nonnegative cell
-    density ``g`` on the inequality grid and a free cell density ``s`` on the
-    equality grid, with one ``≥ c(x_i)`` row per domain midpoint.  The two
-    LPs differ from an exact transpose pair only by the positive cell-volume
-    rescaling of the dual variables, so their optimal values coincide to
-    solver accuracy at every resolution.
-    """
-    _check_resolutions(
-        x_resolution=x_resolution, y_resolution=y_resolution, z_resolution=z_resolution
+def _resolutions(x_resolution: int, y_resolution: int | None, z_resolution: int | None) -> dict:
+    """The three grid resolutions, y and z defaulting to x; one below 2 raises ValueError."""
+    resolutions = dict(
+        x_resolution=x_resolution,
+        y_resolution=x_resolution if y_resolution is None else y_resolution,
+        z_resolution=x_resolution if z_resolution is None else z_resolution,
     )
-    x_pts, dx, c, a_tab, a_vals, dy, b_tab, b_vals, dz = _tables(
-        pb, x_resolution, y_resolution, z_resolution
-    )
-    n_x = x_pts.shape[0]
-    n_y, n_z = a_tab.shape[0], b_tab.shape[0]
-
-    primal = make_lp(
-        sense="max",
-        objective=c * dx,
-        rows=np.vstack([a_tab * dx, b_tab * dx]),
-        row_senses=("<=",) * n_y + ("=",) * n_z,
-        rhs=np.concatenate([a_vals, b_vals]),
-        lower=0.0,
-        upper=np.inf,
-    )
-    dual = FiniteLP(
-        sense="min",
-        objective=np.concatenate([a_vals * dy, b_vals * dz]),
-        rows=np.hstack([a_tab.T * dy, b_tab.T * dz]),
-        row_senses=(">=",) * n_x,
-        rhs=c,
-        lower=np.concatenate([np.zeros(n_y), np.full(n_z, -np.inf)]),
-        upper=np.full(n_y + n_z, np.inf),
-    )
-    return primal, dual
+    _check_resolutions(**resolutions)
+    return resolutions
 
 
 _SEED_CELLS = 4  # cells that start the report's loop, each with the row bounding it alone
@@ -482,24 +422,27 @@ _SUM_PAIRS = 1 << 14  # most kernel pairs valued at once for the margin column's
 class _Rows:
     """The collocation points: the inequality rows, then the equality rows.
 
-    ``table(rows, x_pts)`` values the kernels on the (point, x) pairs of the
-    rows asked for only, shape ``(len(rows), len(x_pts))``.
+    ``volume`` is each row's cell volume on its own grid.  ``table(rows,
+    x_pts)`` values the kernels on the (point, x) pairs of the rows asked
+    for only, shape ``(len(rows), len(x_pts))``.
     """
 
     def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
         self.families = []  # (kernel program, first row, points)
-        rhs, equality = [], []
+        rhs, equality, volume = [], [], []
         for kernel, bound, box, res, eq in (
             (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, False),
             (pb.kernel_b, pb.bound_b, pb.eq_domain, z_resolution, True),
         ):
             if kernel is not None:
-                pts, _ = midpoint_grid(box, res)
+                pts, cell = midpoint_grid(box, res)
                 self.families.append((_program(pb, kernel), len(rhs), pts))
                 rhs.extend(_values(pb, bound, pts))
                 equality.extend([eq] * len(pts))
+                volume.extend([cell] * len(pts))
         self.rhs = np.array(rhs)
         self.equality = np.array(equality)
+        self.volume = np.array(volume)
 
     def table(self, rows: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
         out = np.empty((len(rows), len(x_pts)))
@@ -522,6 +465,38 @@ class _Rows:
             (self.table(every_row[i:i + step], x_pts) * dx).sum(axis=1)
             for i in range(0, len(every_row), step)
         ])
+
+
+def discretize_lp_density(
+    pb: LpDensityProblem,
+    x_resolution: int,
+    y_resolution: int | None = None,
+    z_resolution: int | None = None,
+) -> tuple[FiniteLP, FiniteLP]:
+    """Collocate the density problem into an exact primal/dual LP pair.
+
+    The primal variables are the density's cell values ``f_i ≥ 0`` on the
+    domain midpoint grid; constraints are collocated at the midpoints of the
+    inequality and equality boxes.  The dual variables are a nonnegative cell
+    density ``g`` on the inequality grid and a free cell density ``s`` on the
+    equality grid, with one ``≥ c(x_i)`` row per domain midpoint.  The two
+    LPs differ from an exact transpose pair only by the positive cell-volume
+    rescaling of the dual variables, so their optimal values coincide to
+    solver accuracy at every resolution.  Both are dense; the reports solve
+    the primal by row-and-column generation instead (``_generate``).
+    """
+    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
+    x_pts, dx = midpoint_grid(pb.domain, x_resolution)
+    c = _values(pb, pb.objective, x_pts)
+    table = rows.table(np.arange(len(rows.rhs)), x_pts)
+    senses = np.where(rows.equality, "=", "<=").tolist()
+    primal = make_lp("max", c * dx, table * dx, senses, rows.rhs)
+    dual = make_lp(  # C order: the products of a transposed table differ in the last bits
+        "min", rows.rhs * rows.volume, np.ascontiguousarray(table.T * rows.volume),
+        (">=",) * len(x_pts), c, lower=np.where(rows.equality, -np.inf, 0.0),
+    )
+    return primal, dual
 
 
 def _most(scores: np.ndarray, tol: float) -> np.ndarray:
@@ -549,7 +524,7 @@ class _Fixed(NamedTuple):
 
 
 def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start, fixed=None):
-    """A collocated LP by row-and-column generation: ``(lp, outcome, (R, C))`` or None.
+    """A collocated LP by row-and-column generation: ``(lp, outcome, (R, C) or None)``.
 
     The LP is ``max cost . g + fixed.cost . t`` over cell values ``g ≥ 0``
     and the ``fixed`` columns ``t`` within their bounds, subject to
@@ -564,8 +539,10 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
     Only the kernel blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
 
     The loop begins from ``start = (R, C)``.  A restricted LP that is not
-    optimal may only lack rows or cells, so it decides nothing, and the loop
-    returns None for the caller's dense LP to decide.
+    optimal may only lack rows or cells, so it decides nothing, and the next
+    round is the full LP: every row, every cell and the fixed columns, valued
+    once.  That round's outcome is final whatever its status, and it comes
+    back with None for ``(R, C)``.
     """
     if fixed is None:
         fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((len(rows.rhs), 0)))
@@ -573,6 +550,7 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
     active, cells = start
     columns = rows.table(every_row, x_pts[cells]) * dx
     block = rows.table(active, x_pts) * dx
+    full = False
     while True:
         senses = np.where(rows.equality[active], "=", "<=").tolist()
         lp = make_lp(
@@ -582,8 +560,12 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
             upper=np.append(np.full(len(cells), np.inf), fixed.upper),
         )
         out = solve_lp(lp)
+        if full:
+            return lp, out, None
         if out.status != LPStatus.OPTIMAL:
-            return None
+            active, cells, full = every_row, np.arange(len(x_pts)), True
+            block = rows.table(every_row, x_pts) * dx
+            continue
         tol = FEAS_TOL * (1.0 + abs(out.value))
         n = len(cells)
         excess = columns @ out.x[:n] + fixed.rows @ out.x[n:] - rows.rhs
@@ -601,13 +583,12 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
 
 
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
-    """The collocated primal on the generation loop: ``(lp, outcome, (R, C))``.
+    """The collocated primal on the generation loop: ``(lp, outcome, (R, C) or None)``.
 
     ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
     ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
     the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
-    over ``A_ji > 0``).  When the loop decides nothing, the dense primal of
-    ``discretize_lp_density`` is solved instead and returned with ``None``.
+    over ``A_ji > 0``).
     """
     x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
     cost = _values(pb, pb.objective, x_pts) * dx
@@ -619,11 +600,7 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
         bounded = np.isfinite(ratio).any(axis=0)
         active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
         start = active, cells
-    found = _generate(rows, x_pts, dx, cost, start)
-    if found is not None:
-        return found
-    primal, _ = discretize_lp_density(pb, **resolutions)
-    return primal, solve_lp(primal), None
+    return _generate(rows, x_pts, dx, cost, start)
 
 
 @dataclass(frozen=True)
@@ -660,8 +637,9 @@ def collocation_report(
     kernel values of the rows and cells taken in are computed; the refined
     primal starts from the rows and the subcells of the cells the first one
     ended with.  A restricted LP that is not optimal may only lack rows or
-    cells, so the dense primal of ``discretize_lp_density`` is solved in its
-    place and decides the status.
+    cells, so the loop's next round is the full collocated LP, which decides
+    the status: ``primal_infeasible`` or ``primal_unbounded`` (the dual LP
+    is then infeasible), with no values.
 
     The primal's row duals, divided by the cell volumes, solve the dual LP,
     so the dual value is the KKT dual value; its dual-sign and stationarity
@@ -676,17 +654,14 @@ def collocation_report(
     ValueError.
     """
     _check_tolerance("gap_rtol", gap_rtol)
-    y_res = y_resolution or x_resolution
-    z_res = z_resolution or x_resolution
-    resolutions = dict(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
-    _check_resolutions(**resolutions)
-    rows = _Rows(pb, y_res, z_res)
+    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     primal, p_out, active = _collocated_primal(pb, rows, resolutions)
     if p_out.status != LPStatus.OPTIMAL:
         infeasible = p_out.status == LPStatus.INFEASIBLE
         return CollocationReport(
             status=(
-                ReportStatus.PRIMAL_INFEASIBLE if infeasible else ReportStatus.NOT_CONVERGED
+                ReportStatus.PRIMAL_INFEASIBLE if infeasible else ReportStatus.PRIMAL_UNBOUNDED
             ),
             primal_value=None,
             dual_value=None,
@@ -775,19 +750,19 @@ def check_lp_slater(
     stops on the full margin LP's KKT certificate at ``FEAS_TOL * (1 +
     |delta|)``.  The sums ``u`` are taken a chunk of rows at a time, so the
     whole kernel table is never held.  A restricted LP that is not optimal
-    decides nothing, and the dense margin LP is solved instead.
+    decides nothing, and the loop's next round is the full margin LP.
 
     A positive margin exhibits a strictly positive density satisfying every
-    inequality strictly; an infeasible margin LP reports ``-inf``.  The rank
+    inequality strictly; an infeasible margin LP reports ``-inf``.  The cap
+    bounds the margin, so any other status is a solver bug and raises
+    ``WeakDualityError``.  The rank
     of the collocated equality matrix, valued in full, is reported as a
     finite surrogate for surjectivity of the equality operator, so
     duplicated or dependent equality rows show up as a rank deficit.  A
     resolution below 2 raises ValueError.
     """
-    y_res = y_resolution or x_resolution
-    z_res = z_resolution or x_resolution
-    _check_resolutions(x_resolution=x_resolution, y_resolution=y_res, z_resolution=z_res)
-    rows = _Rows(pb, y_res, z_res)
+    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
     equalities = np.flatnonzero(rows.equality)
     rank = int(np.linalg.matrix_rank(rows.table(equalities, x_pts))) if equalities.size else 0
@@ -799,14 +774,11 @@ def check_lp_slater(
     first = [np.argmin(ratio)] if np.isfinite(ratio).any() else []
     start = np.concatenate([equalities, first]).astype(int), np.zeros(0, dtype=int)
     delta = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), u[:, None])
-    found = _generate(rows, x_pts, dx, np.zeros(len(x_pts)), start, delta)
-    if found is not None:
-        margin, feasible = float(found[1].x[-1]), True
-    else:
-        every_row = np.arange(len(rows.rhs))
-        senses = np.where(rows.equality, "=", "<=").tolist()
-        margin, x = _max_margin(rows.table(every_row, x_pts) * dx, u, senses, rows.rhs)
-        feasible = x is not None
+    _, out, _ = _generate(rows, x_pts, dx, np.zeros(len(x_pts)), start, delta)
+    feasible = out.status == LPStatus.OPTIMAL
+    if not (feasible or out.status == LPStatus.INFEASIBLE):
+        raise WeakDualityError(f"slater margin LP reported {out.status.value}")
+    margin = float(out.x[-1]) if feasible else -math.inf
     return DensitySlaterReport(
         margin=margin,
         feasible=feasible,

@@ -200,11 +200,6 @@ class DualPoint:
         b = [bound for _, bound in mp.equalities]
         return float(np.dot(self.y, a) + np.dot(self.z, b))
 
-    def slack_at(self, mp: MomentProblem, x: Sequence[float], box_index: int) -> float:
-        """Σ y φ(x) + Σ z ψ(x) - h(x), evaluated with box ``box_index``'s pieces."""
-        table = _box_table(mp, box_index, np.array([x], dtype=float))
-        return float(_slack(np.concatenate([self.y, self.z]), table)[0])
-
 
 def _clip_duals(raw: np.ndarray, count: int) -> np.ndarray:
     y = np.asarray(raw[:count], dtype=float)
@@ -762,9 +757,10 @@ SLATER_CAP = 1e6
 def _max_margin(rows, column, row_senses, rhs, cost: float = 0.0):
     """(t, x) of max t - cost * Σ v over [rows | column] (v, t), v >= 0, t <= SLATER_CAP.
 
-    Every Slater check solves this margin LP; x is (v, t).  An infeasible
-    LP gives (-inf, None).  The cap bounds the optimum, so any other status
-    is a solver bug and raises WeakDualityError.
+    Both moment Slater checks solve this margin LP (the density check solves
+    its own on the generation loop); x is (v, t).  An infeasible LP gives
+    (-inf, None).  The cap bounds the optimum, so any other status is a
+    solver bug and raises WeakDualityError.
     """
     n = rows.shape[1]
     objective = np.zeros(n + 1)
@@ -885,6 +881,7 @@ class ReportStatus(str, Enum):
     STRONG_DUALITY = "strong_duality_numerically"
     GAP_REMAINS = "gap_remains"
     PRIMAL_INFEASIBLE = "primal_infeasible"
+    PRIMAL_UNBOUNDED = "primal_unbounded"
     DUAL_UNBOUNDED = "dual_unbounded_below"
     NOT_CONVERGED = "not_converged"
 

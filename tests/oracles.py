@@ -10,10 +10,12 @@ midpoint quadrature with refinement, expressions by a scalar tree-walker
 over Python's ``math`` module, and partition coverage by testing every
 breakpoint cell's exact midpoint against every box.
 
-The one exception is the Slater margin LPs: each check's LP is kept here as
-it was first built, by hand and separately per check, and solved with the
-package's own simplex, so that the shared margin LP can be pinned to it bit
-for bit.
+The exceptions are the Slater margin LPs and a dual point's slack at one
+point.  Each check's margin LP is kept here as it was first built, by hand
+and separately per check, and solved with the package's own simplex, so
+that the shared margin LP can be pinned to it bit for bit.  The slack is
+valued as the separation oracle values it, so that a slack the oracle
+reports can be pinned to it exactly.
 """
 
 from __future__ import annotations
@@ -420,9 +422,34 @@ def hand_built_primal_slater(mp, resolution=129):
     )
 
 
+def collocation_tables(pb, x_resolution, y_resolution=None, z_resolution=None):
+    """Domain midpoints, cell volume, and per family (inequality, equality) its tables.
+
+    A family's tables are the kernel at every (point, midpoint) pair and the
+    bound at every point of its own midpoint grid, valued with
+    ``evaluate_many``; an absent family gives empty ones.
+    """
+    x_pts, dx = density.midpoint_grid(pb.domain, x_resolution)
+    families = []
+    for kernel, bound, box, resolution in (
+        (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution),
+        (pb.kernel_b, pb.bound_b, pb.eq_domain, z_resolution),
+    ):
+        if kernel is None:
+            families.append((np.zeros((0, len(x_pts))), np.zeros(0)))
+            continue
+        pts, _ = density.midpoint_grid(box, resolution or x_resolution)
+        pairs = np.concatenate(
+            [np.repeat(pts, len(x_pts), axis=0), np.tile(x_pts, (len(pts), 1))], axis=1
+        )
+        table = evaluate_many(kernel, pairs).reshape(len(pts), len(x_pts))
+        families.append((table, evaluate_many(bound, pts)))
+    return x_pts, dx, families
+
+
 def hand_built_margin_lp(pb, x_resolution=33, y_resolution=None, z_resolution=None):
     """``check_lp_slater``'s margin LP over (g, delta), dense, as a FiniteLP; delta is last."""
-    x_pts, dx, _, a_tab, a_vals, _, b_tab, b_vals, _ = density._tables(
+    x_pts, dx, ((a_tab, a_vals), (b_tab, b_vals)) = collocation_tables(
         pb, x_resolution, y_resolution, z_resolution
     )
     n_x = x_pts.shape[0]
@@ -446,7 +473,7 @@ def hand_built_margin_lp(pb, x_resolution=33, y_resolution=None, z_resolution=No
 def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=None):
     """``check_lp_slater`` with its margin LP solved dense, the whole LP at once."""
     cap = moment.SLATER_CAP
-    b_tab = density._tables(pb, x_resolution, y_resolution, z_resolution)[6]
+    b_tab = collocation_tables(pb, x_resolution, y_resolution, z_resolution)[2][1][0]
     n_z = b_tab.shape[0]
     rank = int(np.linalg.matrix_rank(b_tab)) if n_z else 0
     lp = hand_built_margin_lp(pb, x_resolution, y_resolution, z_resolution)
@@ -458,6 +485,20 @@ def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=No
         margin=margin, feasible=feasible, capped=margin >= cap * (1.0 - 1e-6),
         equality_rank=rank, n_equality_rows=n_z, x_resolution=x_resolution,
     )
+
+
+# ---------------------------------------------------------------------------
+# a dual point's slack at one point
+
+
+def dual_slack_at(mp, dual, x, box_index) -> float:
+    """Σ y φ(x) + Σ z ψ(x) - h(x) of ``dual`` at ``x``, with box ``box_index``'s pieces.
+
+    The point is valued as one ``moment._box_table`` column, as the
+    separation oracle values its points, so the oracle's slack equals it.
+    """
+    table = moment._box_table(mp, box_index, np.array([x], dtype=float))
+    return float(moment._slack(np.concatenate([dual.y, dual.z]), table)[0])
 
 
 # ---------------------------------------------------------------------------

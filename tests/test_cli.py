@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,34 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "primal value (collocation 64)" in out
         assert "status: strong_duality_numerically" in out
+
+    def test_density_primal_and_dual_agree_with_solve_in_2d(self, capsys):
+        # the dense dual LP of this file at 64 per axis took ~1 GB
+        path = fixture("density_gauss_2d.json")
+        assert run_cli(["solve", path]) == 0
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        for argv, key in (
+            (["primal", path, "--grid", "64"], "primal value (collocation 64)"),
+            (["dual", path, "--tol", "1e-6"], "dual value (collocation)"),
+        ):
+            tracemalloc.start()
+            try:
+                code = run_cli(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and peak < 150e6
+            out = capsys.readouterr().out
+            assert f"collocation {argv[0]} (64 per axis): strong_duality_numerically" in out
+            assert f"value: {lines[key]}\n" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["solve"], ["primal", "--grid", "8"], ["dual", "--tol", "1e-6"],
+    ])
+    def test_density_unbounded(self, capsys, argv):
+        # solve said not_converged and exited 2, while primal and dual exited 3
+        assert run_cli([argv[0], fixture("density_unbounded.json"), *argv[1:]]) == 3
+        assert "primal_unbounded" in capsys.readouterr().out
 
     def test_dual_iteration_limited(self, capsys):
         code = run_cli(
@@ -216,10 +245,11 @@ class TestSolverBlock:
         assert (doc["solver"]["slater_resolution"], doc["solver"]["gap_rtol"]) == (16, 1e-3)
 
     def test_density_primal_honours_file_resolutions(self, tmp_path, monkeypatch, capsys):
-        calls = spy(monkeypatch, "discretize_lp_density")
+        calls = spy(monkeypatch, "collocation_report")
         path = fixture_with_solver(tmp_path, "density_flat.json", y_resolution=5)
         assert run_cli(["primal", path, "--grid", "8"]) == 0
-        assert "collocation primal (8 per axis): optimal" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "collocation primal (8 per axis): strong_duality_numerically" in out
         assert (calls[0]["x_resolution"], calls[0]["y_resolution"]) == (8, 5)
 
     def test_density_dual_x_resolution(self, tmp_path, capsys):

@@ -25,7 +25,6 @@ from measurelp import (
     solve_lp,
 )
 import measurelp.density as density
-import measurelp.moment as moment
 from measurelp.density import midpoint_axes, midpoint_grid
 from measurelp.expressions import _Program
 from measurelp.moment import SLATER_CAP
@@ -52,6 +51,17 @@ def unit_problem(kernel_src, bound_src="1", objective_src="1", p=2.0, gamma=1.0)
         kernel_a=parse_expression(kernel_src, 2, (("y", 1), ("x", 1))),
         bound_a=parse_expression(bound_src, 1, ("y",)),
         ineq_domain=Box((0.0,), (float(gamma),)),
+    )
+
+
+def unmet_equalities_problem():
+    """Equalities ``∫ (1 + z x) f dx = 1 + 0.3 z`` on [0, 1]: no constant density meets them."""
+    return LpDensityProblem(
+        domain=UNIT,
+        objective=parse_expression("1", 1),
+        kernel_b=parse_expression("1 + z1*x1", 2, (("z", 1), ("x", 1))),
+        bound_b=parse_expression("1 + 0.3*z1", 1, ("z",)),
+        eq_domain=UNIT,
     )
 
 
@@ -292,6 +302,7 @@ class TestCollocationReport:
         report = collocation_report(pb, x_resolution=8)
         assert report.status == ReportStatus.PRIMAL_INFEASIBLE
         assert report.primal_value is None
+        assert repr(report) == repr(dense_report(pb, x_resolution=8))
 
     def test_unbounded_primal(self):
         pb = LpDensityProblem(
@@ -302,8 +313,9 @@ class TestCollocationReport:
             eq_domain=Box((0.0,), (0.5,)),
         )
         report = collocation_report(pb, x_resolution=8)
-        assert report.status == ReportStatus.NOT_CONVERGED
+        assert report.status == ReportStatus.PRIMAL_UNBOUNDED
         assert report.primal_value is None
+        assert repr(report) == repr(dense_report(pb, x_resolution=8))
 
 
 def dense_generate(pb, rows, resolutions, start=None):
@@ -312,17 +324,30 @@ def dense_generate(pb, rows, resolutions, start=None):
     return primal, solve_lp(primal), None
 
 
-def no_dense_primal(*args, **kwargs):
-    raise AssertionError("the generation loop fell back to the dense primal")
+def dense_report(pb, **kwargs):
+    """``collocation_report`` with the dense primal solved in place of the loop."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(density, "_collocated_primal", dense_generate)
+        return collocation_report(pb, **kwargs)
+
+
+def no_full_round(monkeypatch):
+    """Make the generation loop fail a test if it ends on its full round."""
+    real = density._generate
+
+    def restricted(*args, **kwargs):
+        found = real(*args, **kwargs)
+        assert found[2] is not None, "the generation loop ran the full LP"
+        return found
+
+    monkeypatch.setattr(density, "_generate", restricted)
 
 
 class TestGeneration:
     def assert_matches_dense(self, monkeypatch, pb, r):
+        dense = dense_report(pb, x_resolution=r)
         with monkeypatch.context() as m:
-            m.setattr(density, "_collocated_primal", dense_generate)
-            dense = collocation_report(pb, r)
-        with monkeypatch.context() as m:
-            m.setattr(density, "discretize_lp_density", no_dense_primal)
+            no_full_round(m)
             report = collocation_report(pb, r)
         assert report.status == dense.status and report.notes == dense.notes
         for field in ("primal_value", "dual_value", "refined_primal_value"):
@@ -338,7 +363,7 @@ class TestGeneration:
                 self.assert_matches_dense(monkeypatch, pb, r)
 
     def test_anchors(self, monkeypatch):
-        monkeypatch.setattr(density, "discretize_lp_density", no_dense_primal)
+        no_full_round(monkeypatch)
         for r in (2, 3, 4, 5, 8, 16, 32, 64):
             report = collocation_report(flat_density_problem(), r)
             for value in (report.primal_value, report.dual_value, report.refined_primal_value):
@@ -413,6 +438,7 @@ class TestDensitySlater:
         cases = [(flat_density_problem(), 16), (concentration_density_problem(), 16)]
         cases += [(bilinear_density_problem(), 8), (unit_problem("1", "0"), 33)]
         cases += [(random_density_problem(rng), r) for _ in range(8) for r in (8, 16)]
+        cases += [(unmet_equalities_problem(), 16)]
         for pb, r in cases:
             report, expected = check_lp_slater(pb, x_resolution=r), hand_built_lp_slater(pb, r)
             for field in ("feasible", "capped", "equality_rank", "n_equality_rows", "x_resolution"):
@@ -420,6 +446,10 @@ class TestDensitySlater:
             # a restricted solve cannot match the dense tableau's last bits
             m = expected.margin
             assert report.margin == m or abs(report.margin - m) <= 1e-9 * (1.0 + abs(m))
+        # no constant density meets these equalities, so the loop's first
+        # restricted LP is infeasible and its full round is the dense LP
+        pb = unmet_equalities_problem()
+        assert repr(check_lp_slater(pb, 16)) == repr(hand_built_lp_slater(pb, 16))
 
     def test_loop_certificate_holds_on_the_dense_margin_lp(self, monkeypatch):
         # the loop's (g, delta) and row duals, padded with zeros, are an
@@ -440,7 +470,7 @@ class TestDensitySlater:
         for pb, r in cases:
             found.clear()
             report = check_lp_slater(pb, x_resolution=r)
-            assert found[-1] is not None, "the loop fell back to the dense margin LP"
+            assert found[-1][2] is not None, "the loop ran the full margin LP"
             _, out, (active, cells) = found[-1]
             lp = hand_built_margin_lp(pb, r)
             delta = lp.n_vars - 1
@@ -463,8 +493,7 @@ class TestDensitySlater:
             rows.append(lp.n_rows)
             return solve_lp(lp)
 
-        for module in (density, moment):  # the loop's LPs, and the dense fallback's
-            monkeypatch.setattr(module, "solve_lp", counted)
+        monkeypatch.setattr(density, "solve_lp", counted)  # every LP of the loop
         tracemalloc.start()
         try:
             report = check_lp_slater(gaussian_density_problem(), 64)
@@ -516,6 +545,7 @@ class TestDensitySlater:
         rep = check_lp_slater(pb)
         assert rep.feasible
         assert rep.margin == pytest.approx(-1.0, abs=1e-9)
+        assert repr(rep) == repr(hand_built_lp_slater(pb))
 
     def test_infeasible_margin(self):
         # identical equality rows demanding different masses: no density at all
@@ -530,6 +560,7 @@ class TestDensitySlater:
         assert not rep.feasible
         assert rep.margin == -np.inf
         assert rep.rank_deficient
+        assert repr(rep) == repr(hand_built_lp_slater(pb, 9, z_resolution=4))
 
     def test_rank_deficiency_flagged(self):
         # B(z, x) = x has identical collocation rows for every z
