@@ -5,11 +5,17 @@ Subcommands:
 - ``solve <problem.json>``: both solution routes plus diagnostics and an
   optional JSON report.
 - ``primal <problem.json> --grid R``: the grid primal only.
-- ``dual <problem.json> --tol T``: the exchange dual only.
+- ``dual <problem.json> [--tol T] [--max-iters K]``: the exchange dual only.
 - ``slater <problem.json>``: strict-feasibility diagnostics only.
 - ``option-bound``: build and solve a payoff-bound problem from a forward
   and optional call quotes, without a problem file.
 - ``validate <problem.json>``: parse and validate, reporting diagnostics.
+
+The flags are laid over the file's ``solver`` block, the problem kind's
+config (``SolverConfig`` or ``DensityConfig``), which the file's defaults
+fill.  On a density file only ``--grid`` applies, as ``x_resolution``; a
+flag that the kind has no setting for exits 4 before any solve, as does an
+out-of-range value.
 
 On a density file, ``primal`` and ``dual`` run the same collocation solve
 as ``solve`` without its refinement and Slater check, and print its primal
@@ -25,23 +31,17 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Mapping, Sequence
+from dataclasses import replace
+from functools import partial
+from typing import Sequence
 
-from .density import _check_resolutions, check_lp_slater, collocation_report
-from .expressions import ExpressionError
-from .fileio import (
-    ProblemFormatError,
-    density_report_document,
-    load_problem,
-    moment_report_document,
-    write_report,
-)
+from .density import DensityConfig, check_lp_slater, collocation_report
+from .fileio import density_report_document, load_problem, moment_report_document, write_report
 from .moment import (
     ExchangeError,
     ReportStatus,
     SolverConfig,
     WeakDualityError,
-    _check_tolerance,
     _exchange_options,
     check_dual_slater,
     check_primal_slater,
@@ -72,6 +72,8 @@ _LP_EXIT = {
     LPStatus.UNBOUNDED: EXIT_INFEASIBLE,
 }
 
+_EXCHANGE_EXIT = {"converged": EXIT_OK, "dual_unbounded": EXIT_INFEASIBLE}  # else not converged
+
 
 def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.9g}"
@@ -97,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     dual = sub.add_parser("dual", help="solve the exchange/collocation dual only")
     dual.add_argument("problem")
-    dual.add_argument("--tol", type=float, required=True)
+    dual.add_argument("--tol", type=float)
     dual.add_argument("--max-iters", type=int)
 
     slater = sub.add_parser("slater", help="strict-feasibility diagnostics")
@@ -122,41 +124,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _moment_config(solver: Mapping, args: argparse.Namespace) -> SolverConfig:
-    """The file's ``solver`` block with the command-line flags applied over it."""
-    overrides = dict(solver)
-    for key, flag in (("grid_resolution", "grid"), ("tol", "tol"), ("max_iters", "max_iters")):
-        if getattr(args, flag, None) is not None:
-            overrides[key] = getattr(args, flag)
-    return SolverConfig(**overrides)
+# the config field that each command-line flag sets, per problem kind
+_FLAG_FIELDS = {
+    SolverConfig: {"grid": "grid_resolution", "tol": "tol", "max_iters": "max_iters"},
+    DensityConfig: {"grid": "x_resolution"},
+}
 
 
-def _density_settings(solver: Mapping, args: argparse.Namespace) -> tuple[dict, float, dict]:
-    """(resolutions, gap_rtol, check_lp_slater arguments) of a density problem.
+def _config(config: SolverConfig | DensityConfig, args: argparse.Namespace):
+    """``config`` with the command-line flags laid over it.
 
-    ``--grid`` overrides the file's ``x_resolution`` (64 by default), and
-    ``slater_resolution`` defaults to the x resolution in use.  A
-    ``slater_resolution`` below 2 raises ValueError naming the key, before
-    any solve.
+    A flag for which ``config`` has no field raises ValueError naming the
+    flag, and an out-of-range value the config's own ValueError, so either
+    exits 4 before any solve.
     """
-    res = {key: solver.get(key) for key in ("y_resolution", "z_resolution")}
-    res["x_resolution"] = solver.get("x_resolution", 64)
-    if getattr(args, "grid", None) is not None:
-        res["x_resolution"] = args.grid
-    _check_resolutions(slater_resolution=solver.get("slater_resolution"))
-    slater = {**res, "x_resolution": solver.get("slater_resolution", res["x_resolution"])}
-    gap_rtol = solver.get("gap_rtol", 1e-3)
-    _check_tolerance("gap_rtol", gap_rtol)  # every subcommand rejects what solve would
-    return res, gap_rtol, slater
+    fields = _FLAG_FIELDS[type(config)]
+    given = {flag: getattr(args, flag, None) for flag in ("grid", "tol", "max_iters")}
+    for flag, value in given.items():
+        if value is not None and flag not in fields:
+            option = "--" + flag.replace("_", "-")
+            raise ValueError(f"{option} has no lp_density setting (only --grid applies)")
+    return replace(config, **{fields[f]: v for f, v in given.items() if v is not None})
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     started = time.perf_counter()
+    config = _config(loaded.config, args)
     if loaded.kind == "moment":
-        config = _moment_config(loaded.solver, args)
         report = duality_report(loaded.problem, config)
-        elapsed = time.perf_counter() - started
+        timings = {"total_seconds": time.perf_counter() - started}
         print(f"problem: {loaded.name or args.problem} (moment)")
         print(f"primal value (grid {config.grid_resolution}): {_fmt(report.primal_value)}")
         print(
@@ -165,39 +162,30 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         )
         print(f"gap (dual - primal): {_fmt(report.gap)}")
         print(f"max dual violation on verification mesh: {_fmt(report.max_dual_violation)}")
-        for note in report.notes:
-            print(f"note: {note}")
-        print(f"status: {report.status.value}")
-        if args.report:
-            doc = moment_report_document(
-                report, loaded.name, config, {"total_seconds": elapsed}
-            )
-            write_report(doc, args.report)
-        return _STATUS_EXIT[report.status]
-
-    res, gap_rtol, slater_args = _density_settings(loaded.solver, args)
-    report = collocation_report(loaded.problem, gap_rtol=gap_rtol, **res)
-    slater = check_lp_slater(loaded.problem, **slater_args)
-    elapsed = time.perf_counter() - started
-    print(f"problem: {loaded.name or args.problem} (lp_density, p={loaded.problem.p:g})")
-    print(f"primal value (collocation {report.x_resolution}): {_fmt(report.primal_value)}")
-    print(f"dual value (collocation): {_fmt(report.dual_value)}")
-    print(f"gap (dual - primal): {_fmt(report.gap)}")
+        document = partial(moment_report_document, report, loaded.name, config, timings)
+    else:
+        report = collocation_report(loaded.problem, **config.report_options())
+        slater = check_lp_slater(loaded.problem, **config.slater_options())
+        timings = {"total_seconds": time.perf_counter() - started}
+        print(f"problem: {loaded.name or args.problem} (lp_density, p={loaded.problem.p:g})")
+        print(f"primal value (collocation {report.x_resolution}): {_fmt(report.primal_value)}")
+        print(f"dual value (collocation): {_fmt(report.dual_value)}")
+        print(f"gap (dual - primal): {_fmt(report.gap)}")
+        document = partial(
+            density_report_document, report, loaded.name, loaded.problem.p, slater, timings
+        )
     for note in report.notes:
         print(f"note: {note}")
     print(f"status: {report.status.value}")
     if args.report:
-        doc = density_report_document(
-            report, loaded.name, loaded.problem.p, slater, {"total_seconds": elapsed}
-        )
-        write_report(doc, args.report)
+        write_report(document(), args.report)
     return _STATUS_EXIT[report.status]
 
 
 def _density_side(loaded, args: argparse.Namespace, side: str) -> int:
     """The ``side`` value of the unrefined collocation report, as ``solve`` would find it."""
-    res, gap_rtol, _ = _density_settings(loaded.solver, args)
-    report = collocation_report(loaded.problem, gap_rtol=gap_rtol, refine=False, **res)
+    options = _config(loaded.config, args).report_options()
+    report = collocation_report(loaded.problem, refine=False, **options)
     print(f"collocation {side} ({report.x_resolution} per axis): {report.status.value}")
     value = report.primal_value if side == "primal" else report.dual_value
     if value is not None:
@@ -208,7 +196,7 @@ def _density_side(loaded, args: argparse.Namespace, side: str) -> int:
 def _cmd_primal(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
-        config = _moment_config(loaded.solver, args)  # rejects what solve would
+        config = _config(loaded.config, args)
         solve = solve_grid_primal(loaded.problem, config.grid_resolution)
         print(f"grid primal ({args.grid} per axis): {solve.status.value}")
         if solve.value is not None:
@@ -223,25 +211,21 @@ def _cmd_primal(args: argparse.Namespace) -> int:
 def _cmd_dual(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
     if loaded.kind == "moment":
-        config = _moment_config(loaded.solver, args)
+        config = _config(loaded.config, args)
         result = exchange_solve(loaded.problem, **_exchange_options(config))
         print(f"exchange dual: {result.status} after {result.iterations} iteration(s)")
         if result.value is not None:
             print(f"value: {_fmt(result.value)}")
         if result.final_slack is not None:
             print(f"final separation slack: {result.final_slack:.3g}")
-        if result.status == "converged":
-            return EXIT_OK
-        if result.status == "dual_unbounded":
-            return EXIT_INFEASIBLE
-        return EXIT_NOT_CONVERGED
+        return _EXCHANGE_EXIT.get(result.status, EXIT_NOT_CONVERGED)
     return _density_side(loaded, args, "dual")
 
 
 def _cmd_slater(args: argparse.Namespace) -> int:
     loaded = load_problem(args.problem)
+    config = loaded.config
     if loaded.kind == "moment":
-        config = _moment_config(loaded.solver, args)
         primal = check_primal_slater(loaded.problem, config.slater_resolution)
         dual = check_dual_slater(loaded.problem, **_exchange_options(config))
         print(f"primal margin: {_fmt(primal.margin)} (feasible: {primal.feasible})")
@@ -257,8 +241,7 @@ def _cmd_slater(args: argparse.Namespace) -> int:
         if not dual.converged:
             return EXIT_NOT_CONVERGED
         return EXIT_OK
-    _, _, slater_args = _density_settings(loaded.solver, args)
-    rep = check_lp_slater(loaded.problem, **slater_args)
+    rep = check_lp_slater(loaded.problem, **config.slater_options())
     print(f"margin: {_fmt(rep.margin if rep.feasible else None)} (feasible: {rep.feasible})")
     print(f"equality rank: {rep.equality_rank} of {rep.n_equality_rows}")
     if rep.rank_deficient:
@@ -267,7 +250,7 @@ def _cmd_slater(args: argparse.Namespace) -> int:
 
 
 def _cmd_option_bound(args: argparse.Namespace) -> int:
-    config = _moment_config({}, args)
+    config = _config(SolverConfig(), args)
     started = time.perf_counter()
     result = solve_option_bound(
         spot_domain=args.domain,
@@ -338,10 +321,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return EXIT_OK if e.code in (0, None) else EXIT_INPUT
     try:
         return _COMMANDS[args.command](args)
-    except (ProblemFormatError, ExpressionError) as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # ProblemFormatError and ExpressionError included
         print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except ExchangeError as e:
@@ -350,9 +330,6 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except (NumericalFailure, WeakDualityError) as e:
         print(f"solver stopped: {e}", file=sys.stderr)
         return EXIT_NOT_CONVERGED
-    except OSError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
 
 
 def main() -> None:

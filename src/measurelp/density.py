@@ -397,21 +397,48 @@ def operator_bound_check(
     )
 
 
-def _check_resolutions(**resolutions) -> None:
-    for label, value in resolutions.items():
-        if value is not None and value < 2:
-            raise ValueError(f"{label} must be >= 2, got {value}")
+@dataclass(frozen=True)
+class DensityConfig:
+    """Settings of a density problem's solve; an out-of-range one raises ValueError naming it.
 
+    ``collocation_report`` takes the first four and ``check_lp_slater`` the
+    three resolutions, with ``slater_resolution`` as its x resolution.  An
+    unset ``y_resolution`` or ``z_resolution`` is each solve's own x
+    resolution, and an unset ``slater_resolution`` is ``x_resolution``, so
+    that the report and the Slater check collocate the same LP.
+    """
 
-def _resolutions(x_resolution: int, y_resolution: int | None, z_resolution: int | None) -> dict:
-    """The three grid resolutions, y and z defaulting to x; one below 2 raises ValueError."""
-    resolutions = dict(
-        x_resolution=x_resolution,
-        y_resolution=x_resolution if y_resolution is None else y_resolution,
-        z_resolution=x_resolution if z_resolution is None else z_resolution,
-    )
-    _check_resolutions(**resolutions)
-    return resolutions
+    x_resolution: int = 64
+    y_resolution: int | None = None
+    z_resolution: int | None = None
+    gap_rtol: float = 1e-3
+    slater_resolution: int | None = None
+
+    def __post_init__(self):
+        _check_tolerance("gap_rtol", self.gap_rtol)
+        for name in ("x_resolution", "y_resolution", "z_resolution", "slater_resolution"):
+            value = getattr(self, name)
+            if value is not None and value < 2:
+                raise ValueError(f"{name} must be >= 2, got {value}")
+
+    def grids(self) -> dict:
+        """The three grid resolutions of a solve at ``x_resolution``, y and z defaulting to x."""
+        x = self.x_resolution
+        return dict(
+            x_resolution=x,
+            y_resolution=x if self.y_resolution is None else self.y_resolution,
+            z_resolution=x if self.z_resolution is None else self.z_resolution,
+        )
+
+    def report_options(self) -> dict:
+        """The keyword arguments of ``collocation_report``."""
+        names = ("x_resolution", "y_resolution", "z_resolution", "gap_rtol")
+        return {name: getattr(self, name) for name in names}
+
+    def slater_options(self) -> dict:
+        """The keyword arguments of ``check_lp_slater``."""
+        x = self.x_resolution if self.slater_resolution is None else self.slater_resolution
+        return dict(x_resolution=x, y_resolution=self.y_resolution, z_resolution=self.z_resolution)
 
 
 _SEED_CELLS = 4  # cells that start the report's loop, each with the row bounding it alone
@@ -485,7 +512,7 @@ def discretize_lp_density(
     solver accuracy at every resolution.  Both are dense; the reports solve
     the primal by row-and-column generation instead (``_generate``).
     """
-    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
     c = _values(pb, pb.objective, x_pts)
@@ -621,10 +648,10 @@ class CollocationReport:
 
 def collocation_report(
     pb: LpDensityProblem,
-    x_resolution: int = 64,
+    x_resolution: int = DensityConfig.x_resolution,
     y_resolution: int | None = None,
     z_resolution: int | None = None,
-    gap_rtol: float = 1e-3,
+    gap_rtol: float = DensityConfig.gap_rtol,
     refine: bool = True,
 ) -> CollocationReport:
     """Solve the collocated primal, read the dual from its row duals, and label.
@@ -653,8 +680,7 @@ def collocation_report(
     density class".  A ``gap_rtol`` that is not finite or is below 0 raises
     ValueError.
     """
-    _check_tolerance("gap_rtol", gap_rtol)
-    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    resolutions = DensityConfig(x_resolution, y_resolution, z_resolution, gap_rtol).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     primal, p_out, active = _collocated_primal(pb, rows, resolutions)
     if p_out.status != LPStatus.OPTIMAL:
@@ -761,7 +787,7 @@ def check_lp_slater(
     duplicated or dependent equality rows show up as a rank deficit.  A
     resolution below 2 raises ValueError.
     """
-    resolutions = _resolutions(x_resolution, y_resolution, z_resolution)
+    resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
     equalities = np.flatnonzero(rows.equality)

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .density import CollocationReport, DensitySlaterReport, LpDensityProblem
+from .density import CollocationReport, DensityConfig, DensitySlaterReport, LpDensityProblem
 from .expressions import Expression, format_expression, parse_expression
 from .geometry import Box, Partition, validate_partition
 from .moment import (
@@ -36,23 +36,16 @@ FORMAT_VERSION = "1"
 
 PROBLEM_KINDS = ("moment", "lp_density")
 
-MOMENT_SOLVER_KEYS = {
-    "grid_resolution": int,
-    "tol": float,
-    "max_iters": int,
-    "scan_resolution": int,
-    "refine_steps": int,
-    "gap_rtol": float,
-    "verification_factor": int,
-    "slater_resolution": int,
-}
-DENSITY_SOLVER_KEYS = {
-    "x_resolution": int,
-    "y_resolution": int,
-    "z_resolution": int,
-    "gap_rtol": float,
-    "slater_resolution": int,
-}
+_CONFIGS = {"moment": SolverConfig, "lp_density": DensityConfig}
+
+
+def _solver_keys(config: type) -> dict[str, type]:
+    """A config class's ``solver`` keys: float for a float default, int for any other."""
+    return {f.name: float if isinstance(f.default, float) else int for f in fields(config)}
+
+
+MOMENT_SOLVER_KEYS = _solver_keys(SolverConfig)
+DENSITY_SOLVER_KEYS = _solver_keys(DensityConfig)
 
 
 class ProblemFormatError(ValueError):
@@ -142,7 +135,7 @@ def _get(doc: Mapping, key: str, kind: type | tuple, path: str, required=True):
         return None
     value = doc[key]
     if kind is float and isinstance(value, int) and not isinstance(value, bool):
-        value = float(value)
+        value = _to_float(value, f"{path}{key}")
     if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
         want = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
         raise ProblemFormatError(
@@ -159,8 +152,15 @@ def _float_list(doc: Mapping, key: str, path: str) -> list[float]:
             raise ProblemFormatError(
                 f"expected number, got {type(v).__name__}", f"{path}{key}[{i}]"
             )
-        values.append(float(v))
+        values.append(_to_float(v, f"{path}{key}[{i}]"))
     return values
+
+
+def _to_float(value: int | float, field: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer past the float range
+        raise ProblemFormatError("number too large for a float", field) from None
 
 
 def _box_from(doc: Any, path: str) -> Box:
@@ -189,17 +189,23 @@ def _expression_from(source: Any, arity: int, prefixes, path: str) -> Expression
         raise ProblemFormatError(str(e), path) from e
 
 
-def _solver_overrides(doc: Mapping, allowed: Mapping[str, type], path: str) -> dict:
-    raw = _get(doc, "solver", dict, path, required=False) or {}
+def _solver_block(doc: Mapping, kind: str) -> tuple[dict, SolverConfig | DensityConfig]:
+    """The ``solver`` block's overrides, and the kind's config built from them."""
+    config = _CONFIGS[kind]
+    allowed = _solver_keys(config)
+    raw = _get(doc, "solver", dict, "", required=False) or {}
     overrides = {}
     for key in sorted(raw):
         if key not in allowed:
             raise ProblemFormatError(
                 f"unknown solver option (allowed: {', '.join(sorted(allowed))})",
-                f"{path}solver.{key}",
+                f"solver.{key}",
             )
-        overrides[key] = _get(raw, key, allowed[key], f"{path}solver.")
-    return overrides
+        overrides[key] = _get(raw, key, allowed[key], "solver.")
+    try:
+        return overrides, config(**overrides)
+    except ValueError as e:  # the message names the key
+        raise ProblemFormatError(str(e)) from e
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +214,13 @@ def _solver_overrides(doc: Mapping, allowed: Mapping[str, type], path: str) -> d
 
 @dataclass(frozen=True)
 class LoadedProblem:
-    """A parsed problem file: the problem object plus solver overrides."""
+    """A parsed problem file: the problem object, its solver overrides, and its config."""
 
     kind: str
     name: str
     problem: MomentProblem | LpDensityProblem
     solver: dict
+    config: SolverConfig | DensityConfig
 
 
 def _load_moment(doc: Mapping) -> MomentProblem:
@@ -342,13 +349,8 @@ def problem_from_document(doc: Any) -> LoadedProblem:
         raise ProblemFormatError(
             f"kind must be one of {PROBLEM_KINDS}, got {kind!r}", "kind"
         )
-    if kind == "moment":
-        problem = _load_moment(doc)
-        solver = _solver_overrides(doc, MOMENT_SOLVER_KEYS, "")
-    else:
-        problem = _load_density(doc)
-        solver = _solver_overrides(doc, DENSITY_SOLVER_KEYS, "")
-    return LoadedProblem(kind=kind, name=problem.name, problem=problem, solver=solver)
+    problem = _load_moment(doc) if kind == "moment" else _load_density(doc)
+    return LoadedProblem(kind, problem.name, problem, *_solver_block(doc, kind))
 
 
 def load_problem(path: str | Path) -> LoadedProblem:
@@ -366,47 +368,32 @@ def load_problem(path: str | Path) -> LoadedProblem:
 
 def problem_document(loaded: LoadedProblem) -> dict:
     """Serialize a loaded problem back to its document form."""
+    pb = loaded.problem
+    doc = {"format_version": FORMAT_VERSION, "kind": loaded.kind, "name": pb.name}
     if loaded.kind == "moment":
-        mp: MomentProblem = loaded.problem
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "moment",
-            "name": mp.name,
-            "dimension": mp.domain.dim,
-            "hull": _box_doc(mp.hull),
-            "boxes": [_box_doc(b) for b in mp.domain.boxes],
-            "objective": [format_expression(e) for e in mp.objective.pieces],
-            "inequalities": [
+        doc.update(
+            dimension=pb.domain.dim,
+            hull=_box_doc(pb.hull),
+            boxes=[_box_doc(b) for b in pb.domain.boxes],
+            objective=[format_expression(e) for e in pb.objective.pieces],
+        )
+        for key, constraints in (("inequalities", pb.inequalities), ("equalities", pb.equalities)):
+            doc[key] = [
                 {"pieces": [format_expression(e) for e in fn.pieces], "bound": bound}
-                for fn, bound in mp.inequalities
-            ],
-            "equalities": [
-                {"pieces": [format_expression(e) for e in fn.pieces], "bound": bound}
-                for fn, bound in mp.equalities
-            ],
-        }
+                for fn, bound in constraints
+            ]
     else:
-        pb: LpDensityProblem = loaded.problem
-        doc = {
-            "format_version": FORMAT_VERSION,
-            "kind": "lp_density",
-            "name": pb.name,
-            "domain": _box_doc(pb.domain),
-            "objective": format_expression(pb.objective),
-            "p": pb.p,
-        }
-        if pb.has_inequalities:
-            doc["inequality"] = {
-                "kernel": format_expression(pb.kernel_a),
-                "bound": format_expression(pb.bound_a),
-                "box": _box_doc(pb.ineq_domain),
-            }
-        if pb.has_equalities:
-            doc["equality"] = {
-                "kernel": format_expression(pb.kernel_b),
-                "bound": format_expression(pb.bound_b),
-                "box": _box_doc(pb.eq_domain),
-            }
+        doc.update(domain=_box_doc(pb.domain), objective=format_expression(pb.objective), p=pb.p)
+        for key, kernel, bound, box in (
+            ("inequality", pb.kernel_a, pb.bound_a, pb.ineq_domain),
+            ("equality", pb.kernel_b, pb.bound_b, pb.eq_domain),
+        ):
+            if kernel is not None:
+                doc[key] = {
+                    "kernel": format_expression(kernel),
+                    "bound": format_expression(bound),
+                    "box": _box_doc(box),
+                }
     if loaded.solver:
         doc["solver"] = dict(loaded.solver)
     return doc

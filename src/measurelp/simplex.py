@@ -9,13 +9,17 @@ basic, the rows whose slack has the wrong sign share one auxiliary column
 x0 that a single pivot makes feasible for all of them (Chvátal, *Linear
 Programming*, ch. 8), and only equality rows get artificials of their own.
 Phase 1 runs only when x0 or an artificial is basic, so an LP with ``<=``
-rows and nonnegative right-hand sides goes straight to phase 2.  The LPs
-here are either wide and
-short (a grid primal has a handful of rows and up to ~66k columns at 257^2
-grid points) or square and up to about a thousand rows (density
-collocation), so the tableau's size is the cost that matters, and
-``standardize`` builds it with array operations rather than column by
-column.
+rows and nonnegative right-hand sides goes straight to phase 2.
+
+Most LPs here are wide and short: a grid primal or an exchange master has
+a row per moment constraint and up to ~66k columns at 257^2 grid points.
+Density collocation solves restricted LPs of tens of rows and cells (a
+report on a 2-D Gaussian kernel at 64 cells per axis solves 19, the
+largest 66 x 48, and its Slater check one 1 x 1 LP); only the generation
+loop's full round, run when a restricted LP is not optimal, is square,
+with a row per collocation point and a column per cell.  The tableau's
+size is the cost that matters, so ``standardize`` builds it with array
+operations rather than column by column.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem

@@ -62,7 +62,7 @@ class TestExitCodes:
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         for argv, key in (
             (["primal", path, "--grid", "64"], "primal value (collocation 64)"),
-            (["dual", path, "--tol", "1e-6"], "dual value (collocation)"),
+            (["dual", path], "dual value (collocation)"),
         ):
             tracemalloc.start()
             try:
@@ -76,7 +76,7 @@ class TestExitCodes:
             assert f"value: {lines[key]}\n" in out
 
     @pytest.mark.parametrize("argv", [
-        ["solve"], ["primal", "--grid", "8"], ["dual", "--tol", "1e-6"],
+        ["solve"], ["primal", "--grid", "8"], ["dual"],
     ])
     def test_density_unbounded(self, capsys, argv):
         # solve said not_converged and exited 2, while primal and dual exited 3
@@ -105,7 +105,7 @@ class TestExitCodes:
         assert "converged" in capsys.readouterr().out
 
     def test_dual_density(self, capsys):
-        assert run_cli(["dual", fixture("density_flat.json"), "--tol", "1e-6"]) == 0
+        assert run_cli(["dual", fixture("density_flat.json")]) == 0
         assert "value: 1" in capsys.readouterr().out
 
     def test_slater_moment(self, capsys):
@@ -193,12 +193,20 @@ class TestSolverBlock:
     def test_moment_config_applies_file_overrides(self):
         solver = {"grid_resolution": 65, "scan_resolution": 513}
         no_flags = argparse.Namespace(grid=None, tol=None, max_iters=None)
-        config = cli._moment_config(solver, no_flags)
+        config = cli._config(cli.SolverConfig(**solver), no_flags)
         assert (config.grid_resolution, config.scan_resolution) == (65, 513)
         assert config.tol == cli.SolverConfig().tol
         flags = argparse.Namespace(grid=33, tol=1e-4, max_iters=None)
-        config = cli._moment_config(solver, flags)
+        config = cli._config(cli.SolverConfig(**solver), flags)
         assert (config.grid_resolution, config.tol) == (33, 1e-4)
+
+    def test_dual_tol_comes_from_the_file_or_the_default(self, tmp_path, monkeypatch, capsys):
+        # --tol was required, so dual alone never read the file's tol
+        calls = spy(monkeypatch, "exchange_solve")
+        assert run_cli(["dual", fixture("cauchy_schwarz.json")]) == 0
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", tol=1e-5)
+        assert run_cli(["dual", path]) == 0
+        assert [c["tol"] for c in calls] == [cli.SolverConfig().tol, 1e-5]
 
     def test_dual_honours_file_max_iters(self, tmp_path, capsys):
         path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", max_iters=1)
@@ -254,12 +262,12 @@ class TestSolverBlock:
 
     def test_density_dual_x_resolution(self, tmp_path, capsys):
         path = fixture_with_solver(tmp_path, "density_flat.json", x_resolution=8)
-        assert run_cli(["dual", path, "--tol", "1e-6"]) == 0
+        assert run_cli(["dual", path]) == 0
         assert "collocation dual (8 per axis)" in capsys.readouterr().out
         doc = json.loads(Path(path).read_text())
         del doc["solver"]["x_resolution"]
         Path(path).write_text(json.dumps(doc), encoding="utf-8")
-        assert run_cli(["dual", path, "--tol", "1e-6"]) == 0
+        assert run_cli(["dual", path]) == 0
         assert "collocation dual (64 per axis)" in capsys.readouterr().out
 
 
@@ -288,10 +296,11 @@ class TestInvalidSettings:
         assert f"input error: {key} must be" in capsys.readouterr().err
         assert calls == []
 
-    @pytest.mark.parametrize("command", ["solve", "slater"])
+    @pytest.mark.parametrize("command", ["solve", "slater", "validate"])
     @pytest.mark.parametrize("key, value", [
         ("slater_resolution", 1),  # the slater command gave a margin and exited 0
         ("slater_resolution", 0),
+        ("x_resolution", 1),  # slater and validate exited 0
     ])
     def test_density_solver_key(self, tmp_path, monkeypatch, capsys, command, key, value):
         slater, report = spy(monkeypatch, "check_lp_slater"), spy(monkeypatch, "collocation_report")
@@ -313,12 +322,76 @@ class TestInvalidSettings:
         assert calls == []
 
     @pytest.mark.parametrize("command, flags", [
-        ("solve", []), ("primal", ["--grid", "8"]), ("dual", ["--tol", "1e-6"]), ("slater", []),
+        ("solve", []), ("primal", ["--grid", "8"]), ("dual", []), ("slater", []),
     ])
     def test_density_gap_rtol(self, tmp_path, capsys, command, flags):
         path = fixture_with_solver(tmp_path, "density_flat.json", gap_rtol=-1e-3)
         assert run_cli([command, path, *flags]) == 4
         assert "input error: gap_rtol must be a finite number >= 0" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("cauchy_schwarz.json", "tol", -1),
+        ("density_flat.json", "gap_rtol", -1),
+        ("density_flat.json", "x_resolution", 1),
+    ])
+    def test_validate_rejects_what_solve_would(self, tmp_path, capsys, name, key, value):
+        # validate exited 0 on each of these
+        path = fixture_with_solver(tmp_path, name, **{key: value})
+        assert run_cli(["validate", path]) == 4
+        assert f"input error: {key} must be" in capsys.readouterr().err
+
+    def test_integer_too_large_for_a_float(self, tmp_path, capsys):
+        # exited 1 with an OverflowError traceback
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", tol=10**400)
+        assert run_cli(["validate", path]) == 4
+        assert "input error: solver.tol: number too large" in capsys.readouterr().err
+
+
+MOMENT, DENSITY = fixture("cauchy_schwarz.json"), fixture("density_flat.json")
+OPTION_BOUND = [
+    "option-bound", "--domain", "0", "4", "--forward", "1",
+    "--payoff", "max(x1 - 2, 0)", "--direction", "sup",
+]
+
+
+def config_field(name: str):
+    return lambda call: getattr(call["config"], name)
+
+
+class TestFlags:
+    """Every flag a subcommand accepts reaches the solver, or exits 4 naming it."""
+
+    @pytest.mark.parametrize("argv, flag, value, solver, read", [
+        (["solve", MOMENT], "--grid", 65, "duality_report", config_field("grid_resolution")),
+        (["solve", MOMENT], "--tol", 1e-5, "duality_report", config_field("tol")),
+        (["solve", MOMENT], "--max-iters", 50, "duality_report", config_field("max_iters")),
+        (["primal", MOMENT], "--grid", 65, "solve_grid_primal", lambda c: c["resolution"]),
+        (["dual", MOMENT], "--tol", 1e-5, "exchange_solve", lambda c: c["tol"]),
+        (["dual", MOMENT], "--max-iters", 50, "exchange_solve", lambda c: c["max_iters"]),
+        (OPTION_BOUND, "--grid", 65, "solve_option_bound", config_field("grid_resolution")),
+        (OPTION_BOUND, "--tol", 1e-5, "solve_option_bound", config_field("tol")),
+        (OPTION_BOUND, "--max-iters", 50, "solve_option_bound", config_field("max_iters")),
+        (["solve", DENSITY], "--grid", 8, "collocation_report", lambda c: c["x_resolution"]),
+        (["primal", DENSITY], "--grid", 8, "collocation_report", lambda c: c["x_resolution"]),
+    ])
+    def test_flag_reaches_the_solver(self, monkeypatch, capsys, argv, flag, value, solver, read):
+        calls = spy(monkeypatch, solver)
+        assert run_cli([*argv, flag, str(value)]) != 4
+        assert [read(call) for call in calls] == [value]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["solve", DENSITY, "--tol", "1e-6"], "--tol"),
+        (["solve", DENSITY, "--max-iters", "50"], "--max-iters"),
+        (["dual", DENSITY, "--tol", "1e-6"], "--tol"),
+        (["dual", DENSITY, "--max-iters", "50"], "--max-iters"),
+        (["dual", DENSITY, "--tol", "nan", "--max-iters", "0"], "--tol"),  # printed value: 1
+    ])
+    def test_density_flag_without_a_setting(self, monkeypatch, capsys, argv, flag):
+        report, slater = spy(monkeypatch, "collocation_report"), spy(monkeypatch, "check_lp_slater")
+        assert run_cli(argv) == 4
+        assert f"input error: {flag} has no lp_density setting" in capsys.readouterr().err
+        assert report == [] and slater == []
 
 
 class TestParser:

@@ -26,7 +26,8 @@ from measurelp import (
     write_problem,
     write_report,
 )
-from measurelp.fileio import MOMENT_SOLVER_KEYS
+from measurelp.density import DensityConfig
+from measurelp.fileio import DENSITY_SOLVER_KEYS, MOMENT_SOLVER_KEYS
 
 
 def moment_doc(**overrides):
@@ -129,6 +130,24 @@ class TestProblemFiles:
         loaded = problem_from_document(doc)
         assert loaded.problem.equalities[0][1] == 1.0
 
+    def test_config_is_built_from_the_solver_block(self):
+        loaded = problem_from_document(moment_doc())
+        assert loaded.config == SolverConfig(**loaded.solver)
+        assert loaded.config.grid_resolution == 65
+        loaded = problem_from_document(density_doc())
+        assert loaded.config == DensityConfig(x_resolution=8)
+
+    def test_solver_keys_follow_the_config_fields(self):
+        assert MOMENT_SOLVER_KEYS == {
+            "grid_resolution": int, "tol": float, "max_iters": int, "scan_resolution": int,
+            "refine_steps": int, "gap_rtol": float, "verification_factor": int,
+            "slater_resolution": int,
+        }
+        assert DENSITY_SOLVER_KEYS == {
+            "x_resolution": int, "y_resolution": int, "z_resolution": int,
+            "gap_rtol": float, "slater_resolution": int,
+        }
+
 
 class TestProblemErrors:
     def err(self, doc):
@@ -187,6 +206,27 @@ class TestProblemErrors:
     def test_bad_exponent(self):
         e = self.err(density_doc(p=1.0))
         assert e.field == "p"
+
+    @pytest.mark.parametrize("doc, field", [
+        (moment_doc(equalities=[{"pieces": ["1"], "bound": 10**400}]), "equalities[0].bound"),
+        (moment_doc(hull={"lower": [0.0], "upper": [10**400]}), "hull.upper[0]"),
+        (density_doc(p=10**400), "p"),
+        (moment_doc(solver={"tol": 10**400}), "solver.tol"),
+    ])
+    def test_integer_too_large_for_a_float(self, doc, field):
+        # float() of this 401-digit integer raised OverflowError
+        e = self.err(doc)
+        assert e.field == field
+        assert "number too large for a float" in str(e)
+
+    @pytest.mark.parametrize("doc, message", [
+        (moment_doc(solver={"tol": -1}), "tol must be a finite number >= 0, got -1.0"),
+        (density_doc(solver={"gap_rtol": -1}), "gap_rtol must be a finite number >= 0"),
+        (density_doc(solver={"x_resolution": 1}), "x_resolution must be >= 2, got 1"),
+        (density_doc(solver={"slater_resolution": 0}), "slater_resolution must be >= 2"),
+    ])
+    def test_out_of_range_setting(self, doc, message):
+        assert str(self.err(doc)).startswith(message)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):
