@@ -31,18 +31,23 @@ constant density class used throughout: a discrete density takes one value
 per grid cell, and every norm or integral below is the midpoint-rule value on
 the same cells.  The exponent ``p`` enters only the norm checks; the
 collocation LPs themselves are independent of ``p``.
+
+Objective, bound and kernel values run on the per-problem program cache of
+``expressions`` (``_values``); a value that is not finite, or a Slater row
+sum that is not, raises ValueError naming the expression.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .expressions import Expression, _Program
-from .geometry import MAX_GRID_POINTS, Box
+from .expressions import Expression, _problem_table
+from .geometry import Box, _axis_counts
 from .moment import SLATER_CAP, ReportStatus, WeakDualityError, _capped, _check_tolerance
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
@@ -120,17 +125,11 @@ class LpDensityProblem:
 
 
 def midpoint_axes(box: Box, resolution) -> list[np.ndarray]:
-    """Midpoints of ``resolution`` equal cells per axis (broadcastable)."""
-    res = np.broadcast_to(np.asarray(resolution, dtype=int), (box.dim,))
-    if np.any(res < 1):
-        raise ValueError(f"resolution must be >= 1 per axis, got {resolution!r}")
-    total = int(np.prod(res.astype(float)))
-    if float(np.prod(res.astype(float))) > MAX_GRID_POINTS:
-        raise ValueError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
+    """Midpoints of ``resolution`` equal cells per axis, one count or one per axis."""
     axes = []
-    for l, u, r in zip(box.lower, box.upper, res):
-        step = (u - l) / int(r)
-        axes.append(l + (np.arange(int(r)) + 0.5) * step)
+    for l, u, r in zip(box.lower, box.upper, _axis_counts(box.dim, resolution, least=1)):
+        step = (u - l) / r
+        axes.append(l + (np.arange(r) + 0.5) * step)
     return axes
 
 
@@ -156,50 +155,28 @@ def _pair_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return columns.T
 
 
-# the compiled programs of the last problem valued: (problem, {id(expression): program})
-_PROGRAMS: tuple = (None, {})
+def _values(pb: LpDensityProblem, expr: Expression, where: str, points) -> np.ndarray:
+    """``evaluate_many(expr, points)`` on ``pb``'s cached program; non-finite names ``where``."""
+    return _problem_table(pb, id(expr), lambda: (expr,), points, where)[0]
 
 
-def _program(pb: LpDensityProblem, expr: Expression) -> _Program:
-    """The program of ``expr``, one of ``pb``'s expressions, compiled on first use.
-
-    A report, its refinement and the Slater check value the same kernels,
-    bounds and objective many times, so one cached problem covers them, as
-    in ``moment._box_program``.  The cache holds ``pb`` and so its
-    expressions, so their identities are safe keys.
-    """
-    global _PROGRAMS
-    problem, programs = _PROGRAMS
-    if problem is not pb:
-        programs = {}
-        _PROGRAMS = (pb, programs)
-    program = programs.get(id(expr))
-    if program is None:
-        program = programs[id(expr)] = _Program((expr,))
-    return program
-
-
-def _values(pb: LpDensityProblem, expr: Expression, points: np.ndarray) -> np.ndarray:
-    """``evaluate_many(expr, points)``, run on ``pb``'s cached program."""
-    return _program(pb, expr).run(points)[0][0]
-
-
-def _kernel_table(kernel: _Program, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
-    """Kernel values on the product grid, shape (len(outer), len(x_pts))."""
-    values = kernel.run(_pair_points(outer, x_pts))[0][0]
+def _kernel_table(kernel: Callable, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
+    """``kernel`` (a ``_values`` partial) on the product grid: (len(outer), len(x_pts))."""
+    values = kernel(_pair_points(outer, x_pts))
     return values.reshape(outer.shape[0], x_pts.shape[0])
 
 
-def _family(pb: LpDensityProblem, which: str) -> tuple[Expression, Expression, Box]:
+def _family(pb: LpDensityProblem, which: str) -> tuple[Callable, Box]:
+    """Family ``which``'s kernel, as a ``_kernel_table`` kernel, and its box."""
     if which == "a":
-        parts = pb.kernel_a, pb.bound_a, pb.ineq_domain
+        kernel, where, box = pb.kernel_a, "the inequality kernel", pb.ineq_domain
     elif which == "b":
-        parts = pb.kernel_b, pb.bound_b, pb.eq_domain
+        kernel, where, box = pb.kernel_b, "the equality kernel", pb.eq_domain
     else:
         raise ValueError(f"kernel selector must be 'a' or 'b', got {which!r}")
-    if parts[0] is None:
+    if kernel is None:
         raise ValueError(f"problem has no {which!r} constraint family")
-    return parts
+    return partial(_values, pb, kernel, where), box
 
 
 def kernel_tau(
@@ -209,12 +186,12 @@ def kernel_tau(
     quad_resolution: int = DEFAULT_QUAD_RESOLUTION,
 ) -> float:
     """Column norm ``(∫ |K(y, x)|^p dy)^(1/p)`` by midpoint quadrature."""
-    kernel, _, kbox = _family(pb, which)
+    kernel, kbox = _family(pb, which)
     point = tuple(float(v) for v in x)
     if not pb.domain.closure_contains(point, tol=1e-12):
         raise ValueError(f"point {point} lies outside the closed domain")
     outer, weight = midpoint_grid(kbox, quad_resolution)
-    column = _kernel_table(_program(pb, kernel), outer, np.asarray([point]))[:, 0]
+    column = _kernel_table(kernel, outer, np.asarray([point]))[:, 0]
     return float((np.sum(np.abs(column) ** pb.p) * weight) ** (1.0 / pb.p))
 
 
@@ -225,12 +202,12 @@ def kernel_rho(
     quad_resolution: int = DEFAULT_QUAD_RESOLUTION,
 ) -> float:
     """Row norm ``(∫ |K(y, x)|^q dx)^(1/q)`` by midpoint quadrature."""
-    kernel, _, kbox = _family(pb, which)
+    kernel, kbox = _family(pb, which)
     point = tuple(float(v) for v in y)
     if not kbox.closure_contains(point, tol=1e-12):
         raise ValueError(f"point {point} lies outside the closed constraint box")
     x_pts, weight = midpoint_grid(pb.domain, quad_resolution)
-    row = _kernel_table(_program(pb, kernel), np.asarray([point]), x_pts)[0, :]
+    row = _kernel_table(kernel, np.asarray([point]), x_pts)[0, :]
     return float((np.sum(np.abs(row) ** pb.q) * weight) ** (1.0 / pb.q))
 
 
@@ -252,10 +229,10 @@ class KernelNorms:
 
 def _norm_summary(pb: LpDensityProblem, which: str, quad_resolution: int) -> tuple:
     """(tau_norm, uniform_bound, table, tau, dx, dy) on midpoint grids at one resolution."""
-    kernel, _, kbox = _family(pb, which)
+    kernel, kbox = _family(pb, which)
     outer, dy = midpoint_grid(kbox, quad_resolution)
     x_pts, dx = midpoint_grid(pb.domain, quad_resolution)
-    table = _kernel_table(_program(pb, kernel), outer, x_pts)
+    table = _kernel_table(kernel, outer, x_pts)
     tau = (np.sum(np.abs(table) ** pb.p, axis=0) * dy) ** (1.0 / pb.p)
     rho = (np.sum(np.abs(table) ** pb.q, axis=1) * dx) ** (1.0 / pb.q)
     tau_norm = float((np.sum(tau**pb.q) * dx) ** (1.0 / pb.q))
@@ -455,17 +432,18 @@ class _Rows:
     """
 
     def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
-        self.families = []  # (kernel program, first row, points)
+        self.families = []  # (kernel, its name, first row, points)
         rhs, equality, volume = [], [], []
-        for kernel, bound, box, res, eq in (
-            (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, False),
-            (pb.kernel_b, pb.bound_b, pb.eq_domain, z_resolution, True),
+        for kernel, bound, box, res, name in (
+            (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, "inequality"),
+            (pb.kernel_b, pb.bound_b, pb.eq_domain, z_resolution, "equality"),
         ):
             if kernel is not None:
                 pts, cell = midpoint_grid(box, res)
-                self.families.append((_program(pb, kernel), len(rhs), pts))
-                rhs.extend(_values(pb, bound, pts))
-                equality.extend([eq] * len(pts))
+                where = f"the {name} kernel"
+                self.families.append((partial(_values, pb, kernel, where), where, len(rhs), pts))
+                rhs.extend(_values(pb, bound, f"the {name} bound", pts))
+                equality.extend([name == "equality"] * len(pts))
                 volume.extend([cell] * len(pts))
         self.rhs = np.array(rhs)
         self.equality = np.array(equality)
@@ -473,7 +451,7 @@ class _Rows:
 
     def table(self, rows: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
         out = np.empty((len(rows), len(x_pts)))
-        for kernel, first, pts in self.families:
+        for kernel, _, first, pts in self.families:
             mine = (rows >= first) & (rows < first + len(pts))
             if out.size and mine.any():
                 out[mine] = _kernel_table(kernel, pts[rows[mine] - first], x_pts)
@@ -484,14 +462,20 @@ class _Rows:
 
         A chunk holds at most ``_SUM_PAIRS`` kernel pairs (one row at least),
         so the whole table is never held; each row is summed alone, so the
-        sums are bit for bit those of the whole table's rows.
+        sums are bit for bit those of the whole table's rows.  A sum that is
+        not finite raises ValueError naming its kernel.
         """
         step = max(1, _SUM_PAIRS // len(x_pts))
         every_row = np.arange(len(self.rhs))
-        return np.concatenate([
-            (self.table(every_row[i:i + step], x_pts) * dx).sum(axis=1)
-            for i in range(0, len(every_row), step)
-        ])
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            sums = np.concatenate([
+                (self.table(every_row[i:i + step], x_pts) * dx).sum(axis=1)
+                for i in range(0, len(every_row), step)
+            ])
+        for _, where, first, pts in self.families:
+            if not np.isfinite(sums[first:first + len(pts)]).all():
+                raise ValueError(f"non-finite row sum of {where}")
+        return sums
 
 
 def discretize_lp_density(
@@ -515,7 +499,7 @@ def discretize_lp_density(
     resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
-    c = _values(pb, pb.objective, x_pts)
+    c = _values(pb, pb.objective, "the objective", x_pts)
     table = rows.table(np.arange(len(rows.rhs)), x_pts)
     senses = np.where(rows.equality, "=", "<=").tolist()
     primal = make_lp("max", c * dx, table * dx, senses, rows.rhs)
@@ -534,7 +518,7 @@ def _most(scores: np.ndarray, tol: float) -> np.ndarray:
 
 def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
     """Indices on the grid of ``2 * x_resolution`` cells of each cell's 2^dim subcells."""
-    shape = np.broadcast_to(np.asarray(x_resolution, dtype=int), (dim,))
+    shape = np.array(_axis_counts(dim, x_resolution, least=1))
     index = np.array(np.unravel_index(cells, shape))
     offsets = np.indices((2,) * dim).reshape(dim, -1)
     fine = 2 * index[:, :, None] + offsets[:, None, :]
@@ -618,7 +602,7 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
     over ``A_ji > 0``).
     """
     x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
-    cost = _values(pb, pb.objective, x_pts) * dx
+    cost = _values(pb, pb.objective, "the objective", x_pts) * dx
     if start is None:
         cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
         columns = rows.table(np.arange(len(rows.rhs)), x_pts[cells]) * dx

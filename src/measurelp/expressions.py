@@ -16,8 +16,11 @@ blocks ("y1..ym" then "x1..xn") laid out consecutively in the evaluation point.
 There is one evaluator, ``_Program``: it compiles a tuple of expressions
 into a straight-line numpy program whose structurally equal subtrees are
 computed once, and values them all at a batch of points in one pass.
-``evaluate_many`` is its one-row case and ``evaluate`` one point of that;
-``moment`` values all of a box's functions with one program per box.
+``evaluate_many`` is its one-row case and ``evaluate`` one point of that.
+``moment`` values all of a box's functions with one program per box, and
+``density`` each expression with its own; both run them through
+``_problem_table``, one cache of the last problem's programs, which
+rejects a non-finite value naming the box or expression.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 import re
 import struct
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -577,6 +580,33 @@ class _Program:
                     if np.broadcast_to(mask, failed.shape)[k]:
                         raise DomainError(message, format_node(node))
                 raise DomainError("evaluation produced NaN", format_node(self.roots[row]))
+
+
+# the programs compiled for the last problem valued: (problem, {key: program})
+_PROGRAMS: tuple = (None, {})
+
+
+def _problem_table(problem, key, exprs: Callable, points, where: str) -> np.ndarray:
+    """The table of ``exprs()`` at ``points``, run on ``problem``'s program under ``key``.
+
+    The program is compiled on first use and kept while ``problem`` is the
+    last problem valued, as a solve and its checks value one problem many
+    times.  A problem is frozen and held here, so its identity and its
+    expressions' are safe keys, and the problems a caller keeps hold no
+    programs.  A non-finite value raises ValueError naming ``where``.
+    """
+    global _PROGRAMS
+    cached, programs = _PROGRAMS
+    if cached is not problem:
+        programs = {}
+        _PROGRAMS = (problem, programs)
+    program = programs.get(key)
+    if program is None:
+        program = programs[key] = _Program(exprs())
+    table, finite = program.run(points)
+    if not finite:
+        raise ValueError(f"non-finite function value in {where}")
+    return table
 
 
 def _failures(op: str, a, b, r) -> list[tuple[np.ndarray, str]]:

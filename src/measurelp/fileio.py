@@ -21,7 +21,7 @@ from typing import Any, Mapping
 
 from .density import CollocationReport, DensityConfig, DensitySlaterReport, LpDensityProblem
 from .expressions import Expression, format_expression, parse_expression
-from .geometry import Box, Partition, validate_partition
+from .geometry import Box, Partition, _axis_counts, validate_partition
 from .moment import (
     DualityReport,
     DualPoint,
@@ -189,8 +189,12 @@ def _expression_from(source: Any, arity: int, prefixes, path: str) -> Expression
         raise ProblemFormatError(str(e), path) from e
 
 
-def _solver_block(doc: Mapping, kind: str) -> tuple[dict, SolverConfig | DensityConfig]:
-    """The ``solver`` block's overrides, and the kind's config built from them."""
+def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig | DensityConfig]:
+    """The ``solver`` block's overrides, and the kind's config built from them.
+
+    A resolution written there is checked against the box it sizes; a
+    default is left to the solve, where a flag may override it.
+    """
     config = _CONFIGS[kind]
     allowed = _solver_keys(config)
     raw = _get(doc, "solver", dict, "", required=False) or {}
@@ -203,9 +207,18 @@ def _solver_block(doc: Mapping, kind: str) -> tuple[dict, SolverConfig | Density
             )
         overrides[key] = _get(raw, key, allowed[key], "solver.")
     try:
-        return overrides, config(**overrides)
+        built = config(**overrides)
     except ValueError as e:  # the message names the key
         raise ProblemFormatError(str(e)) from e
+    sizes = {"y_resolution": "ineq_domain", "z_resolution": "eq_domain"}  # else the domain
+    for key in [key for key in overrides if key.endswith("_resolution")]:
+        box = getattr(problem, sizes.get(key, "domain"))
+        try:
+            if box is not None:
+                _axis_counts(box.dim, overrides[key])
+        except ValueError as e:
+            raise ProblemFormatError(str(e), f"solver.{key}") from e
+    return overrides, built
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +363,7 @@ def problem_from_document(doc: Any) -> LoadedProblem:
             f"kind must be one of {PROBLEM_KINDS}, got {kind!r}", "kind"
         )
     problem = _load_moment(doc) if kind == "moment" else _load_density(doc)
-    return LoadedProblem(kind, problem.name, problem, *_solver_block(doc, kind))
+    return LoadedProblem(kind, problem.name, problem, *_solver_block(doc, kind, problem))
 
 
 def load_problem(path: str | Path) -> LoadedProblem:

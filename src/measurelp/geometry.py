@@ -110,30 +110,32 @@ class PartitionReport:
     problems: tuple[str, ...]
 
 
-def _resolutions(box: Box, resolution) -> list[int]:
+def _axis_counts(dim: int, resolution, least: int = 2) -> list[int]:
+    """The point counts of a grid of ``resolution``, one count or one per axis.
+
+    A wrong number of axes, a count below ``least``, or more than
+    ``MAX_GRID_POINTS`` points in all raises ValueError.
+    """
     if isinstance(resolution, (int, np.integer)):
-        res = [int(resolution)] * box.dim
+        counts = [int(resolution)] * dim
     else:
-        res = [int(r) for r in resolution]
-        if len(res) != box.dim:
-            raise ValueError(f"resolution has {len(res)} axes, box has {box.dim}")
-    for r in res:
-        if r < 2:
-            raise ValueError(f"resolution must be >= 2 per axis, got {r}")
-    total = 1
-    for r in res:
-        total *= r
+        counts = [int(r) for r in resolution]
+        if len(counts) != dim:
+            raise ValueError(f"resolution has {len(counts)} axes, box has {dim}")
+    for r in counts:
+        if r < least:
+            raise ValueError(f"resolution must be >= {least} per axis, got {r}")
+    total = math.prod(counts)
     if total > MAX_GRID_POINTS:
         raise ValueError(f"grid of {total} points exceeds limit {MAX_GRID_POINTS}")
-    return res
+    return counts
 
 
 def grid_axes(box: Box, resolution) -> list[np.ndarray]:
     """Per-axis closed sample lines (both endpoints included)."""
-    res = _resolutions(box, resolution)
     return [
         np.linspace(l, u, r)
-        for l, u, r in zip(box.lower, box.upper, res)
+        for l, u, r in zip(box.lower, box.upper, _axis_counts(box.dim, resolution))
     ]
 
 

@@ -17,13 +17,13 @@ The working cuts live in a ``CutSet``: one array per field (box index,
 point, the (phi, psi) row, h), which the master LPs read directly.  The
 grid primal, the cuts and the oracle value the problem's functions through
 ``_box_table``: one box's functions at a batch of its points, in one pass
-of the box's ``expressions._Program``, which is compiled once per problem
-and gives each function's ``evaluate_many`` values bit for bit, whatever
-the batch.  So a point gets the same values wherever it is valued, and the
-oracle's column is the cut it appends.  ``duality_report`` seeds every
-grid point into the cut set by reading the grid primal's columns, so its
-first master LP is the grid LP, solved once, and no per-point ``Cut`` is
-built.
+of the box's program from the per-problem cache in ``expressions``, which
+gives each function's ``evaluate_many`` values bit for bit, whatever the
+batch, and rejects a value that is not finite naming the box.  So a point
+gets the same values wherever it is valued, and the oracle's column is the
+cut it appends.  ``duality_report`` seeds every grid point into the cut
+set by reading the grid primal's columns, so its first master LP is the
+grid LP, solved once, and no per-point ``Cut`` is built.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -44,12 +44,12 @@ from .expressions import (
     Expression,
     Literal,
     Variable,
-    _Program,
+    _problem_table,
     evaluate,
     free_variables,
     substitute_variables,
 )
-from .geometry import Box, Partition, grid_array
+from .geometry import Box, Partition, _axis_counts, grid_array
 from .simplex import FiniteLP, LPOutcome, LPStatus, make_lp, solve_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
@@ -64,6 +64,38 @@ class WeakDualityError(RuntimeError):
 
 class ExchangeError(RuntimeError):
     """The restricted dual was infeasible (primal unbounded on the cut set)."""
+
+
+@dataclass(frozen=True)
+class SolverConfig:
+    """Settings of ``duality_report``; an out-of-range one raises ValueError naming it."""
+
+    grid_resolution: int | tuple[int, ...] = 1025
+    tol: float = 1e-6
+    max_iters: int = 200
+    scan_resolution: int | tuple[int, ...] | None = None
+    refine_steps: int = 40
+    gap_rtol: float = 1e-3
+    verification_factor: int = 4
+    slater_resolution: int = 129
+
+    def __post_init__(self):
+        _check_tolerance("tol", self.tol)
+        _check_tolerance("gap_rtol", self.gap_rtol)
+        for name, least in (("max_iters", 1), ("verification_factor", 1), ("refine_steps", 0)):
+            value = getattr(self, name)
+            if not value >= least:
+                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        for name in ("grid_resolution", "slater_resolution", "scan_resolution"):
+            value = getattr(self, name)
+            if value is not None and any(r < 2 for r in np.atleast_1d(value)):
+                raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
+
+
+def _check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -134,11 +166,10 @@ class MomentProblem:
                 raise ValueError("moment bounds must be finite")
 
     def _functions(self):
+        """Every function, in ``_box_table``'s row order: phi, psi, then h."""
+        for fn, _ in self.inequalities + self.equalities:
+            yield fn
         yield self.objective
-        for fn, _ in self.inequalities:
-            yield fn
-        for fn, _ in self.equalities:
-            yield fn
 
     @property
     def n_ineq(self) -> int:
@@ -233,34 +264,10 @@ def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndar
     of the first failing row; a value that is infinite without one (an
     overflow in ``*``, say) raises ValueError naming the box.
     """
-    table, finite = _box_program(mp, box_index).run(points)
-    if not finite:
-        raise ValueError(f"non-finite function value in box {box_index}")
-    return table
-
-
-# the compiled box programs of the last problem valued: (problem, one per box)
-_PROGRAMS: tuple = (None, [])
-
-
-def _box_program(mp: MomentProblem, box_index: int) -> _Program:
-    """Box ``box_index``'s program, compiled on first use for problem ``mp``.
-
-    One exchange, its Slater check and the report's scans value the same
-    problem many times, so one cached problem covers them; a problem is
-    frozen, and the cache holds it, so its identity is a safe key.  The
-    programs live here rather than on the problem, so the problems a caller
-    keeps alive hold none.
-    """
-    global _PROGRAMS
-    problem, programs = _PROGRAMS
-    if problem is not mp:
-        programs = [None] * len(mp.domain.boxes)
-        _PROGRAMS = (mp, programs)
-    if programs[box_index] is None:
-        fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
-        programs[box_index] = _Program(tuple(fn.pieces[box_index] for fn in fns))
-    return programs[box_index]
+    return _problem_table(
+        mp, box_index, lambda: tuple(fn.pieces[box_index] for fn in mp._functions()),
+        points, f"box {box_index}",
+    )
 
 
 def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
@@ -547,11 +554,11 @@ def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     return axis
 
 
-def _scan_axes(dim: int, scan_resolution) -> list[int] | int:
-    if scan_resolution is not None:
-        return scan_resolution
-    # default budget of ~1024 scan points per box, spread across the axes
-    return max(2, int(round(1024 ** (1.0 / dim))))
+def _scan_axes(dim: int, scan_resolution) -> list[int]:
+    if scan_resolution is None:
+        # default budget of ~1024 scan points per box, spread across the axes
+        scan_resolution = max(2, int(round(1024 ** (1.0 / dim))))
+    return _axis_counts(dim, scan_resolution)
 
 
 class _ScanOracle:
@@ -574,10 +581,7 @@ class _ScanOracle:
             table = _box_table(mp, i, pts)
             self.points.append(pts)
             self.tables.append(table)
-            axes_res = res if not isinstance(res, int) else [res] * box.dim
-            self.steps.append(
-                [(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, axes_res)]
-            )
+            self.steps.append([(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, res)])
 
     def find(self, dual: DualPoint) -> SeparationResult:
         yz = np.concatenate([dual.y, dual.z])
@@ -624,7 +628,7 @@ def separation_oracle(
     mp: MomentProblem,
     dual: DualPoint,
     scan_resolution=None,
-    refine_steps: int = 40,
+    refine_steps: int = SolverConfig.refine_steps,
 ) -> SeparationResult:
     """Most-violated point of the dual constraint: argmin of the slack.
 
@@ -691,10 +695,10 @@ def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
 
 def exchange_solve(
     mp: MomentProblem,
-    tol: float = 1e-6,
-    max_iters: int = 200,
+    tol: float = SolverConfig.tol,
+    max_iters: int = SolverConfig.max_iters,
     scan_resolution=None,
-    refine_steps: int = 40,
+    refine_steps: int = SolverConfig.refine_steps,
     extra_cuts: Sequence[tuple[int, Sequence[float]]] | GridPrimal = (),
 ) -> ExchangeResult:
     """Exchange method for the dual: master LP on a working cut set + oracle.
@@ -797,8 +801,8 @@ class DualSlaterReport:
 
 def check_dual_slater(
     mp: MomentProblem,
-    tol: float = 1e-6,
-    max_iters: int = 200,
+    tol: float = SolverConfig.tol,
+    max_iters: int = SolverConfig.max_iters,
     scan_resolution=None,
     refine_steps: int = 0,
 ) -> DualSlaterReport:
@@ -860,7 +864,9 @@ class PrimalSlaterReport:
         return self.equality_rank < self.n_equalities
 
 
-def check_primal_slater(mp: MomentProblem, resolution=129) -> PrimalSlaterReport:
+def check_primal_slater(
+    mp: MomentProblem, resolution=SolverConfig.slater_resolution
+) -> PrimalSlaterReport:
     """Maximize delta with moments(w) + delta <= a and moments(w) = b over grid weights w >= 0."""
     grid = assemble_grid_primal(mp, resolution)
     M, N = mp.n_ineq, mp.n_eq
@@ -884,38 +890,6 @@ class ReportStatus(str, Enum):
     PRIMAL_UNBOUNDED = "primal_unbounded"
     DUAL_UNBOUNDED = "dual_unbounded_below"
     NOT_CONVERGED = "not_converged"
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of ``duality_report``; an out-of-range one raises ValueError naming it."""
-
-    grid_resolution: int | tuple[int, ...] = 1025
-    tol: float = 1e-6
-    max_iters: int = 200
-    scan_resolution: int | tuple[int, ...] | None = None
-    refine_steps: int = 40
-    gap_rtol: float = 1e-3
-    verification_factor: int = 4
-    slater_resolution: int = 129
-
-    def __post_init__(self):
-        _check_tolerance("tol", self.tol)
-        _check_tolerance("gap_rtol", self.gap_rtol)
-        for name, least in (("max_iters", 1), ("verification_factor", 1), ("refine_steps", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
-        for name in ("grid_resolution", "slater_resolution", "scan_resolution"):
-            value = getattr(self, name)
-            if value is not None and any(r < 2 for r in np.atleast_1d(value)):
-                raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
-
-
-def _check_tolerance(name: str, value: float) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0."""
-    if not (math.isfinite(value) and value >= 0.0):
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
 
 def _exchange_options(config: SolverConfig) -> dict:
@@ -945,11 +919,7 @@ class DualityReport:
 def _verification_scan(mp, dual, config) -> float:
     """Max violation of the dual constraint on a mesh finer than the oracle's."""
     res = _scan_axes(mp.domain.dim, config.scan_resolution)
-    factor = config.verification_factor
-    if isinstance(res, int):
-        fine = factor * res
-    else:
-        fine = tuple(factor * r for r in res)
+    fine = [config.verification_factor * r for r in res]
     sep = separation_oracle(mp, dual, fine, config.refine_steps)
     return max(0.0, -sep.slack)
 

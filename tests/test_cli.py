@@ -169,7 +169,7 @@ def test_solver_failure_exits_not_converged(monkeypatch, capsys, error, name, ar
 def fixture_with_solver(tmp_path, name: str, **solver) -> str:
     """A copy of a fixture whose solver block is updated with ``solver``."""
     doc = json.loads(Path(fixture(name)).read_text())
-    doc["solver"].update(solver)
+    doc.setdefault("solver", {}).update(solver)
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
@@ -333,6 +333,48 @@ class TestInvalidSettings:
         assert "input error: gap_rtol must be a finite number >= 0" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("name, key, points", [
+        # validate exited 0 on each, and solve named no key
+        ("cauchy_schwarz.json", "grid_resolution", 10**9),
+        ("cauchy_schwarz.json", "scan_resolution", 10**9),
+        ("cauchy_schwarz.json", "slater_resolution", 10**9),
+        ("density_gauss_2d.json", "x_resolution", 20000**2),
+        ("density_gauss_2d.json", "slater_resolution", 20000**2),
+        ("density_gauss_2d.json", "y_resolution", 20000**2),
+        ("density_concentration.json", "z_resolution", 10**9),
+    ])
+    def test_grid_over_the_point_limit(self, tmp_path, monkeypatch, capsys, name, key, points):
+        solvers = [spy(monkeypatch, s) for s in ("duality_report", "collocation_report")]
+        value = 20000 if "2d" in name else points
+        path = fixture_with_solver(tmp_path, name, **{key: value})
+        for command in ("validate", "solve"):
+            assert run_cli([command, path]) == 4
+            message = f"solver.{key}: grid of {points} points exceeds limit 100000000"
+            assert capsys.readouterr().err == f"input error: {message}\n"
+        assert solvers == [[], []]
+
+    @pytest.mark.parametrize("command", [["solve"], ["primal", "--grid", "8"], ["dual"], ["slater"]])
+    @pytest.mark.parametrize("field, source, name", [
+        ("objective", "1e300*x1*1e300", "the objective"),
+        # slater printed a capped margin and exited 0; solve named nothing
+        ("bound", "1 + 1e300*y1*1e300", "the inequality bound"),
+        ("kernel", "1e300*x1*1e300", "the inequality kernel"),
+    ])
+    def test_density_non_finite_value(self, tmp_path, capsys, command, field, source, name):
+        doc = json.loads(Path(fixture("density_flat.json")).read_text())
+        if field == "objective":
+            doc["objective"] = source
+        else:
+            doc["inequality"][field] = source
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli([command[0], str(path), *command[1:]])
+        err = capsys.readouterr().err
+        if command == ["slater"] and field == "objective":  # the margin values no objective
+            assert code == 0
+        else:
+            assert (code, err) == (4, f"input error: non-finite function value in {name}\n")
+
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
         # exited 1 with an OverflowError traceback
         path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", tol=10**400)
@@ -424,6 +466,14 @@ class TestValidationDiagnostics:
         err = capsys.readouterr().err
         assert "volume deficit" in err
         assert "hull point (0.30000000000005, 0.5) lies in 0 boxes" in err
+
+    def test_oversize_grid_rejected(self, capsys):
+        assert run_cli(["validate", fixture("oversize_grid.json")]) == 4
+        assert "solver.x_resolution: grid of 400000000 points" in capsys.readouterr().err
+
+    def test_non_finite_bound_rejected(self, capsys):
+        assert run_cli(["slater", fixture("density_nonfinite.json")]) == 4
+        assert "non-finite function value in the inequality bound" in capsys.readouterr().err
 
     def test_bad_expression_reports_offset(self, capsys):
         assert run_cli(["validate", fixture("bad_expression.json")]) == 4

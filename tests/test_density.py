@@ -575,3 +575,53 @@ class TestDensitySlater:
         assert rep.n_equality_rows == 4
         assert rep.equality_rank == 1
         assert rep.rank_deficient
+
+
+def equality_problem(kernel_src="1", bound_src="1"):
+    return LpDensityProblem(
+        domain=UNIT,
+        objective=parse_expression("1", 1),
+        kernel_b=parse_expression(kernel_src, 2, (("z", 1), ("x", 1))),
+        bound_b=parse_expression(bound_src, 1, ("z",)),
+        eq_domain=UNIT,
+    )
+
+
+class TestNonFiniteValues:
+    """A value that is not finite raises ValueError naming its expression."""
+
+    @pytest.mark.parametrize("problem, name", [
+        (lambda: unit_problem("1", objective_src="1e300*x1*1e300"), "the objective"),
+        # the Slater check gave a capped margin, and the collocation LP named nothing
+        (lambda: unit_problem("1", bound_src="1 + 1e300*y1*1e300"), "the inequality bound"),
+        (lambda: unit_problem("1e300*x1*1e300"), "the inequality kernel"),
+        (lambda: equality_problem(bound_src="1e300*z1*1e300"), "the equality bound"),
+        (lambda: equality_problem("1e300*x1*1e300"), "the equality kernel"),
+    ])
+    def test_every_valuation_names_its_expression(self, problem, name):
+        pb = problem()
+        message = f"non-finite function value in {name}"
+        for solve in (collocation_report, discretize_lp_density, check_lp_slater):
+            if solve is check_lp_slater and name == "the objective":
+                continue  # the margin LP values no objective
+            with pytest.raises(ValueError, match=message):
+                solve(pb, 8)
+
+    def test_kernel_norms_reject_a_non_finite_kernel(self):
+        # both returned infinite norms
+        pb = unit_problem("1e300*x1*1e300")
+        for check in (kernel_norms, operator_bound_check):
+            with pytest.raises(ValueError, match="value in the inequality kernel"):
+                check(pb, "a", quad_resolution=8)
+
+    def test_slater_row_sum_names_its_kernel(self):
+        # every kernel value is finite, but four of them sum past the float range
+        pb = LpDensityProblem(
+            domain=Box((0.0,), (4.0,)),
+            objective=parse_expression("1", 1),
+            kernel_a=parse_expression("1e308", 2, (("y", 1), ("x", 1))),
+            bound_a=parse_expression("1", 1, ("y",)),
+            ineq_domain=UNIT,
+        )
+        with pytest.raises(ValueError, match="non-finite row sum of the inequality kernel"):
+            check_lp_slater(pb, 4)

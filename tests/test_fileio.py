@@ -26,8 +26,9 @@ from measurelp import (
     write_problem,
     write_report,
 )
-from measurelp.density import DensityConfig
+from measurelp.density import DensityConfig, midpoint_grid
 from measurelp.fileio import DENSITY_SOLVER_KEYS, MOMENT_SOLVER_KEYS
+from measurelp.geometry import Box, grid_array
 
 
 def moment_doc(**overrides):
@@ -227,6 +228,20 @@ class TestProblemErrors:
     ])
     def test_out_of_range_setting(self, doc, message):
         assert str(self.err(doc)).startswith(message)
+
+    def test_grid_over_the_point_limit(self):
+        # the loader accepted this grid, which every solve then rejected
+        message = "grid of 400000000 points exceeds limit 100000000"
+        for build in (grid_array, midpoint_grid):
+            with pytest.raises(ValueError) as info:
+                build(Box((0.0, 0.0), (1.0, 1.0)), 20000)
+            assert str(info.value) == message
+        square = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+        doc = density_doc(inequality={"kernel": "1", "bound": "1", "box": square})
+        e = self.err({**doc, "solver": {"y_resolution": 20000}})
+        assert (e.field, str(e)) == ("solver.y_resolution", f"solver.y_resolution: {message}")
+        # each resolution is checked against its own box: the domain is 1-D
+        assert problem_from_document({**doc, "solver": {"x_resolution": 20000}}).config
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemFormatError):

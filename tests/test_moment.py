@@ -28,6 +28,7 @@ from measurelp import (
     solve_grid_primal,
 )
 import measurelp.moment as moment
+from measurelp.expressions import _Program
 from measurelp.geometry import grid_array
 from measurelp.moment import (
     CutSet,
@@ -519,6 +520,23 @@ class TestBoxTable:
             _box_table(mp, 1, np.array([[1.5], [2.5]]))
         with pytest.raises(ValueError, match="non-finite function value in box 1"):
             exchange_solve(mp)
+
+    def test_box_programs_compiled_once_per_problem(self, monkeypatch):
+        compiled = []
+        real = _Program.__init__
+
+        def counted(self, exprs):
+            compiled.append(tuple(id(e) for e in exprs))
+            real(self, exprs)
+
+        monkeypatch.setattr(_Program, "__init__", counted)
+        for mp in (shared_monomial_problem(), piecewise_problem(), cauchy_schwarz_problem()):
+            compiled.clear()
+            duality_report(mp, FAST)
+            fns = [fn for fn, _ in mp.inequalities + mp.equalities] + [mp.objective]
+            boxes = [tuple(id(fn.pieces[i]) for fn in fns) for i in range(len(mp.domain.boxes))]
+            # the other programs are evaluate's, of one expression (has_mass_bound)
+            assert sorted(key for key in compiled if len(key) > 1) == sorted(boxes)
 
 
 class TestSlaterChecks:
