@@ -48,7 +48,8 @@ import numpy as np
 
 from .expressions import Expression, _problem_table
 from .geometry import Box, _axis_counts
-from .moment import SLATER_CAP, ReportStatus, WeakDualityError, _capped, _check_tolerance
+from .moment import SLATER_CAP, ReportStatus, WeakDualityError
+from .moment import _capped, _check_tolerance, _most
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
 from .simplex import kkt_residuals, make_lp, solve_lp
 
@@ -158,6 +159,17 @@ def _pair_points(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 def _values(pb: LpDensityProblem, expr: Expression, where: str, points) -> np.ndarray:
     """``evaluate_many(expr, points)`` on ``pb``'s cached program; non-finite names ``where``."""
     return _problem_table(pb, id(expr), lambda: (expr,), points, where)[0]
+
+
+def _scaled(values: np.ndarray, scale, where: str) -> np.ndarray:
+    """Finite ``values`` times cell volumes ``scale``; a non-finite product names ``where``."""
+    if np.max(scale, initial=0.0) <= 1.0:  # finite values times at most 1 stay finite
+        return values * scale
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        out = values * scale
+    if not np.isfinite(out).all():
+        raise ValueError(f"non-finite function value in {where} times the cell volume")
+    return out
 
 
 def _kernel_table(kernel: Callable, outer: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
@@ -419,7 +431,6 @@ class DensityConfig:
 
 
 _SEED_CELLS = 4  # cells that start the report's loop, each with the row bounding it alone
-_BATCH = 4  # most rows, and most cells, that one round of the loop adds
 _SUM_PAIRS = 1 << 14  # most kernel pairs valued at once for the margin column's row sums
 
 
@@ -427,12 +438,12 @@ class _Rows:
     """The collocation points: the inequality rows, then the equality rows.
 
     ``volume`` is each row's cell volume on its own grid.  ``table(rows,
-    x_pts)`` values the kernels on the (point, x) pairs of the rows asked
-    for only, shape ``(len(rows), len(x_pts))``.
+    x_pts, scale)`` values the kernels on the (point, x) pairs of the rows
+    asked for only, times ``scale``, shape ``(len(rows), len(x_pts))``.
     """
 
     def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
-        self.families = []  # (kernel, its name, first row, points)
+        self.families = []  # (kernel, "inequality" or "equality", first row, points)
         rhs, equality, volume = [], [], []
         for kernel, bound, box, res, name in (
             (pb.kernel_a, pb.bound_a, pb.ineq_domain, y_resolution, "inequality"),
@@ -440,8 +451,8 @@ class _Rows:
         ):
             if kernel is not None:
                 pts, cell = midpoint_grid(box, res)
-                where = f"the {name} kernel"
-                self.families.append((partial(_values, pb, kernel, where), where, len(rhs), pts))
+                kernel = partial(_values, pb, kernel, f"the {name} kernel")
+                self.families.append((kernel, name, len(rhs), pts))
                 rhs.extend(_values(pb, bound, f"the {name} bound", pts))
                 equality.extend([name == "equality"] * len(pts))
                 volume.extend([cell] * len(pts))
@@ -449,12 +460,34 @@ class _Rows:
         self.equality = np.array(equality)
         self.volume = np.array(volume)
 
-    def table(self, rows: np.ndarray, x_pts: np.ndarray) -> np.ndarray:
+    def table(self, rows: np.ndarray, x_pts: np.ndarray, scale=1.0) -> np.ndarray:
         out = np.empty((len(rows), len(x_pts)))
         for kernel, _, first, pts in self.families:
             mine = (rows >= first) & (rows < first + len(pts))
             if out.size and mine.any():
                 out[mine] = _kernel_table(kernel, pts[rows[mine] - first], x_pts)
+        return self.scaled(out, rows, scale)
+
+    def scaled(self, table: np.ndarray, rows: np.ndarray, scale) -> np.ndarray:
+        """``table``, on ``rows``, times ``scale``: one cell volume, or one per row.
+
+        A product that is not finite raises ValueError naming its kernel.
+        """
+        scale = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(rows), 1))
+        if np.max(scale, initial=0.0) <= 1.0:
+            return table * scale
+        out = np.empty_like(table)
+        for _, name, first, pts in self.families:
+            mine = (rows >= first) & (rows < first + len(pts))
+            out[mine] = _scaled(table[mine], scale[mine], f"the {name} kernel")
+        return out
+
+    def weighted_rhs(self) -> np.ndarray:
+        """Each row's bound times its cell volume: the dual LP's objective."""
+        out = np.empty(len(self.rhs))
+        for _, name, first, pts in self.families:
+            mine = slice(first, first + len(pts))
+            out[mine] = _scaled(self.rhs[mine], self.volume[mine], f"the {name} bound")
         return out
 
     def sums(self, x_pts: np.ndarray, dx: float) -> np.ndarray:
@@ -469,12 +502,12 @@ class _Rows:
         every_row = np.arange(len(self.rhs))
         with np.errstate(over="ignore"):  # an overflow is reported below
             sums = np.concatenate([
-                (self.table(every_row[i:i + step], x_pts) * dx).sum(axis=1)
+                self.table(every_row[i:i + step], x_pts, dx).sum(axis=1)
                 for i in range(0, len(every_row), step)
             ])
-        for _, where, first, pts in self.families:
+        for _, name, first, pts in self.families:
             if not np.isfinite(sums[first:first + len(pts)]).all():
-                raise ValueError(f"non-finite row sum of {where}")
+                raise ValueError(f"non-finite row sum of the {name} kernel")
         return sums
 
 
@@ -500,20 +533,19 @@ def discretize_lp_density(
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
     c = _values(pb, pb.objective, "the objective", x_pts)
-    table = rows.table(np.arange(len(rows.rhs)), x_pts)
+    every_row = np.arange(len(rows.rhs))
+    table = rows.table(every_row, x_pts)
     senses = np.where(rows.equality, "=", "<=").tolist()
-    primal = make_lp("max", c * dx, table * dx, senses, rows.rhs)
+    primal = make_lp(
+        "max", _scaled(c, dx, "the objective"), rows.scaled(table, every_row, dx), senses,
+        rows.rhs,
+    )
     dual = make_lp(  # C order: the products of a transposed table differ in the last bits
-        "min", rows.rhs * rows.volume, np.ascontiguousarray(table.T * rows.volume),
+        "min", rows.weighted_rhs(),
+        np.ascontiguousarray(rows.scaled(table, every_row, rows.volume).T),
         (">=",) * len(x_pts), c, lower=np.where(rows.equality, -np.inf, 0.0),
     )
     return primal, dual
-
-
-def _most(scores: np.ndarray, tol: float) -> np.ndarray:
-    """Up to ``_BATCH`` indices of the largest scores above ``tol``, largest first."""
-    top = np.argsort(-scores, kind="stable")[:_BATCH]
-    return top[scores[top] > tol]
 
 
 def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
@@ -543,9 +575,9 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
     ``rhs_j`` on every row ``j``.  Each round solves it restricted to rows
     ``R`` and cells ``C`` (the other cells held at 0, ``t`` always in), then
     checks every row against its solution and prices every cell against its
-    row duals.  At most ``_BATCH`` of the rows violated, and of the cells
-    with a positive reduced cost, beyond ``FEAS_TOL * (1 + |value|)`` join;
-    when none does, the solution is feasible and its duals dual feasible for
+    row duals.  At most ``moment._BATCH`` of the rows violated, and of the
+    cells with a positive reduced cost, beyond ``FEAS_TOL * (1 + |value|)``
+    join; when none does, the solution is feasible and its duals dual feasible for
     the full LP within that tolerance, which certifies it optimal there.
     Only the kernel blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
 
@@ -559,8 +591,8 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
         fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((len(rows.rhs), 0)))
     every_row = np.arange(len(rows.rhs))
     active, cells = start
-    columns = rows.table(every_row, x_pts[cells]) * dx
-    block = rows.table(active, x_pts) * dx
+    columns = rows.table(every_row, x_pts[cells], dx)
+    block = rows.table(active, x_pts, dx)
     full = False
     while True:
         senses = np.where(rows.equality[active], "=", "<=").tolist()
@@ -575,7 +607,7 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
             return lp, out, None
         if out.status != LPStatus.OPTIMAL:
             active, cells, full = every_row, np.arange(len(x_pts)), True
-            block = rows.table(every_row, x_pts) * dx
+            block = rows.table(every_row, x_pts, dx)
             continue
         tol = FEAS_TOL * (1.0 + abs(out.value))
         n = len(cells)
@@ -588,9 +620,9 @@ def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start
         if not (new_rows.size or new_cells.size):
             return lp, out, (active, cells)
         active = np.concatenate([active, new_rows])
-        block = np.vstack([block, rows.table(new_rows, x_pts) * dx])
+        block = np.vstack([block, rows.table(new_rows, x_pts, dx)])
         cells = np.concatenate([cells, new_cells])
-        columns = np.hstack([columns, rows.table(every_row, x_pts[new_cells]) * dx])
+        columns = np.hstack([columns, rows.table(every_row, x_pts[new_cells], dx)])
 
 
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
@@ -602,10 +634,10 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
     over ``A_ji > 0``).
     """
     x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
-    cost = _values(pb, pb.objective, "the objective", x_pts) * dx
+    cost = _scaled(_values(pb, pb.objective, "the objective", x_pts), dx, "the objective")
     if start is None:
         cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
-        columns = rows.table(np.arange(len(rows.rhs)), x_pts[cells]) * dx
+        columns = rows.table(np.arange(len(rows.rhs)), x_pts[cells], dx)
         ratio = np.full(columns.shape, np.inf)
         np.divide(rows.rhs[:, None], columns, out=ratio, where=columns > 0.0)
         bounded = np.isfinite(ratio).any(axis=0)

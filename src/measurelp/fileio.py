@@ -192,8 +192,11 @@ def _expression_from(source: Any, arity: int, prefixes, path: str) -> Expression
 def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig | DensityConfig]:
     """The ``solver`` block's overrides, and the kind's config built from them.
 
-    A resolution written there is checked against the box it sizes; a
-    default is left to the solve, where a flag may override it.
+    A resolution written there is checked against the box it sizes, and so
+    is the grid the solve derives from it: the verification scan at
+    ``verification_factor`` times the scan resolution, and the density
+    refinement at twice ``x_resolution``.  A default is left to the solve,
+    where a flag may override it.
     """
     config = _CONFIGS[kind]
     allowed = _solver_keys(config)
@@ -210,14 +213,23 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
         built = config(**overrides)
     except ValueError as e:  # the message names the key
         raise ProblemFormatError(str(e)) from e
-    sizes = {"y_resolution": "ineq_domain", "z_resolution": "eq_domain"}  # else the domain
-    for key in [key for key in overrides if key.endswith("_resolution")]:
-        box = getattr(problem, sizes.get(key, "domain"))
+
+    def check(key, box, resolution, derived=""):
         try:
             if box is not None:
-                _axis_counts(box.dim, overrides[key])
+                _axis_counts(box.dim, resolution)
         except ValueError as e:
-            raise ProblemFormatError(str(e), f"solver.{key}") from e
+            raise ProblemFormatError(derived + str(e), f"solver.{key}") from e
+
+    sizes = {"y_resolution": "ineq_domain", "z_resolution": "eq_domain"}  # else the domain
+    for key in [key for key in overrides if key.endswith("_resolution")]:
+        check(key, getattr(problem, sizes.get(key, "domain")), overrides[key])
+    scan = [key for key in ("verification_factor", "scan_resolution") if key in overrides]
+    if scan:
+        fine = built.verification_resolution(problem.domain.dim)
+        check(scan[0], problem.domain, fine, "the verification scan's ")
+    if "x_resolution" in overrides:
+        check("x_resolution", problem.domain, 2 * built.x_resolution, "the refinement's ")
     return overrides, built
 
 

@@ -22,8 +22,10 @@ gives each function's ``evaluate_many`` values bit for bit, whatever the
 batch, and rejects a value that is not finite naming the box.  So a point
 gets the same values wherever it is valued, and the oracle's column is the
 cut it appends.  ``duality_report`` seeds every grid point into the cut
-set by reading the grid primal's columns, so its first master LP is the
-grid LP, solved once, and no per-point ``Cut`` is built.
+set by reading the grid primal's columns, so its first master is the grid
+LP, and no per-point ``Cut`` is built.  The masters price the grid's
+columns in against their duals (``exchange_solve``), so the LPs they solve
+hold the columns the optimum needs, not the whole grid.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -50,7 +52,7 @@ from .expressions import (
     substitute_variables,
 )
 from .geometry import Box, Partition, _axis_counts, grid_array
-from .simplex import FiniteLP, LPOutcome, LPStatus, make_lp, solve_lp
+from .simplex import FEAS_TOL, FiniteLP, LPOutcome, LPStatus, make_lp, solve_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
 ATOM_WEIGHT_FLOOR = 1e-12
@@ -90,6 +92,10 @@ class SolverConfig:
             value = getattr(self, name)
             if value is not None and any(r < 2 for r in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
+
+    def verification_resolution(self, dim: int) -> list[int]:
+        """Points per axis of the final verification scan: ``verification_factor`` x the scan's."""
+        return [self.verification_factor * r for r in _scan_axes(dim, self.scan_resolution)]
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -366,8 +372,8 @@ class CutSet(Sequence):
     cut's phi values then its psi values, and ``h`` (C,); the first
     ``n_ineq`` columns of ``rows`` are phi.  It reads as a
     ``Sequence[Cut]``: an integer index gives a ``Cut`` whose fields are
-    Python numbers and tuples, a slice gives a CutSet, and ``==`` compares
-    cut by cut.
+    Python numbers and tuples, a slice or an array of indices gives a CutSet
+    of those cuts, and ``==`` compares cut by cut.
     """
 
     n_ineq: int
@@ -380,7 +386,7 @@ class CutSet(Sequence):
         return len(self.h)
 
     def __getitem__(self, k):
-        if isinstance(k, slice):
+        if isinstance(k, (slice, np.ndarray)):
             return CutSet(self.n_ineq, self.box_index[k], self.points[k], self.rows[k], self.h[k])
         row = self.rows[k].tolist()
         return Cut(
@@ -424,19 +430,16 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     """The corner and center cuts of every box, then ``extra_cuts``.
 
     Points are valued box by box with ``_box_table``; a GridPrimal's values
-    are read from its LP, which holds that table.  Extra points already
-    among the corners and centers, and repeats, are dropped: the first
-    occurrence wins and the given order is kept.  A grid's points are
-    distinct and inside their boxes by construction, so only the seeds are
-    closure-checked and deduplicated, and a grid point is dropped only when
-    it equals a seed.
+    are read from its LP (see ``_with_grid``).  Extra points already among
+    the corners and centers, and repeats, are dropped: the first occurrence
+    wins and the given order is kept.
     """
+    if isinstance(extra_cuts, GridPrimal):
+        return _with_grid(_seed_cuts(mp), extra_cuts)
     seeds = [
         (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
     ]
-    grid = extra_cuts if isinstance(extra_cuts, GridPrimal) else None
-    if grid is None:
-        seeds += list(extra_cuts)
+    seeds += list(extra_cuts)
     box_idx = np.array([i for i, _ in seeds], dtype=int)
     points = np.array([p for _, p in seeds], dtype=float).reshape(len(seeds), mp.domain.dim)
     lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
@@ -460,18 +463,30 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     for i in np.unique(box_idx):
         sel = np.flatnonzero(box_idx == i)
         table[:, sel] = _box_table(mp, int(i), points[sel])
-    if grid is not None:
-        # only a grid point sharing a seed's first coordinate can equal it
-        near = np.flatnonzero(np.isin(grid.points[:, 0], points[:, 0]))
-        same = (grid.box_indices[near, None] == box_idx) & np.all(
-            grid.points[near, None, :] == points, axis=2
-        )
-        fresh = np.delete(np.arange(len(grid.points)), near[same.any(axis=1)])
-        box_idx = np.concatenate([box_idx, grid.box_indices.take(fresh)])
-        points = np.vstack([points, grid.points.take(fresh, axis=0)])
-        grid_table = np.vstack([grid.lp.rows, grid.lp.objective])
-        table = np.hstack([table, grid_table.take(fresh, axis=1)])
     return CutSet(mp.n_ineq, box_idx, points, table[:-1].T, table[-1])
+
+
+def _with_grid(seeds: CutSet, grid: GridPrimal) -> CutSet:
+    """``seeds`` then the grid's columns, read from its LP, less those equal to a seed.
+
+    A grid's points are distinct and inside their boxes by construction, so
+    only the seeds are closure-checked and deduplicated, and a grid point is
+    dropped only when it equals a seed.
+    """
+    # only a grid point sharing a seed's first coordinate can equal it
+    near = np.flatnonzero(np.isin(grid.points[:, 0], seeds.points[:, 0]))
+    same = (grid.box_indices[near, None] == seeds.box_index) & np.all(
+        grid.points[near, None, :] == seeds.points, axis=2
+    )
+    fresh = np.delete(np.arange(len(grid.points)), near[same.any(axis=1)])
+    rows = np.concatenate([seeds.rows.T, grid.lp.rows.take(fresh, axis=1)], axis=1)
+    return CutSet(
+        seeds.n_ineq,
+        np.concatenate([seeds.box_index, grid.box_indices.take(fresh)]),
+        np.vstack([seeds.points, grid.points.take(fresh, axis=0)]),
+        rows.T,
+        np.concatenate([seeds.h, grid.lp.objective.take(fresh)]),
+    )
 
 
 def restricted_dual_lp(
@@ -500,8 +515,9 @@ def restricted_dual_lp(
 def _solve_master(mp: MomentProblem, cuts: CutSet, elastic: float | None = None):
     """Solve the cut-supported primal; its row duals are the restricted dual.
 
-    Returns (status, value, DualPoint | None, AtomicMeasure | None), the
-    measure being the optimal weights as atoms at the cut points.  Columns
+    Returns (status, value, DualPoint | None, AtomicMeasure | None, weights
+    | None), the measure being the optimal weights as atoms at the cut
+    points and ``weights`` the optimal weight of every cut.  Columns
     are cuts, rows are the M + N moment constraints, so the tableau stays
     small however many cuts tests seed.  With ``elastic``, extra columns
     that buy one unit of constraint defect at that price make the LP
@@ -522,11 +538,13 @@ def _solve_master(mp: MomentProblem, cuts: CutSet, elastic: float | None = None)
     lp = make_lp("max", H, A, ("<=",) * M + ("=",) * N, rhs)
     out = solve_lp(lp)
     if out.status != LPStatus.OPTIMAL:
-        return out.status, None, None, None
+        return out.status, None, None, None, None
     y = _clip_duals(out.duals, M)
     z = out.duals[M:]
-    measure = None if elastic is not None else _atoms(cuts.points, cuts.box_index, out.x)
-    return LPStatus.OPTIMAL, float(out.value), DualPoint(y=tuple(y), z=tuple(z)), measure
+    weights = out.x[: len(cuts)]
+    measure = None if elastic is not None else _atoms(cuts.points, cuts.box_index, weights)
+    dual = DualPoint(y=tuple(y), z=tuple(z))
+    return LPStatus.OPTIMAL, float(out.value), dual, measure, weights
 
 
 @dataclass(frozen=True)
@@ -672,6 +690,25 @@ class ExchangeResult:
     final_slack: float | None
 
 
+_BATCH = 4  # most columns (or rows) that one pricing round of a generation loop takes in
+_UNBOUNDED_MASTER = (
+    "restricted dual infeasible: the primal is unbounded above on the working cut set"
+)
+
+
+def _most(scores: np.ndarray, tol: float) -> np.ndarray:
+    """Up to ``_BATCH`` indices of the largest scores above ``tol``, largest first.
+
+    Equal scores go lowest index first.  Only the scores above ``tol`` that
+    reach the ``_BATCH``-th largest of them are sorted, so a wide pool costs
+    a comparison and a partition, not a sort.
+    """
+    above = np.flatnonzero(scores > tol)
+    if above.size > _BATCH:
+        above = above[scores[above] >= np.partition(scores[above], -_BATCH)[-_BATCH]]
+    return above[np.argsort(-scores[above], kind="stable")[:_BATCH]]
+
+
 def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     """The exchange loop of both the dual and the dual Slater check.
 
@@ -710,6 +747,19 @@ def exchange_solve(
     ``ExchangeResult.cuts``.  Master values are nondecreasing because cuts
     only ever add columns to the cut-supported primal.
 
+    A GridPrimal's columns form a pool that the masters price in by column
+    generation.  Each master solves on the cuts in play, W: every cut that
+    is not a grid column, plus the grid columns priced in so far.  It prices
+    the whole pool against its duals, ``h - rows . (y, z)``; at most
+    ``_BATCH`` columns above ``FEAS_TOL * (1 + |value|)`` join W, and the
+    master is solved again.  When none does, the duals are feasible for the
+    master on every cut within that tolerance, which certifies W's optimum
+    as that master's.  W carries over to the next iteration.  A master
+    unbounded on W is unbounded on every cut.  Any other master that is not
+    optimal on W is decided by one round on every cut, as without a pool,
+    and the support of that round's optimum joins W.  Without a grid the
+    pool is empty and each master is that round.
+
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
     infeasible or just needs more cuts.  Those iterations re-solve the
@@ -720,23 +770,49 @@ def exchange_solve(
     "dual_unbounded".  An infeasible restricted dual (possible only when the
     primal is unbounded above) raises ExchangeError.
     """
-    cuts = _seed_cuts(mp, extra_cuts)
+    grid = isinstance(extra_cuts, GridPrimal)
+    seeds = _seed_cuts(mp, () if grid else extra_cuts)
+    cuts = _with_grid(seeds, extra_cuts) if grid else seeds
+    pool = slice(len(seeds), len(cuts))  # the grid's columns, priced into the masters
+    priced = np.zeros(pool.stop - pool.start, dtype=bool)  # the pool's columns in W
 
-    def master(cuts):
-        status, value, dual, measure = _solve_master(mp, cuts)
+    def every_cut(cuts):
+        """The master on every cut, elastic if need be: (value, dual, measure, weights)."""
+        status, value, dual, measure, weights = _solve_master(mp, cuts)
         if status == LPStatus.UNBOUNDED:
-            raise ExchangeError(
-                "restricted dual infeasible: the primal is unbounded above "
-                "on the working cut set"
-            )
+            raise ExchangeError(_UNBOUNDED_MASTER)
         if status == LPStatus.INFEASIBLE:
-            status, value, dual, measure = _solve_master(mp, cuts, elastic=MULTIPLIER_CAP)
+            status, value, dual, measure, weights = _solve_master(
+                mp, cuts, elastic=MULTIPLIER_CAP
+            )
             if status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
                     "the primal is unbounded above on the working cut set"
                 )
-        return value, dual, measure, 0.0
+        return value, dual, measure, weights
+
+    def master(cuts):
+        if not priced.size:
+            return every_cut(cuts)[:3] + (0.0,)
+        while True:
+            work = np.concatenate([
+                np.arange(pool.start), pool.start + np.flatnonzero(priced),
+                np.arange(pool.stop, len(cuts)),
+            ])
+            status, value, dual, measure, _ = _solve_master(mp, cuts[work])
+            if status == LPStatus.UNBOUNDED:
+                raise ExchangeError(_UNBOUNDED_MASTER)
+            if status != LPStatus.OPTIMAL:
+                value, dual, measure, weights = every_cut(cuts)
+                priced[weights[pool] > 0.0] = True
+                return value, dual, measure, 0.0
+            reduced = cuts.h[pool] - cuts.rows[pool] @ np.concatenate([dual.y, dual.z])
+            reduced[priced] = -np.inf
+            new = _most(reduced, FEAS_TOL * (1.0 + abs(value)))
+            if not new.size:
+                return value, dual, measure, 0.0
+            priced[new] = True
 
     converged, history = _exchange(
         mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
@@ -918,8 +994,7 @@ class DualityReport:
 
 def _verification_scan(mp, dual, config) -> float:
     """Max violation of the dual constraint on a mesh finer than the oracle's."""
-    res = _scan_axes(mp.domain.dim, config.scan_resolution)
-    fine = [config.verification_factor * r for r in res]
+    fine = config.verification_resolution(mp.domain.dim)
     sep = separation_oracle(mp, dual, fine, config.refine_steps)
     return max(0.0, -sep.slack)
 
@@ -928,17 +1003,20 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     """Solve both routes from one exchange, certify weak duality, check Slater.
 
     Every grid point is seeded into the exchange cut set as the grid LP's
-    own column, so the first master LP is the grid primal, and the primal
+    own column, so the first master is the grid primal, and the primal
     value and atoms are read from it; the primal is infeasible exactly when
     that master needed elastic recovery.  At odd resolutions every corner
     and center is a grid point and the master is the grid LP with its
     columns reordered.  At even resolutions it also holds the box centers:
     its measure is still feasible, so still a certified lower bound, with a
-    value at least the grid LP's.  Later masters only add columns, so the
-    dual value dominates the primal; WeakDualityError is raised if a
-    converged dual still lands more than 1e-8 * (1 + |dual|) below it, which
-    only a solver bug can cause.  A grid primal that is unbounded above
-    makes the exchange raise ExchangeError.
+    value at least the grid LP's.  The masters price the grid's columns in
+    (see ``exchange_solve``): the LPs they solve hold the cuts that are not
+    grid points and the grid columns priced in, and a master is solved on
+    every cut only when those cannot decide it.  Later masters only add
+    columns, so the dual value dominates the primal; WeakDualityError is
+    raised if a converged dual still lands more than 1e-8 * (1 + |dual|)
+    below it, which only a solver bug can cause.  A grid primal that is
+    unbounded above makes the exchange raise ExchangeError.
     """
     config = config or SolverConfig()
     notes: list[str] = []

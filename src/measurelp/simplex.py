@@ -11,8 +11,11 @@ Programming*, ch. 8), and only equality rows get artificials of their own.
 Phase 1 runs only when x0 or an artificial is basic, so an LP with ``<=``
 rows and nonnegative right-hand sides goes straight to phase 2.
 
-Most LPs here are wide and short: a grid primal or an exchange master has
-a row per moment constraint and up to ~66k columns at 257^2 grid points.
+Most LPs here are short, with a row per moment constraint.  A grid primal
+(``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and a
+primal Slater margin LP one per point of its own grid (16,641 at the
+default 129^2); an exchange master prices a seeded grid in and solves on
+tens of columns, and on every cut only when those cannot decide it.
 Density collocation solves restricted LPs of tens of rows and cells (a
 report on a 2-D Gaussian kernel at 64 cells per axis solves 19, the
 largest 66 x 48, and its Slater check one 1 x 1 LP); only the generation

@@ -55,6 +55,13 @@ class TestExitCodes:
         assert "primal value (collocation 64)" in out
         assert "status: strong_duality_numerically" in out
 
+    def test_solve_moment_square_2d_at_the_default_grid(self, capsys):
+        # the square instance of the moment_2d benchmark, on 1025^2 grid points
+        assert run_cli(["solve", fixture("moment_square_2d.json")]) == 0
+        out = capsys.readouterr().out
+        assert "primal value (grid 1025)" in out
+        assert "status: strong_duality_numerically" in out
+
     def test_density_primal_and_dual_agree_with_solve_in_2d(self, capsys):
         # the dense dual LP of this file at 64 per axis took ~1 GB
         path = fixture("density_gauss_2d.json")
@@ -353,6 +360,23 @@ class TestInvalidSettings:
             assert capsys.readouterr().err == f"input error: {message}\n"
         assert solvers == [[], []]
 
+    @pytest.mark.parametrize("name, key, value, grid, points", [
+        # validate exited 0, and solve exited 4 after the exchange naming no key
+        ("cauchy_schwarz.json", "verification_factor", 300000, "verification scan", 513 * 300000),
+        ("cauchy_schwarz.json", "scan_resolution", 3 * 10**7, "verification scan", 12 * 10**7),
+        ("density_flat.json", "x_resolution", 6 * 10**7, "refinement", 12 * 10**7),
+    ])
+    def test_derived_grid_over_the_point_limit(
+        self, tmp_path, monkeypatch, capsys, name, key, value, grid, points
+    ):
+        solvers = [spy(monkeypatch, s) for s in ("duality_report", "collocation_report")]
+        path = fixture_with_solver(tmp_path, name, **{key: value})
+        for command in ("validate", "solve"):
+            assert run_cli([command, path]) == 4
+            message = f"solver.{key}: the {grid}'s grid of {points} points exceeds limit 100000000"
+            assert capsys.readouterr().err == f"input error: {message}\n"
+        assert solvers == [[], []]
+
     @pytest.mark.parametrize("command", [["solve"], ["primal", "--grid", "8"], ["dual"], ["slater"]])
     @pytest.mark.parametrize("field, source, name", [
         ("objective", "1e300*x1*1e300", "the objective"),
@@ -374,6 +398,30 @@ class TestInvalidSettings:
             assert code == 0
         else:
             assert (code, err) == (4, f"input error: non-finite function value in {name}\n")
+
+    @pytest.mark.parametrize("command", ["solve", "dual", "slater"])
+    @pytest.mark.parametrize("field, name", [
+        ("objective", "the objective"), ("kernel", "the inequality kernel"),
+    ])
+    def test_density_overflow_times_the_cell_volume(self, tmp_path, capsys, command, field, name):
+        # 1e308 is finite, but not once multiplied by a cell width of 2: solve
+        # warned of an overflow in multiply and named no expression
+        doc = json.loads(Path(fixture("density_flat.json")).read_text())
+        doc["domain"] = {"lower": [0.0], "upper": [4.0]}
+        doc["solver"] = {"x_resolution": 2}
+        if field == "objective":
+            doc["objective"] = "1e308"
+        else:
+            doc["inequality"]["kernel"] = "1e308"
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = run_cli([command, str(path)])
+        err = capsys.readouterr().err
+        if command == "slater" and field == "objective":  # the margin values no objective
+            assert code == 0
+        else:
+            message = f"non-finite function value in {name} times the cell volume"
+            assert (code, err) == (4, f"input error: {message}\n")
 
     def test_integer_too_large_for_a_float(self, tmp_path, capsys):
         # exited 1 with an OverflowError traceback

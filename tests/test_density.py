@@ -614,6 +614,33 @@ class TestNonFiniteValues:
             with pytest.raises(ValueError, match="value in the inequality kernel"):
                 check(pb, "a", quad_resolution=8)
 
+    @pytest.mark.parametrize("field, name", [
+        ("objective", "the objective"),
+        ("kernel_a", "the inequality kernel"),
+        ("bound_a", "the inequality bound"),  # the dual LP's objective, a bound times dy
+    ])
+    def test_cell_volume_overflow_names_its_expression(self, field, name):
+        # every value is 1 or 1e308, finite, but the cells of [0, 4] at 2 per
+        # axis are 2 wide, and a product with their volume overflowed unnamed
+        sources = {"objective": "1", "kernel_a": "1", "bound_a": "1", field: "1e308"}
+        box = Box((0.0,), (4.0,))
+        pb = LpDensityProblem(
+            domain=box,
+            objective=parse_expression(sources["objective"], 1),
+            kernel_a=parse_expression(sources["kernel_a"], 2, (("y", 1), ("x", 1))),
+            bound_a=parse_expression(sources["bound_a"], 1, ("y",)),
+            ineq_domain=box,
+        )
+        solves = {
+            "objective": (discretize_lp_density, collocation_report),
+            "kernel_a": (discretize_lp_density, collocation_report, check_lp_slater),
+            "bound_a": (discretize_lp_density,),
+        }[field]
+        message = f"non-finite function value in {name} times the cell volume"
+        for solve in solves:
+            with pytest.raises(ValueError, match=message):
+                solve(pb, 2)
+
     def test_slater_row_sum_names_its_kernel(self):
         # every kernel value is finite, but four of them sum past the float range
         pb = LpDensityProblem(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -396,9 +397,13 @@ class TestExchange:
             assert len(shared) == on_grid
             for cut in shared:
                 assert_is_column(cut, column_of[(cut.box_index, cut.point)])
-            # the grid itself, passed whole, seeds the same cuts
+            # the grid itself, passed whole, seeds the same cuts; its master
+            # prices them in, so it meets the full master's value up to
+            # roundoff, and the zoom may land the appended cut elsewhere
             whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
-            assert whole.cuts == res.cuts
+            assert whole.cuts[:-1] == res.cuts[:-1]
+            v = res.history[0].value
+            assert abs(whole.history[0].value - v) <= 1e-12 * (1.0 + abs(v))
 
     @pytest.mark.parametrize("resolution", [9, 8])
     def test_grid_seeding_matches_lexsort_dedup(self, resolution):
@@ -726,16 +731,81 @@ class TestReportPrimal:
             assert_feasible_atoms(mp, report.atoms, report.primal_value)
 
     @pytest.mark.parametrize("make", [cauchy_schwarz_problem, piecewise_problem])
-    def test_one_grid_width_lp_per_iteration(self, monkeypatch, make):
+    def test_no_lp_as_wide_as_the_grid(self, monkeypatch, make):
         mp = make()
-        widths = []
-        real = moment.solve_lp
+        for resolution in (129, FAST.grid_resolution):  # wider than the Slater grid
+            config = replace(FAST, grid_resolution=resolution)
+            widths = lp_widths(monkeypatch)
+            report = duality_report(mp, config)
+            monkeypatch.undo()
+            assert widths and max(widths) < resolution * len(mp.domain.boxes)
+            v = solve_grid_primal(mp, resolution).value
+            assert abs(report.primal_value - v) <= 1e-9 * (1.0 + abs(v))
 
-        def counted(lp, *args, **kwargs):
-            widths.append(len(lp.objective))
-            return real(lp, *args, **kwargs)
 
-        monkeypatch.setattr(moment, "solve_lp", counted)
+def lp_widths(monkeypatch) -> list[int]:
+    """The column count of every LP that ``moment`` solves from now on."""
+    widths = []
+    real = moment.solve_lp
+
+    def counted(lp, *args, **kwargs):
+        widths.append(len(lp.objective))
+        return real(lp, *args, **kwargs)
+
+    monkeypatch.setattr(moment, "solve_lp", counted)
+    return widths
+
+
+class TestPricedPool:
+    """A seeded grid is priced into the masters; the full round decides the rest."""
+
+    def test_unmet_equalities_take_the_full_round(self, monkeypatch):
+        # corners and center cannot meet the equalities, so the first master
+        # solves on every cut once, and its support carries the later masters
+        mp = interval_problem(
+            0.0, 4.0,
+            "max(x1 - 2, 0)",
+            equalities=(("1", 1.0), ("x1", 1.0), ("max(x1 - 1, 0)", 0.4)),
+        )
+        widths = lp_widths(monkeypatch)
         report = duality_report(mp, FAST)
-        grid_size = FAST.grid_resolution * len(mp.domain.boxes)
-        assert sum(w >= grid_size for w in widths) == report.iterations
+        assert sum(w >= FAST.grid_resolution for w in widths) == 1
+        assert report.status == ReportStatus.STRONG_DUALITY
+        for value in (report.primal_value, report.dual_value):
+            assert abs(value - 4.0 / 15.0) <= 1e-9  # the value of the grid-free run
+        assert report.primal_value == solve_grid_primal(mp, FAST.grid_resolution).value
+
+    def test_contradictory_fixture_is_primal_infeasible(self):
+        loaded = load_problem(FIXTURES / "contradictory.json")
+        report = duality_report(loaded.problem, loaded.config)
+        assert report.status == ReportStatus.PRIMAL_INFEASIBLE
+        assert report.primal_value is None and report.atoms is None
+
+    def test_ray_priced_in_raises(self, monkeypatch):
+        # every seed with h > 0 has phi > 0, so the first restricted master is
+        # bounded; grid points near 0.5 have h > 0 and phi < 0, a ray
+        mp = interval_problem(
+            0.0, 2.0, "x1 * (2 - x1)", inequalities=(("(x1 - 0.5)^2 - 0.01", 0.0),)
+        )
+        assert solve_grid_primal(mp, FAST.grid_resolution).status == LPStatus.UNBOUNDED
+        widths = lp_widths(monkeypatch)
+        with pytest.raises(ExchangeError, match="unbounded above"):
+            duality_report(mp, FAST)
+        assert len(widths) > 1 and max(widths) < FAST.grid_resolution
+
+    def test_most_picks_as_a_full_stable_sort_does(self):
+        rng = np.random.default_rng(5)
+        for trial in range(2000):
+            n = int(rng.integers(0, 40))
+            scores = rng.integers(-3, 4, n).astype(float) if trial % 2 else rng.normal(size=n)
+            scores[rng.random(n) < 0.1] = -np.inf
+            tol = float(rng.choice([-1.0, 0.0, 0.5]))
+            top = np.argsort(-scores, kind="stable")[:moment._BATCH]
+            assert np.array_equal(moment._most(scores, tol), top[scores[top] > tol])
+
+    def test_grid_free_exchange_solves_one_lp_per_iteration(self, monkeypatch):
+        mp = cauchy_schwarz_problem()
+        widths = lp_widths(monkeypatch)
+        res = exchange_solve(mp, scan_resolution=257)
+        assert res.status == "converged" and res.iterations > 1
+        assert widths == [len(prefix) for prefix in cut_prefixes(res)]
