@@ -439,7 +439,7 @@ class _Rows:
 
     ``volume`` is each row's cell volume on its own grid.  ``table(rows,
     x_pts, scale)`` values the kernels on the (point, x) pairs of the rows
-    asked for only, times ``scale``, shape ``(len(rows), len(x_pts))``.
+    asked for only, times ``scale`` if given, shape ``(len(rows), len(x_pts))``.
     """
 
     def __init__(self, pb: LpDensityProblem, y_resolution: int, z_resolution: int):
@@ -460,13 +460,13 @@ class _Rows:
         self.equality = np.array(equality)
         self.volume = np.array(volume)
 
-    def table(self, rows: np.ndarray, x_pts: np.ndarray, scale=1.0) -> np.ndarray:
+    def table(self, rows: np.ndarray, x_pts: np.ndarray, scale=None) -> np.ndarray:
         out = np.empty((len(rows), len(x_pts)))
         for kernel, _, first, pts in self.families:
             mine = (rows >= first) & (rows < first + len(pts))
             if out.size and mine.any():
                 out[mine] = _kernel_table(kernel, pts[rows[mine] - first], x_pts)
-        return self.scaled(out, rows, scale)
+        return out if scale is None else self.scaled(out, rows, scale)
 
     def scaled(self, table: np.ndarray, rows: np.ndarray, scale) -> np.ndarray:
         """``table``, on ``rows``, times ``scale``: one cell volume, or one per row.
@@ -474,8 +474,6 @@ class _Rows:
         A product that is not finite raises ValueError naming its kernel.
         """
         scale = np.broadcast_to(np.reshape(scale, (-1, 1)), (len(rows), 1))
-        if np.max(scale, initial=0.0) <= 1.0:
-            return table * scale
         out = np.empty_like(table)
         for _, name, first, pts in self.families:
             mine = (rows >= first) & (rows < first + len(pts))

@@ -429,13 +429,11 @@ class CutSet(Sequence):
 def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     """The corner and center cuts of every box, then ``extra_cuts``.
 
-    Points are valued box by box with ``_box_table``; a GridPrimal's values
-    are read from its LP (see ``_with_grid``).  Extra points already among
-    the corners and centers, and repeats, are dropped: the first occurrence
-    wins and the given order is kept.
+    Points are valued box by box with ``_box_table``.  Extra points already
+    among the corners and centers, and repeats, are dropped: the first
+    occurrence wins and the given order is kept.  A GridPrimal is seeded by
+    ``_with_grid`` instead, which reads its values from its LP.
     """
-    if isinstance(extra_cuts, GridPrimal):
-        return _with_grid(_seed_cuts(mp), extra_cuts)
     seeds = [
         (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
     ]
@@ -468,6 +466,8 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
 
 def _with_grid(seeds: CutSet, grid: GridPrimal) -> CutSet:
     """``seeds`` then the grid's columns, read from its LP, less those equal to a seed.
+
+    ``exchange_solve`` keeps these columns as the pool its masters price in.
 
     A grid's points are distinct and inside their boxes by construction, so
     only the seeds are closure-checked and deduplicated, and a grid point is

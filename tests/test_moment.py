@@ -36,6 +36,7 @@ from measurelp.moment import (
     ExchangeError,
     _box_table,
     _seed_cuts,
+    _with_grid,
     assemble_grid_primal,
     initial_cuts,
     make_cut,
@@ -397,13 +398,29 @@ class TestExchange:
             assert len(shared) == on_grid
             for cut in shared:
                 assert_is_column(cut, column_of[(cut.box_index, cut.point)])
-            # the grid itself, passed whole, seeds the same cuts; its master
-            # prices them in, so it meets the full master's value up to
-            # roundoff, and the zoom may land the appended cut elsewhere
+            # the grid itself, passed whole, seeds the same cuts
             whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
-            assert whole.cuts[:-1] == res.cuts[:-1]
-            v = res.history[0].value
-            assert abs(whole.history[0].value - v) <= 1e-12 * (1.0 + abs(v))
+            n_seeded = len(initial) + len(expected)
+            assert res.status == whole.status == "not_converged"
+            assert len(whole.cuts) == len(res.cuts) == n_seeded + 1  # one oracle cut each
+            assert whole.cuts[:n_seeded] == res.cuts[:n_seeded]
+            # its master prices the grid in instead of solving on every cut, so
+            # its value and duals meet the full master's up to roundoff, and
+            # the oracle's zoom may land its cut a little way off
+            for a, b in (
+                ((res.history[0].value,), (whole.history[0].value,)),
+                (res.history[0].dual.y, whole.history[0].dual.y),
+                (res.history[0].dual.z, whole.history[0].dual.z),
+            ):
+                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+            # the priced-pool path is exact: a rebuilt grid gives the same run
+            again = exchange_solve(
+                mp, extra_cuts=assemble_grid_primal(mp, 1025), max_iters=1, scan_resolution=257
+            )
+            assert again.cuts == whole.cuts
+            assert again.history[0].value == whole.history[0].value
+            assert again.history[0].dual == whole.history[0].dual
+            assert again.final_slack == whole.final_slack
 
     @pytest.mark.parametrize("resolution", [9, 8])
     def test_grid_seeding_matches_lexsort_dedup(self, resolution):
@@ -420,7 +437,7 @@ class TestExchange:
             equalities=((pw(partition, "1", "1"), 1.0), (pw(partition, "x1", "x1"), 0.9)),
         )
         grid = assemble_grid_primal(mp, resolution)
-        new, ref = _seed_cuts(mp, grid), lexsort_seed_cuts(mp, grid)
+        new, ref = _with_grid(_seed_cuts(mp), grid), lexsort_seed_cuts(mp, grid)
         centers_on_grid = resolution % 2 == 1
         assert len(new) == len(grid.points) + (0 if centers_on_grid else 2)
         for a, b in (
