@@ -11,20 +11,19 @@ equality box.  This module provides
   Hoelder bound chain and a Lipschitz modulus ``M = max sampled rho``,
 - a collocation discretization producing a primal/dual pair of finite LPs
   that are exact LP duals of each other (up to quadrature weighting); the
-  report solves the primal alone by row-and-column generation, valuing only
-  the kernel blocks of the rows and cells it takes in and stopping on the
-  full LP's KKT certificate, and reads the dual solution off its row duals,
-  checked for dual feasibility, and
+  report solves the primal alone and reads the dual solution off its row
+  duals, checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
-  discretized equality operator; its margin LP runs on the same generation
-  loop, with the margin as a column in every restricted LP, its row sums
-  valued a chunk of rows at a time.
+  discretized equality operator; its margin LP has the margin as a fixed
+  column, its row sums valued a chunk of rows at a time.
 
-That loop, ``_generate``, solves every collocated LP.  When a restricted LP
-is not optimal, its last round is the full LP, the same LP as the dense one
-of ``discretize_lp_density`` (or the dense margin LP), and that round
-decides the outcome.  ``discretize_lp_density`` builds the dense pair from
-the same rows; nothing in the package solves it.
+Every collocated LP is solved on the generation loop of ``simplex``
+(``simplex._generate``), with the collocation points as its rows and the
+domain cells as its columns, so only the kernel blocks of the rows and
+cells it takes in are valued; its full round is the dense LP of
+``discretize_lp_density`` (or the dense margin LP).
+``discretize_lp_density`` builds the dense pair from the same rows; nothing
+in the package solves it.
 
 All quadrature uses the composite midpoint rule, which matches the piecewise
 constant density class used throughout: a discrete density takes one value
@@ -42,16 +41,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .expressions import Expression, _problem_table
 from .geometry import Box, _axis_counts
 from .moment import SLATER_CAP, ReportStatus, WeakDualityError
-from .moment import _capped, _check_tolerance, _most
-from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure
-from .simplex import kkt_residuals, make_lp, solve_lp
+from .moment import _capped, _check_tolerance
+from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure, _Fixed, _generate
+from .simplex import kkt_residuals, make_lp
 
 DEFAULT_QUAD_RESOLUTION = 128
 ROUNDOFF_SLACK = 1e-12
@@ -525,7 +524,7 @@ def discretize_lp_density(
     LPs differ from an exact transpose pair only by the positive cell-volume
     rescaling of the dual variables, so their optimal values coincide to
     solver accuracy at every resolution.  Both are dense; the reports solve
-    the primal by row-and-column generation instead (``_generate``).
+    the primal on ``simplex._generate`` instead.
     """
     resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
@@ -555,76 +554,8 @@ def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
     return np.ravel_multi_index(tuple(fine.reshape(dim, -1)), 2 * shape)
 
 
-class _Fixed(NamedTuple):
-    """Columns that stay in every restricted LP of the loop."""
-
-    cost: np.ndarray  # (k,)
-    lower: np.ndarray  # (k,)
-    upper: np.ndarray  # (k,)
-    rows: np.ndarray  # (number of rows, k): the coefficients on every row
-
-
-def _generate(rows: _Rows, x_pts: np.ndarray, dx: float, cost: np.ndarray, start, fixed=None):
-    """A collocated LP by row-and-column generation: ``(lp, outcome, (R, C) or None)``.
-
-    The LP is ``max cost . g + fixed.cost . t`` over cell values ``g ≥ 0``
-    and the ``fixed`` columns ``t`` within their bounds, subject to
-    ``sum_i K(p_j, x_i) dx g_i + fixed.rows[j] . t`` (``≤`` or ``=``)
-    ``rhs_j`` on every row ``j``.  Each round solves it restricted to rows
-    ``R`` and cells ``C`` (the other cells held at 0, ``t`` always in), then
-    checks every row against its solution and prices every cell against its
-    row duals.  At most ``moment._BATCH`` of the rows violated, and of the
-    cells with a positive reduced cost, beyond ``FEAS_TOL * (1 + |value|)``
-    join; when none does, the solution is feasible and its duals dual feasible for
-    the full LP within that tolerance, which certifies it optimal there.
-    Only the kernel blocks ``K[R, :]`` and ``K[:, C]`` are ever valued.
-
-    The loop begins from ``start = (R, C)``.  A restricted LP that is not
-    optimal may only lack rows or cells, so it decides nothing, and the next
-    round is the full LP: every row, every cell and the fixed columns, valued
-    once.  That round's outcome is final whatever its status, and it comes
-    back with None for ``(R, C)``.
-    """
-    if fixed is None:
-        fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((len(rows.rhs), 0)))
-    every_row = np.arange(len(rows.rhs))
-    active, cells = start
-    columns = rows.table(every_row, x_pts[cells], dx)
-    block = rows.table(active, x_pts, dx)
-    full = False
-    while True:
-        senses = np.where(rows.equality[active], "=", "<=").tolist()
-        lp = make_lp(
-            "max", np.append(cost[cells], fixed.cost),
-            np.column_stack([block[:, cells], fixed.rows[active]]), senses, rows.rhs[active],
-            lower=np.append(np.zeros(len(cells)), fixed.lower),
-            upper=np.append(np.full(len(cells), np.inf), fixed.upper),
-        )
-        out = solve_lp(lp)
-        if full:
-            return lp, out, None
-        if out.status != LPStatus.OPTIMAL:
-            active, cells, full = every_row, np.arange(len(x_pts)), True
-            block = rows.table(every_row, x_pts, dx)
-            continue
-        tol = FEAS_TOL * (1.0 + abs(out.value))
-        n = len(cells)
-        excess = columns @ out.x[:n] + fixed.rows @ out.x[n:] - rows.rhs
-        excess = np.where(rows.equality, np.abs(excess), excess)
-        excess[active] = -np.inf
-        reduced = cost - out.duals @ block
-        reduced[cells] = -np.inf
-        new_rows, new_cells = _most(excess, tol), _most(reduced, tol)
-        if not (new_rows.size or new_cells.size):
-            return lp, out, (active, cells)
-        active = np.concatenate([active, new_rows])
-        block = np.vstack([block, rows.table(new_rows, x_pts, dx)])
-        cells = np.concatenate([cells, new_cells])
-        columns = np.hstack([columns, rows.table(every_row, x_pts[new_cells], dx)])
-
-
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
-    """The collocated primal on the generation loop: ``(lp, outcome, (R, C) or None)``.
+    """The collocated primal on ``simplex._generate``: ``(lp, outcome, (R, C) or None)``.
 
     ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
     ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
@@ -641,7 +572,8 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
         bounded = np.isfinite(ratio).any(axis=0)
         active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
         start = active, cells
-    return _generate(rows, x_pts, dx, cost, start)
+    table = lambda R, C: rows.table(R, x_pts[C], dx)
+    return _generate(table, cost, rows.rhs, rows.equality, start)
 
 
 @dataclass(frozen=True)
@@ -670,17 +602,13 @@ def collocation_report(
 ) -> CollocationReport:
     """Solve the collocated primal, read the dual from its row duals, and label.
 
-    Only the primal LP is solved, by row-and-column generation: an LP
-    restricted to a few collocation rows and domain cells grows until every
-    other row holds and every other cell's reduced cost is at most
-    ``FEAS_TOL * (1 + |value|)``.  Those two checks are the full collocated
-    LP's KKT certificate, so the values are that LP's own, yet only the
-    kernel values of the rows and cells taken in are computed; the refined
-    primal starts from the rows and the subcells of the cells the first one
-    ended with.  A restricted LP that is not optimal may only lack rows or
-    cells, so the loop's next round is the full collocated LP, which decides
-    the status: ``primal_infeasible`` or ``primal_unbounded`` (the dual LP
-    is then infeasible), with no values.
+    Only the primal LP is solved, on ``simplex._generate``, which stops on
+    the full collocated LP's KKT certificate, so the values are that LP's
+    own, yet only the kernel values of the rows and cells taken in are
+    computed.  The refined primal starts from the rows and the subcells of
+    the cells the first one ended with.  An LP that is not optimal reports
+    ``primal_infeasible`` or ``primal_unbounded`` (the dual LP is then
+    infeasible), with no values.
 
     The primal's row duals, divided by the cell volumes, solve the dual LP,
     so the dual value is the KKT dual value; its dual-sign and stationarity
@@ -783,14 +711,11 @@ def check_lp_slater(
     unchanged: ``delta`` is then a free column whose coefficient on row
     ``j`` is ``u_j = sum_i K(p_j, x_i) dx``, plus 1 on an inequality row.
 
-    That LP is solved on the report's generation loop with zero cell costs
-    and ``delta`` as a column in every restricted LP.  It starts from the
-    equality rows and the inequality row of least ``a_j / u_j`` over
-    ``u_j > 0``, the one that bounds ``delta`` alone, and no cells, and it
-    stops on the full margin LP's KKT certificate at ``FEAS_TOL * (1 +
-    |delta|)``.  The sums ``u`` are taken a chunk of rows at a time, so the
-    whole kernel table is never held.  A restricted LP that is not optimal
-    decides nothing, and the loop's next round is the full margin LP.
+    That LP is solved on ``simplex._generate`` with zero cell costs and
+    ``delta`` as its fixed column.  It starts from the equality rows and the
+    inequality row of least ``a_j / u_j`` over ``u_j > 0``, the one that
+    bounds ``delta`` alone, and no cells.  The sums ``u`` are taken a chunk
+    of rows at a time, so the whole kernel table is never held.
 
     A positive margin exhibits a strictly positive density satisfying every
     inequality strictly; an infeasible margin LP reports ``-inf``.  The cap
@@ -814,7 +739,8 @@ def check_lp_slater(
     first = [np.argmin(ratio)] if np.isfinite(ratio).any() else []
     start = np.concatenate([equalities, first]).astype(int), np.zeros(0, dtype=int)
     delta = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), u[:, None])
-    _, out, _ = _generate(rows, x_pts, dx, np.zeros(len(x_pts)), start, delta)
+    table = lambda R, C: rows.table(R, x_pts[C], dx)
+    _, out, _ = _generate(table, np.zeros(len(x_pts)), rows.rhs, rows.equality, start, delta)
     feasible = out.status == LPStatus.OPTIMAL
     if not (feasible or out.status == LPStatus.INFEASIBLE):
         raise WeakDualityError(f"slater margin LP reported {out.status.value}")

@@ -9,6 +9,8 @@ Grammar (EBNF):
     atom   := NUMBER | VARIABLE | '(' expr ')' | IDENT '(' expr (',' expr)* ')'
 
 '^' is right-associative and binds tighter than unary minus, so -2^2 == -4.
+An expression may nest at most ``MAX_DEPTH`` levels, a chain of operators
+included, so that neither parsing nor valuing it runs out of Python stack.
 Numbers use standard float syntax including exponent form.  Variables are a
 prefix followed by a 1-based index ("x1", "x2", ...); kernels use two prefix
 blocks ("y1..ym" then "x1..xn") laid out consecutively in the evaluation point.
@@ -33,6 +35,10 @@ from typing import Callable, Mapping, Sequence, Union
 import numpy as np
 
 FUNCTIONS = {"min": 2, "max": 2, "abs": 1, "exp": 1, "log": 1, "sqrt": 1}
+# most levels an expression may nest: a number or variable is one level, and
+# each operator, call or pair of parentheses one more than what it encloses;
+# parsing a level takes at most 5 Python frames, and valuing it one
+MAX_DEPTH = 100
 
 
 class ExpressionError(ValueError):
@@ -216,49 +222,64 @@ class _Parser:
     def parse(self) -> Node:
         if self.peek().kind == "end":
             raise ParseError("empty expression", self.peek().offset)
-        node = self.expr()
+        node, _ = self.expr(0)
         tail = self.peek()
         if tail.kind != "end":
             raise ParseError(f"unexpected {tail.text!r}", tail.offset)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
+    # Each method parses at ``outer`` enclosing levels and returns the node
+    # with its depth: ``outer`` plus its own levels.
+
+    @staticmethod
+    def _level(depth: int, tok: _Token) -> int:
+        """``depth``, or ParseError at ``tok`` when it is past ``MAX_DEPTH``."""
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.offset)
+        return depth
+
+    def expr(self, outer: int) -> tuple[Node, int]:
+        node, depth = self.term(outer)
         while self.peek().kind in ("+", "-"):
-            op = self.advance().kind
-            node = Binary(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, d = self.term(outer)
+            node, depth = Binary(tok.kind, node, right), self._level(max(depth, d) + 1, tok)
+        return node, depth
 
-    def term(self) -> Node:
-        node = self.factor()
+    def term(self, outer: int) -> tuple[Node, int]:
+        node, depth = self.factor(outer)
         while self.peek().kind in ("*", "/"):
-            op = self.advance().kind
-            node = Binary(op, node, self.factor())
-        return node
+            tok = self.advance()
+            right, d = self.factor(outer)
+            node, depth = Binary(tok.kind, node, right), self._level(max(depth, d) + 1, tok)
+        return node, depth
 
-    def factor(self) -> Node:
+    def factor(self, outer: int) -> tuple[Node, int]:
         if self.peek().kind == "-":
-            self.advance()
-            return Negate(self.power())
-        return self.power()
+            tok = self.advance()
+            node, depth = self.power(outer)
+            return Negate(node), self._level(depth + 1, tok)
+        return self.power(outer)
 
-    def power(self) -> Node:
-        base = self.atom()
+    def power(self, outer: int) -> tuple[Node, int]:
+        base, depth = self.atom(outer)
         if self.peek().kind == "^":
-            self.advance()
-            return Binary("^", base, self.factor())
-        return base
+            tok = self.advance()
+            exponent, d = self.factor(outer + 1)
+            return Binary("^", base, exponent), self._level(max(depth + 1, d), tok)
+        return base, depth
 
-    def atom(self) -> Node:
+    def atom(self, outer: int) -> tuple[Node, int]:
         tok = self.peek()
+        depth = self._level(outer + 1, tok)  # parentheses and calls parse their insides at it
         if tok.kind == "num":
             self.advance()
-            return Literal(float(tok.text))
+            return Literal(float(tok.text)), depth
         if tok.kind == "(":
             self.advance()
-            node = self.expr()
+            found = self.expr(depth)
             self.expect(")")
-            return node
+            return found
         if tok.kind == "ident":
             self.advance()
             if self.peek().kind == "(":
@@ -266,18 +287,18 @@ class _Parser:
                 if name not in FUNCTIONS:
                     raise ParseError(f"unknown function {name!r}", tok.offset)
                 self.advance()
-                args = [self.expr()]
+                args = [self.expr(depth)]
                 while self.peek().kind == ",":
                     self.advance()
-                    args.append(self.expr())
+                    args.append(self.expr(depth))
                 self.expect(")")
                 want = FUNCTIONS[name]
                 if len(args) != want:
                     raise ParseError(
                         f"{name} takes {want} argument(s), got {len(args)}", tok.offset
                     )
-                return Call(name, tuple(args))
-            return self._variable(tok)
+                return Call(name, tuple(a for a, _ in args)), max(d for _, d in args)
+            return self._variable(tok), depth
         if tok.kind == "end":
             raise ParseError("unexpected end of input", tok.offset)
         raise ParseError(f"unexpected {tok.text!r}", tok.offset)
@@ -303,7 +324,8 @@ def parse_expression(source, arity, variable_prefixes=("x",)) -> Expression:
     ``variable_prefixes`` is a single prefix (all slots), or ordered
     (prefix, count) pairs / a mapping whose counts sum to ``arity``; blocks
     occupy consecutive slots, e.g. [("y", m), ("x", n)] reads points laid out
-    as (y1..ym, x1..xn).  Raises ParseError with a byte offset on bad input.
+    as (y1..ym, x1..xn).  Raises ParseError with a byte offset on bad input,
+    and on an expression nested deeper than ``MAX_DEPTH`` levels.
     """
     blocks = _normalize_blocks(arity, variable_prefixes)
     root = _Parser(_tokenize(source), blocks).parse()

@@ -23,9 +23,10 @@ batch, and rejects a value that is not finite naming the box.  So a point
 gets the same values wherever it is valued, and the oracle's column is the
 cut it appends.  ``duality_report`` seeds every grid point into the cut
 set by reading the grid primal's columns, so its first master is the grid
-LP, and no per-point ``Cut`` is built.  The masters price the grid's
-columns in against their duals (``exchange_solve``), so the LPs they solve
-hold the columns the optimum needs, not the whole grid.
+LP, and no per-point ``Cut`` is built.  The masters run on the generation
+loop of ``simplex`` (``simplex._generate``), which prices the grid's columns
+in, so the LPs they solve hold the columns the optimum needs, not the whole
+grid.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -52,7 +53,7 @@ from .expressions import (
     substitute_variables,
 )
 from .geometry import Box, Partition, _axis_counts, grid_array
-from .simplex import FEAS_TOL, FiniteLP, LPOutcome, LPStatus, make_lp, solve_lp
+from .simplex import FiniteLP, LPOutcome, LPStatus, _Fixed, _generate, make_lp, solve_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
 ATOM_WEIGHT_FLOOR = 1e-12
@@ -512,41 +513,6 @@ def restricted_dual_lp(
     return make_lp("min", obj, A, (">=",) * len(cuts), rhs, lower=lower, upper=upper)
 
 
-def _solve_master(mp: MomentProblem, cuts: CutSet, elastic: float | None = None):
-    """Solve the cut-supported primal; its row duals are the restricted dual.
-
-    Returns (status, value, DualPoint | None, AtomicMeasure | None, weights
-    | None), the measure being the optimal weights as atoms at the cut
-    points and ``weights`` the optimal weight of every cut.  Columns
-    are cuts, rows are the M + N moment constraints, so the tableau stays
-    small however many cuts tests seed.  With ``elastic``, extra columns
-    that buy one unit of constraint defect at that price make the LP
-    feasible for any right-hand side; by LP duality the row duals are then
-    the optimum of the restricted dual with every multiplier capped at the
-    elastic price, and the measure is None.
-    """
-    M, N = mp.n_ineq, mp.n_eq
-    A, H = cuts.rows.T, cuts.h
-    if elastic is not None:
-        defect = np.zeros((M + N, M + 2 * N))
-        defect[:M, :M] = -np.eye(M)
-        defect[M:, M : M + N] = np.eye(N)
-        defect[M:, M + N :] = -np.eye(N)
-        A = np.hstack([A, defect])
-        H = np.concatenate([H, np.full(M + 2 * N, -float(elastic))])
-    rhs = [bound for _, bound in mp.inequalities] + [bound for _, bound in mp.equalities]
-    lp = make_lp("max", H, A, ("<=",) * M + ("=",) * N, rhs)
-    out = solve_lp(lp)
-    if out.status != LPStatus.OPTIMAL:
-        return out.status, None, None, None, None
-    y = _clip_duals(out.duals, M)
-    z = out.duals[M:]
-    weights = out.x[: len(cuts)]
-    measure = None if elastic is not None else _atoms(cuts.points, cuts.box_index, weights)
-    dual = DualPoint(y=tuple(y), z=tuple(z))
-    return LPStatus.OPTIMAL, float(out.value), dual, measure, weights
-
-
 @dataclass(frozen=True)
 class SeparationResult:
     box_index: int
@@ -690,25 +656,6 @@ class ExchangeResult:
     final_slack: float | None
 
 
-_BATCH = 4  # most columns (or rows) that one pricing round of a generation loop takes in
-_UNBOUNDED_MASTER = (
-    "restricted dual infeasible: the primal is unbounded above on the working cut set"
-)
-
-
-def _most(scores: np.ndarray, tol: float) -> np.ndarray:
-    """Up to ``_BATCH`` indices of the largest scores above ``tol``, largest first.
-
-    Equal scores go lowest index first.  Only the scores above ``tol`` that
-    reach the ``_BATCH``-th largest of them are sorted, so a wide pool costs
-    a comparison and a partition, not a sort.
-    """
-    above = np.flatnonzero(scores > tol)
-    if above.size > _BATCH:
-        above = above[scores[above] >= np.partition(scores[above], -_BATCH)[-_BATCH]]
-    return above[np.argsort(-scores[above], kind="stable")[:_BATCH]]
-
-
 def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     """The exchange loop of both the dual and the dual Slater check.
 
@@ -747,72 +694,70 @@ def exchange_solve(
     ``ExchangeResult.cuts``.  Master values are nondecreasing because cuts
     only ever add columns to the cut-supported primal.
 
-    A GridPrimal's columns form a pool that the masters price in by column
-    generation.  Each master solves on the cuts in play, W: every cut that
-    is not a grid column, plus the grid columns priced in so far.  It prices
-    the whole pool against its duals, ``h - rows . (y, z)``; at most
-    ``_BATCH`` columns above ``FEAS_TOL * (1 + |value|)`` join W, and the
-    master is solved again.  When none does, the duals are feasible for the
-    master on every cut within that tolerance, which certifies W's optimum
-    as that master's.  W carries over to the next iteration.  A master
-    unbounded on W is unbounded on every cut.  Any other master that is not
-    optimal on W is decided by one round on every cut, as without a pool,
-    and the support of that round's optimum joins W.  Without a grid the
-    pool is empty and each master is that round.
+    Each master is ``simplex._generate`` with every moment row and, as the
+    columns to start from, the working set W: every cut that is not a grid
+    column, plus the columns it has taken in so far.  So a GridPrimal's
+    columns form a pool that the masters price in, and W carries over to the
+    next iteration; without a grid W holds every cut, and each master is
+    the loop's full round, solved once.  When the full round runs, the
+    support of its optimum joins W.
 
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
     infeasible or just needs more cuts.  Those iterations re-solve the
-    restricted dual with multipliers capped at ``MULTIPLIER_CAP`` and
-    separate against that minimizer: a violated point restores progress,
-    while a capped minimizer that no point cuts off is a near-feasible dual
-    direction with an enormously negative value, returned as
-    "dual_unbounded".  An infeasible restricted dual (possible only when the
-    primal is unbounded above) raises ExchangeError.
+    master on every cut with elastic columns: each buys one unit of defect
+    on one moment row at the price ``MULTIPLIER_CAP``, so by LP duality the
+    row duals are the restricted dual with multipliers capped at that price.
+    They separate against that minimizer: a violated point restores
+    progress, while a capped minimizer that no point cuts off is a
+    near-feasible dual direction with an enormously negative value, returned
+    as "dual_unbounded".  An infeasible restricted dual (possible only when
+    the primal is unbounded above) raises ExchangeError.
     """
     grid = isinstance(extra_cuts, GridPrimal)
     seeds = _seed_cuts(mp, () if grid else extra_cuts)
     cuts = _with_grid(seeds, extra_cuts) if grid else seeds
-    pool = slice(len(seeds), len(cuts))  # the grid's columns, priced into the masters
-    priced = np.zeros(pool.stop - pool.start, dtype=bool)  # the pool's columns in W
+    M, N = mp.n_ineq, mp.n_eq
+    rows = np.arange(M + N)
+    rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
+    equality = rows >= M
+    k = M + 2 * N  # elastic columns: one per inequality row, two per equality row
+    defect = np.zeros((M + N, k))
+    defect[:M, :M] = -np.eye(M)
+    defect[M:, M : M + N] = np.eye(N)
+    defect[M:, M + N :] = -np.eye(N)
+    defects = _Fixed(np.full(k, -MULTIPLIER_CAP), np.zeros(k), np.full(k, np.inf), defect)
+    work, seen = np.arange(len(seeds)), len(cuts)  # W, and the cuts W has been offered
 
-    def every_cut(cuts):
-        """The master on every cut, elastic if need be: (value, dual, measure, weights)."""
-        status, value, dual, measure, weights = _solve_master(mp, cuts)
-        if status == LPStatus.UNBOUNDED:
-            raise ExchangeError(_UNBOUNDED_MASTER)
-        if status == LPStatus.INFEASIBLE:
-            status, value, dual, measure, weights = _solve_master(
-                mp, cuts, elastic=MULTIPLIER_CAP
+    def master(cuts):
+        nonlocal work, seen
+        work, seen = np.concatenate([work, np.arange(seen, len(cuts))]), len(cuts)
+        # R holds every moment row from the start, so K[R, C] is the cuts' rows
+        # transposed, and for every column a view: no copy of a grid pool
+        table = lambda R, C: cuts.rows[C].T
+        _, out, last = _generate(table, cuts.h, rhs, equality, (rows, work))
+        if out.status == LPStatus.UNBOUNDED:
+            raise ExchangeError(
+                "restricted dual infeasible: the primal is unbounded above on the working cut set"
             )
-            if status != LPStatus.OPTIMAL:
+        elastic = out.status == LPStatus.INFEASIBLE  # only a full round is infeasible
+        if elastic:
+            _, out, _ = _generate(
+                table, cuts.h, rhs, equality, (rows, np.arange(len(cuts))), defects
+            )
+            if out.status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
                     "the primal is unbounded above on the working cut set"
                 )
-        return value, dual, measure, weights
-
-    def master(cuts):
-        if not priced.size:
-            return every_cut(cuts)[:3] + (0.0,)
-        while True:
-            work = np.concatenate([
-                np.arange(pool.start), pool.start + np.flatnonzero(priced),
-                np.arange(pool.stop, len(cuts)),
-            ])
-            status, value, dual, measure, _ = _solve_master(mp, cuts[work])
-            if status == LPStatus.UNBOUNDED:
-                raise ExchangeError(_UNBOUNDED_MASTER)
-            if status != LPStatus.OPTIMAL:
-                value, dual, measure, weights = every_cut(cuts)
-                priced[weights[pool] > 0.0] = True
-                return value, dual, measure, 0.0
-            reduced = cuts.h[pool] - cuts.rows[pool] @ np.concatenate([dual.y, dual.z])
-            reduced[priced] = -np.inf
-            new = _most(reduced, FEAS_TOL * (1.0 + abs(value)))
-            if not new.size:
-                return value, dual, measure, 0.0
-            priced[new] = True
+        if last is None:  # the full round, on every cut: its support joins W
+            cols = slice(None)
+            work = np.union1d(work, np.flatnonzero(out.x[:len(cuts)] > 0.0))
+        else:
+            cols = work = last[1]
+        measure = None if elastic else _atoms(cuts.points[cols], cuts.box_index[cols], out.x)
+        dual = DualPoint(y=tuple(_clip_duals(out.duals, M)), z=tuple(out.duals[M:]))
+        return float(out.value), dual, measure, 0.0
 
     converged, history = _exchange(
         mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
@@ -1010,13 +955,11 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     columns reordered.  At even resolutions it also holds the box centers:
     its measure is still feasible, so still a certified lower bound, with a
     value at least the grid LP's.  The masters price the grid's columns in
-    (see ``exchange_solve``): the LPs they solve hold the cuts that are not
-    grid points and the grid columns priced in, and a master is solved on
-    every cut only when those cannot decide it.  Later masters only add
-    columns, so the dual value dominates the primal; WeakDualityError is
-    raised if a converged dual still lands more than 1e-8 * (1 + |dual|)
-    below it, which only a solver bug can cause.  A grid primal that is
-    unbounded above makes the exchange raise ExchangeError.
+    (see ``exchange_solve``).  Later masters only add columns, so the dual
+    value dominates the primal; WeakDualityError is raised if a converged
+    dual still lands more than 1e-8 * (1 + |dual|) below it, which only a
+    solver bug can cause.  A grid primal that is unbounded above makes the
+    exchange raise ExchangeError.
     """
     config = config or SolverConfig()
     notes: list[str] = []

@@ -14,15 +14,15 @@ rows and nonnegative right-hand sides goes straight to phase 2.
 Most LPs here are short, with a row per moment constraint.  A grid primal
 (``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and a
 primal Slater margin LP one per point of its own grid (16,641 at the
-default 129^2); an exchange master prices a seeded grid in and solves on
-tens of columns, and on every cut only when those cannot decide it.
-Density collocation solves restricted LPs of tens of rows and cells (a
-report on a 2-D Gaussian kernel at 64 cells per axis solves 19, the
-largest 66 x 48, and its Slater check one 1 x 1 LP); only the generation
-loop's full round, run when a restricted LP is not optimal, is square,
-with a row per collocation point and a column per cell.  The tableau's
-size is the cost that matters, so ``standardize`` builds it with array
-operations rather than column by column.
+default 129^2).  The exchange masters and density collocation run on one
+generation loop, ``_generate``, which solves an LP restricted to the rows
+and columns it has taken in so far: an exchange master prices a seeded
+grid in and solves on tens of columns, and a density report on a 2-D
+Gaussian kernel at 64 cells per axis solves 19 LPs, the largest 66 x 48,
+and its Slater check one 1 x 1 LP.  Only the loop's full round is as wide
+as the whole LP.  The tableau's size is the cost that matters, so
+``standardize`` builds it with array operations rather than column by
+column.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem
@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -72,7 +73,7 @@ class FiniteLP:
         c = np.atleast_1d(np.asarray(self.objective, dtype=float))
         n = c.shape[0]
         A = np.asarray(self.rows, dtype=float)
-        if A.size == 0:
+        if A.size == 0 and A.ndim < 2:  # no rows given; an (m, 0) block keeps its m rows
             A = A.reshape(0, n)
         if A.ndim != 2 or A.shape[1] != n:
             raise ValueError(f"rows must have shape (m, {n}), got {A.shape}")
@@ -392,6 +393,107 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
         x=std.recover_x(x_std),
         duals=std.recover_duals(y_std),
     )
+
+
+_BATCH = 4  # most rows, and most columns, that one round of ``_generate`` takes in
+
+
+class _Fixed(NamedTuple):
+    """Columns that stay in every restricted LP of ``_generate``."""
+
+    cost: np.ndarray  # (k,)
+    lower: np.ndarray  # (k,)
+    upper: np.ndarray  # (k,)
+    rows: np.ndarray  # (number of rows, k): the coefficients on every row
+
+
+def _most(scores: np.ndarray, tol: float) -> np.ndarray:
+    """Up to ``_BATCH`` indices of the largest scores above ``tol``, largest first.
+
+    Equal scores go lowest index first.  Only the scores above ``tol`` that
+    reach the ``_BATCH``-th largest of them are sorted, so a wide pool costs
+    a comparison and a partition, not a sort.
+    """
+    above = np.flatnonzero(scores > tol)
+    if above.size > _BATCH:
+        above = above[scores[above] >= np.partition(scores[above], -_BATCH)[-_BATCH]]
+    return above[np.argsort(-scores[above], kind="stable")[:_BATCH]]
+
+
+def _generate(
+    table: Callable, cost: np.ndarray, rhs: np.ndarray, equality: np.ndarray, start,
+    fixed: _Fixed | None = None,
+):
+    """An LP by row-and-column generation: ``(lp, outcome, (R, C) or None)``.
+
+    The LP is ``max cost . g + fixed.cost . t`` over columns ``g >= 0`` and
+    the ``fixed`` columns ``t`` within their bounds, subject to ``K[j] . g +
+    fixed.rows[j] . t`` ``=`` ``rhs[j]`` where ``equality[j]``, else ``<=``,
+    on every row ``j``.  ``table(R, C)`` values the block ``K[R, C]`` of the
+    index arrays ``R`` and ``C``, where ``C`` may be ``slice(None)`` for every
+    column, and only the blocks ``K[R, :]`` and ``K[:, C]`` of the rows and
+    columns taken in are ever asked for.
+
+    Each round solves the LP restricted to rows ``R`` and columns ``C`` (the
+    other columns held at 0, ``t`` always in), then checks every row
+    against its solution and prices every column against its row duals.  At
+    most ``_BATCH`` of the rows violated, and of the columns with a positive
+    reduced cost, beyond ``FEAS_TOL * (1 + |value|)`` join, largest first;
+    when none does, the solution is feasible and its duals dual feasible for
+    the full LP within that tolerance, which certifies it optimal there, and
+    it comes back with its ``(R, C)``.
+
+    The loop begins from ``start = (R, C)``.  A restricted LP that is not
+    optimal may only lack rows or columns, so it decides nothing, and the
+    next round is the full LP: every row and every column in index order,
+    valued once.  That round's outcome is final whatever its status, and it
+    comes back with None for ``(R, C)``.  A start that holds every row and
+    every column is that round, solved once.  A restricted LP that is
+    unbounded while ``R`` holds every row is final too: its ray is feasible
+    for the full LP, where more columns cannot bound it.
+    """
+    m, n = len(rhs), len(cost)
+    if fixed is None:
+        fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((m, 0)))
+    every_row, every_col, wide = np.arange(m), np.arange(n), slice(None)
+    rows, cols = start
+    full = len(rows) == m and len(cols) == n
+    if not full:
+        row_block, col_block = table(rows, wide), table(every_row, cols)  # K[R, :], K[:, C]
+    while True:
+        if full:
+            rows, cols, row_block = every_row, every_col, table(every_row, wide)
+        lp = make_lp(
+            "max", np.append(cost[cols], fixed.cost),
+            np.column_stack([row_block[:, cols], fixed.rows[rows]]),
+            np.where(equality[rows], "=", "<=").tolist(), rhs[rows],
+            lower=np.append(np.zeros(len(cols)), fixed.lower),
+            upper=np.append(np.full(len(cols), np.inf), fixed.upper),
+        )
+        out = solve_lp(lp)
+        if full:
+            return lp, out, None
+        if out.status != LPStatus.OPTIMAL:
+            if out.status == LPStatus.UNBOUNDED and len(rows) == m:
+                return lp, out, (rows, cols)
+            full = True
+            continue
+        tol = FEAS_TOL * (1.0 + abs(out.value))
+        k = len(cols)
+        excess = col_block @ out.x[:k] + fixed.rows @ out.x[k:] - rhs
+        excess = np.where(equality, np.abs(excess), excess)
+        excess[rows] = -np.inf
+        reduced = cost - out.duals @ row_block
+        reduced[cols] = -np.inf
+        new_rows, new_cols = _most(excess, tol), _most(reduced, tol)
+        if not (new_rows.size or new_cols.size):
+            return lp, out, (rows, cols)
+        if new_rows.size:  # a wide block is copied only when it grows
+            rows = np.concatenate([rows, new_rows])
+            row_block = np.vstack([row_block, table(new_rows, wide)])
+        if new_cols.size:
+            cols = np.concatenate([cols, new_cols])
+            col_block = np.hstack([col_block, table(every_row, new_cols)])
 
 
 @dataclass

@@ -13,6 +13,7 @@ import pytest
 import measurelp.cli as cli
 from measurelp import canonical_json, load_report
 from measurelp.cli import run_cli
+from measurelp.expressions import MAX_DEPTH
 from measurelp.moment import WeakDualityError
 from measurelp.simplex import NumericalFailure
 
@@ -178,6 +179,25 @@ def fixture_with_solver(tmp_path, name: str, **solver) -> str:
     doc = json.loads(Path(fixture(name)).read_text())
     doc.setdefault("solver", {}).update(solver)
     path = tmp_path / name
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+def deep_source(shape: str, count: int) -> str:
+    """x1 in ``count`` pairs of parentheses, or x1 followed by ``count`` powers or sums.
+
+    Each nests ``count + 1`` levels.
+    """
+    if shape == "parentheses":
+        return "(" * count + "x1" + ")" * count
+    return "x1" + ("^1" if shape == "powers" else "+x1") * count
+
+
+def moment_with_objective(tmp_path, source: str) -> str:
+    """A copy of the Cauchy-Schwarz fixture with ``source`` as its objective."""
+    doc = json.loads(Path(fixture("cauchy_schwarz.json")).read_text())
+    doc["objective"] = [source]
+    path = tmp_path / "objective.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
 
@@ -528,6 +548,29 @@ class TestValidationDiagnostics:
         err = capsys.readouterr().err
         assert "objective[0]" in err
         assert "byte offset" in err
+
+    @pytest.mark.parametrize("command", [["validate"], ["solve", "--grid", "9"]])
+    @pytest.mark.parametrize("shape, count, offset", [
+        ("parentheses", 3000, 100), ("powers", 3000, 201), ("sum", 19999, 299),
+    ])
+    def test_over_deep_expression_rejected(self, tmp_path, capsys, command, shape, count, offset):
+        # each exited 1 with a RecursionError, the sum from solve alone
+        if shape == "parentheses":
+            path = fixture("deep_expression.json")
+        else:
+            path = moment_with_objective(tmp_path, deep_source(shape, count))
+        assert run_cli(command[:1] + [path] + command[1:]) == 4
+        message = f"objective[0]: expression nested deeper than {MAX_DEPTH} levels"
+        assert capsys.readouterr().err == f"input error: {message} (byte offset {offset})\n"
+
+    @pytest.mark.parametrize("shape, value", [("parentheses", 1.0), ("powers", 1.0), ("sum", 100.0)])
+    def test_expression_at_the_depth_limit_solves(self, tmp_path, capsys, shape, value):
+        path = moment_with_objective(tmp_path, deep_source(shape, MAX_DEPTH - 1))
+        report = tmp_path / "report.json"
+        assert run_cli(["solve", path, "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["status"] == "strong_duality_numerically"
+        assert doc["dual_value"] == pytest.approx(value, rel=1e-4)
 
     def test_missing_file(self, capsys):
         assert run_cli(["validate", fixture("no_such_file.json")]) == 4

@@ -25,6 +25,7 @@ from measurelp import (
     solve_lp,
 )
 import measurelp.density as density
+import measurelp.simplex as simplex
 from measurelp.density import midpoint_axes, midpoint_grid
 from measurelp.expressions import _Program
 from measurelp.moment import SLATER_CAP
@@ -493,7 +494,7 @@ class TestDensitySlater:
             rows.append(lp.n_rows)
             return solve_lp(lp)
 
-        monkeypatch.setattr(density, "solve_lp", counted)  # every LP of the loop
+        monkeypatch.setattr(simplex, "solve_lp", counted)  # every LP of the loop
         tracemalloc.start()
         try:
             report = check_lp_slater(gaussian_density_problem(), 64)

@@ -17,7 +17,7 @@ from measurelp import (
     free_variables,
     parse_expression,
 )
-from measurelp.expressions import Binary, Call, Literal, Negate, Variable, _Program
+from measurelp.expressions import MAX_DEPTH, Binary, Call, Literal, Negate, Variable, _Program
 from oracles import reference_evaluate
 
 
@@ -97,6 +97,19 @@ class TestParsing:
     def test_parse_error_reports_offset(self):
         with pytest.raises(ParseError, match="byte offset"):
             parse_expression("1 + * 2", 1)
+
+    @pytest.mark.parametrize("nest", [
+        lambda k: "(" * k + "x1" + ")" * k,
+        lambda k: "x1" + "^2" * k,
+        lambda k: "x1" + "-x1" * k,
+        lambda k: "exp(" * k + "x1" + ")" * k,
+    ], ids=["parentheses", "powers", "differences", "calls"])
+    def test_depth_limit(self, nest):
+        # a number or variable is one level, each operator, call or pair of
+        # parentheses one more, so k of them nest k + 1 levels
+        parse_expression(nest(MAX_DEPTH - 1), 1)
+        with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels"):
+            parse_expression(nest(MAX_DEPTH), 1)
 
     def test_arity_validation(self):
         with pytest.raises(ParseError):

@@ -29,6 +29,7 @@ from measurelp import (
     solve_grid_primal,
 )
 import measurelp.moment as moment
+import measurelp.simplex as simplex
 from measurelp.expressions import _Program
 from measurelp.geometry import grid_array
 from measurelp.moment import (
@@ -761,15 +762,20 @@ class TestReportPrimal:
 
 
 def lp_widths(monkeypatch) -> list[int]:
-    """The column count of every LP that ``moment`` solves from now on."""
+    """The column count of every LP that ``moment`` solves from now on.
+
+    Its masters run on the generation loop in ``simplex``, so both modules'
+    bindings are counted.
+    """
     widths = []
-    real = moment.solve_lp
+    real = simplex.solve_lp
 
     def counted(lp, *args, **kwargs):
         widths.append(len(lp.objective))
         return real(lp, *args, **kwargs)
 
     monkeypatch.setattr(moment, "solve_lp", counted)
+    monkeypatch.setattr(simplex, "solve_lp", counted)
     return widths
 
 
@@ -817,8 +823,8 @@ class TestPricedPool:
             scores = rng.integers(-3, 4, n).astype(float) if trial % 2 else rng.normal(size=n)
             scores[rng.random(n) < 0.1] = -np.inf
             tol = float(rng.choice([-1.0, 0.0, 0.5]))
-            top = np.argsort(-scores, kind="stable")[:moment._BATCH]
-            assert np.array_equal(moment._most(scores, tol), top[scores[top] > tol])
+            top = np.argsort(-scores, kind="stable")[:simplex._BATCH]
+            assert np.array_equal(simplex._most(scores, tol), top[scores[top] > tol])
 
     def test_grid_free_exchange_solves_one_lp_per_iteration(self, monkeypatch):
         mp = cauchy_schwarz_problem()

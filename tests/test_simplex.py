@@ -10,7 +10,7 @@ import measurelp.simplex as simplex
 from measurelp import (
     Box, FiniteLP, LPStatus, LpDensityProblem, parse_expression, solve_lp, standardize,
 )
-from measurelp.simplex import kkt_residuals, make_lp
+from measurelp.simplex import FEAS_TOL, LPOutcome, kkt_residuals, make_lp
 from oracles import (
     hand_built_margin_lp, loop_kkt_residuals, loop_standardize, scipy_solve, vertex_enumeration,
 )
@@ -430,3 +430,134 @@ class TestKKTResiduals:
         assert rep.comp_slack_residual <= 1e-8
         assert rep.gap <= 1e-8
         assert_optimality_residuals(lp, out)
+
+
+def generation_case(rng: np.random.Generator):
+    """A random LP in ``_generate``'s form: ``(cost, K, rhs, equality, fixed or None)``.
+
+    Columns are nonnegative, rows ``<=`` or ``=``.  Most instances are built
+    around a point x0 >= 0, so they are feasible; about 15 % are made
+    robustly infeasible by a row equal to another one with rhs 1 above it,
+    and about 15 % robustly unbounded by a column with positive cost that
+    lowers every ``<=`` row and leaves every ``=`` row alone.  Half carry
+    one fixed column, with finite or infinite bounds.
+    """
+    m, n = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+    K = rng.uniform(-0.5, 2.0, (m, n))
+    cost = rng.uniform(-1.0, 2.0, n)
+    equality = rng.random(m) < 0.3
+    x0 = np.where(rng.random(n) < 0.5, rng.uniform(0.0, 2.0, n), 0.0)
+    fixed, t0 = None, np.zeros(0)
+    if rng.random() < 0.5:
+        lower, upper = [(-np.inf, np.inf), (-np.inf, 3.0), (0.0, np.inf), (-1.0, 2.0)][
+            int(rng.integers(4))
+        ]
+        t0 = np.array([np.clip(rng.uniform(-1.0, 2.0), lower, upper)])
+        fixed = simplex._Fixed(
+            rng.uniform(-1.0, 1.0, 1), np.array([lower]), np.array([upper]),
+            rng.uniform(-1.0, 1.0, (m, 1)),
+        )
+    reach = K @ x0 + (0.0 if fixed is None else fixed.rows @ t0)
+    rhs = np.where(equality, reach, reach + rng.uniform(0.1, 1.0, m))
+    kind = rng.random()
+    if m >= 2 and kind < 0.15:
+        K[1], equality[1], rhs[1] = K[0], True, rhs[0] + 1.0
+        if fixed is not None:
+            fixed.rows[1] = fixed.rows[0]
+    elif kind < 0.3:
+        j = int(rng.integers(n))
+        K[:, j] = np.where(equality, 0.0, -rng.uniform(0.0, 1.0, m))
+        cost[j] = 1.0
+    return cost, K, rhs, equality, fixed
+
+
+def full_generation_lp(cost, K, rhs, equality, fixed) -> FiniteLP:
+    """The whole LP that ``_generate`` solves, as one FiniteLP."""
+    n = len(cost)
+    if fixed is None:
+        fixed = simplex._Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((len(rhs), 0)))
+    return make_lp(
+        "max", np.append(cost, fixed.cost), np.column_stack([K, fixed.rows]),
+        np.where(equality, "=", "<=").tolist(), rhs,
+        lower=np.append(np.zeros(n), fixed.lower),
+        upper=np.append(np.full(n, np.inf), fixed.upper),
+    )
+
+
+def count_lps(monkeypatch) -> list[int]:
+    """The column count of every LP that ``simplex._generate`` solves from now on."""
+    widths = []
+    real = simplex.solve_lp
+
+    def counted(lp):
+        widths.append(lp.n_vars)
+        return real(lp)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    return widths
+
+
+class TestGenerate:
+    def test_matches_the_full_lp(self):
+        rng = np.random.default_rng(71)
+        statuses = []
+        for trial in range(320):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            m, n = K.shape
+            full = full_generation_lp(cost, K, rhs, equality, fixed)
+            ref = solve_lp(full)
+            statuses.append(ref.status)
+            partial = (
+                rng.permutation(m)[: int(rng.integers(m + 1))],
+                rng.permutation(n)[: int(rng.integers(n + 1))],
+            )
+            starts = [(np.zeros(0, dtype=int), np.zeros(0, dtype=int)), partial]
+            starts.append((rng.permutation(m), rng.permutation(n)))
+            for start in starts:
+                table = lambda R, C: K[R][:, C]
+                _, out, last = simplex._generate(table, cost, rhs, equality, start, fixed)
+                assert out.status == ref.status, trial
+                if out.status != LPStatus.OPTIMAL:
+                    continue
+                assert abs(out.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value)), trial
+                x, duals = out.x, out.duals
+                if last is not None:  # pad the restricted solution with zeros
+                    (R, C), x, duals = last, np.zeros(full.n_vars), np.zeros(m)
+                    x[C], x[n:] = out.x[:len(C)], out.x[len(C):]
+                    duals[R] = out.duals
+                kkt = kkt_residuals(full, LPOutcome(LPStatus.OPTIMAL, out.value, x, duals))
+                tol = FEAS_TOL * (1.0 + abs(out.value))
+                assert kkt.primal_residual <= tol, trial
+                assert kkt.dual_sign_residual <= tol, trial
+                assert kkt.stationarity_residual <= tol, trial
+                assert kkt.comp_slack_residual <= tol, trial
+                assert kkt.gap <= tol, trial
+        for status in LPStatus:
+            assert statuses.count(status) >= 30, status
+
+    def test_full_start_is_solved_once(self, monkeypatch):
+        rng = np.random.default_rng(73)
+        seen = set()
+        while len(seen) < 3:
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            m, n = K.shape
+            widths = count_lps(monkeypatch)
+            _, out, last = simplex._generate(
+                lambda R, C: K[R][:, C], cost, rhs, equality,
+                (np.arange(m), np.arange(n)), fixed,
+            )
+            monkeypatch.undo()
+            assert widths == [n + (0 if fixed is None else 1)] and last is None
+            seen.add(out.status)
+
+    def test_unbounded_with_every_row_is_final(self, monkeypatch):
+        # max g0 + g1 on g0 - g1 + g2 <= 1: on (g0, g1) alone the LP is
+        # already unbounded, and g2 cannot bound it
+        K = np.array([[1.0, -1.0, 1.0]])
+        widths = count_lps(monkeypatch)
+        _, out, last = simplex._generate(
+            lambda R, C: K[R][:, C], np.array([1.0, 1.0, 0.0]), np.array([1.0]),
+            np.array([False]), (np.array([0]), np.array([0, 1])),
+        )
+        assert out.status == LPStatus.UNBOUNDED
+        assert widths == [2] and last is not None
