@@ -564,15 +564,15 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
     """
     x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
     cost = _scaled(_values(pb, pb.objective, "the objective", x_pts), dx, "the objective")
+    table = lambda R, C: rows.table(R, x_pts[C], dx)
     if start is None:
         cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
-        columns = rows.table(np.arange(len(rows.rhs)), x_pts[cells], dx)
+        columns = table(np.arange(len(rows.rhs)), cells)
         ratio = np.full(columns.shape, np.inf)
         np.divide(rows.rhs[:, None], columns, out=ratio, where=columns > 0.0)
         bounded = np.isfinite(ratio).any(axis=0)
         active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
         start = active, cells
-    table = lambda R, C: rows.table(R, x_pts[C], dx)
     return _generate(table, cost, rows.rhs, rows.equality, start)
 
 

@@ -718,9 +718,9 @@ def exchange_solve(
     seeds = _seed_cuts(mp, () if grid else extra_cuts)
     cuts = _with_grid(seeds, extra_cuts) if grid else seeds
     M, N = mp.n_ineq, mp.n_eq
-    rows = np.arange(M + N)
+    every_row = np.arange(M + N)
     rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
-    equality = rows >= M
+    equality = every_row >= M
     k = M + 2 * N  # elastic columns: one per inequality row, two per equality row
     defect = np.zeros((M + N, k))
     defect[:M, :M] = -np.eye(M)
@@ -735,7 +735,7 @@ def exchange_solve(
         # R holds every moment row from the start, so K[R, C] is the cuts' rows
         # transposed, and for every column a view: no copy of a grid pool
         table = lambda R, C: cuts.rows[C].T
-        _, out, last = _generate(table, cuts.h, rhs, equality, (rows, work))
+        _, out, last = _generate(table, cuts.h, rhs, equality, (every_row, work))
         if out.status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above on the working cut set"
@@ -743,7 +743,7 @@ def exchange_solve(
         elastic = out.status == LPStatus.INFEASIBLE  # only a full round is infeasible
         if elastic:
             _, out, _ = _generate(
-                table, cuts.h, rhs, equality, (rows, np.arange(len(cuts))), defects
+                table, cuts.h, rhs, equality, (every_row, np.arange(len(cuts))), defects
             )
             if out.status != LPStatus.OPTIMAL:
                 raise ExchangeError(
