@@ -14,14 +14,14 @@ equality box.  This module provides
   report solves the primal alone and reads the dual solution off its row
   duals, checked for dual feasibility, and
 - a strict-feasibility margin diagnostic with a rank report for the
-  discretized equality operator; its margin LP has the margin as a fixed
-  column, its row sums valued a chunk of rows at a time.
+  discretized equality operator; it solves ``moment._max_margin`` with the
+  margin as the fixed column, its row sums valued a chunk of rows at a time.
 
-Every collocated LP is solved on the generation loop of ``simplex``
-(``simplex._generate``), with the collocation points as its rows and the
-domain cells as its columns, so only the kernel blocks of the rows and
-cells it takes in are valued; its full round is the dense LP of
-``discretize_lp_density`` (or the dense margin LP).
+Every collocated LP, the margin LP included, is solved on the generation
+loop of ``simplex`` (``simplex._generate``), with the collocation points as
+its rows and the domain cells as its columns, so only the kernel blocks of
+the rows and cells it takes in are valued; its full round is the dense LP
+of ``discretize_lp_density`` (or the dense margin LP).
 ``discretize_lp_density`` builds the dense pair from the same rows; nothing
 in the package solves it.
 
@@ -47,9 +47,8 @@ import numpy as np
 
 from .expressions import Expression, _problem_table
 from .geometry import Box, _axis_counts
-from .moment import SLATER_CAP, ReportStatus, WeakDualityError
-from .moment import _capped, _check_tolerance
-from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure, _Fixed, _generate
+from .moment import ReportStatus, _capped, _check_tolerance, _max_margin
+from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure, _generate
 from .simplex import kkt_residuals, make_lp
 
 DEFAULT_QUAD_RESOLUTION = 128
@@ -711,11 +710,11 @@ def check_lp_slater(
     unchanged: ``delta`` is then a free column whose coefficient on row
     ``j`` is ``u_j = sum_i K(p_j, x_i) dx``, plus 1 on an inequality row.
 
-    That LP is solved on ``simplex._generate`` with zero cell costs and
-    ``delta`` as its fixed column.  It starts from the equality rows and the
-    inequality row of least ``a_j / u_j`` over ``u_j > 0``, the one that
-    bounds ``delta`` alone, and no cells.  The sums ``u`` are taken a chunk
-    of rows at a time, so the whole kernel table is never held.
+    ``moment._max_margin`` solves that LP on ``simplex._generate``, with
+    zero cell costs and ``delta`` as its fixed column, from the equality
+    rows and the inequality row of least ``a_j / u_j`` over ``u_j > 0`` (the
+    one that bounds ``delta`` alone) and no cells.  The sums ``u`` are taken
+    a chunk of rows at a time, so the whole kernel table is never held.
 
     A positive margin exhibits a strictly positive density satisfying every
     inequality strictly; an infeasible margin LP reports ``-inf``.  The cap
@@ -738,16 +737,11 @@ def check_lp_slater(
     np.divide(rows.rhs, u, out=ratio, where=~rows.equality & (u > 0.0))
     first = [np.argmin(ratio)] if np.isfinite(ratio).any() else []
     start = np.concatenate([equalities, first]).astype(int), np.zeros(0, dtype=int)
-    delta = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), u[:, None])
     table = lambda R, C: rows.table(R, x_pts[C], dx)
-    _, out, _ = _generate(table, np.zeros(len(x_pts)), rows.rhs, rows.equality, start, delta)
-    feasible = out.status == LPStatus.OPTIMAL
-    if not (feasible or out.status == LPStatus.INFEASIBLE):
-        raise WeakDualityError(f"slater margin LP reported {out.status.value}")
-    margin = float(out.x[-1]) if feasible else -math.inf
+    margin, x = _max_margin(table, np.zeros(len(x_pts)), rows.rhs, rows.equality, start, u)
     return DensitySlaterReport(
         margin=margin,
-        feasible=feasible,
+        feasible=x is not None,
         capped=_capped(margin),
         equality_rank=rank,
         n_equality_rows=len(equalities),

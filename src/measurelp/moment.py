@@ -21,12 +21,13 @@ of the box's program from the per-problem cache in ``expressions``, which
 gives each function's ``evaluate_many`` values bit for bit, whatever the
 batch, and rejects a value that is not finite naming the box.  So a point
 gets the same values wherever it is valued, and the oracle's column is the
-cut it appends.  ``duality_report`` seeds every grid point into the cut
-set by reading the grid primal's columns, so its first master is the grid
-LP, and no per-point ``Cut`` is built.  The masters run on the generation
-loop of ``simplex`` (``simplex._generate``), which prices the grid's columns
-in, so the LPs they solve hold the columns the optimum needs, not the whole
-grid.
+cut it appends; every grid and its table come from ``_grid``.
+``duality_report`` seeds every grid point into the cut set by reading the
+grid primal's columns, so its first master is the grid LP, and no
+per-point ``Cut`` is built.  The masters and the Slater margin LP
+(``_max_margin``) run on the generation loop of ``simplex``
+(``simplex._generate``), which prices the grid's columns in, so the LPs
+the masters solve hold the columns the optimum needs, not the whole grid.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -282,6 +283,18 @@ def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
     return yz @ table[:-1] - table[-1]
 
 
+def _grid(mp: MomentProblem, resolution):
+    """Every box's closed tensor grid, box by box: ``(points, box_idx, table)``.
+
+    ``points`` is (G, dim), ``box_idx`` (G,) names each point's box, and
+    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.
+    """
+    blocks = [grid_array(box, resolution) for box in mp.domain.boxes]
+    box_idx = np.concatenate([np.full(len(pts), i) for i, pts in enumerate(blocks)])
+    table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
+    return np.vstack(blocks), box_idx, table
+
+
 def assemble_grid_primal(mp: MomentProblem, resolution) -> GridPrimal:
     """LP over atom weights on the closed-box tensor grids of every box.
 
@@ -289,19 +302,10 @@ def assemble_grid_primal(mp: MomentProblem, resolution) -> GridPrimal:
     (<= a) followed by the N equality moments (= b); the objective is
     max Σ h(x_g) w_g.
     """
-    blocks = []
-    boxes = []
-    for i, box in enumerate(mp.domain.boxes):
-        pts = grid_array(box, resolution)
-        blocks.append(pts)
-        boxes.append(np.full(len(pts), i))
-    points = np.vstack(blocks)
-    box_idx = np.concatenate(boxes)
-    table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
-    A, h = table[:-1], table[-1]
+    points, box_idx, table = _grid(mp, resolution)
     rhs = [bound for _, bound in mp.inequalities] + [bound for _, bound in mp.equalities]
     senses = ("<=",) * mp.n_ineq + ("=",) * mp.n_eq
-    lp = make_lp("max", h, A, senses, rhs)
+    lp = make_lp("max", table[-1], table[:-1], senses, rhs)
     return GridPrimal(lp=lp, points=points, box_indices=box_idx)
 
 
@@ -495,8 +499,9 @@ def restricted_dual_lp(
 ) -> FiniteLP:
     """The (y, z)-variable form: min a.y + b.z s.t. one >= row per cut.
 
-    ``cap`` bounds every multiplier's magnitude; the exchange loop uses it to
-    keep this LP bounded while the working cut set is still too small.
+    No solver builds it (the masters solve the cut-supported primal); it is
+    the reference the masters' values are checked against.  ``cap`` bounds
+    every multiplier's magnitude, for a caller that needs a bounded LP.
     """
     M, N = mp.n_ineq, mp.n_eq
     A = np.empty((len(cuts), M + N))
@@ -546,36 +551,31 @@ def _scan_axes(dim: int, scan_resolution) -> list[int]:
 
 
 class _ScanOracle:
-    """Separation oracle: a scan of cached per-box grids, then a zoom on the argmin.
+    """Separation oracle: a scan of the cached grid of every box, then a zoom on the argmin.
 
-    The grid values are computed once and reused by every exchange
-    iteration.  The zoom scores points with the scan's own slack formula,
-    on ``_box_table`` columns, so the column it returns is the cut.
+    The grid is ``_grid``'s, valued once for every exchange iteration; a
+    scan is one argmin of the slack over its table, in box order, so of
+    equal slacks (on a shared face, say) the lower box wins.  The zoom
+    scores points with the scan's slack formula, on ``_box_table`` columns,
+    so the column it returns is the cut.
     """
 
     def __init__(self, mp: MomentProblem, scan_resolution, refine_steps: int):
         self.mp = mp
         self.refine_steps = refine_steps
         res = _scan_axes(mp.domain.dim, scan_resolution)
-        self.points = []   # per box: (K, dim)
-        self.tables = []   # per box: rows = M phi, N psi, then h; shape (M+N+1, K)
-        self.steps = []    # per box: scan step per axis
-        for i, box in enumerate(mp.domain.boxes):
-            pts = grid_array(box, res)
-            table = _box_table(mp, i, pts)
-            self.points.append(pts)
-            self.tables.append(table)
-            self.steps.append([(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, res)])
+        self.points, self.box_idx, self.table = _grid(mp, res)
+        self.steps = [  # per box: scan step per axis
+            [(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, res)]
+            for box in mp.domain.boxes
+        ]
 
     def find(self, dual: DualPoint) -> SeparationResult:
         yz = np.concatenate([dual.y, dual.z])
-        best = None
-        for i, (points, table) in enumerate(zip(self.points, self.tables)):
-            slack = _slack(yz, table)
-            g = int(np.argmin(slack))
-            if best is None or slack[g] < best[0]:
-                best = (float(slack[g]), i, points[g], table[:, g])
-        slack, box_index, point, column = best
+        slack = _slack(yz, self.table)
+        g = int(np.argmin(slack))
+        box_index, point, column = int(self.box_idx[g]), self.points[g], self.table[:, g]
+        slack = float(slack[g])
         if self.refine_steps > 0:
             slack, point, column = self._zoom(yz, box_index, point, slack, column)
         return SeparationResult(box_index, tuple(point.tolist()), slack, column)
@@ -779,29 +779,28 @@ def exchange_solve(
 SLATER_CAP = 1e6
 
 
-def _max_margin(rows, column, row_senses, rhs, cost: float = 0.0):
-    """(t, x) of max t - cost * Σ v over [rows | column] (v, t), v >= 0, t <= SLATER_CAP.
+def _max_margin(table, cost, rhs, equality, start, column):
+    """(t, x) of the margin LP: ``max cost . v + t``, v >= 0, t <= SLATER_CAP.
 
-    Both moment Slater checks solve this margin LP (the density check solves
-    its own on the generation loop); x is (v, t).  An infeasible LP gives
-    (-inf, None).  The cap bounds the optimum, so any other status is a
-    solver bug and raises WeakDualityError.
+    The rows are ``K[j] . v + column[j] t`` ``=`` ``rhs[j]`` where
+    ``equality[j]``, else ``<=``.  Every Slater check solves this LP, on
+    ``simplex._generate`` from ``start = (R, C)``, with ``t`` as the fixed
+    column; ``table`` values ``K`` as the loop asks, and x is the restricted
+    LP's (v_C, t).  An infeasible LP gives (-inf, None).  The cap bounds the
+    optimum, so any other status is a solver bug and raises WeakDualityError.
     """
-    n = rows.shape[1]
-    objective = np.zeros(n + 1)
-    objective[:n] -= cost  # np.full(n, -cost) would write -0.0 for cost 0
-    objective[n] = 1.0
-    lp = make_lp(
-        "max", objective, np.column_stack([rows, column]), row_senses, rhs,
-        lower=np.concatenate([np.zeros(n), [-np.inf]]),
-        upper=np.concatenate([np.full(n, np.inf), [SLATER_CAP]]),
-    )
-    out = solve_lp(lp)
+    t = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), column[:, None])
+    _, out, _ = _generate(table, cost, rhs, equality, start, t)
     if out.status == LPStatus.INFEASIBLE:
         return -math.inf, None
     if out.status != LPStatus.OPTIMAL:
         raise WeakDualityError(f"slater margin LP reported {out.status.value}")
-    return float(out.x[n]), out.x
+    return float(out.x[-1]), out.x
+
+
+def _every(K: np.ndarray):
+    """``K``'s ``table`` for ``_generate``, and the start that holds all of ``K``."""
+    return (lambda R, C: K[R][:, C]), (np.arange(K.shape[0]), np.arange(K.shape[1]))
 
 
 def _capped(margin: float) -> bool:
@@ -846,10 +845,10 @@ def check_dual_slater(
     eps = 1e-9  # lexicographic tie-break; shifts t* by at most eps * |(y, z)|_1
 
     def master(cuts):
-        t, x = _max_margin(
-            np.hstack([cuts.rows, -cuts.rows[:, M:]]), np.full(len(cuts), -1.0),
-            (">=",) * len(cuts), cuts.h, cost=eps,
-        )
+        K = -np.hstack([cuts.rows, -cuts.rows[:, M:]])  # each cut's >= row, negated into <=
+        table, every = _every(K)
+        equality, t_column = np.zeros(len(cuts), dtype=bool), np.ones(len(cuts))
+        t, x = _max_margin(table, np.full(K.shape[1], -eps), -cuts.h, equality, every, t_column)
         if x is None:  # t is free below, so only a solver bug lands here
             raise WeakDualityError("slater master reported infeasible")
         z = x[M:M + N] - x[M + N:M + 2 * N]
@@ -889,11 +888,13 @@ def check_primal_slater(
     mp: MomentProblem, resolution=SolverConfig.slater_resolution
 ) -> PrimalSlaterReport:
     """Maximize delta with moments(w) + delta <= a and moments(w) = b over grid weights w >= 0."""
-    grid = assemble_grid_primal(mp, resolution)
+    rows = _grid(mp, resolution)[2][:-1]
     M, N = mp.n_ineq, mp.n_eq
-    rank = int(np.linalg.matrix_rank(grid.lp.rows[M:, :])) if N else 0
+    rank = int(np.linalg.matrix_rank(rows[M:, :])) if N else 0
+    rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
+    table, every = _every(rows)
     delta = np.concatenate([np.ones(M), np.zeros(N)])
-    margin, x = _max_margin(grid.lp.rows, delta, grid.lp.row_senses, grid.lp.rhs)
+    margin, x = _max_margin(table, np.zeros(rows.shape[1]), rhs, every[0] >= M, every, delta)
     return PrimalSlaterReport(
         margin=margin, feasible=x is not None, equality_rank=rank, n_equalities=N,
         capped=_capped(margin),

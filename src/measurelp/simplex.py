@@ -12,17 +12,17 @@ Phase 1 runs only when x0 or an artificial is basic, so an LP with ``<=``
 rows and nonnegative right-hand sides goes straight to phase 2.
 
 Most LPs here are short, with a row per moment constraint.  A grid primal
-(``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and a
-primal Slater margin LP one per point of its own grid (16,641 at the
-default 129^2).  The exchange masters and density collocation run on one
-generation loop, ``_generate``, which solves an LP restricted to the rows
-and columns it has taken in so far: an exchange master prices a seeded
-grid in and solves on tens of columns, and a density report on a 2-D
-Gaussian kernel at 64 cells per axis solves 19 LPs, the largest 66 x 48,
-and its Slater check one 1 x 1 LP.  Only the loop's full round is as wide
-as the whole LP.  The tableau's size is the cost that matters, so
-``standardize`` builds it with array operations rather than column by
-column.
+(``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and is
+the only LP solved outside one generation loop, ``_generate``, which
+solves an LP restricted to the rows and columns it has taken in so far:
+an exchange master prices a seeded grid in and solves on tens of columns,
+and a density report on a 2-D Gaussian kernel at 64 cells per axis solves
+19 LPs, the largest 66 x 48, and its Slater check one 1 x 1 LP.  Only the
+loop's full round is as wide as the whole LP, and the primal Slater margin
+LP is one: it starts with every row and a column per point of its own
+grid (16,641 at the default 129^2).  The tableau's size is the cost that
+matters, so ``standardize`` builds it with array operations rather than
+column by column.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem

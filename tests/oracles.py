@@ -10,12 +10,14 @@ midpoint quadrature with refinement, expressions by a scalar tree-walker
 over Python's ``math`` module, and partition coverage by testing every
 breakpoint cell's exact midpoint against every box.
 
-The exceptions are the Slater margin LPs and a dual point's slack at one
-point.  Each check's margin LP is kept here as it was first built, by hand
-and separately per check, and solved with the package's own simplex, so
-that the shared margin LP can be pinned to it bit for bit.  The slack is
-valued as the separation oracle values it, so that a slack the oracle
-reports can be pinned to it exactly.
+The exceptions are the Slater margin LPs, a dual point's slack at one
+point and the oracle's scan.  Each check's margin LP is kept here as it was
+first built, by hand and separately per check, and solved with the
+package's own simplex, so that the shared margin LP can be pinned to it bit
+for bit.  The slack is valued as the separation oracle values it, so that a
+slack the oracle reports can be pinned to it exactly, and the scan is the
+oracle's first form, a loop over the boxes, which pins the flat scan of
+every box at once.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from scipy.optimize import linprog
 from measurelp import DomainError, FiniteLP, LPStatus, evaluate_many, solve_lp
 from measurelp import density, moment
 from measurelp.expressions import Binary, Literal, Negate, Variable, format_node
+from measurelp.geometry import grid_array
 from measurelp.simplex import KKTReport, make_lp
 
 
@@ -499,6 +502,27 @@ def dual_slack_at(mp, dual, x, box_index) -> float:
     """
     table = moment._box_table(mp, box_index, np.array([x], dtype=float))
     return float(moment._slack(np.concatenate([dual.y, dual.z]), table)[0])
+
+
+def per_box_scan(mp, dual, scan_resolution=None):
+    """The separation oracle's scan, without its zoom, one box at a time.
+
+    Each box's grid is valued as one ``moment._box_table`` and scanned on
+    its own, and a box replaces the best point so far only with a strictly
+    smaller slack, so of equal slacks the lower box wins.
+    """
+    yz = np.concatenate([dual.y, dual.z])
+    res = moment._scan_axes(mp.domain.dim, scan_resolution)
+    best = None
+    for i, box in enumerate(mp.domain.boxes):
+        points = grid_array(box, res)
+        table = moment._box_table(mp, i, points)
+        slack = moment._slack(yz, table)
+        g = int(np.argmin(slack))
+        if best is None or slack[g] < best.slack:
+            point = tuple(points[g].tolist())
+            best = moment.SeparationResult(i, point, float(slack[g]), table[:, g])
+    return best
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from measurelp import (
     solve_lp,
 )
 import measurelp.density as density
+import measurelp.moment as moment
 import measurelp.simplex as simplex
 from measurelp.density import midpoint_axes, midpoint_grid
 from measurelp.expressions import _Program
@@ -456,13 +457,13 @@ class TestDensitySlater:
         # the loop's (g, delta) and row duals, padded with zeros, are an
         # optimal pair for the whole margin LP up to FEAS_TOL * (1 + |delta|)
         found = []
-        real = density._generate
+        real = moment._generate
 
         def kept(*args, **kwargs):
             found.append(real(*args, **kwargs))
             return found[-1]
 
-        monkeypatch.setattr(density, "_generate", kept)
+        monkeypatch.setattr(moment, "_generate", kept)
         rng = np.random.default_rng(59)
         cases = [(flat_density_problem(), 16), (concentration_density_problem(), 16)]
         cases += [(bilinear_density_problem(), 8)]

@@ -45,7 +45,9 @@ from measurelp.moment import (
     separation_oracle,
 )
 from measurelp.simplex import solve_lp
-from oracles import dual_slack_at, hand_built_dual_slater, hand_built_primal_slater
+from oracles import (
+    dual_slack_at, hand_built_dual_slater, hand_built_primal_slater, per_box_scan,
+)
 from problems import (
     cauchy_schwarz_problem,
     contradictory_problem,
@@ -83,6 +85,21 @@ def lexsort_seed_cuts(mp, grid):
     first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
     keep = np.sort(order[first])
     return CutSet(mp.n_ineq, box_idx[keep], points[keep], table[:-1, keep].T, table[-1, keep])
+
+
+def two_box_plane(*objective: str) -> MomentProblem:
+    """Two boxes of the plane that share the face x1 = 1.25, with the given objective.
+
+    The default objective, and the inequality's pieces, differ across the face.
+    """
+    partition = Partition((Box((0.0, -0.5), (1.25, 1.0)), Box((1.25, -0.5), (2.0, 1.0))))
+    return MomentProblem(
+        domain=partition,
+        hull=Box((0.0, -0.5), (2.0, 1.0)),
+        objective=pw(partition, *(objective or ("x1 * x2 ^ 3", "2 - x1 + exp(x2)"))),
+        inequalities=((pw(partition, "x1 ^ 2 + x2", "sqrt(x1) * x2"), 1.5),),
+        equalities=((pw(partition, "1", "1"), 1.0), (pw(partition, "x1", "x1"), 0.9)),
+    )
 
 
 def seeded_exchange(mp, resolution, **kwargs):
@@ -267,6 +284,41 @@ class TestSeparationOracle:
         coarse = separation_oracle(mp, d, scan_resolution=8, refine_steps=0)
         refined = separation_oracle(mp, d, scan_resolution=8, refine_steps=40)
         assert refined.slack <= coarse.slack + 1e-15
+
+    @pytest.mark.parametrize("source, scan_resolution", [
+        ("piecewise.json", None), ("piecewise.json", 9),
+        ("plane", None), ("plane", 9), ("plane", (17, 5)),
+    ])
+    def test_flat_scan_matches_per_box_scan(self, source, scan_resolution):
+        mp = two_box_plane() if source == "plane" else load_problem(FIXTURES / source).problem
+        rng = np.random.default_rng(61)
+        duals = [DualPoint(y=(0.0,) * mp.n_ineq, z=(0.0,) * mp.n_eq)]
+        duals += [
+            DualPoint(y=rng.uniform(0.0, 2.0, mp.n_ineq), z=rng.normal(size=mp.n_eq))
+            for _ in range(20)
+        ]
+        for dual in duals:
+            sep = separation_oracle(mp, dual, scan_resolution, refine_steps=0)
+            ref = per_box_scan(mp, dual, scan_resolution)
+            assert sep == ref and type(sep.box_index) is int
+            assert sep.column.tobytes() == ref.column.tobytes()
+
+    @pytest.mark.parametrize("source", ["piecewise.json", "plane"])
+    def test_flat_scan_tie_on_a_shared_face_goes_to_the_lower_box(self, source):
+        # the tent's peak x1 = 1, and the plane's ridge x1 = 1.25, lie on the
+        # face the two boxes share, where both boxes' pieces take one value
+        if source == "plane":
+            mp = two_box_plane("1 - (x1 - 1.25) ^ 2 - x2 ^ 2", "1 - (x1 - 1.25) ^ 2 - x2 ^ 2")
+            dual = DualPoint(y=(0.0,), z=(0.25, 0.0))
+        else:
+            mp = load_problem(FIXTURES / source).problem
+            dual = DualPoint(y=(), z=(0.25,))
+        face = mp.domain.boxes[0].upper[0]
+        sep = separation_oracle(mp, dual, 9, refine_steps=0)
+        assert sep.box_index == 0 and sep.point[0] == face
+        assert dual_slack_at(mp, dual, sep.point, 1) == sep.slack
+        ref = per_box_scan(mp, dual, 9)
+        assert sep == ref and sep.column.tobytes() == ref.column.tobytes()
 
     def test_zoom_axis_is_linspace_bit_for_bit(self):
         rng = np.random.default_rng(59)
@@ -619,6 +671,20 @@ class TestSlaterChecks:
         for resolution in (config.slater_resolution, 33):
             primal = check_primal_slater(mp, resolution)
             assert repr(primal) == repr(hand_built_primal_slater(mp, resolution))
+
+    @pytest.mark.parametrize("source", [
+        "cauchy_schwarz.json", "contradictory.json", "piecewise.json", "moment_square_2d.json",
+    ])
+    def test_no_slater_lp_leaves_the_generation_loop(self, monkeypatch, source):
+        # every Slater margin LP, and every master, runs on simplex._generate
+        def refused(lp):
+            raise AssertionError(f"moment solved a {lp.n_rows} x {lp.n_vars} LP itself")
+
+        monkeypatch.setattr(moment, "solve_lp", refused)
+        mp = load_problem(FIXTURES / source).problem
+        report = duality_report(mp, FAST)
+        assert repr(check_primal_slater(mp, FAST.slater_resolution)) == repr(report.primal_slater)
+        check_dual_slater(mp)
 
 
 class TestUnitNormalization:
