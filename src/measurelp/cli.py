@@ -22,8 +22,8 @@ as ``solve`` without its refinement and Slater check, and print its primal
 value or its dual value, which is read from the primal's row duals.
 
 Exit codes: 0 solved/converged/valid; 2 gap remains, not converged, or the
-solver stopped on a numerical failure; 3 infeasible or unbounded; 4 invalid
-input.
+solver stopped on a numerical failure; 3 infeasible or unbounded, or a
+Slater margin below ``-FEAS_TOL``; 4 invalid input.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .moment import (
     solve_grid_primal,
 )
 from .options import solve_option_bound
-from .simplex import LPStatus, NumericalFailure
+from .simplex import FEAS_TOL, LPStatus, NumericalFailure
 
 EXIT_OK = 0
 EXIT_NOT_CONVERGED = 2
@@ -236,7 +236,8 @@ def _cmd_slater(args: argparse.Namespace) -> int:
             f"dual margin: {_fmt(dual.margin)} (converged: {dual.converged}, "
             f"capped: {dual.capped})"
         )
-        if not primal.feasible:
+        if primal.margin < -FEAS_TOL:
+            print("note: no measure on the Slater grid meets the constraints")
             return EXIT_INFEASIBLE
         if not dual.converged:
             return EXIT_NOT_CONVERGED
@@ -246,7 +247,10 @@ def _cmd_slater(args: argparse.Namespace) -> int:
     print(f"equality rank: {rep.equality_rank} of {rep.n_equality_rows}")
     if rep.rank_deficient:
         print("note: equality rows are rank deficient")
-    return EXIT_OK if rep.feasible else EXIT_INFEASIBLE
+    if rep.margin < -FEAS_TOL:
+        print("note: no collocated density meets the constraints")
+        return EXIT_INFEASIBLE
+    return EXIT_OK
 
 
 def _cmd_option_bound(args: argparse.Namespace) -> int:

@@ -20,10 +20,9 @@ equality box.  This module provides
 Every collocated LP, the margin LP included, is solved on the generation
 loop of ``simplex`` (``simplex._generate``), with the collocation points as
 its rows and the domain cells as its columns, so only the kernel blocks of
-the rows and cells it takes in are valued; its full round is the dense LP
-of ``discretize_lp_density`` (or the dense margin LP).
-``discretize_lp_density`` builds the dense pair from the same rows; nothing
-in the package solves it.
+the rows and cells it takes in are valued, whether the LP is optimal,
+infeasible or unbounded.  ``discretize_lp_density`` builds the dense pair
+from the same rows; nothing in the package solves it.
 
 All quadrature uses the composite midpoint rule, which matches the piecewise
 constant density class used throughout: a discrete density takes one value
@@ -554,7 +553,7 @@ def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
 
 
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
-    """The collocated primal on ``simplex._generate``: ``(lp, outcome, (R, C) or None)``.
+    """The collocated primal on ``simplex._generate``: ``(lp, outcome, (R, C))``.
 
     ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
     ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
@@ -605,9 +604,9 @@ def collocation_report(
     the full collocated LP's KKT certificate, so the values are that LP's
     own, yet only the kernel values of the rows and cells taken in are
     computed.  The refined primal starts from the rows and the subcells of
-    the cells the first one ended with.  An LP that is not optimal reports
-    ``primal_infeasible`` or ``primal_unbounded`` (the dual LP is then
-    infeasible), with no values.
+    the cells the first one ended with.  An LP that a Farkas vector or a ray
+    shows is not optimal reports ``primal_infeasible`` or
+    ``primal_unbounded`` (the dual LP is then infeasible), with no values.
 
     The primal's row duals, divided by the cell volumes, solve the dual LP,
     so the dual value is the KKT dual value; its dual-sign and stationarity
@@ -713,17 +712,18 @@ def check_lp_slater(
     ``moment._max_margin`` solves that LP on ``simplex._generate``, with
     zero cell costs and ``delta`` as its fixed column, from the equality
     rows and the inequality row of least ``a_j / u_j`` over ``u_j > 0`` (the
-    one that bounds ``delta`` alone) and no cells.  The sums ``u`` are taken
-    a chunk of rows at a time, so the whole kernel table is never held.
+    one that bounds ``delta`` alone) and no cells; where ``delta`` alone
+    cannot meet the equalities, the Farkas vectors price cells in.  The sums
+    ``u`` are taken a chunk of rows at a time, so no whole table is held.
 
     A positive margin exhibits a strictly positive density satisfying every
-    inequality strictly; an infeasible margin LP reports ``-inf``.  The cap
+    inequality strictly, a negative one shows that no nonnegative density
+    meets the rows, and an infeasible margin LP reports ``-inf``.  The cap
     bounds the margin, so any other status is a solver bug and raises
-    ``WeakDualityError``.  The rank
-    of the collocated equality matrix, valued in full, is reported as a
-    finite surrogate for surjectivity of the equality operator, so
-    duplicated or dependent equality rows show up as a rank deficit.  A
-    resolution below 2 raises ValueError.
+    ``WeakDualityError``.  The rank of the collocated equality matrix,
+    valued in full, is reported as a finite surrogate for surjectivity of
+    the equality operator, so duplicated or dependent equality rows show up
+    as a rank deficit.  A resolution below 2 raises ValueError.
     """
     resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])

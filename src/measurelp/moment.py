@@ -26,8 +26,8 @@ cut it appends; every grid and its table come from ``_grid``.
 grid primal's columns, so its first master is the grid LP, and no
 per-point ``Cut`` is built.  The masters and the Slater margin LP
 (``_max_margin``) run on the generation loop of ``simplex``
-(``simplex._generate``), which prices the grid's columns in, so the LPs
-the masters solve hold the columns the optimum needs, not the whole grid.
+(``simplex._generate``), which prices the grid's columns in by the row
+duals, or an infeasible master's Farkas vector, so no master holds the grid.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -697,15 +697,14 @@ def exchange_solve(
     Each master is ``simplex._generate`` with every moment row and, as the
     columns to start from, the working set W: every cut that is not a grid
     column, plus the columns it has taken in so far.  So a GridPrimal's
-    columns form a pool that the masters price in, and W carries over to the
-    next iteration; without a grid W holds every cut, and each master is
-    the loop's full round, solved once.  When the full round runs, the
-    support of its optimum joins W.
+    columns form a pool that the masters price in (an infeasible master by
+    its Farkas vector), and W carries over to the next iteration; without a
+    grid W holds every cut, and each master is solved once.
 
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
     infeasible or just needs more cuts.  Those iterations re-solve the
-    master on every cut with elastic columns: each buys one unit of defect
+    master from W with elastic columns: each buys one unit of defect
     on one moment row at the price ``MULTIPLIER_CAP``, so by LP duality the
     row duals are the restricted dual with multipliers capped at that price.
     They separate against that minimizer: a violated point restores
@@ -735,27 +734,20 @@ def exchange_solve(
         # R holds every moment row from the start, so K[R, C] is the cuts' rows
         # transposed, and for every column a view: no copy of a grid pool
         table = lambda R, C: cuts.rows[C].T
-        _, out, last = _generate(table, cuts.h, rhs, equality, (every_row, work))
+        _, out, (_, work) = _generate(table, cuts.h, rhs, equality, (every_row, work))
         if out.status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above on the working cut set"
             )
-        elastic = out.status == LPStatus.INFEASIBLE  # only a full round is infeasible
+        elastic = out.status == LPStatus.INFEASIBLE  # on every cut: the Farkas vector says so
         if elastic:
-            _, out, _ = _generate(
-                table, cuts.h, rhs, equality, (every_row, np.arange(len(cuts))), defects
-            )
+            _, out, (_, work) = _generate(table, cuts.h, rhs, equality, (every_row, work), defects)
             if out.status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
                     "the primal is unbounded above on the working cut set"
                 )
-        if last is None:  # the full round, on every cut: its support joins W
-            cols = slice(None)
-            work = np.union1d(work, np.flatnonzero(out.x[:len(cuts)] > 0.0))
-        else:
-            cols = work = last[1]
-        measure = None if elastic else _atoms(cuts.points[cols], cuts.box_index[cols], out.x)
+        measure = None if elastic else _atoms(cuts.points[work], cuts.box_index[work], out.x)
         dual = DualPoint(y=tuple(_clip_duals(out.duals, M)), z=tuple(out.duals[M:]))
         return float(out.value), dual, measure, 0.0
 

@@ -13,16 +13,13 @@ rows and nonnegative right-hand sides goes straight to phase 2.
 
 Most LPs here are short, with a row per moment constraint.  A grid primal
 (``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and is
-the only LP solved outside one generation loop, ``_generate``, which
-solves an LP restricted to the rows and columns it has taken in so far:
-an exchange master prices a seeded grid in and solves on tens of columns,
-and a density report on a 2-D Gaussian kernel at 64 cells per axis solves
-19 LPs, the largest 66 x 48, and its Slater check one 1 x 1 LP.  Only the
-loop's full round is as wide as the whole LP, and the primal Slater margin
-LP is one: it starts with every row and a column per point of its own
+the only LP solved outside the generation loop ``_generate``, which solves
+the LP restricted to the rows and columns taken in so far and checks its
+certificate (duals, a Farkas vector or a ray) on the rest: an exchange
+master prices a seeded grid in and solves on tens of columns.  Only the
+primal Slater margin LP starts with every row and a column per point of its
 grid (16,641 at the default 129^2).  The tableau's size is the cost that
-matters, so ``standardize`` builds it with array operations rather than
-column by column.
+matters, so ``standardize`` builds it with array operations.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem
@@ -126,10 +123,21 @@ def make_lp(sense, objective, rows, row_senses, rhs, lower=0.0, upper=np.inf) ->
 
 @dataclass
 class LPOutcome:
+    """A status and its certificate, in the LP's own rows and variables.
+
+    Optimal: ``value``, ``x`` and ``duals`` (the module's dual convention).
+    Infeasible: ``duals`` is a Farkas vector y, whatever the sense: y <= 0 on
+    ``<=`` rows, y >= 0 on ``>=`` rows, and y . rhs exceeds the largest
+    (y . rows) . x within the bounds.  Unbounded: ``x`` is feasible, and the
+    ``ray`` d keeps every row and bound (rows . d <= 0, = 0 or >= 0 by sense)
+    while objective . d > 0 for ``max`` (< 0 for ``min``).
+    """
+
     status: LPStatus
     value: float | None = None
     x: np.ndarray | None = None
     duals: np.ndarray | None = None
+    ray: np.ndarray | None = None
 
 
 # variable kinds in ``StandardizedLP.columns``
@@ -167,8 +175,10 @@ class StandardizedLP:
         m = self.rows.shape[0]
         return make_lp("min", self.objective, self.rows, ("=",) * m, self.rhs)
 
-    def recover_x(self, x_std: np.ndarray) -> np.ndarray:
-        kind, first, base = self.columns
+    def recover_x(self, x_std: np.ndarray, base=None) -> np.ndarray:
+        """The original variables; ``base=0.0`` maps a ray, which has no offset."""
+        kind, first, shift = self.columns
+        base = shift if base is None else base
         lead = x_std[first]
         x = np.where(kind == MIRROR, base - lead, base + lead)
         split = kind == SPLIT
@@ -246,7 +256,7 @@ def _pivot(T: np.ndarray, basis: list[int], r: int, e: int) -> None:
     basis[r] = e
 
 
-def _pivot_loop(T, basis, cost, enterable) -> str:
+def _pivot_loop(T, basis, cost, enterable) -> str | int:
     m = T.shape[0]
     n_total = T.shape[1] - 1
     bland = False
@@ -267,7 +277,7 @@ def _pivot_loop(T, basis, cost, enterable) -> str:
         col = T[:, e]
         pos = np.flatnonzero(col > PIVOT_TOL)
         if pos.size == 0:
-            return "unbounded"
+            return e  # the ray's entering column
         ratios = T[pos, -1] / col[pos]
         rmin = float(ratios.min())
         tie = pos[ratios <= rmin + 1e-12 * (1.0 + abs(rmin))]
@@ -286,7 +296,7 @@ def _pivot_loop(T, basis, cost, enterable) -> str:
     raise NumericalFailure("simplex pivot limit exceeded")
 
 
-def _solve_standard(A, b, c, slack):
+def _solve_standard(A, b, c, slack) -> LPOutcome:
     """Two-phase simplex on min c.x, Ax = b, x >= 0, started from the slack basis.
 
     ``slack[i]`` names a column that is ±1 in row ``i`` and zero elsewhere,
@@ -300,14 +310,17 @@ def _solve_standard(A, b, c, slack):
     columns it was made of hold B^-1 throughout, and the duals are read from
     them.
 
-    Returns (status, x, y, value); y holds one dual per row, zeros for rows
-    dropped as redundant during phase 1.
+    The outcome is in standard form.  Optimal: one dual per row, 0 for a row
+    dropped as redundant in phase 1.  Infeasible: phase 1's row duals,
+    unflipped, a Farkas vector (y . a <= 0 on every column a, y . b > 0).
+    Unbounded: the last basic point and a ray, 1 on the entering column e and
+    -T[i, e] on each basic column (with no rows, 1 on the most negative cost).
     """
     m, n = A.shape
     if m == 0:
         if np.any(c < -PIVOT_TOL):
-            return LPStatus.UNBOUNDED, None, None, None
-        return LPStatus.OPTIMAL, np.zeros(n), np.zeros(0), 0.0
+            return LPOutcome(LPStatus.UNBOUNDED, x=np.zeros(n), ray=np.eye(n)[np.argmin(c)])
+        return LPOutcome(LPStatus.OPTIMAL, 0.0, np.zeros(n), np.zeros(0))
     has = slack >= 0
     sign = np.where(b < 0.0, -1.0, 1.0)
     sign[has] = A[has, slack[has]]
@@ -337,7 +350,7 @@ def _solve_standard(A, b, c, slack):
             raise NumericalFailure("phase 1 claimed an unbounded direction")
         infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
         if infeas > FEAS_TOL * scale:
-            return LPStatus.INFEASIBLE, None, None, None
+            return LPOutcome(LPStatus.INFEASIBLE, duals=cost1[basis] @ T[:, inverse] * sign)
 
         redundant = []
         for i in range(len(basis)):
@@ -354,24 +367,23 @@ def _solve_standard(A, b, c, slack):
             del row_ids[i]
 
     cost2 = np.concatenate([c, np.zeros(n_art)])
-    if _pivot_loop(T, basis, cost2, enterable) == "unbounded":
-        return LPStatus.UNBOUNDED, None, None, None
-
+    e = _pivot_loop(T, basis, cost2, enterable)
     x = np.zeros(n)
-    for i, bi in enumerate(basis):
-        if bi < n:
-            x[bi] = T[i, -1]
+    x[basis] = T[:, -1]  # every basic column is structural by now
+    if e != "optimal":
+        ray = np.zeros(n)
+        ray[basis] = np.maximum(-T[:, e], 0.0)
+        ray[e] = 1.0
+        return LPOutcome(LPStatus.UNBOUNDED, x=np.maximum(x, 0.0), ray=ray)
     worst = float(np.min(x)) if n else 0.0
     if worst < -FEAS_TOL * scale:
         raise NumericalFailure(f"basic solution drifted negative ({worst})")
     x = np.maximum(x, 0.0)
-    value = float(c @ x)
     cB = cost2[basis]
     ybar = cB @ T[:, inverse]
     live = np.zeros(m, dtype=bool)
     live[row_ids] = True
-    y = np.where(live, ybar * sign, 0.0)
-    return LPStatus.OPTIMAL, x, y, value
+    return LPOutcome(LPStatus.OPTIMAL, float(c @ x), x, np.where(live, ybar * sign, 0.0))
 
 
 def solve_lp(p: FiniteLP) -> LPOutcome:
@@ -382,16 +394,14 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
     one dual 0 and finds an infeasible one in phase 1.
     """
     std = standardize(p)
-    status, x_std, y_std, value_std = _solve_standard(
-        std.rows, std.rhs, std.objective, std.slack
-    )
-    if status != LPStatus.OPTIMAL:
-        return LPOutcome(status=status)
+    out = _solve_standard(std.rows, std.rhs, std.objective, std.slack)
+    if out.status == LPStatus.INFEASIBLE:
+        return LPOutcome(out.status, duals=out.duals[: std.m_original])
+    if out.status == LPStatus.UNBOUNDED:
+        return LPOutcome(out.status, x=std.recover_x(out.x), ray=std.recover_x(out.ray, 0.0))
     return LPOutcome(
-        status=LPStatus.OPTIMAL,
-        value=std.recover_value(value_std),
-        x=std.recover_x(x_std),
-        duals=std.recover_duals(y_std),
+        out.status, std.recover_value(out.value), std.recover_x(out.x),
+        std.recover_duals(out.duals),
     )
 
 
@@ -424,7 +434,7 @@ def _generate(
     table: Callable, cost: np.ndarray, rhs: np.ndarray, equality: np.ndarray, start,
     fixed: _Fixed | None = None,
 ):
-    """An LP by row-and-column generation: ``(lp, outcome, (R, C) or None)``.
+    """An LP by row-and-column generation: ``(lp, outcome, (R, C))``.
 
     The LP is ``max cost . g + fixed.cost . t`` over columns ``g >= 0`` and
     the ``fixed`` columns ``t`` within their bounds, subject to ``K[j] . g +
@@ -434,35 +444,27 @@ def _generate(
     column, and only the blocks ``K[R, :]`` and ``K[:, C]`` of the rows and
     columns taken in are ever asked for.
 
-    Each round solves the LP restricted to rows ``R`` and columns ``C`` (the
-    other columns held at 0, ``t`` always in), then checks every row
-    against its solution and prices every column against its row duals.  At
-    most ``_BATCH`` of the rows violated, and of the columns with a positive
-    reduced cost, beyond ``FEAS_TOL * (1 + |value|)`` join, largest first;
-    when none does, the solution is feasible and its duals dual feasible for
-    the full LP within that tolerance, which certifies it optimal there, and
-    it comes back with its ``(R, C)``.
-
-    The loop begins from ``start = (R, C)``.  A restricted LP that is not
-    optimal may only lack rows or columns, so it decides nothing, and the
-    next round is the full LP: every row and every column in index order,
-    valued once.  That round's outcome is final whatever its status, and it
-    comes back with None for ``(R, C)``.  A start that holds every row and
-    every column is that round, solved once.  A restricted LP that is
-    unbounded while ``R`` holds every row is final too: its ray is feasible
-    for the full LP, where more columns cannot bound it.
+    The loop begins from ``start = (R, C)``.  Each round solves the LP
+    restricted to rows ``R`` and columns ``C`` (the other columns held at 0,
+    ``t`` always in) and checks its certificate (``LPOutcome``) on the rest
+    of the LP.  At most ``_BATCH`` of the rows, and of the columns, that
+    break it join, largest first (``_most``).  Optimal: the rows violated,
+    and the columns with a positive reduced cost, beyond ``FEAS_TOL * (1 +
+    |value|)``.  Infeasible: the columns ``j`` with ``y . K[R, j] >
+    FEAS_TOL`` for the Farkas vector ``y``.  Unbounded: the rows that the
+    point violates or the ray lifts beyond ``FEAS_TOL`` (in absolute value
+    on an ``=`` row).  When none does, the certificate holds for the full LP
+    within that tolerance, so the outcome is the full LP's, and it comes
+    back with the ``(R, C)`` of its restricted LP.
     """
     m, n = len(rhs), len(cost)
     if fixed is None:
         fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((m, 0)))
-    every_row, every_col, wide = np.arange(m), np.arange(n), slice(None)
+    every_row, wide, none = np.arange(m), slice(None), np.zeros(0, dtype=int)
+    breach = lambda v: np.where(equality, np.abs(v), v)
     rows, cols = start
-    full = len(rows) == m and len(cols) == n
-    if not full:
-        row_block, col_block = table(rows, wide), table(every_row, cols)  # K[R, :], K[:, C]
+    row_block, col_block = table(rows, wide), table(every_row, cols)  # K[R, :], K[:, C]
     while True:
-        if full:
-            rows, cols, row_block = every_row, every_col, table(every_row, wide)
         lp = make_lp(
             "max", np.append(cost[cols], fixed.cost),
             np.column_stack([row_block[:, cols], fixed.rows[rows]]),
@@ -471,21 +473,22 @@ def _generate(
             upper=np.append(np.full(len(cols), np.inf), fixed.upper),
         )
         out = solve_lp(lp)
-        if full:
-            return lp, out, None
-        if out.status != LPStatus.OPTIMAL:
-            if out.status == LPStatus.UNBOUNDED and len(rows) == m:
-                return lp, out, (rows, cols)
-            full = True
-            continue
-        tol = FEAS_TOL * (1.0 + abs(out.value))
-        k = len(cols)
-        excess = col_block @ out.x[:k] + fixed.rows @ out.x[k:] - rhs
-        excess = np.where(equality, np.abs(excess), excess)
-        excess[rows] = -np.inf
-        reduced = cost - out.duals @ row_block
-        reduced[cols] = -np.inf
-        new_rows, new_cols = _most(excess, tol), _most(reduced, tol)
+        if out.status == LPStatus.INFEASIBLE:
+            farkas = out.duals @ row_block
+            farkas[cols] = -np.inf
+            new_rows, new_cols = none, _most(farkas, FEAS_TOL)
+        else:
+            tol, k = FEAS_TOL * (1.0 + abs(out.value or 0.0)), len(cols)
+            excess = breach(col_block @ out.x[:k] + fixed.rows @ out.x[k:] - rhs)
+            if out.status == LPStatus.UNBOUNDED:
+                lift = col_block @ out.ray[:k] + fixed.rows @ out.ray[k:]
+                excess = np.maximum(excess, breach(lift))
+            excess[rows] = -np.inf
+            new_rows, new_cols = _most(excess, tol), none
+            if out.status == LPStatus.OPTIMAL:
+                reduced = cost - out.duals @ row_block
+                reduced[cols] = -np.inf
+                new_cols = _most(reduced, tol)
         if not (new_rows.size or new_cols.size):
             return lp, out, (rows, cols)
         if new_rows.size:  # a wide block is copied only when it grows

@@ -132,6 +132,31 @@ class TestExitCodes:
         assert run_cli(["slater", fixture("density_flat.json")]) == 0
         assert "margin: 0.5" in capsys.readouterr().out
 
+    def test_slater_negative_moment_margin(self, tmp_path, capsys):
+        # 0 <= -1 holds for no measure: solve calls it infeasible, and so does slater
+        doc = json.loads(Path(fixture("cauchy_schwarz.json")).read_text())
+        doc["inequalities"] = [{"pieces": ["0"], "bound": -1.0}]
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 3
+        capsys.readouterr()
+        assert run_cli(["slater", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "primal margin: -1 (feasible: True)" in out
+        assert "note: no measure on the Slater grid meets the constraints" in out
+
+    def test_slater_negative_density_margin(self, tmp_path, capsys):
+        doc = json.loads(Path(fixture("density_flat.json")).read_text())
+        doc["inequality"]["bound"] = "0 - 1"
+        path = tmp_path / "negative.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert run_cli(["solve", str(path)]) == 3
+        capsys.readouterr()
+        assert run_cli(["slater", str(path)]) == 3
+        out = capsys.readouterr().out
+        assert "margin: -0.5 (feasible: True)" in out
+        assert "note: no collocated density meets the constraints" in out
+
     def test_validate_good_files(self, capsys):
         assert run_cli(["validate", fixture("cauchy_schwarz.json")]) == 0
         assert "valid moment problem" in capsys.readouterr().out

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
 import tracemalloc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +23,10 @@ from measurelp import (
     kernel_norms,
     kernel_rho,
     kernel_tau,
+    load_problem,
     operator_bound_check,
     parse_expression,
+    problem_from_document,
     solve_lp,
 )
 import measurelp.density as density
@@ -43,6 +48,7 @@ from problems import (
 )
 
 UNIT = Box((0.0,), (1.0,))
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def unit_problem(kernel_src, bound_src="1", objective_src="1", p=2.0, gamma=1.0):
@@ -587,6 +593,70 @@ def equality_problem(kernel_src="1", bound_src="1"):
         bound_b=parse_expression(bound_src, 1, ("z",)),
         eq_domain=UNIT,
     )
+
+
+def lp_widths(monkeypatch) -> list[int]:
+    """The column count of every LP that the generation loop solves from now on."""
+    widths = []
+    real = simplex.solve_lp
+
+    def counted(lp):
+        widths.append(lp.n_vars)
+        return real(lp)
+
+    monkeypatch.setattr(simplex, "solve_lp", counted)
+    return widths
+
+
+def gaussian_with_unmet_equalities() -> LpDensityProblem:
+    """The 2-D Gaussian plus ``∫ (1 + z x1) f dx = 1 + 0.3 z``, z in [0, 1]."""
+    return replace(
+        gaussian_density_problem(),
+        kernel_b=parse_expression("1 + z1*x1", 3, (("z", 1), ("x", 2))),
+        bound_b=parse_expression("1 + 0.3*z1", 1, ("z",)),
+        eq_domain=UNIT,
+    )
+
+
+class TestCertificatesStayNarrow:
+    """An LP that is not optimal is settled by a Farkas vector or a ray, not the whole LP."""
+
+    def test_unbounded_primal(self, monkeypatch):
+        pb = load_problem(FIXTURES / "density_unbounded.json").problem
+        widths = lp_widths(monkeypatch)
+        report = collocation_report(pb, x_resolution=64)
+        assert report.status == ReportStatus.PRIMAL_UNBOUNDED
+        assert max(widths) < 64
+
+    def test_infeasible_primal(self, monkeypatch):
+        doc = json.loads((FIXTURES / "density_flat.json").read_text(encoding="utf-8"))
+        doc["inequality"]["bound"] = "0 - 1"
+        pb = problem_from_document(doc).problem
+        widths = lp_widths(monkeypatch)
+        report = collocation_report(pb, x_resolution=16)
+        assert report.status == ReportStatus.PRIMAL_INFEASIBLE
+        assert max(widths) < 16
+
+    def test_unmet_equalities_in_2d(self, monkeypatch):
+        # delta alone cannot meet the equalities, so the first margin LP is
+        # infeasible, and its Farkas vector prices cells in
+        pb = gaussian_with_unmet_equalities()
+        widths = lp_widths(monkeypatch)
+        report = check_lp_slater(pb, 16)
+        assert max(widths) < 16 * 16 + 1
+        m = hand_built_lp_slater(pb, 16).margin
+        assert report.feasible and abs(report.margin - m) <= 1e-9 * (1.0 + abs(m))
+
+    def test_unmet_equalities_in_2d_stay_small(self):
+        # the dense margin LP here has 4,160 rows and 4,097 columns
+        tracemalloc.start()
+        try:
+            report = check_lp_slater(gaussian_with_unmet_equalities(), 64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.feasible and 0.0 < report.margin < 1.0 and not report.capped
+        assert peak < 150e6
 
 
 class TestNonFiniteValues:

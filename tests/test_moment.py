@@ -846,11 +846,11 @@ def lp_widths(monkeypatch) -> list[int]:
 
 
 class TestPricedPool:
-    """A seeded grid is priced into the masters; the full round decides the rest."""
+    """A seeded grid is priced into the masters by their duals or Farkas vectors."""
 
-    def test_unmet_equalities_take_the_full_round(self, monkeypatch):
+    def test_unmet_equalities_are_priced_in(self, monkeypatch):
         # corners and center cannot meet the equalities, so the first master
-        # solves on every cut once, and its support carries the later masters
+        # is infeasible, and its Farkas vector prices in the grid columns
         mp = interval_problem(
             0.0, 4.0,
             "max(x1 - 2, 0)",
@@ -858,7 +858,7 @@ class TestPricedPool:
         )
         widths = lp_widths(monkeypatch)
         report = duality_report(mp, FAST)
-        assert sum(w >= FAST.grid_resolution for w in widths) == 1
+        assert max(widths) < FAST.grid_resolution
         assert report.status == ReportStatus.STRONG_DUALITY
         for value in (report.primal_value, report.dual_value):
             assert abs(value - 4.0 / 15.0) <= 1e-9  # the value of the grid-free run
@@ -869,6 +869,14 @@ class TestPricedPool:
         report = duality_report(loaded.problem, loaded.config)
         assert report.status == ReportStatus.PRIMAL_INFEASIBLE
         assert report.primal_value is None and report.atoms is None
+
+    def test_contradictory_fixture_solves_no_grid_wide_lp(self, monkeypatch):
+        # every master is infeasible: its Farkas vector prices no grid column in
+        loaded = load_problem(FIXTURES / "contradictory.json")
+        widths = lp_widths(monkeypatch)
+        report = duality_report(loaded.problem, replace(loaded.config, grid_resolution=257))
+        assert report.status == ReportStatus.PRIMAL_INFEASIBLE
+        assert max(widths) < 257
 
     def test_ray_priced_in_raises(self, monkeypatch):
         # every seed with h > 0 has phi > 0, so the first restricted master is

@@ -547,7 +547,8 @@ class TestGenerate:
                 (np.arange(m), np.arange(n)), fixed,
             )
             monkeypatch.undo()
-            assert widths == [n + (0 if fixed is None else 1)] and last is None
+            assert widths == [n + (0 if fixed is None else 1)]
+            assert [list(last[0]), list(last[1])] == [list(range(m)), list(range(n))]
             seen.add(out.status)
 
     def test_unbounded_with_every_row_is_final(self, monkeypatch):
@@ -561,3 +562,79 @@ class TestGenerate:
         )
         assert out.status == LPStatus.UNBOUNDED
         assert widths == [2] and last is not None
+
+
+def rows_lp(cost, K, R, rhs, equality, fixed):
+    """``_generate``'s LP on rows ``R`` with every column, as one FiniteLP."""
+    if fixed is not None:
+        fixed = simplex._Fixed(fixed.cost, fixed.lower, fixed.upper, fixed.rows[R])
+    return full_generation_lp(cost, K[R], rhs[R], equality[R], fixed)
+
+
+class TestCertificates:
+    def test_farkas_vector_of_an_infeasible_lp(self):
+        rng = np.random.default_rng(71)
+        seen = 0
+        for trial in range(320):
+            cost, K, rhs, equality, _ = generation_case(rng)
+            out = solve_lp(full_generation_lp(cost, K, rhs, equality, None))
+            if out.status != LPStatus.INFEASIBLE:
+                continue
+            seen += 1
+            y = out.duals  # y <= 0 on <= rows, y . K <= 0 on every column, y . rhs > 0
+            assert y.shape == rhs.shape, trial
+            assert np.all(y[~equality] <= 1e-9), trial
+            assert np.all(y @ K <= 1e-9), trial
+            assert y @ rhs > 1e-9, trial
+        assert seen >= 30
+
+    def test_ray_of_an_unbounded_lp(self):
+        rng = np.random.default_rng(71)
+        seen = 0
+        for trial in range(320):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            lp = full_generation_lp(cost, K, rhs, equality, fixed)
+            out = solve_lp(lp)
+            if out.status != LPStatus.UNBOUNDED:
+                continue
+            seen += 1
+            x, d = out.x, out.ray
+            for v, bound in ((x, rhs), (d, 0.0)):  # x keeps every row, and so does d
+                excess = lp.rows @ v - bound
+                assert np.all(np.where(equality, np.abs(excess), excess) <= 1e-9), trial
+            assert np.all((x >= lp.lower - 1e-9) & (x <= lp.upper + 1e-9)), trial
+            assert np.all(d[np.isfinite(lp.lower)] >= 0.0), trial
+            assert np.all(d[np.isfinite(lp.upper)] <= 0.0), trial
+            assert lp.objective @ d > 0.0, trial
+        assert seen >= 30
+
+    def test_generated_certificates_hold_for_the_full_lp(self):
+        # an infeasible or unbounded outcome is settled on rows R and columns
+        # C, and its certificate, padded with zeros, holds for every row and
+        # column within FEAS_TOL
+        rng = np.random.default_rng(79)
+        seen = set()
+        for trial in range(320):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            m, n = K.shape
+            empty = np.zeros(0, dtype=int)
+            _, out, (R, C) = simplex._generate(
+                lambda R, C: K[R][:, C], cost, rhs, equality, (empty, empty), fixed
+            )
+            seen.add(out.status)
+            if out.status == LPStatus.INFEASIBLE:
+                assert np.all(out.duals @ K[R] <= FEAS_TOL), trial
+                assert out.duals @ rhs[R] > FEAS_TOL, trial
+                assert solve_lp(rows_lp(cost, K, R, rhs, equality, fixed)).status == (
+                    LPStatus.INFEASIBLE
+                ), trial
+            elif out.status == LPStatus.UNBOUNDED:
+                full = full_generation_lp(cost, K, rhs, equality, fixed)
+                x, d = np.zeros(full.n_vars), np.zeros(full.n_vars)
+                x[C], x[n:] = out.x[:len(C)], out.x[len(C):]
+                d[C], d[n:] = out.ray[:len(C)], out.ray[len(C):]
+                for v, bound in ((x, rhs), (d, 0.0)):
+                    excess = full.rows @ v - bound
+                    assert np.all(np.where(equality, np.abs(excess), excess) <= FEAS_TOL), trial
+                assert full.objective @ d > 0.0, trial
+        assert seen == set(LPStatus)
