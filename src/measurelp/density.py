@@ -555,6 +555,8 @@ def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
     """The collocated primal on ``simplex._generate``: ``(lp, outcome, (R, C))``.
 
+    ``lp`` is the restricted LP that the loop ended on, rows ``R`` and
+    columns ``C``, valued once more from the table for the KKT check.
     ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
     ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
     the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
@@ -571,7 +573,9 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
         bounded = np.isfinite(ratio).any(axis=0)
         active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
         start = active, cells
-    return _generate(table, cost, rows.rhs, rows.equality, start)
+    _, out, (R, C) = _generate(table, cost, rows.rhs, rows.equality, start)
+    senses = np.where(rows.equality[R], "=", "<=").tolist()
+    return make_lp("max", cost[C], table(R, C), senses, rows.rhs[R]), out, (R, C)
 
 
 @dataclass(frozen=True)
@@ -658,8 +662,8 @@ def collocation_report(
     notes: list[str] = []
     refined_value = None
     if refine:
-        if active is not None:  # the y grid is shared; each cell splits into subcells
-            active = active[0], _subcells(active[1], x_resolution, pb.domain.dim)
+        # the y grid is shared; each cell splits into subcells
+        active = active[0], _subcells(active[1], x_resolution, pb.domain.dim)
         fine = dict(resolutions, x_resolution=2 * x_resolution)
         _, r_out, _ = _collocated_primal(pb, rows, fine, active)
         if r_out.status == LPStatus.OPTIMAL:
@@ -738,7 +742,7 @@ def check_lp_slater(
     first = [np.argmin(ratio)] if np.isfinite(ratio).any() else []
     start = np.concatenate([equalities, first]).astype(int), np.zeros(0, dtype=int)
     table = lambda R, C: rows.table(R, x_pts[C], dx)
-    margin, x = _max_margin(table, np.zeros(len(x_pts)), rows.rhs, rows.equality, start, u)
+    margin, x, _ = _max_margin(table, np.zeros(len(x_pts)), rows.rhs, rows.equality, start, u)
     return DensitySlaterReport(
         margin=margin,
         feasible=x is not None,

@@ -369,7 +369,6 @@ def initial_cuts(mp: MomentProblem) -> list[Cut]:
     return list(_seed_cuts(mp))
 
 
-@dataclass
 class CutSet(Sequence):
     """Cuts held as arrays, one entry per cut, in the order they were added.
 
@@ -379,16 +378,24 @@ class CutSet(Sequence):
     ``Sequence[Cut]``: an integer index gives a ``Cut`` whose fields are
     Python numbers and tuples, a slice or an array of indices gives a CutSet
     of those cuts, and ``==`` compares cut by cut.
+
+    The four arrays are views of the filled part of a store that ``append``
+    grows by doubling its capacity, so a run of appends copies each cut
+    O(1) times, however large a seeded grid pool is.
     """
 
-    n_ineq: int
-    box_index: np.ndarray
-    points: np.ndarray
-    rows: np.ndarray
-    h: np.ndarray
+    def __init__(self, n_ineq: int, box_index, points, rows, h):
+        self.n_ineq = n_ineq
+        self._store = [np.asarray(a) for a in (box_index, points, rows, h)]
+        self._len = len(self._store[-1])
+
+    box_index = property(lambda self: self._store[0][: self._len])
+    points = property(lambda self: self._store[1][: self._len])
+    rows = property(lambda self: self._store[2][: self._len])
+    h = property(lambda self: self._store[3][: self._len])
 
     def __len__(self) -> int:
-        return len(self.h)
+        return self._len
 
     def __getitem__(self, k):
         if isinstance(k, (slice, np.ndarray)):
@@ -423,12 +430,19 @@ class CutSet(Sequence):
     def append(self, box_index: int, point: np.ndarray, column: np.ndarray) -> None:
         """Add one cut at the end; ``column`` is its ``_box_table`` column.
 
-        Slices taken earlier keep their own cuts.
+        Slices taken earlier keep their own cuts: a slice's arrays end where
+        the set ended, and a full store is copied into a new one of twice the
+        size, never written past its end.
         """
-        self.box_index = np.append(self.box_index, box_index)
-        self.points = np.vstack([self.points, [point]])
-        self.rows = np.vstack([self.rows, [column[:-1]]])
-        self.h = np.append(self.h, column[-1])
+        n = self._len
+        if n == len(self._store[-1]):
+            self._store = [
+                np.concatenate([a, np.empty((max(n, 1),) + a.shape[1:], a.dtype)])
+                for a in self._store
+            ]
+        for a, value in zip(self._store, (box_index, point, column[:-1], column[-1])):
+            a[n] = value
+        self._len = n + 1
 
 
 def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
@@ -699,19 +713,23 @@ def exchange_solve(
     column, plus the columns it has taken in so far.  So a GridPrimal's
     columns form a pool that the masters price in (an infeasible master by
     its Farkas vector), and W carries over to the next iteration; without a
-    grid W holds every cut, and each master is solved once.
+    grid W holds every cut, and each iteration solves once.  The master is
+    one ``simplex._Master`` kept from iteration to iteration, which each new
+    cut joins as a column, so the loop builds one master, not an LP per
+    iteration.
 
     An infeasible master means the restricted dual is unbounded below on the
     working set -- the dual value is -inf *so far*, so the primal is either
     infeasible or just needs more cuts.  Those iterations re-solve the
     master from W with elastic columns: each buys one unit of defect
     on one moment row at the price ``MULTIPLIER_CAP``, so by LP duality the
-    row duals are the restricted dual with multipliers capped at that price.
-    They separate against that minimizer: a violated point restores
-    progress, while a capped minimizer that no point cuts off is a
-    near-feasible dual direction with an enormously negative value, returned
-    as "dual_unbounded".  An infeasible restricted dual (possible only when
-    the primal is unbounded above) raises ExchangeError.
+    row duals are the restricted dual with multipliers capped at that price,
+    and this elastic master is kept across iterations too.  They separate
+    against that minimizer: a violated point restores progress, while a
+    capped minimizer that no point cuts off is a near-feasible dual direction
+    with an enormously negative value, returned as "dual_unbounded".  An
+    infeasible restricted dual (possible only when the primal is unbounded
+    above) raises ExchangeError.
     """
     grid = isinstance(extra_cuts, GridPrimal)
     seeds = _seed_cuts(mp, () if grid else extra_cuts)
@@ -727,21 +745,25 @@ def exchange_solve(
     defect[M:, M + N :] = -np.eye(N)
     defects = _Fixed(np.full(k, -MULTIPLIER_CAP), np.zeros(k), np.full(k, np.inf), defect)
     work, seen = np.arange(len(seeds)), len(cuts)  # W, and the cuts W has been offered
+    plain = elastic_master = None  # each LP's _Master, kept from one iteration to the next
 
     def master(cuts):
-        nonlocal work, seen
+        nonlocal work, seen, plain, elastic_master
         work, seen = np.concatenate([work, np.arange(seen, len(cuts))]), len(cuts)
         # R holds every moment row from the start, so K[R, C] is the cuts' rows
         # transposed, and for every column a view: no copy of a grid pool
         table = lambda R, C: cuts.rows[C].T
-        _, out, (_, work) = _generate(table, cuts.h, rhs, equality, (every_row, work))
+        start = every_row, work
+        plain, out, (_, work) = _generate(table, cuts.h, rhs, equality, start, master=plain)
         if out.status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above on the working cut set"
             )
         elastic = out.status == LPStatus.INFEASIBLE  # on every cut: the Farkas vector says so
         if elastic:
-            _, out, (_, work) = _generate(table, cuts.h, rhs, equality, (every_row, work), defects)
+            elastic_master, out, (_, work) = _generate(
+                table, cuts.h, rhs, equality, (every_row, work), defects, elastic_master
+            )
             if out.status != LPStatus.OPTIMAL:
                 raise ExchangeError(
                     "restricted dual infeasible even with capped multipliers: "
@@ -771,23 +793,24 @@ def exchange_solve(
 SLATER_CAP = 1e6
 
 
-def _max_margin(table, cost, rhs, equality, start, column):
-    """(t, x) of the margin LP: ``max cost . v + t``, v >= 0, t <= SLATER_CAP.
+def _max_margin(table, cost, rhs, equality, start, column, master=None):
+    """(t, x, master) of the margin LP: ``max cost . v + t``, v >= 0, t <= SLATER_CAP.
 
     The rows are ``K[j] . v + column[j] t`` ``=`` ``rhs[j]`` where
     ``equality[j]``, else ``<=``.  Every Slater check solves this LP, on
     ``simplex._generate`` from ``start = (R, C)``, with ``t`` as the fixed
-    column; ``table`` values ``K`` as the loop asks, and x is the restricted
-    LP's (v_C, t).  An infeasible LP gives (-inf, None).  The cap bounds the
+    column, going on from ``master`` where an earlier call's LP has grown;
+    ``table`` values ``K`` as the loop asks, and x is the restricted LP's
+    (v_C, t).  An infeasible LP gives (-inf, None).  The cap bounds the
     optimum, so any other status is a solver bug and raises WeakDualityError.
     """
     t = _Fixed(np.ones(1), np.full(1, -np.inf), np.full(1, SLATER_CAP), column[:, None])
-    _, out, _ = _generate(table, cost, rhs, equality, start, t)
+    master, out, _ = _generate(table, cost, rhs, equality, start, t, master)
     if out.status == LPStatus.INFEASIBLE:
-        return -math.inf, None
+        return -math.inf, None, master
     if out.status != LPStatus.OPTIMAL:
         raise WeakDualityError(f"slater margin LP reported {out.status.value}")
-    return float(out.x[-1]), out.x
+    return float(out.x[-1]), out.x, master
 
 
 def _every(K: np.ndarray):
@@ -821,11 +844,12 @@ def check_dual_slater(
     """Maximize the uniform dual slack t over the scan mesh (exchange loop).
 
     The master is the margin LP over (y >= 0, z split into two nonnegative
-    parts, t <= SLATER_CAP) with one row per cut; the margin is certified
-    against the scan points, so refinement is off by default.  Margin > 0
-    certifies the strict-positivity hypothesis on the mesh.  Whenever a
-    constraint can lift the slack uniformly (any problem with a total-mass
-    constraint), the margin is unbounded and reports the cap.
+    parts, t <= SLATER_CAP) with one row per cut, one ``simplex._Master``
+    that each new cut joins as a row, by dual simplex; the margin is
+    certified against the scan points, so refinement is off by default.
+    Margin > 0 certifies the strict-positivity hypothesis on the mesh.
+    Whenever a constraint can lift the slack uniformly (any problem with a
+    total-mass constraint), the margin is unbounded and reports the cap.
 
     A tiny penalty on the multiplier norm breaks the master's degeneracy:
     once t sits at the cap every feasible (y, z) is optimal, and without
@@ -835,12 +859,15 @@ def check_dual_slater(
     """
     M, N = mp.n_ineq, mp.n_eq
     eps = 1e-9  # lexicographic tie-break; shifts t* by at most eps * |(y, z)|_1
+    kept = None  # the margin LP's _Master: each new cut joins it as a row
 
     def master(cuts):
+        nonlocal kept
         K = -np.hstack([cuts.rows, -cuts.rows[:, M:]])  # each cut's >= row, negated into <=
         table, every = _every(K)
         equality, t_column = np.zeros(len(cuts), dtype=bool), np.ones(len(cuts))
-        t, x = _max_margin(table, np.full(K.shape[1], -eps), -cuts.h, equality, every, t_column)
+        cost = np.full(K.shape[1], -eps)
+        t, x, kept = _max_margin(table, cost, -cuts.h, equality, every, t_column, kept)
         if x is None:  # t is free below, so only a solver bug lands here
             raise WeakDualityError("slater master reported infeasible")
         z = x[M:M + N] - x[M + N:M + 2 * N]
@@ -886,7 +913,7 @@ def check_primal_slater(
     rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
     table, every = _every(rows)
     delta = np.concatenate([np.ones(M), np.zeros(N)])
-    margin, x = _max_margin(table, np.zeros(rows.shape[1]), rhs, every[0] >= M, every, delta)
+    margin, x, _ = _max_margin(table, np.zeros(rows.shape[1]), rhs, every[0] >= M, every, delta)
     return PrimalSlaterReport(
         margin=margin, feasible=x is not None, equality_rank=rank, n_equalities=N,
         capped=_capped(margin),

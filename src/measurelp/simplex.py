@@ -13,13 +13,20 @@ rows and nonnegative right-hand sides goes straight to phase 2.
 
 Most LPs here are short, with a row per moment constraint.  A grid primal
 (``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and is
-the only LP solved outside the generation loop ``_generate``, which solves
-the LP restricted to the rows and columns taken in so far and checks its
-certificate (duals, a Farkas vector or a ray) on the rest: an exchange
-master prices a seeded grid in and solves on tens of columns.  Only the
-primal Slater margin LP starts with every row and a column per point of its
-grid (16,641 at the default 129^2).  The tableau's size is the cost that
-matters, so ``standardize`` builds it with array operations.
+the only LP solved outside the generation loop ``_generate``, which checks
+the certificate (duals, a Farkas vector or a ray) of the LP restricted to
+the rows and columns taken in so far on the rest: an exchange master prices
+a seeded grid in and solves on tens of columns.  The restricted LP is one
+``_Master``, a tableau kept live while the LP grows (Chvátal, ch. 10): a
+column joins as B^-1 a and primal simplex goes on, a row joins with its
+slack basic and dual simplex goes on, and a join that would leave the
+tableau neither primal nor dual feasible, or a certificate that drifts past
+``FEAS_TOL`` on the LP's own rows, rebuilds it cold.  Callers whose LP grows
+from call to call keep their master, so an exchange loop builds one master,
+not an LP per iteration.  Only the primal Slater margin LP starts with every
+row and a column per point of its grid (16,641 at the default 129^2).  The
+tableau's size is the cost that matters, so ``standardize`` builds it with
+array operations.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem
@@ -196,14 +203,18 @@ class StandardizedLP:
 
 def standardize(p: FiniteLP) -> StandardizedLP:
     """Rewrite as min c'.x', A'x' = b', x' >= 0 with a recorded inverse map."""
-    m, n = p.n_rows, p.n_vars
-    A, c = p.rows, p.objective
-    has_lower = np.isfinite(p.lower)
-    has_upper = np.isfinite(p.upper)
+    return _standard(p.sense, p.objective, p.rows, p.row_senses, p.rhs, p.lower, p.upper)
+
+
+def _standard(sense, c, A, row_senses, rhs, lower, upper) -> StandardizedLP:
+    """``standardize`` on a FiniteLP's fields, given as validated arrays."""
+    m, n = A.shape
+    has_lower = np.isfinite(lower)
+    has_upper = np.isfinite(upper)
     kind = np.full(n, SPLIT)
     kind[has_upper] = MIRROR
     kind[has_lower] = SHIFT
-    base = np.where(has_lower, p.lower, p.upper)
+    base = np.where(has_lower, lower, upper)
     sign = np.where(kind == MIRROR, -1.0, 1.0)
     split = np.flatnonzero(kind == SPLIT)
     first = np.arange(n)
@@ -211,7 +222,7 @@ def standardize(p: FiniteLP) -> StandardizedLP:
     n_struct = n + len(split)
     boxed = has_lower & has_upper
     bounded = first[boxed]  # shifted columns with a finite upper bound
-    ineq = [i for i, s in enumerate(p.row_senses) if s != "="]
+    ineq = [i for i, s in enumerate(row_senses) if s != "="]
     slack = n_struct + np.arange(len(ineq) + len(bounded))
 
     S = np.zeros((m + len(bounded), n_struct + len(slack)))
@@ -222,23 +233,23 @@ def standardize(p: FiniteLP) -> StandardizedLP:
         S[:m, first[split] + 1] = -A[:, split]
         obj[first[split] + 1] = -c[split]
         base[split] = 0.0
-    S[ineq, slack[: len(ineq)]] = [_SLACK_SIGN[p.row_senses[i]] for i in ineq]
-    rhs = p.rhs - A @ base
+    S[ineq, slack[: len(ineq)]] = [_SLACK_SIGN[row_senses[i]] for i in ineq]
+    b = rhs - A @ base
     if len(bounded):
         upper_rows = np.arange(m, m + len(bounded))
         S[upper_rows, bounded] = 1.0
         S[upper_rows, slack[len(ineq):]] = 1.0
-        rhs = np.concatenate([rhs, (p.upper - p.lower)[boxed]])
+        b = np.concatenate([b, (upper - lower)[boxed]])
     row_slack = np.full(m + len(bounded), -1)
     row_slack[ineq] = slack[: len(ineq)]
     row_slack[m:] = slack[len(ineq):]
-    negate = p.sense == "max"
+    negate = sense == "max"
     if negate:
         obj = -obj
     return StandardizedLP(
         objective=obj,
         rows=S,
-        rhs=rhs,
+        rhs=b,
         constant=float(c @ base),
         negate=negate,
         columns=(kind, first, base),
@@ -296,94 +307,292 @@ def _pivot_loop(T, basis, cost, enterable) -> str | int:
     raise NumericalFailure("simplex pivot limit exceeded")
 
 
-def _solve_standard(A, b, c, slack) -> LPOutcome:
-    """Two-phase simplex on min c.x, Ax = b, x >= 0, started from the slack basis.
+def _dual_pivot_loop(T, basis, cost, enterable, tol) -> bool:
+    """Dual simplex: pivot until every basic value is >= -tol, reduced costs kept.
 
-    ``slack[i]`` names a column that is ±1 in row ``i`` and zero elsewhere,
-    or is -1 where row ``i`` has none.  Each row is flipped so that its
-    slack, or else its rhs, is positive.  A row whose slack then has a
-    nonnegative rhs starts with the slack basic; an equality row gets its
-    own artificial; the rows whose flipped rhs is negative share one
-    artificial x0 with entry -1, which is pivoted in on the most negative
-    row so that every such row becomes feasible at once.  Phase 1 runs only
-    if an artificial is basic.  The starting basis is the identity, so the
-    columns it was made of hold B^-1 throughout, and the duals are read from
-    them.
-
-    The outcome is in standard form.  Optimal: one dual per row, 0 for a row
-    dropped as redundant in phase 1.  Infeasible: phase 1's row duals,
-    unflipped, a Farkas vector (y . a <= 0 on every column a, y . b > 0).
-    Unbounded: the last basic point and a ray, 1 on the entering column e and
-    -T[i, e] on each basic column (with no rows, 1 on the most negative cost).
+    The leaving row holds the most negative basic value; the entering column
+    is the enterable one with ``T[r, e] < -PIVOT_TOL`` of least ratio
+    ``z_e / -T[r, e]``, lowest index first.  False when a leaving row has no
+    such column (the LP is infeasible) or the pivots run out.
     """
-    m, n = A.shape
-    if m == 0:
-        if np.any(c < -PIVOT_TOL):
-            return LPOutcome(LPStatus.UNBOUNDED, x=np.zeros(n), ray=np.eye(n)[np.argmin(c)])
-        return LPOutcome(LPStatus.OPTIMAL, 0.0, np.zeros(n), np.zeros(0))
-    has = slack >= 0
-    sign = np.where(b < 0.0, -1.0, 1.0)
-    sign[has] = A[has, slack[has]]
-    rhs = b * sign
-    opposed = has & (rhs < 0.0)
-    equality = np.flatnonzero(~has)
-    n_art = len(equality) + bool(opposed.any())
-    x0 = n + n_art - 1
-    T = np.zeros((m, n + n_art + 1))
-    T[:, :n] = A * sign[:, None]
-    inverse = slack.copy()  # the identity's columns, which hold B^-1
-    inverse[equality] = n + np.arange(len(equality))
-    T[equality, inverse[equality]] = 1.0
-    T[:, -1] = rhs
-    basis = inverse.tolist()
-    row_ids = list(range(m))
-    enterable = np.zeros(n + n_art, dtype=bool)
-    enterable[:n] = True
-    if opposed.any():
-        T[opposed, x0] = -1.0
-        _pivot(T, basis, int(np.argmin(rhs)), x0)
+    m, n_total = T.shape[0], T.shape[1] - 1
+    for _ in range(5 * (m + n_total)):
+        r = int(np.argmin(T[:, -1]))
+        if T[r, -1] >= -tol:
+            return True
+        cand = np.flatnonzero(enterable & (T[r, :-1] < -PIVOT_TOL))
+        if cand.size == 0:
+            return False
+        z = cost[cand] - cost[basis] @ T[:, cand]
+        _pivot(T, basis, r, int(cand[np.argmin(np.maximum(z, 0.0) / -T[r, cand])]))
+    return False
 
-    scale = 1.0 + float(np.max(np.abs(b)))
-    if max(basis) >= n:
-        cost1 = np.concatenate([np.zeros(n), np.ones(n_art)])
-        if _pivot_loop(T, basis, cost1, enterable) != "optimal":
-            raise NumericalFailure("phase 1 claimed an unbounded direction")
-        infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
-        if infeas > FEAS_TOL * scale:
-            return LPOutcome(LPStatus.INFEASIBLE, duals=cost1[basis] @ T[:, inverse] * sign)
 
-        redundant = []
-        for i in range(len(basis)):
-            if basis[i] < n:
-                continue
-            cand = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
-            if cand.size:
-                _pivot(T, basis, i, int(cand[0]))
+class _Master:
+    """A simplex tableau kept live while its LP grows by rows and columns.
+
+    The LP is the ``StandardizedLP`` ``std``, kept in step with every join;
+    the constructor solves it cold, and ``result`` reads the outcome in the
+    LP's own rows and variables.  ``add_columns`` appends variables >= 0:
+    each new tableau column is B^-1 a, read from the columns that held the
+    identity at the start, and primal simplex goes on, in phase 1 if the LP
+    was still infeasible, else in phase 2.  ``add_rows`` appends rows: each
+    ``<=`` row is eliminated against the basic columns with its slack basic,
+    and dual simplex runs until the basic values are >= 0, then phase 2
+    cleans up.  Rows go in before the upper-bound rows, so the LP's own rows
+    stay first, and new columns go in before the artificials.
+
+    A join rebuilds cold from ``std``, through the constructor, when the
+    tableau would be neither primal nor dual feasible (an ``=`` row joins,
+    or rows join an LP that is not optimal), when phase 1 dropped a
+    redundant row, when a warm pivot fails, or when the outcome's
+    certificate, recomputed on ``std``'s rows, misses by more than
+    ``FEAS_TOL * (1 + |value|)``.  So a warm outcome is as sound as a cold
+    one, and a rebuild raises nothing but ``NumericalFailure``.  A warm
+    optimum is read with one step of iterative refinement (``_reread``).
+
+    ``rows`` and ``cols`` are ``_generate``'s R and C, the ids of the LP's
+    rows and of its columns >= 0 in join order; the ``_Fixed`` columns
+    follow those of ``cols`` among the variables.
+    """
+
+    def __init__(self, std: StandardizedLP, rows=None, cols=None):
+        """Two-phase simplex on min c.x, Ax = b, x >= 0, started from the slack basis.
+
+        ``std.slack[i]`` names a column that is ±1 in row ``i`` and zero
+        elsewhere, or is -1 where row ``i`` has none.  Each row is flipped so
+        that its slack, or else its rhs, is positive.  A row whose slack then
+        has a nonnegative rhs starts with the slack basic; an equality row
+        gets its own artificial; the rows whose flipped rhs is negative share
+        one artificial x0 with entry -1, which is pivoted in on the most
+        negative row so that every such row becomes feasible at once.  Phase
+        1 runs only if an artificial is basic.  The starting basis is the
+        identity, so the columns it was made of hold B^-1 throughout, and the
+        duals are read from them.
+
+        ``outcome`` is in standard form.  Optimal: one dual per row, 0 for a
+        row dropped as redundant in phase 1.  Infeasible: phase 1's row
+        duals, unflipped, a Farkas vector (y . a <= 0 on every column a, y .
+        b > 0).  Unbounded: the last basic point and a ray, 1 on the entering
+        column e and -T[i, e] on each basic column (with no rows, 1 on the
+        most negative cost).
+        """
+        self.std, self.rows, self.cols, self.T = std, rows, cols, None
+        A, b, c, slack = std.rows, std.rhs, std.objective, std.slack
+        m, n = A.shape
+        if m == 0:
+            if np.any(c < -PIVOT_TOL):
+                self.outcome = LPOutcome(
+                    LPStatus.UNBOUNDED, x=np.zeros(n), ray=np.eye(n)[np.argmin(c)]
+                )
             else:
-                redundant.append(i)
-        for i in reversed(redundant):
-            T = np.delete(T, i, axis=0)
-            del basis[i]
-            del row_ids[i]
+                self.outcome = LPOutcome(LPStatus.OPTIMAL, 0.0, np.zeros(n), np.zeros(0))
+            return
+        has = slack >= 0
+        sign = np.where(b < 0.0, -1.0, 1.0)
+        sign[has] = A[has, slack[has]]
+        rhs = b * sign
+        opposed = has & (rhs < 0.0)
+        equality = np.flatnonzero(~has)
+        n_art = len(equality) + bool(opposed.any())
+        x0 = n + n_art - 1
+        T = np.zeros((m, n + n_art + 1))
+        T[:, :n] = A * sign[:, None]
+        inverse = slack.copy()  # the identity's columns, which hold B^-1
+        inverse[equality] = n + np.arange(len(equality))
+        T[equality, inverse[equality]] = 1.0
+        T[:, -1] = rhs
+        basis = inverse.tolist()
+        if opposed.any():
+            T[opposed, x0] = -1.0
+            _pivot(T, basis, int(np.argmin(rhs)), x0)
+        self.T, self.basis, self.sign, self.inverse = T, basis, sign, inverse
+        self.n_art, self.row_ids = n_art, list(range(m))  # row_ids: the rows phase 1 keeps
+        self._finish()
 
-    cost2 = np.concatenate([c, np.zeros(n_art)])
-    e = _pivot_loop(T, basis, cost2, enterable)
-    x = np.zeros(n)
-    x[basis] = T[:, -1]  # every basic column is structural by now
-    if e != "optimal":
-        ray = np.zeros(n)
-        ray[basis] = np.maximum(-T[:, e], 0.0)
-        ray[e] = 1.0
-        return LPOutcome(LPStatus.UNBOUNDED, x=np.maximum(x, 0.0), ray=ray)
-    worst = float(np.min(x)) if n else 0.0
-    if worst < -FEAS_TOL * scale:
-        raise NumericalFailure(f"basic solution drifted negative ({worst})")
-    x = np.maximum(x, 0.0)
-    cB = cost2[basis]
-    ybar = cB @ T[:, inverse]
-    live = np.zeros(m, dtype=bool)
-    live[row_ids] = True
-    return LPOutcome(LPStatus.OPTIMAL, float(c @ x), x, np.where(live, ybar * sign, 0.0))
+    def _finish(self, warm: bool = False) -> None:
+        """Phase 1 while an artificial is basic, then phase 2; sets ``outcome``.
+
+        A ``warm`` optimum on every row is read by ``_reread``.
+        """
+        T, basis, sign, inverse = self.T, self.basis, self.sign, self.inverse
+        b, c, n_art = self.std.rhs, self.std.objective, self.n_art
+        m, n = len(sign), len(c)
+        enterable = np.zeros(n + n_art, dtype=bool)
+        enterable[:n] = True
+        scale = 1.0 + float(np.max(np.abs(b)))
+        if max(basis) >= n:
+            cost1 = np.concatenate([np.zeros(n), np.ones(n_art)])
+            if _pivot_loop(T, basis, cost1, enterable) != "optimal":
+                raise NumericalFailure("phase 1 claimed an unbounded direction")
+            infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
+            if infeas > FEAS_TOL * scale:
+                farkas = cost1[basis] @ T[:, inverse] * sign
+                self.outcome = LPOutcome(LPStatus.INFEASIBLE, duals=farkas)
+                return
+
+            redundant = []
+            for i in range(len(basis)):
+                if basis[i] < n:
+                    continue
+                cand = np.flatnonzero(np.abs(T[i, :n]) > PIVOT_TOL)
+                if cand.size:
+                    _pivot(T, basis, i, int(cand[0]))
+                else:
+                    redundant.append(i)
+            for i in reversed(redundant):
+                T = np.delete(T, i, axis=0)
+                del basis[i]
+                del self.row_ids[i]
+            self.T = T
+
+        cost2 = np.concatenate([c, np.zeros(n_art)])
+        e = _pivot_loop(T, basis, cost2, enterable)
+        x = np.zeros(n)
+        x[basis] = T[:, -1]  # every basic column is structural by now
+        if e != "optimal":
+            ray = np.zeros(n)
+            ray[basis] = np.maximum(-T[:, e], 0.0)
+            ray[e] = 1.0
+            self.outcome = LPOutcome(LPStatus.UNBOUNDED, x=np.maximum(x, 0.0), ray=ray)
+            return
+        if warm and len(T) == m:
+            self._reread()
+            return
+        worst = float(np.min(x)) if n else 0.0
+        if worst < -FEAS_TOL * scale:
+            raise NumericalFailure(f"basic solution drifted negative ({worst})")
+        x = np.maximum(x, 0.0)
+        cB = cost2[basis]
+        ybar = cB @ T[:, inverse]
+        live = np.zeros(m, dtype=bool)
+        live[self.row_ids] = True
+        duals = np.where(live, ybar * sign, 0.0)
+        self.outcome = LPOutcome(LPStatus.OPTIMAL, float(c @ x), x, duals)
+
+    def result(self) -> LPOutcome:
+        """The outcome in the LP's own rows and variables (``LPOutcome``)."""
+        std, out = self.std, self.outcome
+        if out.status == LPStatus.INFEASIBLE:
+            return LPOutcome(out.status, duals=out.duals[: std.m_original])
+        if out.status == LPStatus.UNBOUNDED:
+            return LPOutcome(out.status, x=std.recover_x(out.x), ray=std.recover_x(out.ray, 0.0))
+        return LPOutcome(
+            out.status, std.recover_value(out.value), std.recover_x(out.x),
+            std.recover_duals(out.duals),
+        )
+
+    def add_columns(self, A: np.ndarray, cost: np.ndarray, ids: np.ndarray) -> None:
+        """Join variables >= 0 of ``cost`` whose columns on the LP's rows are ``A``."""
+        std, k = self.std, len(ids)
+        m, n = std.rows.shape
+        a = np.zeros((m, k))  # 0 on the upper-bound rows
+        a[: std.m_original] = A
+        at = len(self.cols)
+        std.columns = tuple(
+            np.concatenate([v[:at], new, v[at:]])
+            for v, new in zip(std.columns, (np.full(k, SHIFT), n + np.arange(k), np.zeros(k)))
+        )
+        std.rows = np.hstack([std.rows, a])
+        std.objective = np.append(std.objective, -cost if std.negate else cost)
+        std.n_original += k
+        self.cols = np.concatenate([self.cols, ids])
+
+        def join():
+            self._widen(n, self.T[:, self.inverse] @ (a * self.sign[:, None]))
+            self._finish(warm=True)
+            return True
+
+        self._warm(join)
+
+    def add_rows(
+        self, A: np.ndarray, b: np.ndarray, equality: np.ndarray, ids: np.ndarray
+    ) -> None:
+        """Join rows ``A`` over the LP's variables: ``=`` ``b`` where ``equality``, else ``<=``."""
+        std, k = self.std, len(ids)
+        m, n = std.rows.shape
+        kind, first, base = std.columns
+        ineq = np.flatnonzero(~equality)
+        slack = n + np.arange(len(ineq))
+        S = np.zeros((k, n + len(ineq)))
+        S[:, first] = A * np.where(kind == MIRROR, -1.0, 1.0)
+        split = kind == SPLIT
+        S[:, first[split] + 1] = -A[:, split]
+        S[ineq, slack] = 1.0
+        rhs = b - A @ base
+        row_slack = np.full(k, -1)
+        row_slack[ineq] = slack
+        at = std.m_original
+        wide = np.hstack([std.rows, np.zeros((m, len(ineq)))])
+        std.rows = np.concatenate([wide[:at], S, wide[at:]])
+        std.objective = np.append(std.objective, np.zeros(len(ineq)))
+        std.rhs = np.concatenate([std.rhs[:at], rhs, std.rhs[at:]])
+        std.slack = np.concatenate([std.slack[:at], row_slack, std.slack[at:]])
+        std.m_original += k
+        self.rows = np.concatenate([self.rows, ids])
+
+        def join():
+            if equality.any() or self.outcome.status != LPStatus.OPTIMAL:
+                return False
+            self._widen(n, np.zeros((len(self.sign), k)))
+            new = np.zeros((k, self.T.shape[1]))
+            new[:, : n + k] = S
+            new[:, -1] = rhs
+            new -= new[:, self.basis] @ self.T  # each new slack is basic in its row
+            self.T = np.concatenate([self.T[:at], new, self.T[at:]])
+            self.basis[at:at] = slack.tolist()
+            self.sign = np.concatenate([self.sign[:at], np.ones(k), self.sign[at:]])
+            self.inverse = np.concatenate([self.inverse[:at], slack, self.inverse[at:]])
+            self.row_ids = list(range(len(self.sign)))
+            c = std.objective
+            cost = np.concatenate([c, np.zeros(self.n_art)])
+            enterable = np.arange(cost.size) < len(c)
+            if not _dual_pivot_loop(self.T, self.basis, cost, enterable, PIVOT_TOL):
+                return False
+            self._finish(warm=True)
+            return True
+
+        self._warm(join)
+
+    def _widen(self, n: int, columns: np.ndarray) -> None:
+        """Put ``columns`` in the tableau after its first ``n``, before the artificials."""
+        k = columns.shape[1]
+        self.T = np.concatenate([self.T[:, :n], columns, self.T[:, n:]], axis=1)
+        self.basis = [j + k if j >= n else j for j in self.basis]
+        self.inverse = np.where(self.inverse >= n, self.inverse + k, self.inverse)
+
+    def _warm(self, join) -> None:
+        """Run ``join`` on the live tableau, or rebuild cold from ``std`` (see the class)."""
+        try:
+            ok = self.T is not None and len(self.T) == len(self.sign) and join()
+        except NumericalFailure:
+            ok = False
+        if not (ok and self._holds()):
+            self.__init__(self.std, self.rows, self.cols)
+
+    def _reread(self) -> None:
+        """An optimal outcome, read with one step of refinement against ``std``.
+
+        A warm tableau carries the roundoff of every pivot since the cold
+        start, so x_B and the duals take one step of iterative refinement on
+        B = A[:, basis], with the tableau's B^-1.
+        """
+        A, b, c, basis = self.std.rows, self.std.rhs, self.std.objective, self.basis
+        B, inverse = A[:, basis], self.T[:, self.inverse] * self.sign
+        x_B, duals = self.T[:, -1], c[basis] @ inverse
+        x = np.zeros(len(c))
+        x[basis] = np.maximum(x_B + inverse @ (b - B @ x_B), 0.0)
+        duals = duals + (c[basis] - duals @ B) @ inverse
+        self.outcome = LPOutcome(LPStatus.OPTIMAL, float(c @ x), x, duals)
+
+    def _holds(self) -> bool:
+        """Whether the outcome's certificate holds on ``std``'s rows within FEAS_TOL."""
+        A, b, out = self.std.rows, self.std.rhs, self.outcome
+        if out.status == LPStatus.INFEASIBLE:
+            return bool(np.all(out.duals @ A <= FEAS_TOL) and out.duals @ b > FEAS_TOL)
+        tol = FEAS_TOL * (1.0 + abs(out.value or 0.0))
+        misses = [A @ out.x - b] + ([A @ out.ray] if out.status == LPStatus.UNBOUNDED else [])
+        return all(np.max(np.abs(r), initial=0.0) <= tol for r in misses)
 
 
 def solve_lp(p: FiniteLP) -> LPOutcome:
@@ -393,16 +602,7 @@ def solve_lp(p: FiniteLP) -> LPOutcome:
     problem.  All-zero rows need no presolve: the simplex gives a feasible
     one dual 0 and finds an infeasible one in phase 1.
     """
-    std = standardize(p)
-    out = _solve_standard(std.rows, std.rhs, std.objective, std.slack)
-    if out.status == LPStatus.INFEASIBLE:
-        return LPOutcome(out.status, duals=out.duals[: std.m_original])
-    if out.status == LPStatus.UNBOUNDED:
-        return LPOutcome(out.status, x=std.recover_x(out.x), ray=std.recover_x(out.ray, 0.0))
-    return LPOutcome(
-        out.status, std.recover_value(out.value), std.recover_x(out.x),
-        std.recover_duals(out.duals),
-    )
+    return _Master(standardize(p)).result()
 
 
 _BATCH = 4  # most rows, and most columns, that one round of ``_generate`` takes in
@@ -432,9 +632,9 @@ def _most(scores: np.ndarray, tol: float) -> np.ndarray:
 
 def _generate(
     table: Callable, cost: np.ndarray, rhs: np.ndarray, equality: np.ndarray, start,
-    fixed: _Fixed | None = None,
+    fixed: _Fixed | None = None, master: _Master | None = None,
 ):
-    """An LP by row-and-column generation: ``(lp, outcome, (R, C))``.
+    """An LP by row-and-column generation: ``(master, outcome, (R, C))``.
 
     The LP is ``max cost . g + fixed.cost . t`` over columns ``g >= 0`` and
     the ``fixed`` columns ``t`` within their bounds, subject to ``K[j] . g +
@@ -444,35 +644,58 @@ def _generate(
     column, and only the blocks ``K[R, :]`` and ``K[:, C]`` of the rows and
     columns taken in are ever asked for.
 
-    The loop begins from ``start = (R, C)``.  Each round solves the LP
-    restricted to rows ``R`` and columns ``C`` (the other columns held at 0,
-    ``t`` always in) and checks its certificate (``LPOutcome``) on the rest
-    of the LP.  At most ``_BATCH`` of the rows, and of the columns, that
-    break it join, largest first (``_most``).  Optimal: the rows violated,
-    and the columns with a positive reduced cost, beyond ``FEAS_TOL * (1 +
+    The loop keeps one ``_Master``: the LP restricted to rows ``R`` and
+    columns ``C`` (the other columns held at 0, ``t`` always in), built cold
+    from ``start = (R, C)``.  Given the ``master`` of an earlier call on
+    this LP, grown since by rows or columns, the loop goes on from it
+    instead, with the rows and columns of ``start`` that it lacks joining
+    first.  Each round reads the master's certificate (``LPOutcome``),
+    checks it on the rest of the LP, and at most ``_BATCH`` of the rows, and
+    of the columns, that break it join the master, largest first
+    (``_most``), rows before columns.  Optimal: the rows violated, and the
+    columns with a positive reduced cost, beyond ``FEAS_TOL * (1 +
     |value|)``.  Infeasible: the columns ``j`` with ``y . K[R, j] >
     FEAS_TOL`` for the Farkas vector ``y``.  Unbounded: the rows that the
     point violates or the ray lifts beyond ``FEAS_TOL`` (in absolute value
     on an ``=`` row).  When none does, the certificate holds for the full LP
     within that tolerance, so the outcome is the full LP's, and it comes
-    back with the ``(R, C)`` of its restricted LP.
+    back with the master and the ``(R, C)`` of its restricted LP.
     """
     m, n = len(rhs), len(cost)
     if fixed is None:
         fixed = _Fixed(np.zeros(0), np.zeros(0), np.zeros(0), np.zeros((m, 0)))
     every_row, wide, none = np.arange(m), slice(None), np.zeros(0, dtype=int)
     breach = lambda v: np.where(equality, np.abs(v), v)
-    rows, cols = start
+    rows, cols = start if master is None else (master.rows, master.cols)
     row_block, col_block = table(rows, wide), table(every_row, cols)  # K[R, :], K[:, C]
-    while True:
-        lp = make_lp(
+    new_rows, new_cols = none, none
+    if master is None:
+        master = _Master(_standard(
             "max", np.append(cost[cols], fixed.cost),
             np.column_stack([row_block[:, cols], fixed.rows[rows]]),
             np.where(equality[rows], "=", "<=").tolist(), rhs[rows],
-            lower=np.append(np.zeros(len(cols)), fixed.lower),
-            upper=np.append(np.full(len(cols), np.inf), fixed.upper),
-        )
-        out = solve_lp(lp)
+            np.append(np.zeros(len(cols)), fixed.lower),
+            np.append(np.full(len(cols), np.inf), fixed.upper),
+        ), rows, cols)
+    else:  # the rows and columns of start that the master lacks, in start's order
+        taken_rows, taken_cols = np.zeros(m, dtype=bool), np.zeros(n, dtype=bool)
+        taken_rows[rows], taken_cols[cols] = True, True
+        new_rows, new_cols = (s[~taken[s]] for s, taken in zip(start, (taken_rows, taken_cols)))
+    while True:
+        if new_rows.size:  # a wide block is copied only when it grows
+            block = table(new_rows, wide)
+            rows, row_block = np.concatenate([rows, new_rows]), np.vstack([row_block, block])
+            master.add_rows(
+                np.column_stack([block[:, cols], fixed.rows[new_rows]]), rhs[new_rows],
+                equality[new_rows], new_rows,
+            )
+        if new_cols.size:
+            block = table(every_row, new_cols)
+            cols, col_block = np.concatenate([cols, new_cols]), np.hstack([col_block, block])
+            master.add_columns(block[rows], cost[new_cols], new_cols)
+        out = master.result()
+        if len(rows) == m and len(cols) == n:  # nothing is left to check
+            return master, out, (rows, cols)
         if out.status == LPStatus.INFEASIBLE:
             farkas = out.duals @ row_block
             farkas[cols] = -np.inf
@@ -490,13 +713,7 @@ def _generate(
                 reduced[cols] = -np.inf
                 new_cols = _most(reduced, tol)
         if not (new_rows.size or new_cols.size):
-            return lp, out, (rows, cols)
-        if new_rows.size:  # a wide block is copied only when it grows
-            rows = np.concatenate([rows, new_rows])
-            row_block = np.vstack([row_block, table(new_rows, wide)])
-        if new_cols.size:
-            cols = np.concatenate([cols, new_cols])
-            col_block = np.hstack([col_block, table(every_row, new_cols)])
+            return master, out, (rows, cols)
 
 
 @dataclass

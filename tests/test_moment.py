@@ -546,6 +546,28 @@ class TestExchange:
         for field in ("objective", "rows", "rhs", "lower", "upper"):
             assert np.array_equal(getattr(from_set, field), getattr(from_list, field))
 
+    def test_append_keeps_earlier_slices(self):
+        # appends grow the arrays by doubling their store; slices taken
+        # before an append, and the grown set, equal sets built at once
+        mp = interval_problem(
+            -2.0, 2.0, "x1", inequalities=(("x1^2", 1.0),), equalities=(("1", 1.0),)
+        )
+        points = np.linspace(-2.0, 2.0, 11)[:, None]
+        table = moment._box_table(mp, 0, points)
+
+        def at_once(k):
+            box = np.zeros(k, dtype=int)
+            return CutSet(mp.n_ineq, box, points[:k], table[:-1, :k].T, table[-1, :k])
+
+        cuts, slices = at_once(2), []
+        for k in range(2, 11):
+            slices.append((k, cuts[:k], cuts[np.arange(k)]))
+            cuts.append(0, points[k], table[:, k])
+        assert len(cuts) == 11 and cuts == at_once(11)
+        assert list(cuts) == list(at_once(11))
+        for k, head, picked in slices:
+            assert head == picked == at_once(k) and len(head) == k
+
 
 def shared_monomial_problem(objective=("x1^3 - 2*x1^2 + x1", "0.5*x1^2 - 0.1*x1^3")):
     """Two boxes whose pieces share x1, x1^2 and x1^3 within each box."""
@@ -666,8 +688,13 @@ class TestSlaterChecks:
             mp, solver = loaded.problem, loaded.solver
         config = SolverConfig(**solver)
         options = moment._exchange_options(config)
-        dual = check_dual_slater(mp, **options)
-        assert repr(dual) == repr(hand_built_dual_slater(mp, **options))
+        dual, expected = check_dual_slater(mp, **options), hand_built_dual_slater(mp, **options)
+        for field in ("margin", "converged", "capped"):
+            assert getattr(dual, field) == getattr(expected, field), field
+        # the kept master may settle on another vertex of a degenerate
+        # optimum, so the witness is checked on the scan mesh instead
+        worst = per_box_scan(mp, dual.witness, options["scan_resolution"]).slack
+        assert worst >= dual.margin - options["tol"]
         for resolution in (config.slater_resolution, 33):
             primal = check_primal_slater(mp, resolution)
             assert repr(primal) == repr(hand_built_primal_slater(mp, resolution))
@@ -830,19 +857,32 @@ class TestReportPrimal:
 def lp_widths(monkeypatch) -> list[int]:
     """The column count of every LP that ``moment`` solves from now on.
 
-    Its masters run on the generation loop in ``simplex``, so both modules'
-    bindings are counted.
+    Its masters run on the generation loop in ``simplex``, which reads its
+    ``_Master``'s outcome once a round, as ``solve_lp`` does once a call, so
+    every read is counted.
     """
     widths = []
-    real = simplex.solve_lp
+    real = simplex._Master.result
 
-    def counted(lp, *args, **kwargs):
-        widths.append(len(lp.objective))
-        return real(lp, *args, **kwargs)
+    def counted(master):
+        widths.append(master.std.n_original)
+        return real(master)
 
-    monkeypatch.setattr(moment, "solve_lp", counted)
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(simplex._Master, "result", counted)
     return widths
+
+
+def master_builds(monkeypatch) -> list[int]:
+    """One entry per ``simplex._Master`` built, cold start or rebuild, from now on."""
+    built = []
+    real = simplex._Master.__init__
+
+    def counted(master, *args, **kwargs):
+        built.append(1)
+        real(master, *args, **kwargs)
+
+    monkeypatch.setattr(simplex._Master, "__init__", counted)
+    return built
 
 
 class TestPricedPool:
@@ -901,8 +941,20 @@ class TestPricedPool:
             assert np.array_equal(simplex._most(scores, tol), top[scores[top] > tol])
 
     def test_grid_free_exchange_solves_one_lp_per_iteration(self, monkeypatch):
+        # one master, built once; each new cut joins it and is solved once
         mp = cauchy_schwarz_problem()
-        widths = lp_widths(monkeypatch)
+        built, widths = master_builds(monkeypatch), lp_widths(monkeypatch)
         res = exchange_solve(mp, scan_resolution=257)
         assert res.status == "converged" and res.iterations > 1
+        assert len(built) == 1
         assert widths == [len(prefix) for prefix in cut_prefixes(res)]
+
+    def test_exchange_and_dual_slater_keep_one_master_each(self, monkeypatch):
+        # the exchange master takes a column per cut, the dual Slater master
+        # a row per cut, and neither is rebuilt
+        mp = cauchy_schwarz_problem()
+        built = master_builds(monkeypatch)
+        res = exchange_solve(mp, scan_resolution=257)
+        slater = check_dual_slater(mp, scan_resolution=257)
+        assert res.iterations > 1 and slater.iterations > 1
+        assert len(built) <= 2

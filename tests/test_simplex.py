@@ -485,15 +485,19 @@ def full_generation_lp(cost, K, rhs, equality, fixed) -> FiniteLP:
 
 
 def count_lps(monkeypatch) -> list[int]:
-    """The column count of every LP that ``simplex._generate`` solves from now on."""
+    """The column count of every LP that a ``simplex._Master`` solves from now on.
+
+    ``_generate`` reads its master's outcome once a round, and ``solve_lp``
+    once a call.
+    """
     widths = []
-    real = simplex.solve_lp
+    real = simplex._Master.result
 
-    def counted(lp):
-        widths.append(lp.n_vars)
-        return real(lp)
+    def counted(master):
+        widths.append(master.std.n_original)
+        return real(master)
 
-    monkeypatch.setattr(simplex, "solve_lp", counted)
+    monkeypatch.setattr(simplex._Master, "result", counted)
     return widths
 
 
@@ -520,11 +524,10 @@ class TestGenerate:
                 if out.status != LPStatus.OPTIMAL:
                     continue
                 assert abs(out.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value)), trial
-                x, duals = out.x, out.duals
-                if last is not None:  # pad the restricted solution with zeros
-                    (R, C), x, duals = last, np.zeros(full.n_vars), np.zeros(m)
-                    x[C], x[n:] = out.x[:len(C)], out.x[len(C):]
-                    duals[R] = out.duals
+                # pad the restricted solution with zeros
+                (R, C), x, duals = last, np.zeros(full.n_vars), np.zeros(m)
+                x[C], x[n:] = out.x[:len(C)], out.x[len(C):]
+                duals[R] = out.duals
                 kkt = kkt_residuals(full, LPOutcome(LPStatus.OPTIMAL, out.value, x, duals))
                 tol = FEAS_TOL * (1.0 + abs(out.value))
                 assert kkt.primal_residual <= tol, trial
@@ -561,7 +564,7 @@ class TestGenerate:
             np.array([False]), (np.array([0]), np.array([0, 1])),
         )
         assert out.status == LPStatus.UNBOUNDED
-        assert widths == [2] and last is not None
+        assert widths == [2]
 
 
 def rows_lp(cost, K, R, rhs, equality, fixed):
@@ -638,3 +641,131 @@ class TestCertificates:
                     assert np.all(np.where(equality, np.abs(excess), excess) <= FEAS_TOL), trial
                 assert full.objective @ d > 0.0, trial
         assert seen == set(LPStatus)
+
+
+def restricted_lp(cost, K, R, C, rhs, equality, fixed):
+    """``_generate``'s LP on rows ``R`` and columns ``C``, as one FiniteLP."""
+    return rows_lp(cost[C], K[:, C], R, rhs, equality, fixed)
+
+
+def cold_master(cost, K, R, C, rhs, equality, fixed):
+    """A ``_Master`` built cold on rows ``R`` and columns ``C``, as ``_generate`` builds it."""
+    return simplex._Master(standardize(restricted_lp(cost, K, R, C, rhs, equality, fixed)), R, C)
+
+
+def count_builds(monkeypatch) -> list[int]:
+    """One entry per ``_Master`` built, cold start or rebuild, from now on."""
+    built = []
+    real = simplex._Master.__init__
+
+    def counted(master, *args, **kwargs):
+        built.append(1)
+        real(master, *args, **kwargs)
+
+    monkeypatch.setattr(simplex._Master, "__init__", counted)
+    return built
+
+
+def assert_same_outcome(lp, out, ref, trial):
+    """``out``, a grown master's outcome, against ``ref``, a cold solve of ``lp``."""
+    assert out.status == ref.status, trial
+    if out.status == LPStatus.OPTIMAL:
+        tol = FEAS_TOL * (1.0 + abs(ref.value))
+        assert abs(out.value - ref.value) <= 1e-9 * (1.0 + abs(ref.value)), trial
+        kkt = kkt_residuals(lp, out)
+        assert kkt.primal_residual <= tol, trial
+        assert kkt.dual_sign_residual <= tol, trial
+        assert kkt.stationarity_residual <= tol, trial
+        assert kkt.comp_slack_residual <= tol, trial
+        assert kkt.gap <= tol, trial
+    elif out.status == LPStatus.INFEASIBLE:
+        y, le = out.duals, np.array(lp.row_senses) == "<="
+        assert np.all(y[le] <= FEAS_TOL), trial  # every row here is <= or =
+        a = y @ lp.rows  # the largest a . x within the bounds is below y . rhs
+        with np.errstate(invalid="ignore"):  # 0 * inf, where the other branch is taken
+            top = np.where(a > FEAS_TOL, a * lp.upper, np.where(a < -FEAS_TOL, a * lp.lower, 0.0))
+        assert y @ lp.rhs > np.sum(top) + FEAS_TOL, trial
+    else:
+        x, d = out.x, out.ray
+        eq = np.array(lp.row_senses) == "="
+        for v, bound in ((x, lp.rhs), (d, 0.0)):
+            excess = lp.rows @ v - bound
+            assert np.all(np.where(eq, np.abs(excess), excess) <= FEAS_TOL), trial
+        assert np.all((x >= lp.lower - FEAS_TOL) & (x <= lp.upper + FEAS_TOL)), trial
+        assert np.all(d[np.isfinite(lp.lower)] >= 0.0), trial
+        assert np.all(d[np.isfinite(lp.upper)] <= 0.0), trial
+        assert lp.objective @ d > 0.0, trial
+
+
+class TestMaster:
+    def test_grown_master_matches_the_cold_solve(self):
+        # rows and columns join in random batches, rows first, and after
+        # every join the master's outcome is the cold solve's
+        rng = np.random.default_rng(83)
+        seen = set()
+        for trial in range(320):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            m, n = K.shape
+            fixed_rows = np.zeros((m, 0)) if fixed is None else fixed.rows
+            row_order, col_order = rng.permutation(m), rng.permutation(n)
+            r, c = int(rng.integers(m + 1)), int(rng.integers(n + 1))
+            master = cold_master(cost, K, row_order[:r], col_order[:c], rhs, equality, fixed)
+            while r < m or c < n:
+                new_r, new_c = int(rng.integers(4)), int(rng.integers(4))
+                rows, cols = row_order[r:r + new_r], col_order[c:c + new_c]
+                R, C = row_order[:r + len(rows)], col_order[:c + len(cols)]
+                if len(rows):
+                    block = np.column_stack([K[rows][:, master.cols], fixed_rows[rows]])
+                    master.add_rows(block, rhs[rows], equality[rows], rows)
+                if len(cols):
+                    master.add_columns(K[R][:, cols], cost[cols], cols)
+                r, c = len(R), len(C)
+                assert list(master.rows) == list(R) and list(master.cols) == list(C)
+                lp = restricted_lp(cost, K, R, C, rhs, equality, fixed)
+                out = master.result()
+                assert_same_outcome(lp, out, solve_lp(lp), trial)
+                seen.add(out.status)
+        assert seen == set(LPStatus)
+
+    def test_equality_row_restarts_once(self, monkeypatch):
+        # an = row leaves the tableau neither primal nor dual feasible, so
+        # the master rebuilds cold from its LP, once
+        rng = np.random.default_rng(89)
+        restarts = 0
+        for trial in range(200):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            m, n = K.shape
+            eq = np.flatnonzero(equality)
+            if not eq.size or len(eq) == m:
+                continue
+            R = np.flatnonzero(~equality)
+            C = np.arange(n)
+            master = cold_master(cost, K, R, C, rhs, equality, fixed)
+            if master.outcome.status != LPStatus.OPTIMAL:
+                continue
+            built = count_builds(monkeypatch)
+            rows = eq[:1]
+            fixed_rows = np.zeros((m, 0)) if fixed is None else fixed.rows
+            master.add_rows(
+                np.column_stack([K[rows], fixed_rows[rows]]), rhs[rows], equality[rows], rows
+            )
+            monkeypatch.undo()
+            assert len(built) == 1, trial
+            lp = restricted_lp(cost, K, np.concatenate([R, rows]), C, rhs, equality, fixed)
+            assert_same_outcome(lp, master.result(), solve_lp(lp), trial)
+            restarts += 1
+        assert restarts >= 20
+
+    def test_rounds_build_no_lp(self, monkeypatch):
+        # a round updates the master in place: no FiniteLP, no standard form,
+        # no solve from the slack basis
+        def refused(*args, **kwargs):
+            raise AssertionError("a round of the generation loop built an LP")
+
+        for name in ("make_lp", "standardize", "solve_lp"):
+            monkeypatch.setattr(simplex, name, refused)
+        rng = np.random.default_rng(97)
+        empty = np.zeros(0, dtype=int)
+        for _ in range(100):
+            cost, K, rhs, equality, fixed = generation_case(rng)
+            simplex._generate(lambda R, C: K[R][:, C], cost, rhs, equality, (empty, empty), fixed)
