@@ -555,17 +555,20 @@ def _subcells(cells: np.ndarray, x_resolution, dim: int) -> np.ndarray:
 def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, start=None):
     """The collocated primal on ``simplex._generate``: ``(lp, outcome, (R, C))``.
 
-    ``lp`` is the restricted LP that the loop ended on, rows ``R`` and
-    columns ``C``, valued once more from the table for the KKT check.
     ``start`` is an ``(R, C)`` to begin from; without one, ``C`` is the
     ``_SEED_CELLS`` cells of largest ``c dx`` and ``R`` has, per seed cell,
     the row that bounds it alone (the ratio test's ``argmin a_j / A_ji``
-    over ``A_ji > 0``).
+    over ``A_ji > 0``).  ``lp`` is the restricted LP that the loop ended
+    on, rows ``R`` and columns ``C``, valued once more from the table for
+    ``collocation_report``'s KKT check; it is None unless the solve started
+    from the seeds and ended optimal, so the refined solve, whose value
+    alone is read, builds none.
     """
     x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
     cost = _scaled(_values(pb, pb.objective, "the objective", x_pts), dx, "the objective")
     table = lambda R, C: rows.table(R, x_pts[C], dx)
-    if start is None:
+    seeded = start is None
+    if seeded:
         cells = np.argsort(-cost, kind="stable")[:_SEED_CELLS]
         columns = table(np.arange(len(rows.rhs)), cells)
         ratio = np.full(columns.shape, np.inf)
@@ -574,6 +577,8 @@ def _collocated_primal(pb: LpDensityProblem, rows: _Rows, resolutions: dict, sta
         active = np.array(list(dict.fromkeys(np.argmin(ratio[:, bounded], axis=0))), dtype=int)
         start = active, cells
     _, out, (R, C) = _generate(table, cost, rows.rhs, rows.equality, start)
+    if not seeded or out.status != LPStatus.OPTIMAL:
+        return None, out, (R, C)
     senses = np.where(rows.equality[R], "=", "<=").tolist()
     return make_lp("max", cost[C], table(R, C), senses, rows.rhs[R]), out, (R, C)
 

@@ -5,7 +5,8 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
 
 * primal: restrict F to atoms on a tensor grid (closed-box sampling, each
   box evaluated with its own piece) and solve the resulting finite LP; this
-  bounds the supremum from below.
+  bounds the supremum from below.  ``solve_grid_primal`` solves it on the
+  generation loop, with the grid as the pool of columns it prices in.
 * dual: find multipliers (y >= 0, z) with  Σ y_s φ_s + Σ z_t ψ_t >= h
   pointwise; the value  a.y + b.z  bounds the supremum from above.  The
   pointwise constraint is handled by an exchange method: solve a master LP
@@ -37,7 +38,7 @@ mean a solver bug.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Sequence
 
@@ -54,7 +55,7 @@ from .expressions import (
     substitute_variables,
 )
 from .geometry import Box, Partition, _axis_counts, grid_array
-from .simplex import FiniteLP, LPOutcome, LPStatus, _Fixed, _generate, make_lp, solve_lp
+from .simplex import FiniteLP, LPOutcome, LPStatus, _Fixed, _generate, make_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
 ATOM_WEIGHT_FLOOR = 1e-12
@@ -329,8 +330,30 @@ def _atoms(points: np.ndarray, box_indices: np.ndarray, weights: np.ndarray) -> 
 
 
 def solve_grid_primal(mp: MomentProblem, resolution) -> PrimalSolve:
+    """The grid LP on ``simplex._generate``, with the grid as its pool of columns.
+
+    The loop starts from every moment row and no column, so Farkas pricing
+    takes the first columns in and row-dual pricing the rest, as in
+    ``duality_report``'s masters.  ``outcome`` is the grid LP's: its ``x``
+    and ``ray`` are grid-wide, the restricted LP's values on the columns it
+    took in and 0 elsewhere.
+    """
     grid = assemble_grid_primal(mp, resolution)
-    out = solve_lp(grid.lp)
+    lp, every_row = grid.lp, np.arange(grid.lp.n_rows)
+    # R holds every moment row from the start, so K[R, C] is a view of the LP's rows
+    _, out, (_, C) = _generate(
+        lambda R, C: lp.rows[:, C], lp.objective, lp.rhs, every_row >= mp.n_ineq,
+        (every_row, np.zeros(0, dtype=int)),
+    )
+
+    def wide(v):  # the values on C, 0 on every other grid column
+        if v is None:
+            return None
+        full = np.zeros(len(grid.points))
+        full[C] = v
+        return full
+
+    out = replace(out, x=wide(out.x), ray=wide(out.ray))
     if out.status != LPStatus.OPTIMAL:
         return PrimalSolve(out.status, None, None, out, grid)
     measure = _atoms(grid.points, grid.box_indices, out.x)
@@ -813,11 +836,6 @@ def _max_margin(table, cost, rhs, equality, start, column, master=None):
     return float(out.x[-1]), out.x, master
 
 
-def _every(K: np.ndarray):
-    """``K``'s ``table`` for ``_generate``, and the start that holds all of ``K``."""
-    return (lambda R, C: K[R][:, C]), (np.arange(K.shape[0]), np.arange(K.shape[1]))
-
-
 def _capped(margin: float) -> bool:
     """Whether a margin sits at SLATER_CAP, up to the simplex's roundoff."""
     return margin >= SLATER_CAP * (1.0 - 1e-6)
@@ -861,12 +879,17 @@ def check_dual_slater(
     eps = 1e-9  # lexicographic tie-break; shifts t* by at most eps * |(y, z)|_1
     kept = None  # the margin LP's _Master: each new cut joins it as a row
 
+    # K's columns (y, z+, z-) as columns of a cut's row, and their signs in
+    # each cut's >= row negated into <=
+    source = np.concatenate([np.arange(M + N), np.arange(M, M + N)])
+    sign = np.concatenate([np.full(M + N, -1.0), np.ones(N)])
+
     def master(cuts):
         nonlocal kept
-        K = -np.hstack([cuts.rows, -cuts.rows[:, M:]])  # each cut's >= row, negated into <=
-        table, every = _every(K)
+        table = lambda R, C: cuts.rows[R][:, source[C]] * sign[C]  # the cuts R alone
+        every = np.arange(len(cuts)), np.arange(M + 2 * N)
         equality, t_column = np.zeros(len(cuts), dtype=bool), np.ones(len(cuts))
-        cost = np.full(K.shape[1], -eps)
+        cost = np.full(M + 2 * N, -eps)
         t, x, kept = _max_margin(table, cost, -cuts.h, equality, every, t_column, kept)
         if x is None:  # t is free below, so only a solver bug lands here
             raise WeakDualityError("slater master reported infeasible")
@@ -911,9 +934,11 @@ def check_primal_slater(
     M, N = mp.n_ineq, mp.n_eq
     rank = int(np.linalg.matrix_rank(rows[M:, :])) if N else 0
     rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
-    table, every = _every(rows)
+    every = np.arange(M + N), np.arange(rows.shape[1])  # the whole grid from the start
     delta = np.concatenate([np.ones(M), np.zeros(N)])
-    margin, x, _ = _max_margin(table, np.zeros(rows.shape[1]), rhs, every[0] >= M, every, delta)
+    margin, x, _ = _max_margin(
+        lambda R, C: rows[R][:, C], np.zeros(rows.shape[1]), rhs, every[0] >= M, every, delta
+    )
     return PrimalSlaterReport(
         margin=margin, feasible=x is not None, equality_rank=rank, n_equalities=N,
         capped=_capped(margin),

@@ -12,21 +12,21 @@ Phase 1 runs only when x0 or an artificial is basic, so an LP with ``<=``
 rows and nonnegative right-hand sides goes straight to phase 2.
 
 Most LPs here are short, with a row per moment constraint.  A grid primal
-(``solve_grid_primal``) has a column per grid point, ~66k at 257^2, and is
-the only LP solved outside the generation loop ``_generate``, which checks
-the certificate (duals, a Farkas vector or a ray) of the LP restricted to
-the rows and columns taken in so far on the rest: an exchange master prices
-a seeded grid in and solves on tens of columns.  The restricted LP is one
-``_Master``, a tableau kept live while the LP grows (Chvátal, ch. 10): a
-column joins as B^-1 a and primal simplex goes on, a row joins with its
-slack basic and dual simplex goes on, and a join that would leave the
-tableau neither primal nor dual feasible, or a certificate that drifts past
-``FEAS_TOL`` on the LP's own rows, rebuilds it cold.  Callers whose LP grows
-from call to call keep their master, so an exchange loop builds one master,
-not an LP per iteration.  Only the primal Slater margin LP starts with every
-row and a column per point of its grid (16,641 at the default 129^2).  The
-tableau's size is the cost that matters, so ``standardize`` builds it with
-array operations.
+has a column per grid point, ~66k at 257^2, and is solved, like every LP
+of the reports and the command line, on the generation loop ``_generate``,
+which checks the certificate (duals, a Farkas vector or a ray) of the LP
+restricted to the rows and columns taken in so far on the rest: the grid
+primal and an exchange master price the grid in and solve on tens of
+columns.  The restricted LP is one ``_Master``, a tableau kept live while
+the LP grows (Chvátal, ch. 10): a column joins as B^-1 a and primal simplex
+goes on, a row joins with its slack basic and dual simplex goes on, and a
+join that would leave the tableau neither primal nor dual feasible, or a
+certificate that drifts past ``FEAS_TOL`` on the LP's own rows, rebuilds it
+cold.  Callers whose LP grows from call to call keep their master, so an
+exchange loop builds one master, not an LP per iteration.  Only the primal
+Slater margin LP starts with every row and a column per point of its grid
+(16,641 at the default 129^2).  The tableau's size is the cost that
+matters, so ``standardize`` builds it with array operations.
 
 Dual convention: ``duals[i]`` is the derivative of the optimal value with
 respect to ``rhs[i]`` for the problem's own sense.  So for a ``max`` problem
@@ -370,6 +370,12 @@ class _Master:
         identity, so the columns it was made of hold B^-1 throughout, and the
         duals are read from them.
 
+        Phase 1 finds the LP infeasible when any artificial ends basic above
+        its own tolerance ``art_tol``: ``FEAS_TOL * (1 + |b_i|)`` for the row
+        ``i`` it was made for, and for x0 the largest ``|b_i|`` of the rows
+        that share it.  So one row's large rhs (a ``t <= SLATER_CAP`` row,
+        say) never excuses a residual on another row.
+
         ``outcome`` is in standard form.  Optimal: one dual per row, 0 for a
         row dropped as redundant in phase 1.  Infeasible: phase 1's row
         duals, unflipped, a Farkas vector (y . a <= 0 on every column a, y .
@@ -401,12 +407,15 @@ class _Master:
         inverse = slack.copy()  # the identity's columns, which hold B^-1
         inverse[equality] = n + np.arange(len(equality))
         T[equality, inverse[equality]] = 1.0
+        scale = np.abs(rhs[equality])  # per artificial, then x0's
         T[:, -1] = rhs
         basis = inverse.tolist()
         if opposed.any():
             T[opposed, x0] = -1.0
             _pivot(T, basis, int(np.argmin(rhs)), x0)
+            scale = np.append(scale, np.max(np.abs(rhs[opposed])))
         self.T, self.basis, self.sign, self.inverse = T, basis, sign, inverse
+        self.art_tol = FEAS_TOL * (1.0 + scale)
         self.n_art, self.row_ids = n_art, list(range(m))  # row_ids: the rows phase 1 keeps
         self._finish()
 
@@ -425,8 +434,7 @@ class _Master:
             cost1 = np.concatenate([np.zeros(n), np.ones(n_art)])
             if _pivot_loop(T, basis, cost1, enterable) != "optimal":
                 raise NumericalFailure("phase 1 claimed an unbounded direction")
-            infeas = sum(T[i, -1] for i, bi in enumerate(basis) if bi >= n)
-            if infeas > FEAS_TOL * scale:
+            if any(bi >= n and T[i, -1] > self.art_tol[bi - n] for i, bi in enumerate(basis)):
                 farkas = cost1[basis] @ T[:, inverse] * sign
                 self.outcome = LPOutcome(LPStatus.INFEASIBLE, duals=farkas)
                 return

@@ -393,6 +393,38 @@ def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, re
     )
 
 
+def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, refine_steps=0):
+    """``check_dual_slater`` on its kept master, with ``K`` built from every cut each call.
+
+    The margin LP's table is the whole ``K`` of the cut set, negated into
+    ``<=`` rows, and every block the generation loop asks for is cut from
+    it, as the check first did; only the table differs, so the report must
+    be the same bit for bit.
+    """
+    M, N = mp.n_ineq, mp.n_eq
+    kept = None
+
+    def master(cuts):
+        nonlocal kept
+        K = -np.hstack([cuts.rows, -cuts.rows[:, M:]])
+        every = np.arange(K.shape[0]), np.arange(K.shape[1])
+        t, x, kept = moment._max_margin(
+            lambda R, C: K[R][:, C], np.full(K.shape[1], -1e-9), -cuts.h,
+            np.zeros(len(cuts), dtype=bool), every, np.ones(len(cuts)), kept,
+        )
+        z = x[M:M + N] - x[M + N:M + 2 * N]
+        return t, moment.DualPoint(y=tuple(moment._clip_duals(x, M)), z=tuple(z)), None, t
+
+    converged, history = moment._exchange(
+        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+    )
+    margin = history[-1].value
+    return moment.DualSlaterReport(
+        margin=margin, witness=history[-1].dual, converged=converged,
+        capped=moment._capped(margin), iterations=len(history),
+    )
+
+
 def hand_built_primal_slater(mp, resolution=129):
     """``check_primal_slater`` with its LP assembled into a zeroed matrix.
 

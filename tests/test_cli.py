@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import measurelp.cli as cli
+import measurelp.simplex as simplex
 from measurelp import canonical_json, load_report
 from measurelp.cli import run_cli
 from measurelp.expressions import MAX_DEPTH
@@ -38,6 +39,14 @@ class TestExitCodes:
     def test_solve_infeasible(self, capsys):
         assert run_cli(["solve", fixture("contradictory.json")]) == 3
         assert "primal_infeasible" in capsys.readouterr().out
+
+    def test_barely_infeasible_exits_3(self, capsys):
+        # mean 1 + 1e-4 on [0, 1]: the phase-1 verdict on the Slater margin
+        # LP, scaled by its t <= 1e6 row, once stopped both commands with exit 2
+        assert run_cli(["solve", fixture("barely_infeasible.json")]) == 3
+        assert "status: primal_infeasible" in capsys.readouterr().out
+        assert run_cli(["slater", fixture("barely_infeasible.json")]) == 3
+        assert "primal margin: -inf (feasible: False)" in capsys.readouterr().out
 
     def test_solve_density_flat(self, capsys):
         assert run_cli(["solve", fixture("density_flat.json")]) == 0
@@ -103,6 +112,38 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "value: 1" in out
         assert "atom: weight 1 at (1.0,)" in out
+
+    def test_primal_moment_holds_no_grid_wide_master(self, monkeypatch, capsys):
+        # the grid's 66,049 columns are a pool that the generation loop prices in
+        widths = []
+        real = simplex._Master.__init__
+
+        def recorded(master, std, *args, **kwargs):
+            widths.append(std.n_original)
+            real(master, std, *args, **kwargs)
+
+        monkeypatch.setattr(simplex._Master, "__init__", recorded)
+        assert run_cli(["primal", fixture("moment_square_2d.json"), "--grid", "257"]) == 0
+        assert "value: 0.34583675" in capsys.readouterr().out
+        assert widths and max(widths) < 257 ** 2 // 100
+
+    @pytest.mark.parametrize("name", [
+        "barely_infeasible.json", "cauchy_schwarz.json", "contradictory.json",
+        "moment_square_2d.json", "piecewise.json",
+    ])
+    def test_primal_prints_the_value_solve_prints(self, capsys, name):
+        # both price the same grid in, from every moment fixture's own grid
+        run_cli(["solve", fixture(name)])
+        lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        key = next(k for k in lines if k.startswith("primal value (grid "))
+        grid, value = key[len("primal value (grid "):-1], lines[key]
+        code = run_cli(["primal", fixture(name), "--grid", grid])
+        out = capsys.readouterr().out
+        if value == "n/a":
+            assert code == 3 and "value:" not in out
+            assert f"grid primal ({grid} per axis): infeasible" in out
+        else:
+            assert code == 0 and f"value: {value}\n" in out
 
     def test_primal_density(self, capsys):
         assert run_cli(["primal", fixture("density_flat.json"), "--grid", "8"]) == 0

@@ -35,7 +35,7 @@ import measurelp.simplex as simplex
 from measurelp.density import midpoint_axes, midpoint_grid
 from measurelp.expressions import _Program
 from measurelp.moment import SLATER_CAP
-from measurelp.simplex import FEAS_TOL, LPOutcome, kkt_residuals
+from measurelp.simplex import FEAS_TOL, LPOutcome, kkt_residuals, make_lp
 from oracles import (
     hand_built_lp_slater, hand_built_margin_lp, midpoint_quad, refined_quad, scipy_solve,
 )
@@ -380,6 +380,42 @@ class TestGeneration:
         monkeypatch.setattr(density, "_kernel_table", counted)
         collocation_report(pb, 16, refine=False)
         assert 0 < sum(pairs) < 256 * 256 / 4
+
+    @pytest.mark.parametrize("source", [
+        "density_concentration.json", "density_flat.json", "density_gauss_2d.json",
+        "density_unbounded.json",
+    ])
+    def test_refined_solve_builds_no_lp(self, monkeypatch, source):
+        # only the first solve's restricted LP is read, by the KKT check; the
+        # report is the same bit for bit as when every solve built its LP
+        loaded = load_problem(FIXTURES / source)
+        options = loaded.config.report_options()
+        real = density._collocated_primal
+
+        def every_solve_builds(pb, rows, resolutions, start=None):
+            lp, out, (R, C) = real(pb, rows, resolutions, start)
+            if lp is None:
+                x_pts, dx = midpoint_grid(pb.domain, resolutions["x_resolution"])
+                values = density._values(pb, pb.objective, "the objective", x_pts)
+                cost = density._scaled(values, dx, "the objective")
+                senses = np.where(rows.equality[R], "=", "<=").tolist()
+                lp = make_lp("max", cost[C], rows.table(R, x_pts[C], dx), senses, rows.rhs[R])
+            return lp, out, (R, C)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(density, "_collocated_primal", every_solve_builds)
+            expected = collocation_report(loaded.problem, **options)
+        built = []
+        real_make_lp = density.make_lp
+
+        def counted(*args, **kwargs):
+            built.append(args[1].shape[0])
+            return real_make_lp(*args, **kwargs)
+
+        monkeypatch.setattr(density, "make_lp", counted)
+        report = collocation_report(loaded.problem, **options)
+        assert repr(report) == repr(expected)
+        assert len(built) == (report.primal_value is not None)
 
     def test_subcells_lie_in_their_cell(self):
         box = Box((0.0, -1.0), (1.0, 2.0))

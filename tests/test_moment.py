@@ -47,6 +47,7 @@ from measurelp.moment import (
 from measurelp.simplex import solve_lp
 from oracles import (
     dual_slack_at, hand_built_dual_slater, hand_built_primal_slater, per_box_scan,
+    whole_table_dual_slater,
 )
 from problems import (
     cauchy_schwarz_problem,
@@ -234,6 +235,38 @@ class TestGridPrimal:
         ps = solve_grid_primal(contradictory_problem(), 17)
         assert ps.status == LPStatus.INFEASIBLE
         assert ps.value is None and ps.measure is None
+
+    def test_certificate_holds_on_the_whole_grid(self):
+        # the grid is a pool that the generation loop prices in; the grid LP
+        # solved whole is the reference, and the grid-wide outcome's
+        # certificate holds on every grid column
+        rng = np.random.default_rng(37)
+        problems = [
+            cauchy_schwarz_problem(), piecewise_problem(), contradictory_problem(),
+            interval_problem(0.0, 2.0, "x1", inequalities=(("0 - x1", 0.0),)),  # unbounded
+        ] + [random_moment_problem(rng)[0] for _ in range(10)]
+        for trial, mp in enumerate(problems):
+            for resolution in (9, 65):
+                ps = solve_grid_primal(mp, resolution)
+                lp, out = ps.grid.lp, ps.outcome
+                ref = solve_lp(lp)
+                assert ps.status == out.status == ref.status, trial
+                equality = np.array(lp.row_senses) == "="
+                if out.status == LPStatus.INFEASIBLE:
+                    assert np.all(out.duals @ lp.rows <= simplex.FEAS_TOL), trial
+                    assert out.duals @ lp.rhs > simplex.FEAS_TOL, trial
+                    continue
+                assert out.x.shape == (len(ps.grid.points),) and np.all(out.x >= 0.0), trial
+                excess = lp.rows @ out.x - lp.rhs
+                assert np.all(np.where(equality, np.abs(excess), excess) <= 1e-9), trial
+                if out.status == LPStatus.UNBOUNDED:
+                    lift = lp.rows @ out.ray
+                    assert np.all(np.where(equality, np.abs(lift), lift) <= 1e-9), trial
+                    assert np.all(out.ray >= 0.0) and lp.objective @ out.ray > 0.0, trial
+                    continue
+                close = 1e-9 * (1.0 + abs(ref.value))
+                assert abs(ps.value - ref.value) <= close, trial
+                assert np.max(lp.objective - out.duals @ lp.rows) <= close, trial
 
 
 class TestSeparationOracle:
@@ -676,6 +709,19 @@ class TestSlaterChecks:
         assert rep.equality_rank == 1 and rep.n_equalities == 2
         assert rep.rank_deficient
 
+    @pytest.mark.parametrize("excess", [1e-4, 1e-6])
+    def test_mean_just_past_the_interval_is_infeasible(self, excess):
+        # unit mass on [0, 1] cannot have mean 1 + excess; the t <= SLATER_CAP
+        # row's rhs once set the phase-1 tolerance of every row, so this
+        # raised at 1e-4 and reported a feasible margin of -0.100002 at 1e-6
+        mp = interval_problem(
+            0, 1, "x1", inequalities=(("x1^2", 0.9),),
+            equalities=(("1", 1.0), ("x1", 1 + excess)),
+        )
+        rep = check_primal_slater(mp)
+        assert not rep.feasible
+        assert rep.margin == -np.inf
+
     @pytest.mark.parametrize("source", [
         "cauchy_schwarz.json", "contradictory.json", "piecewise.json",
         cauchy_schwarz_problem, contradictory_problem,  # criterion 9's instances
@@ -707,11 +753,23 @@ class TestSlaterChecks:
         def refused(lp):
             raise AssertionError(f"moment solved a {lp.n_rows} x {lp.n_vars} LP itself")
 
-        monkeypatch.setattr(moment, "solve_lp", refused)
+        monkeypatch.setattr(simplex, "solve_lp", refused)
         mp = load_problem(FIXTURES / source).problem
         report = duality_report(mp, FAST)
         assert repr(check_primal_slater(mp, FAST.slater_resolution)) == repr(report.primal_slater)
         check_dual_slater(mp)
+
+    @pytest.mark.parametrize("source", [
+        "barely_infeasible.json", "cauchy_schwarz.json", "contradictory.json",
+        "moment_square_2d.json", "piecewise.json",
+    ])
+    def test_dual_margin_matches_the_whole_table_master(self, source):
+        # the margin LP's table values the asked cuts alone, not the whole K
+        # of every cut on every call, and the report is the same bit for bit
+        loaded = load_problem(FIXTURES / source)
+        for options in (moment._exchange_options(loaded.config), {}):
+            report = check_dual_slater(loaded.problem, **options)
+            assert repr(report) == repr(whole_table_dual_slater(loaded.problem, **options))
 
 
 class TestUnitNormalization:

@@ -432,6 +432,77 @@ class TestKKTResiduals:
         assert_optimality_residuals(lp, out)
 
 
+def with_margin(lp, cap):
+    """``lp`` plus a column t <= ``cap``, free below, on its first ``<=`` row.
+
+    t carries objective 1 for ``max`` (-1 for ``min``), so the LP pushes it
+    up against that row; the row's rhs stays where it was.
+    """
+    first = np.zeros((lp.n_rows, 1))
+    first[lp.row_senses.index("<=")] = 1.0
+    return make_lp(
+        lp.sense, np.append(lp.objective, 1.0 if lp.sense == "max" else -1.0),
+        np.hstack([lp.rows, first]), lp.row_senses, lp.rhs,
+        np.append(lp.lower, -np.inf), np.append(lp.upper, cap),
+    )
+
+
+def assert_farkas(lp, y):
+    """``y`` meets ``LPOutcome``'s Farkas inequalities for ``lp`` within 1e-9."""
+    senses = np.array(lp.row_senses)
+    assert np.all(y[senses == "<="] <= 1e-9) and np.all(y[senses == ">="] >= -1e-9)
+    g = y @ lp.rows
+    g[np.abs(g) <= 1e-9] = 0.0  # roundoff, not a direction along an infinite bound
+    with np.errstate(invalid="ignore"):
+        reach = np.nan_to_num(np.maximum(g * lp.lower, g * lp.upper), nan=0.0)
+    assert y @ lp.rhs > float(np.sum(reach)) + 1e-9
+
+
+# four weights that sum to 1 and must reach a mean r below the smallest of
+# theirs, plus a margin t <= U on the <= row: infeasible by about 0.72 g,
+# whatever U is.  Against the sum of the artificials at FEAS_TOL * (1 +
+# max|b|), the shifted rhs of the t row (~U) passed these as feasible; phase
+# 2 then drifted negative or, at U = 1e6 and g = 1e-6, reported an optimum
+# of 0.9335
+PHI = [-3.2969779644070667, -3.35078847120685, -3.405296309119462, -3.4605072276886846]
+MEANS = [1.4005120411983318, 1.3991832509788682, 1.3975646039050538, 1.3956496808137486]
+
+
+class TestPhaseOneVerdict:
+    @staticmethod
+    def margin_lp(r, cap):
+        rows = np.array([PHI + [1.0], [1.0] * 4 + [0.0], MEANS + [0.0]])
+        return make_lp(
+            "max", [0.0] * 4 + [1.0], rows, ("<=", "=", "="), [-2.5269941098906936, 1.0, r],
+            lower=[0.0] * 4 + [-np.inf], upper=[np.inf] * 4 + [cap],
+        )
+
+    @pytest.mark.parametrize("cap", [np.inf, 1e3, 1e6])
+    @pytest.mark.parametrize("r", [1.3951238998240438] + [MEANS[-1] - g for g in (1e-4, 1e-5, 1e-6)])
+    def test_each_artificial_meets_its_own_row(self, r, cap):
+        lp = self.margin_lp(r, cap)
+        out = solve_lp(lp)
+        assert out.status == LPStatus.INFEASIBLE
+        assert_farkas(lp, out.duals)
+
+    def test_a_margin_column_leaves_random_lps_alone(self):
+        # criterion 6's LPs: t <= U takes up the first <= row's slack, so
+        # neither the status nor the value may depend on U
+        rng = np.random.default_rng(4242)
+        checked = 0
+        for trial in range(500):
+            lp = random_lp(rng)
+            if "<=" not in lp.row_senses:
+                continue
+            outs = [solve_lp(with_margin(lp, cap)) for cap in (1e3, 1e6, np.inf)]
+            assert len({out.status for out in outs}) == 1, trial
+            if outs[0].status == LPStatus.OPTIMAL:
+                v = outs[-1].value
+                assert all(abs(out.value - v) <= 1e-9 * (1.0 + abs(v)) for out in outs), trial
+            checked += 1
+        assert checked >= 400
+
+
 def generation_case(rng: np.random.Generator):
     """A random LP in ``_generate``'s form: ``(cost, K, rhs, equality, fixed or None)``.
 
