@@ -23,12 +23,13 @@ gives each function's ``evaluate_many`` values bit for bit, whatever the
 batch, and rejects a value that is not finite naming the box.  So a point
 gets the same values wherever it is valued, and the oracle's column is the
 cut it appends; every grid and its table come from ``_grid``.
-``duality_report`` seeds every grid point into the cut set by reading the
-grid primal's columns, so its first master is the grid LP, and no
-per-point ``Cut`` is built.  The masters and the Slater margin LP
-(``_max_margin``) run on the generation loop of ``simplex``
-(``simplex._generate``), which prices the grid's columns in by the row
-duals, or an infeasible master's Farkas vector, so no master holds the grid.
+``duality_report``'s exchange takes the grid primal's arrays as its cut set
+and starts its masters from no column, so its first master is the solve of
+``solve_grid_primal``, and no per-point ``Cut`` is built.  The masters and
+the Slater margin LP (``_max_margin``) run on the generation loop of
+``simplex`` (``simplex._generate``), which prices the grid's columns in by
+the row duals, or an infeasible master's Farkas vector, so no master holds
+the grid.
 
 Weak duality (primal value <= dual value) is checked on every report; a
 violation beyond LP tolerances raises WeakDualityError because it can only
@@ -284,12 +285,29 @@ def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
     return yz @ table[:-1] - table[-1]
 
 
+# The grid paths hold a few arrays the size of a grid's points and table at
+# once (the per-box blocks and their concatenation, a cut store that doubles
+# on its first append), so a 1 GiB table keeps a run to a few GiB: a
+# 1025 x 1025 grid of three moments needs 50 MB, while a 1-D grid of 10^8
+# points with two, which ``MAX_GRID_POINTS`` admits, would need 3.2 GB.
+_GRID_BYTES = 2**30
+
+
 def _grid(mp: MomentProblem, resolution):
     """Every box's closed tensor grid, box by box: ``(points, box_idx, table)``.
 
     ``points`` is (G, dim), ``box_idx`` (G,) names each point's box, and
-    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.
+    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.  A
+    grid whose points and table would take more than ``_GRID_BYTES`` raises
+    ValueError before anything is allocated.
     """
+    count = sum(math.prod(_axis_counts(box.dim, resolution)) for box in mp.domain.boxes)
+    need = 8 * count * (mp.n_ineq + mp.n_eq + 1 + mp.domain.dim)
+    if need > _GRID_BYTES:
+        raise ValueError(
+            f"grid of {count} points needs {need} bytes, over the limit {_GRID_BYTES}; "
+            "lower the grid resolution"
+        )
     blocks = [grid_array(box, resolution) for box in mp.domain.boxes]
     box_idx = np.concatenate([np.full(len(pts), i) for i, pts in enumerate(blocks)])
     table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
@@ -404,7 +422,9 @@ class CutSet(Sequence):
 
     The four arrays are views of the filled part of a store that ``append``
     grows by doubling its capacity, so a run of appends copies each cut
-    O(1) times, however large a seeded grid pool is.
+    O(1) times, however large a grid pool is.  The store starts as the given
+    arrays, uncopied and full, so the first append copies them and never
+    writes into them.
     """
 
     def __init__(self, n_ineq: int, box_index, points, rows, h):
@@ -473,8 +493,7 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
 
     Points are valued box by box with ``_box_table``.  Extra points already
     among the corners and centers, and repeats, are dropped: the first
-    occurrence wins and the given order is kept.  A GridPrimal is seeded by
-    ``_with_grid`` instead, which reads its values from its LP.
+    occurrence wins and the given order is kept.
     """
     seeds = [
         (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
@@ -504,31 +523,6 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
         sel = np.flatnonzero(box_idx == i)
         table[:, sel] = _box_table(mp, int(i), points[sel])
     return CutSet(mp.n_ineq, box_idx, points, table[:-1].T, table[-1])
-
-
-def _with_grid(seeds: CutSet, grid: GridPrimal) -> CutSet:
-    """``seeds`` then the grid's columns, read from its LP, less those equal to a seed.
-
-    ``exchange_solve`` keeps these columns as the pool its masters price in.
-
-    A grid's points are distinct and inside their boxes by construction, so
-    only the seeds are closure-checked and deduplicated, and a grid point is
-    dropped only when it equals a seed.
-    """
-    # only a grid point sharing a seed's first coordinate can equal it
-    near = np.flatnonzero(np.isin(grid.points[:, 0], seeds.points[:, 0]))
-    same = (grid.box_indices[near, None] == seeds.box_index) & np.all(
-        grid.points[near, None, :] == seeds.points, axis=2
-    )
-    fresh = np.delete(np.arange(len(grid.points)), near[same.any(axis=1)])
-    rows = np.concatenate([seeds.rows.T, grid.lp.rows.take(fresh, axis=1)], axis=1)
-    return CutSet(
-        seeds.n_ineq,
-        np.concatenate([seeds.box_index, grid.box_indices.take(fresh)]),
-        np.vstack([seeds.points, grid.points.take(fresh, axis=0)]),
-        rows.T,
-        np.concatenate([seeds.h, grid.lp.objective.take(fresh)]),
-    )
 
 
 def restricted_dual_lp(
@@ -678,8 +672,9 @@ class IterationRecord:
 class ExchangeResult:
     """Outcome of ``exchange_solve``.
 
-    ``cuts`` is the final working set as a CutSet: the initial cuts, then the
-    seeded ones, then one cut per iteration that did not stop the loop.
+    ``cuts`` is the final working set as a CutSet: the corner and center
+    cuts and the seeded ones, or a GridPrimal's columns in grid order, then
+    one cut per iteration that did not stop the loop.
     Each ``history`` record holds its master's primal measure (None where
     the master needed elastic recovery): a feasible measure, so a lower bound.
     """
@@ -724,21 +719,21 @@ def exchange_solve(
 ) -> ExchangeResult:
     """Exchange method for the dual: master LP on a working cut set + oracle.
 
-    Starts from the corner and center cuts of every box, plus ``extra_cuts``
-    given as (box_index, point) pairs or as a GridPrimal whose points are all
-    seeded, and stops when the worst slack is >= -tol.  The working set is a
-    CutSet that grows by one cut per iteration and is returned as
-    ``ExchangeResult.cuts``.  Master values are nondecreasing because cuts
-    only ever add columns to the cut-supported primal.
+    Starts from the corner and center cuts of every box plus ``extra_cuts``
+    given as (box_index, point) pairs, or from a GridPrimal's columns alone,
+    and stops when the worst slack is >= -tol.  The cut set is a CutSet,
+    one cut per iteration longer, returned as ``ExchangeResult.cuts``.
+    Master values are nondecreasing because cuts only ever add columns to
+    the cut-supported primal.
 
     Each master is ``simplex._generate`` with every moment row and, as the
-    columns to start from, the working set W: every cut that is not a grid
-    column, plus the columns it has taken in so far.  So a GridPrimal's
-    columns form a pool that the masters price in (an infeasible master by
-    its Farkas vector), and W carries over to the next iteration; without a
-    grid W holds every cut, and each iteration solves once.  The master is
-    one ``simplex._Master`` kept from iteration to iteration, which each new
-    cut joins as a column, so the loop builds one master, not an LP per
+    columns to start from, the working set W.  With a grid, W starts empty
+    and keeps the columns taken in and each oracle cut: the grid is a pool
+    that the masters price in (an infeasible one by its Farkas vector), so
+    the first master is ``solve_grid_primal``'s solve.  Without a grid W
+    holds every cut, and each iteration solves once.  The master is one
+    ``simplex._Master`` kept from iteration to iteration, which each new cut
+    joins as a column, so the loop builds one master, not an LP per
     iteration.
 
     An infeasible master means the restricted dual is unbounded below on the
@@ -754,9 +749,16 @@ def exchange_solve(
     infeasible restricted dual (possible only when the primal is unbounded
     above) raises ExchangeError.
     """
-    grid = isinstance(extra_cuts, GridPrimal)
-    seeds = _seed_cuts(mp, () if grid else extra_cuts)
-    cuts = _with_grid(seeds, extra_cuts) if grid else seeds
+    # W, and the count of cuts placed; a grid's arrays are the store (views
+    # that the first append copies) and the masters' pool, and W starts empty
+    if isinstance(extra_cuts, GridPrimal):
+        g = extra_cuts
+        cuts = CutSet(mp.n_ineq, g.box_indices, g.points, g.lp.rows.T, g.lp.objective)
+        work = np.zeros(0, dtype=int)
+    else:
+        cuts = _seed_cuts(mp, extra_cuts)
+        work = np.arange(len(cuts))
+    seen = len(cuts)
     M, N = mp.n_ineq, mp.n_eq
     every_row = np.arange(M + N)
     rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
@@ -767,7 +769,6 @@ def exchange_solve(
     defect[M:, M : M + N] = np.eye(N)
     defect[M:, M + N :] = -np.eye(N)
     defects = _Fixed(np.full(k, -MULTIPLIER_CAP), np.zeros(k), np.full(k, np.inf), defect)
-    work, seen = np.arange(len(seeds)), len(cuts)  # W, and the cuts W has been offered
     plain = elastic_master = None  # each LP's _Master, kept from one iteration to the next
 
     def master(cuts):
@@ -864,10 +865,12 @@ def check_dual_slater(
     The master is the margin LP over (y >= 0, z split into two nonnegative
     parts, t <= SLATER_CAP) with one row per cut, one ``simplex._Master``
     that each new cut joins as a row, by dual simplex; the margin is
-    certified against the scan points, so refinement is off by default.
-    Margin > 0 certifies the strict-positivity hypothesis on the mesh.
-    Whenever a constraint can lift the slack uniformly (any problem with a
-    total-mass constraint), the margin is unbounded and reports the cap.
+    certified against the scan points, so refinement is off by default,
+    though ``duality_report`` and ``measurelp slater`` pass the config's
+    ``refine_steps``, which is 40.  Margin > 0 certifies the
+    strict-positivity hypothesis on the mesh.  Whenever a constraint can
+    lift the slack uniformly (any problem with a total-mass constraint), the
+    margin is unbounded and reports the cap.
 
     A tiny penalty on the multiplier norm breaks the master's degeneracy:
     once t sits at the cap every feasible (y, z) is optimal, and without
@@ -992,19 +995,15 @@ def _verification_scan(mp, dual, config) -> float:
 def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> DualityReport:
     """Solve both routes from one exchange, certify weak duality, check Slater.
 
-    Every grid point is seeded into the exchange cut set as the grid LP's
-    own column, so the first master is the grid primal, and the primal
-    value and atoms are read from it; the primal is infeasible exactly when
-    that master needed elastic recovery.  At odd resolutions every corner
-    and center is a grid point and the master is the grid LP with its
-    columns reordered.  At even resolutions it also holds the box centers:
-    its measure is still feasible, so still a certified lower bound, with a
-    value at least the grid LP's.  The masters price the grid's columns in
-    (see ``exchange_solve``).  Later masters only add columns, so the dual
-    value dominates the primal; WeakDualityError is raised if a converged
-    dual still lands more than 1e-8 * (1 + |dual|) below it, which only a
-    solver bug can cause.  A grid primal that is unbounded above makes the
-    exchange raise ExchangeError.
+    The grid primal is the exchange's cut set, and its masters start from no
+    column and price the grid in (see ``exchange_solve``), so the first
+    master is the very solve of ``solve_grid_primal``: the primal value and
+    atoms are read from it, and the primal is infeasible exactly when that
+    master needed elastic recovery.  Later masters only add columns, so the
+    dual value dominates the primal; WeakDualityError is raised if a
+    converged dual still lands more than 1e-8 * (1 + |dual|) below it, which
+    only a solver bug can cause.  A grid primal that is unbounded above
+    makes the exchange raise ExchangeError.
     """
     config = config or SolverConfig()
     notes: list[str] = []

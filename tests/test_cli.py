@@ -446,6 +446,26 @@ class TestInvalidSettings:
             assert capsys.readouterr().err == f"input error: {message}\n"
         assert solvers == [[], []]
 
+    @pytest.mark.parametrize("argv", [
+        [
+            "option-bound", "--domain", "0", "4", "--forward", "1",
+            "--payoff", "max(x1 - 1, 0)", "--direction", "sup", "--grid", "100000000",
+        ],
+        ["solve", fixture("oversize_moment_grid.json")],
+    ])
+    def test_grid_over_the_byte_limit(self, capsys, argv):
+        # 10^8 points pass the point limit, but their table of two moments
+        # and h would take 3.2 GB: the grid is rejected before it is built
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 4 and peak < 50e6
+        message = "grid of 100000000 points needs 3200000000 bytes, over the limit 1073741824"
+        assert capsys.readouterr().err == f"input error: {message}; lower the grid resolution\n"
+
     @pytest.mark.parametrize("name, key, value, grid, points", [
         # validate exited 0, and solve exited 4 after the exchange naming no key
         ("cauchy_schwarz.json", "verification_factor", 300000, "verification scan", 513 * 300000),

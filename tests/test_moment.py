@@ -36,8 +36,6 @@ from measurelp.moment import (
     CutSet,
     ExchangeError,
     _box_table,
-    _seed_cuts,
-    _with_grid,
     assemble_grid_primal,
     initial_cuts,
     make_cut,
@@ -60,32 +58,6 @@ from problems import (
 
 FAST = SolverConfig(grid_resolution=257, scan_resolution=257, slater_resolution=65)
 FIXTURES = Path(__file__).parent / "fixtures"
-
-
-def lexsort_seed_cuts(mp, grid):
-    """Seeds plus grid, closure-checked and deduplicated over every point at once."""
-    seeds = [
-        (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
-    ]
-    box_idx = np.concatenate([[i for i, _ in seeds], grid.box_indices])
-    points = np.vstack([[p for _, p in seeds], grid.points])
-    lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
-    upper = np.array([b.upper for b in mp.domain.boxes])[box_idx]
-    assert np.all((points >= lower - 1e-9) & (points <= upper + 1e-9))
-    n = len(seeds)
-    table = np.empty((mp.n_ineq + mp.n_eq + 1, len(points)))
-    for i in np.unique(box_idx[:n]):
-        sel = np.flatnonzero(box_idx[:n] == i)
-        table[:, sel] = _box_table(mp, int(i), points[sel])
-    table[:-1, n:] = grid.lp.rows
-    table[-1, n:] = grid.lp.objective
-    keys = np.column_stack([box_idx, points])
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    first = np.ones(len(keys), dtype=bool)
-    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
-    keep = np.sort(order[first])
-    return CutSet(mp.n_ineq, box_idx[keep], points[keep], table[:-1, keep].T, table[-1, keep])
 
 
 def two_box_plane(*objective: str) -> MomentProblem:
@@ -445,7 +417,7 @@ class TestExchange:
         with pytest.raises(ValueError):
             exchange_solve(mp, extra_cuts=((0, (0.5,)), (0, (5.0,))), max_iters=1)
 
-    def test_seeded_cuts_are_grid_primal_columns(self):
+    def test_seeded_cuts_are_grid_primal_columns(self, monkeypatch):
         # a quartic on a non-dyadic interval, whose center is not a grid
         # point, and on one whose center is: math.pow and np.power disagree
         # in the last bit at some of these grid points (on the second, at its
@@ -484,21 +456,33 @@ class TestExchange:
             assert len(shared) == on_grid
             for cut in shared:
                 assert_is_column(cut, column_of[(cut.box_index, cut.point)])
-            # the grid itself, passed whole, seeds the same cuts
+            # the grid itself, passed whole, is the cut store: its columns in
+            # grid order, bit for bit, held as views of the grid's arrays
+            # until the one oracle cut's append copies them
+            views = []
+            append = CutSet.append
+
+            def spy(cuts, *args):
+                views.append(np.shares_memory(cuts.rows, grid.lp.rows))
+                append(cuts, *args)
+
+            monkeypatch.setattr(CutSet, "append", spy)
             whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
-            n_seeded = len(initial) + len(expected)
-            assert res.status == whole.status == "not_converged"
-            assert len(whole.cuts) == len(res.cuts) == n_seeded + 1  # one oracle cut each
-            assert whole.cuts[:n_seeded] == res.cuts[:n_seeded]
-            # its master prices the grid in instead of solving on every cut, so
-            # its value and duals meet the full master's up to roundoff, and
-            # the oracle's zoom may land its cut a little way off
+            monkeypatch.undo()
+            assert views == [True]
+            assert not np.shares_memory(whole.cuts.rows, grid.lp.rows)
+            G = len(grid.points)
+            assert whole.status == "not_converged" and len(whole.cuts) == G + 1
             for a, b in (
-                ((res.history[0].value,), (whole.history[0].value,)),
-                (res.history[0].dual.y, whole.history[0].dual.y),
-                (res.history[0].dual.z, whole.history[0].dual.z),
+                (whole.cuts.box_index[:G], grid.box_indices),
+                (whole.cuts.points[:G], grid.points),
+                (whole.cuts.rows[:G], grid.lp.rows.T),
+                (whole.cuts.h[:G], grid.lp.objective),
             ):
-                assert np.allclose(a, b, rtol=1e-12, atol=1e-12)
+                assert a.shape == b.shape and a.dtype == b.dtype
+                assert a.tobytes() == b.tobytes()
+            # its first master starts from no column, as the grid primal does
+            assert whole.history[0].value == solve_grid_primal(mp, 1025).value
             # the priced-pool path is exact: a rebuilt grid gives the same run
             again = exchange_solve(
                 mp, extra_cuts=assemble_grid_primal(mp, 1025), max_iters=1, scan_resolution=257
@@ -507,34 +491,6 @@ class TestExchange:
             assert again.history[0].value == whole.history[0].value
             assert again.history[0].dual == whole.history[0].dual
             assert again.final_slack == whole.final_slack
-
-    @pytest.mark.parametrize("resolution", [9, 8])
-    def test_grid_seeding_matches_lexsort_dedup(self, resolution):
-        # odd: every corner and center is a grid point; even: the centers are not
-        hull = Box((0.0, -0.5), (2.0, 1.0))
-        partition = Partition(
-            (Box((0.0, -0.5), (1.25, 1.0)), Box((1.25, -0.5), (2.0, 1.0)))
-        )
-        mp = MomentProblem(
-            domain=partition,
-            hull=hull,
-            objective=pw(partition, "x1 * x2 ^ 3", "2 - x1 + exp(x2)"),
-            inequalities=((pw(partition, "x1 ^ 2 + x2", "sqrt(x1) * x2"), 1.5),),
-            equalities=((pw(partition, "1", "1"), 1.0), (pw(partition, "x1", "x1"), 0.9)),
-        )
-        grid = assemble_grid_primal(mp, resolution)
-        new, ref = _with_grid(_seed_cuts(mp), grid), lexsort_seed_cuts(mp, grid)
-        centers_on_grid = resolution % 2 == 1
-        assert len(new) == len(grid.points) + (0 if centers_on_grid else 2)
-        for a, b in (
-            (new.box_index, ref.box_index),
-            (new.points, ref.points),
-            (new.rows, ref.rows),
-            (new.h, ref.h),
-        ):
-            assert a.shape == b.shape and a.dtype == b.dtype
-            assert a.tobytes() == b.tobytes()
-        assert new.n_ineq == ref.n_ineq
 
     def test_cut_set_reads_as_cut_sequence(self):
         # Cauchy-Schwarz with the second moment as an inequality: phi and psi
@@ -878,25 +834,17 @@ def assert_feasible_atoms(mp, atoms, value):
 class TestReportPrimal:
     """The report's primal comes from the first exchange master, not a second grid LP."""
 
-    def test_odd_resolution_matches_grid_primal(self):
+    @pytest.mark.parametrize("resolution", [64, 65])
+    def test_matches_grid_primal(self, resolution):
+        # at even resolutions the box centers are not grid points, and the
+        # report's first master must still be the grid LP, not a wider one
         for mp, config in report_cases():
-            assert config.grid_resolution % 2 == 1
-            report = duality_report(mp, config)
-            grid = solve_grid_primal(mp, config.grid_resolution)
+            report = duality_report(mp, replace(config, grid_resolution=resolution))
+            grid = solve_grid_primal(mp, resolution)
             assert grid.status == LPStatus.OPTIMAL
-            v = grid.value
-            assert abs(report.primal_value - v) <= 1e-12 * (1.0 + abs(v))
-            assert_feasible_atoms(mp, report.atoms, report.primal_value)
-
-    def test_even_resolution_is_feasible_and_dominates_grid(self):
-        for mp, config in report_cases():
-            config = SolverConfig(
-                grid_resolution=64, scan_resolution=config.scan_resolution,
-                slater_resolution=config.slater_resolution,
-            )
-            report = duality_report(mp, config)
-            v = solve_grid_primal(mp, 64).value
-            assert report.primal_value >= v - 1e-12 * (1.0 + abs(v))
+            assert report.primal_value == grid.value
+            atoms = lambda m: sorted(zip(m.box_indices, m.points, m.weights))
+            assert atoms(report.atoms) == atoms(grid.measure)
             assert_feasible_atoms(mp, report.atoms, report.primal_value)
 
     @pytest.mark.parametrize("make", [cauchy_schwarz_problem, piecewise_problem])
