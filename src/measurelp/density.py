@@ -46,7 +46,7 @@ import numpy as np
 
 from .expressions import Expression, _problem_table
 from .geometry import Box, _axis_counts
-from .moment import ReportStatus, _capped, _check_tolerance, _max_margin
+from .moment import _GRID_BYTES, ReportStatus, _capped, _check_tolerance, _max_margin
 from .simplex import FEAS_TOL, FiniteLP, LPStatus, NumericalFailure, _generate
 from .simplex import kkt_residuals, make_lp
 
@@ -703,6 +703,26 @@ class DensitySlaterReport:
         return self.equality_rank < self.n_equality_rows
 
 
+def _check_rank_bytes(pb: LpDensityProblem, resolutions: dict) -> None:
+    """Raise ValueError if ``check_lp_slater``'s equality rank table would pass ``_GRID_BYTES``.
+
+    ``resolutions`` is the check's ``DensityConfig.grids()``.  The table
+    holds a kernel value for every equality row and cell: ``8 * n_eq * n_x``
+    bytes, from the resolutions alone.
+    """
+    if pb.kernel_b is None:
+        return
+    x, z = resolutions["x_resolution"], resolutions["z_resolution"]
+    need = 8 * math.prod(_axis_counts(pb.eq_domain.dim, z, least=1)) * math.prod(
+        _axis_counts(pb.domain.dim, x, least=1)
+    )
+    if need > _GRID_BYTES:
+        raise ValueError(
+            f"the equality rank table at x_resolution {x} and z_resolution {z} needs "
+            f"{need} bytes, over the limit {_GRID_BYTES}; lower the resolutions"
+        )
+
+
 def check_lp_slater(
     pb: LpDensityProblem,
     x_resolution: int = 33,
@@ -732,9 +752,11 @@ def check_lp_slater(
     ``WeakDualityError``.  The rank of the collocated equality matrix,
     valued in full, is reported as a finite surrogate for surjectivity of
     the equality operator, so duplicated or dependent equality rows show up
-    as a rank deficit.  A resolution below 2 raises ValueError.
+    as a rank deficit.  A resolution below 2, or a rank table over
+    ``_check_rank_bytes``'s limit, raises ValueError before it is built.
     """
     resolutions = DensityConfig(x_resolution, y_resolution, z_resolution).grids()
+    _check_rank_bytes(pb, resolutions)
     rows = _Rows(pb, resolutions["y_resolution"], resolutions["z_resolution"])
     x_pts, dx = midpoint_grid(pb.domain, x_resolution)
     equalities = np.flatnonzero(rows.equality)

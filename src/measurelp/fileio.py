@@ -19,7 +19,13 @@ from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Any, Mapping
 
-from .density import CollocationReport, DensityConfig, DensitySlaterReport, LpDensityProblem
+from .density import (
+    CollocationReport,
+    DensityConfig,
+    DensitySlaterReport,
+    LpDensityProblem,
+    _check_rank_bytes,
+)
 from .expressions import Expression, format_expression, parse_expression
 from .geometry import Box, Partition, _axis_counts, validate_partition
 from .moment import (
@@ -30,6 +36,7 @@ from .moment import (
     PiecewiseFunction,
     PrimalSlaterReport,
     SolverConfig,
+    _check_grid_bytes,
 )
 
 FORMAT_VERSION = "1"
@@ -195,8 +202,11 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
     A resolution written there is checked against the box it sizes, and so
     is the grid the solve derives from it: the verification scan at
     ``verification_factor`` times the scan resolution, and the density
-    refinement at twice ``x_resolution``.  A default is left to the solve,
-    where a flag may override it.
+    refinement at twice ``x_resolution``.  Then the grids of a moment solve
+    and a density Slater check's equality rank table that those keys imply
+    are held to the solves' byte limit (``moment._check_grid_bytes`` and
+    ``density._check_rank_bytes``), with the solve's own message.  A
+    default is left to the solve, where a flag may override it.
     """
     config = _CONFIGS[kind]
     allowed = _solver_keys(config)
@@ -221,8 +231,15 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
         except ValueError as e:
             raise ProblemFormatError(derived + str(e), f"solver.{key}") from e
 
+    def fits(limit, resolution, derived=""):
+        try:
+            limit(problem, resolution)
+        except ValueError as e:  # the solve's own message, which sizes the grid
+            raise ProblemFormatError(derived + str(e)) from e
+
     sizes = {"y_resolution": "ineq_domain", "z_resolution": "eq_domain"}  # else the domain
-    for key in [key for key in overrides if key.endswith("_resolution")]:
+    keys = [key for key in overrides if key.endswith("_resolution")]
+    for key in keys:
         check(key, getattr(problem, sizes.get(key, "domain")), overrides[key])
     scan = [key for key in ("verification_factor", "scan_resolution") if key in overrides]
     if scan:
@@ -230,6 +247,14 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
         check(scan[0], problem.domain, fine, "the verification scan's ")
     if "x_resolution" in overrides:
         check("x_resolution", problem.domain, 2 * built.x_resolution, "the refinement's ")
+    # the byte limits of the tables the solve holds whole
+    if kind == "moment":
+        for key in keys:
+            fits(_check_grid_bytes, overrides[key])
+        if scan:
+            fits(_check_grid_bytes, fine, "the verification scan's ")
+    elif {"x_resolution", "z_resolution", "slater_resolution"} & set(keys):
+        fits(_check_rank_bytes, DensityConfig(**built.slater_options()).grids())
     return overrides, built
 
 

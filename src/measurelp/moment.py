@@ -60,7 +60,6 @@ from .simplex import FiniteLP, LPOutcome, LPStatus, _Fixed, _generate, make_lp
 
 DUAL_FEAS_CLIP = 1e-7  # y from LP duals may dip this far below 0 before we complain
 ATOM_WEIGHT_FLOOR = 1e-12
-MULTIPLIER_CAP = 1e8  # keeps the restricted dual bounded while cuts are scarce
 WEAK_DUALITY_RTOL = 1e-8
 
 
@@ -225,10 +224,16 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class DualPoint:
-    """Multipliers (y for inequalities, y >= 0; z for equalities, free)."""
+    """Multipliers (y for inequalities, y >= 0; z for equalities, free).
+
+    A ``ray`` is a direction of the dual instead, scaled to max |entry| 1:
+    Σ y φ + Σ z ψ >= 0 pointwise, with no h term, while a.y + b.z < 0, so
+    adding it to a feasible dual point lowers the bound without limit.
+    """
 
     y: tuple[float, ...]
     z: tuple[float, ...]
+    ray: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "y", tuple(float(v) for v in self.y))
@@ -280,27 +285,23 @@ def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndar
     )
 
 
-def _slack(yz: np.ndarray, table: np.ndarray) -> np.ndarray:
-    """Σ y φ + Σ z ψ - h at every column of a ``_box_table``."""
-    return yz @ table[:-1] - table[-1]
+def _slack(yz: np.ndarray, table: np.ndarray, ray: bool = False) -> np.ndarray:
+    """Σ y φ + Σ z ψ - h at every column of a ``_box_table``; a ray's drops h."""
+    return yz @ table[:-1] if ray else yz @ table[:-1] - table[-1]
 
 
 # The grid paths hold a few arrays the size of a grid's points and table at
 # once (the per-box blocks and their concatenation, a cut store that doubles
 # on its first append), so a 1 GiB table keeps a run to a few GiB: a
 # 1025 x 1025 grid of three moments needs 50 MB, while a 1-D grid of 10^8
-# points with two, which ``MAX_GRID_POINTS`` admits, would need 3.2 GB.
+# points with two, which ``MAX_GRID_POINTS`` admits, would need 3.2 GB.  The
+# density Slater check's equality rank table (``density._check_rank_bytes``)
+# is held whole too, and by ``matrix_rank``'s SVD again, under the same limit.
 _GRID_BYTES = 2**30
 
 
-def _grid(mp: MomentProblem, resolution):
-    """Every box's closed tensor grid, box by box: ``(points, box_idx, table)``.
-
-    ``points`` is (G, dim), ``box_idx`` (G,) names each point's box, and
-    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.  A
-    grid whose points and table would take more than ``_GRID_BYTES`` raises
-    ValueError before anything is allocated.
-    """
+def _check_grid_bytes(mp: MomentProblem, resolution) -> None:
+    """Raise ValueError if ``_grid``'s points and table would take more than ``_GRID_BYTES``."""
     count = sum(math.prod(_axis_counts(box.dim, resolution)) for box in mp.domain.boxes)
     need = 8 * count * (mp.n_ineq + mp.n_eq + 1 + mp.domain.dim)
     if need > _GRID_BYTES:
@@ -308,6 +309,17 @@ def _grid(mp: MomentProblem, resolution):
             f"grid of {count} points needs {need} bytes, over the limit {_GRID_BYTES}; "
             "lower the grid resolution"
         )
+
+
+def _grid(mp: MomentProblem, resolution):
+    """Every box's closed tensor grid, box by box: ``(points, box_idx, table)``.
+
+    ``points`` is (G, dim), ``box_idx`` (G,) names each point's box, and
+    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.  A
+    grid over ``_check_grid_bytes``'s limit raises ValueError before
+    anything is allocated.
+    """
+    _check_grid_bytes(mp, resolution)
     blocks = [grid_array(box, resolution) for box in mp.domain.boxes]
     box_idx = np.concatenate([np.full(len(pts), i) for i, pts in enumerate(blocks)])
     table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
@@ -603,15 +615,15 @@ class _ScanOracle:
 
     def find(self, dual: DualPoint) -> SeparationResult:
         yz = np.concatenate([dual.y, dual.z])
-        slack = _slack(yz, self.table)
+        slack = _slack(yz, self.table, dual.ray)
         g = int(np.argmin(slack))
         box_index, point, column = int(self.box_idx[g]), self.points[g], self.table[:, g]
         slack = float(slack[g])
         if self.refine_steps > 0:
-            slack, point, column = self._zoom(yz, box_index, point, slack, column)
+            slack, point, column = self._zoom(yz, dual.ray, box_index, point, slack, column)
         return SeparationResult(box_index, tuple(point.tolist()), slack, column)
 
-    def _zoom(self, yz, box_index, x, slack, column):
+    def _zoom(self, yz, ray, box_index, x, slack, column):
         """Coordinate-wise zoom around the scan argmin ``x``; returns the best point seen.
 
         Axis j starts from the bracket of one scan step either side of x_j,
@@ -628,7 +640,7 @@ class _ScanOracle:
                 trial = np.repeat([x], _ZOOM_POINTS, axis=0)
                 trial[:, j] = _zoom_axis(lo, hi)
                 table = _box_table(self.mp, box_index, trial)
-                s = _slack(yz, table)
+                s = _slack(yz, table, ray)
                 k = int(np.argmin(s))
                 if s[k] < slack:
                     slack, x, column = float(s[k]), trial[k], table[:, k]
@@ -660,6 +672,8 @@ def separation_oracle(
 
 @dataclass
 class IterationRecord:
+    """One exchange iteration; an infeasible master gives its ray as ``dual`` and -inf."""
+
     value: float
     dual: DualPoint
     measure: AtomicMeasure | None  # the master's primal measure, if it has one
@@ -676,7 +690,10 @@ class ExchangeResult:
     cuts and the seeded ones, or a GridPrimal's columns in grid order, then
     one cut per iteration that did not stop the loop.
     Each ``history`` record holds its master's primal measure (None where
-    the master needed elastic recovery): a feasible measure, so a lower bound.
+    the master was infeasible): a feasible measure, so a lower bound.
+    ``value`` is None whenever the last dual is a ray, "dual_unbounded" or
+    "not_converged"; a "dual_unbounded" dual is the ray that the oracle
+    found no point to cut off.
     """
 
     status: str  # "converged" | "not_converged" | "dual_unbounded"
@@ -737,17 +754,13 @@ def exchange_solve(
     iteration.
 
     An infeasible master means the restricted dual is unbounded below on the
-    working set -- the dual value is -inf *so far*, so the primal is either
-    infeasible or just needs more cuts.  Those iterations re-solve the
-    master from W with elastic columns: each buys one unit of defect
-    on one moment row at the price ``MULTIPLIER_CAP``, so by LP duality the
-    row duals are the restricted dual with multipliers capped at that price,
-    and this elastic master is kept across iterations too.  They separate
-    against that minimizer: a violated point restores progress, while a
-    capped minimizer that no point cuts off is a near-feasible dual direction
-    with an enormously negative value, returned as "dual_unbounded".  An
-    infeasible restricted dual (possible only when the primal is unbounded
-    above) raises ExchangeError.
+    working set: its Farkas vector, negated and scaled to max |entry| 1, is
+    a ray (y >= 0, z) of that dual, with Σ y φ + Σ z ψ >= 0 on every cut
+    and a.y + b.z < 0.  The oracle separates against the ray, with no h
+    term: a point where it goes negative joins as a cut, and a ray that no
+    point cuts off ends the loop as "dual_unbounded", with the ray as the
+    dual.  An infeasible restricted dual (possible only when the primal is
+    unbounded above) raises ExchangeError.
     """
     # W, and the count of cuts placed; a grid's arrays are the store (views
     # that the first append copies) and the masters' pool, and W starts empty
@@ -763,49 +776,35 @@ def exchange_solve(
     every_row = np.arange(M + N)
     rhs = np.array([bound for _, bound in mp.inequalities + mp.equalities])
     equality = every_row >= M
-    k = M + 2 * N  # elastic columns: one per inequality row, two per equality row
-    defect = np.zeros((M + N, k))
-    defect[:M, :M] = -np.eye(M)
-    defect[M:, M : M + N] = np.eye(N)
-    defect[M:, M + N :] = -np.eye(N)
-    defects = _Fixed(np.full(k, -MULTIPLIER_CAP), np.zeros(k), np.full(k, np.inf), defect)
-    plain = elastic_master = None  # each LP's _Master, kept from one iteration to the next
+    kept = None  # the master's _Master, kept from one iteration to the next
 
     def master(cuts):
-        nonlocal work, seen, plain, elastic_master
+        nonlocal work, seen, kept
         work, seen = np.concatenate([work, np.arange(seen, len(cuts))]), len(cuts)
         # R holds every moment row from the start, so K[R, C] is the cuts' rows
         # transposed, and for every column a view: no copy of a grid pool
         table = lambda R, C: cuts.rows[C].T
         start = every_row, work
-        plain, out, (_, work) = _generate(table, cuts.h, rhs, equality, start, master=plain)
+        kept, out, (_, work) = _generate(table, cuts.h, rhs, equality, start, master=kept)
         if out.status == LPStatus.UNBOUNDED:
             raise ExchangeError(
                 "restricted dual infeasible: the primal is unbounded above on the working cut set"
             )
-        elastic = out.status == LPStatus.INFEASIBLE  # on every cut: the Farkas vector says so
-        if elastic:
-            elastic_master, out, (_, work) = _generate(
-                table, cuts.h, rhs, equality, (every_row, work), defects, elastic_master
-            )
-            if out.status != LPStatus.OPTIMAL:
-                raise ExchangeError(
-                    "restricted dual infeasible even with capped multipliers: "
-                    "the primal is unbounded above on the working cut set"
-                )
-        measure = None if elastic else _atoms(cuts.points[work], cuts.box_index[work], out.x)
+        if out.status == LPStatus.INFEASIBLE:  # on every cut: the Farkas vector says so
+            ray = out.duals / -np.max(np.abs(out.duals))
+            return -math.inf, DualPoint(_clip_duals(ray, M), ray[M:], ray=True), None, 0.0
+        measure = _atoms(cuts.points[work], cuts.box_index[work], out.x)
         dual = DualPoint(y=tuple(_clip_duals(out.duals, M)), z=tuple(out.duals[M:]))
         return float(out.value), dual, measure, 0.0
 
     converged, history = _exchange(
         mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
     )
-    last = history[-1]
-    recovering = last.measure is None  # the last master needed elastic recovery
-    status = "not_converged" if not converged else "dual_unbounded" if recovering else "converged"
+    last, ray = history[-1], history[-1].dual.ray
+    status = "not_converged" if not converged else "dual_unbounded" if ray else "converged"
     return ExchangeResult(
         status=status,
-        value=None if status == "dual_unbounded" else last.value,
+        value=None if ray else last.value,
         dual=last.dual, cuts=cuts,
         iterations=len(history), history=history, final_slack=last.slack,
     )
@@ -999,7 +998,9 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     column and price the grid in (see ``exchange_solve``), so the first
     master is the very solve of ``solve_grid_primal``: the primal value and
     atoms are read from it, and the primal is infeasible exactly when that
-    master needed elastic recovery.  Later masters only add columns, so the
+    master is.  Then the report's dual is the exchange's last ray
+    (``DualPoint.ray``), a note says so, and ``max_dual_violation`` is the
+    ray's own, with no h term.  Later masters only add columns, so the
     dual value dominates the primal; WeakDualityError is raised if a
     converged dual still lands more than 1e-8 * (1 + |dual|) below it, which
     only a solver bug can cause.  A grid primal that is unbounded above
@@ -1027,6 +1028,11 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     max_violation = None
     if ex.dual is not None:
         max_violation = _verification_scan(mp, ex.dual, config)
+        if ex.dual.ray:
+            notes.append(
+                "the dual is a ray (a.y + b.z < 0 and Σ y φ + Σ z ψ >= 0 on the scan "
+                "mesh): the dual is unbounded below, and its max violation drops h"
+            )
 
     gap = None
     if primal_value is not None and ex.value is not None:

@@ -40,6 +40,17 @@ class TestExitCodes:
         assert run_cli(["solve", fixture("contradictory.json")]) == 3
         assert "primal_infeasible" in capsys.readouterr().out
 
+    def test_infeasible_report_carries_the_ray(self, tmp_path, capsys):
+        # the dual was capped multipliers, z = (1e8, -99999999); it is now the
+        # unit Farkas ray, whose violation on the mesh drops h
+        path = tmp_path / "report.json"
+        assert run_cli(["solve", fixture("contradictory.json"), "--report", str(path)]) == 3
+        doc = load_report(path)
+        assert doc["dual"] == {"y": [], "z": [1.0, -1.0]}
+        assert doc["max_dual_violation"] == 0.0 and doc["iterations"] == 1
+        assert any(note.startswith("the dual is a ray") for note in doc["notes"])
+        assert "note: the dual is a ray" in capsys.readouterr().out
+
     def test_barely_infeasible_exits_3(self, capsys):
         # mean 1 + 1e-4 on [0, 1]: the phase-1 verdict on the Slater margin
         # LP, scaled by its t <= 1e6 row, once stopped both commands with exit 2
@@ -364,6 +375,16 @@ class TestSolverBlock:
         assert "collocation dual (64 per axis)" in capsys.readouterr().out
 
 
+MOMENT_BYTES = (
+    "grid of 100000000 points needs 3200000000 bytes, over the limit 1073741824; "
+    "lower the grid resolution"
+)
+RANK_BYTES = (
+    "the equality rank table at x_resolution 1000000 and z_resolution 1000000 needs "
+    "8000000000000 bytes, over the limit 1073741824; lower the resolutions"
+)
+
+
 class TestInvalidSettings:
     """An out-of-range setting exits 4 before any solve, naming the key."""
 
@@ -446,16 +467,25 @@ class TestInvalidSettings:
             assert capsys.readouterr().err == f"input error: {message}\n"
         assert solvers == [[], []]
 
-    @pytest.mark.parametrize("argv", [
-        [
+    @pytest.mark.parametrize("argv, message", [
+        ([
             "option-bound", "--domain", "0", "4", "--forward", "1",
             "--payoff", "max(x1 - 1, 0)", "--direction", "sup", "--grid", "100000000",
-        ],
-        ["solve", fixture("oversize_moment_grid.json")],
+        ], MOMENT_BYTES),
+        (["solve", fixture("oversize_moment_grid.json")], MOMENT_BYTES),
+        # validate exited 0 on both files; slater and solve on the density
+        # file exited 1 with a traceback, allocating a 7.28 TiB rank table
+        (["validate", fixture("oversize_moment_grid.json")], MOMENT_BYTES),
+        *[([command, fixture("oversize_density_rank.json")], RANK_BYTES)
+          for command in ("validate", "slater", "solve")],
+    ], ids=[
+        "option-bound", "solve-moment", "validate-moment",
+        "validate-density", "slater-density", "solve-density",
     ])
-    def test_grid_over_the_byte_limit(self, capsys, argv):
+    def test_grid_over_the_byte_limit(self, capsys, argv, message):
         # 10^8 points pass the point limit, but their table of two moments
-        # and h would take 3.2 GB: the grid is rejected before it is built
+        # and h would take 3.2 GB: the grid is rejected before it is built,
+        # as is the density Slater check's 8 TB equality rank table
         tracemalloc.start()
         try:
             code = run_cli(argv)
@@ -463,8 +493,21 @@ class TestInvalidSettings:
         finally:
             tracemalloc.stop()
         assert code == 4 and peak < 50e6
-        message = "grid of 100000000 points needs 3200000000 bytes, over the limit 1073741824"
-        assert capsys.readouterr().err == f"input error: {message}; lower the grid resolution\n"
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_verification_scan_over_the_byte_limit(self, tmp_path, monkeypatch, capsys):
+        # 10^7 scan points fit, but not the verification scan's 4 x 10^7;
+        # validate exited 0
+        calls = spy(monkeypatch, "duality_report")
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", scan_resolution=10**7)
+        message = (
+            "the verification scan's grid of 40000000 points needs 1280000000 bytes, "
+            "over the limit 1073741824; lower the grid resolution"
+        )
+        for command in ("validate", "solve"):
+            assert run_cli([command, path]) == 4
+            assert capsys.readouterr().err == f"input error: {message}\n"
+        assert calls == []
 
     @pytest.mark.parametrize("name, key, value, grid, points", [
         # validate exited 0, and solve exited 4 after the exchange naming no key

@@ -533,6 +533,20 @@ class TestDensitySlater:
         assert peak < 150e6
         assert rows and max(rows) <= 300
 
+    def test_rank_table_over_the_byte_limit(self):
+        # 10^6 equality rows by 10^6 cells: 8 TB, rejected before any row is
+        # valued; the file's own solver block, which load_problem rejects, is dropped
+        doc = json.loads((FIXTURES / "oversize_density_rank.json").read_text())
+        pb = problem_from_document({k: v for k, v in doc.items() if k != "solver"}).problem
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="needs 8000000000000 bytes"):
+                check_lp_slater(pb, x_resolution=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
+
     def test_resolution_below_two_rejected(self):
         for kwargs in (dict(x_resolution=1), dict(x_resolution=8, y_resolution=1)):
             with pytest.raises(ValueError, match="resolution must be >= 2"):

@@ -577,6 +577,64 @@ def stacked_rows(mp, box_index, points):
     return np.vstack([evaluate_many(fn.pieces[box_index], points) for fn in fns])
 
 
+def mesh_ray_slack(mp, dual, count: int = 10**5) -> float:
+    """Least Σ y φ + Σ z ψ of a ray over ``count`` points of every 1-D box, with no h term.
+
+    Each function is valued by ``evaluate_many`` on its own, not through
+    ``moment._box_table``.
+    """
+    worst = np.inf
+    for i, box in enumerate(mp.domain.boxes):
+        points = np.linspace(box.lower[0], box.upper[0], count)[:, None]
+        total = np.zeros(count)
+        for weight, (fn, _) in zip(dual.y + dual.z, mp.inequalities + mp.equalities):
+            total += weight * evaluate_many(fn.pieces[i], points)
+        worst = min(worst, float(total.min()))
+    return worst
+
+
+class TestFarkasRay:
+    """An infeasible exchange master hands the oracle its Farkas vector as a dual ray."""
+
+    @pytest.mark.parametrize("make", [
+        contradictory_problem, lambda: load_problem(FIXTURES / "barely_infeasible.json").problem,
+    ])
+    def test_ray_is_a_certificate(self, make):
+        mp, tol = make(), SolverConfig.tol
+        res = exchange_solve(mp, tol=tol)
+        assert res.status == "dual_unbounded" and res.value is None
+        ray = res.dual
+        assert ray.ray and res.history[-1].value == -np.inf
+        assert max(abs(v) for v in ray.y + ray.z) == 1.0
+        assert all(v >= 0.0 for v in ray.y)
+        assert ray.value(mp) < 0.0
+        assert mesh_ray_slack(mp, ray) >= -10.0 * tol
+
+    def test_one_master_through_infeasible_iterations(self, monkeypatch):
+        # test_recovery_from_infeasible_master's instance: its first masters
+        # are infeasible, and their rays cut until one is feasible
+        mp = interval_problem(
+            0.0, 4.0,
+            "max(x1 - 2, 0)",
+            equalities=(("1", 1.0), ("x1", 1.0), ("max(x1 - 1, 0)", 0.4)),
+        )
+        calls, real = [], moment._generate
+
+        def spy(*args, fixed=None, master=None):
+            result = real(*args, fixed=fixed, master=master)
+            calls.append((fixed, master, result[0]))
+            return result
+
+        monkeypatch.setattr(moment, "_generate", spy)
+        res = exchange_solve(mp, tol=1e-6, scan_resolution=513)
+        assert res.status == "converged"
+        assert any(rec.dual.ray for rec in res.history) and not res.history[-1].dual.ray
+        assert len(calls) == res.iterations
+        assert all(fixed is None for fixed, _, _ in calls)
+        assert calls[0][1] is None
+        assert all(now[1] is before[2] for before, now in zip(calls, calls[1:]))
+
+
 class TestBoxTable:
     """A box's pieces valued by one shared program equal them valued one by one."""
 
