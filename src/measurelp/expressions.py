@@ -21,8 +21,11 @@ computed once, and values them all at a batch of points in one pass.
 ``evaluate_many`` is its one-row case and ``evaluate`` one point of that.
 ``moment`` values all of a box's functions with one program per box, and
 ``density`` each expression with its own; both run them through
-``_problem_table``, one cache of the last problem's programs, which
-rejects a non-finite value naming the box or expression.
+``_problem_table``, which rejects a non-finite value naming the box or
+expression.  The programs live in ``_problem_cache``, one cache of what is
+built from the last problem valued, emptied when another is valued; it also
+holds ``moment``'s exchange scan mesh and seed cuts, which both exchange
+loops of a problem share.
 """
 
 from __future__ import annotations
@@ -604,24 +607,36 @@ class _Program:
                 raise DomainError("evaluation produced NaN", format_node(self.roots[row]))
 
 
-# the programs compiled for the last problem valued: (problem, {key: program})
+# what is kept for the last problem valued: (problem, {key: entry}); an int
+# key holds a compiled program, a tuple key a caller's read-only arrays
 _PROGRAMS: tuple = (None, {})
+
+
+def _problem_cache(problem) -> dict:
+    """The cache of ``problem``, emptied first if another problem was valued last.
+
+    A solve and its checks value one problem many times, so what they build
+    from it alone is kept while it is the last problem valued.  A problem is
+    frozen and held here, so its identity and its expressions' are safe
+    keys, and the problems a caller keeps hold nothing.
+    """
+    global _PROGRAMS
+    cached, entries = _PROGRAMS
+    if cached is not problem:
+        entries = {}
+        _PROGRAMS = (problem, entries)
+    return entries
 
 
 def _problem_table(problem, key, exprs: Callable, points, where: str) -> np.ndarray:
     """The table of ``exprs()`` at ``points``, run on ``problem``'s program under ``key``.
 
-    The program is compiled on first use and kept while ``problem`` is the
-    last problem valued, as a solve and its checks value one problem many
-    times.  A problem is frozen and held here, so its identity and its
-    expressions' are safe keys, and the problems a caller keeps hold no
-    programs.  A non-finite value raises ValueError naming ``where``.
+    The program is compiled on first use and kept in ``_problem_cache``
+    under the int ``key`` (a box index, or an expression's ``id``); the
+    tuple keys there are the callers' own, such as ``moment``'s scan mesh
+    and seed cuts.  A non-finite value raises ValueError naming ``where``.
     """
-    global _PROGRAMS
-    cached, programs = _PROGRAMS
-    if cached is not problem:
-        programs = {}
-        _PROGRAMS = (problem, programs)
+    programs = _problem_cache(problem)
     program = programs.get(key)
     if program is None:
         program = programs[key] = _Program(exprs())

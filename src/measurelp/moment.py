@@ -12,7 +12,9 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
   pointwise constraint is handled by an exchange method: solve a master LP
   over a working set of points, scan the boxes for the worst violation,
   zoom in on it, add it as a cut, repeat.  The dual Slater check runs the
-  same loop with a different master LP.
+  same loop with a different master LP, on the same scan mesh and corner
+  and center cuts: both are built once per problem and kept, read-only,
+  in the per-problem cache of ``expressions`` (``_kept``).
 
 The working cuts live in a ``CutSet``: one array per field (box index,
 point, the (phi, psi) row, h), which the master LPs read directly.  The
@@ -50,6 +52,7 @@ from .expressions import (
     Expression,
     Literal,
     Variable,
+    _problem_cache,
     _problem_table,
     evaluate,
     free_variables,
@@ -285,6 +288,23 @@ def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndar
     )
 
 
+def _kept(mp: MomentProblem, key: tuple, build) -> tuple:
+    """``build()``'s arrays, made read-only and kept under ``key`` in ``mp``'s cache.
+
+    They are built once while ``mp`` is the last problem valued (see
+    ``expressions._problem_cache``), so both exchange loops of a problem
+    share them; read-only, no caller can change them under the next one.
+    """
+    cache = _problem_cache(mp)
+    arrays = cache.get(key)
+    if arrays is None:
+        arrays = build()
+        for a in arrays:
+            a.setflags(write=False)
+        cache[key] = arrays
+    return arrays
+
+
 def _slack(yz: np.ndarray, table: np.ndarray, ray: bool = False) -> np.ndarray:
     """Σ y φ + Σ z ψ - h at every column of a ``_box_table``; a ray's drops h."""
     return yz @ table[:-1] if ray else yz @ table[:-1] - table[-1]
@@ -505,12 +525,22 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
 
     Points are valued box by box with ``_box_table``.  Extra points already
     among the corners and centers, and repeats, are dropped: the first
-    occurrence wins and the given order is kept.
+    occurrence wins and the given order is kept.  With no extra cuts the
+    arrays are ``_kept``'s, built once per problem for both exchange loops:
+    the CutSet's store starts as them, so its first append copies them.
     """
+    extra = list(extra_cuts)
+    if extra:
+        return CutSet(mp.n_ineq, *_seed_arrays(mp, extra))
+    return CutSet(mp.n_ineq, *_kept(mp, ("seeds",), lambda: _seed_arrays(mp, [])))
+
+
+def _seed_arrays(mp: MomentProblem, extra: list) -> tuple:
+    """``_seed_cuts``'s (box_index, points, rows, h)."""
     seeds = [
         (i, p) for i, box in enumerate(mp.domain.boxes) for p in box.corners() + [box.center()]
     ]
-    seeds += list(extra_cuts)
+    seeds += extra
     box_idx = np.array([i for i, _ in seeds], dtype=int)
     points = np.array([p for _, p in seeds], dtype=float).reshape(len(seeds), mp.domain.dim)
     lower = np.array([b.lower for b in mp.domain.boxes])[box_idx]
@@ -534,7 +564,7 @@ def _seed_cuts(mp: MomentProblem, extra_cuts=()) -> CutSet:
     for i in np.unique(box_idx):
         sel = np.flatnonzero(box_idx == i)
         table[:, sel] = _box_table(mp, int(i), points[sel])
-    return CutSet(mp.n_ineq, box_idx, points, table[:-1].T, table[-1])
+    return box_idx, points, table[:-1].T, table[-1]
 
 
 def restricted_dual_lp(
@@ -594,20 +624,22 @@ def _scan_axes(dim: int, scan_resolution) -> list[int]:
 
 
 class _ScanOracle:
-    """Separation oracle: a scan of the cached grid of every box, then a zoom on the argmin.
+    """Separation oracle: a scan of a grid of every box, then a zoom on the argmin.
 
-    The grid is ``_grid``'s, valued once for every exchange iteration; a
-    scan is one argmin of the slack over its table, in box order, so of
-    equal slacks (on a shared face, say) the lower box wins.  The zoom
-    scores points with the scan's slack formula, on ``_box_table`` columns,
-    so the column it returns is the cut.
+    ``mesh`` is ``_grid(mp, res)``, valued before the first ``find``: the
+    exchange loops pass the one ``_kept`` per problem at their scan
+    resolution, so ``exchange_solve`` and ``check_dual_slater`` share it,
+    while ``separation_oracle`` builds its own.  A scan is one argmin of
+    the slack over its table, in box order, so of equal slacks (on a shared
+    face, say) the lower box wins.  The zoom scores points with the scan's
+    slack formula, on ``_box_table`` columns, so the column it returns is
+    the cut.
     """
 
-    def __init__(self, mp: MomentProblem, scan_resolution, refine_steps: int):
+    def __init__(self, mp: MomentProblem, res: list[int], refine_steps: int, mesh: tuple):
         self.mp = mp
         self.refine_steps = refine_steps
-        res = _scan_axes(mp.domain.dim, scan_resolution)
-        self.points, self.box_idx, self.table = _grid(mp, res)
+        self.points, self.box_idx, self.table = mesh
         self.steps = [  # per box: scan step per axis
             [(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, res)]
             for box in mp.domain.boxes
@@ -667,7 +699,8 @@ def separation_oracle(
     worse than the scan argmin.  slack < 0 means the dual point is
     infeasible at that point.
     """
-    return _ScanOracle(mp, scan_resolution, refine_steps).find(dual)
+    res = _scan_axes(mp.domain.dim, scan_resolution)
+    return _ScanOracle(mp, res, refine_steps, _grid(mp, res)).find(dual)
 
 
 @dataclass
@@ -688,7 +721,9 @@ class ExchangeResult:
 
     ``cuts`` is the final working set as a CutSet: the corner and center
     cuts and the seeded ones, or a GridPrimal's columns in grid order, then
-    one cut per iteration that did not stop the loop.
+    one cut per iteration that did not stop the loop.  Until a cut is
+    appended its arrays are those it started from: the corner and center
+    cuts alone are the problem's kept read-only arrays (see ``_kept``).
     Each ``history`` record holds its master's primal measure (None where
     the master was infeasible): a feasible measure, so a lower bound.
     ``value`` is None whenever the last dual is a ray, "dual_unbounded" or
@@ -712,9 +747,12 @@ def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     returns (value, dual point, primal measure or None, target); the loop
     stops once the oracle's worst slack is >= target - tol, else appends
     that point's cut.  Returns (converged, one IterationRecord per
-    iteration).
+    iteration).  The oracle's scan mesh is ``_kept`` per problem and
+    resolution, so the two loops on one problem build it once.
     """
-    oracle = _ScanOracle(mp, scan_resolution, refine_steps)
+    res = _scan_axes(mp.domain.dim, scan_resolution)
+    mesh = _kept(mp, ("scan", *res), lambda: _grid(mp, res))
+    oracle = _ScanOracle(mp, res, refine_steps, mesh)
     history: list[IterationRecord] = []
     for _ in range(max(1, int(max_iters))):
         value, dual, measure, target = master(cuts)
@@ -869,7 +907,9 @@ def check_dual_slater(
     ``refine_steps``, which is 40.  Margin > 0 certifies the
     strict-positivity hypothesis on the mesh.  Whenever a constraint can
     lift the slack uniformly (any problem with a total-mass constraint), the
-    margin is unbounded and reports the cap.
+    margin is unbounded and reports the cap.  Its seed cuts and scan mesh
+    are ``exchange_solve``'s, built once while ``mp`` is the last problem
+    valued (see ``_kept``), so the two loops on one problem value them once.
 
     A tiny penalty on the multiplier norm breaks the master's degeneracy:
     once t sits at the cap every feasible (y, z) is optimal, and without
@@ -997,22 +1037,32 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     The grid primal is the exchange's cut set, and its masters start from no
     column and price the grid in (see ``exchange_solve``), so the first
     master is the very solve of ``solve_grid_primal``: the primal value and
-    atoms are read from it, and the primal is infeasible exactly when that
-    master is.  Then the report's dual is the exchange's last ray
-    (``DualPoint.ray``), a note says so, and ``max_dual_violation`` is the
-    ray's own, with no h term.  Later masters only add columns, so the
-    dual value dominates the primal; WeakDualityError is raised if a
-    converged dual still lands more than 1e-8 * (1 + |dual|) below it, which
-    only a solver bug can cause.  A grid primal that is unbounded above
-    makes the exchange raise ExchangeError.
+    atoms are read from it.  Where that master is infeasible, a later one
+    that took oracle cuts in may not be, and every master's measure is
+    feasible: the primal value and atoms are then the last such measure's,
+    and a note says that the grid primal was infeasible.  The primal is
+    infeasible only when the exchange ends "dual_unbounded", on a ray
+    (``DualPoint.ray``) that no mesh point cuts off; the report's dual is
+    that ray, a note says so, and ``max_dual_violation`` is the ray's own,
+    with no h term.  Later masters only add columns, so the dual value
+    dominates the primal; WeakDualityError is raised if a converged dual
+    still lands more than 1e-8 * (1 + |dual|) below it, which only a solver
+    bug can cause.  A grid primal that is unbounded above makes the
+    exchange raise ExchangeError.
     """
     config = config or SolverConfig()
     notes: list[str] = []
 
     grid = assemble_grid_primal(mp, config.grid_resolution)
     ex = exchange_solve(mp, extra_cuts=grid, **_exchange_options(config))
-    first = ex.history[0]
-    primal_value = None if first.measure is None else first.value
+    lower = ex.history[0]  # the grid primal's solve
+    if lower.measure is None and ex.status != "dual_unbounded":
+        lower = next((r for r in reversed(ex.history) if r.measure is not None), lower)
+        notes.append(
+            f"the grid primal is infeasible at grid resolution {config.grid_resolution}: "
+            "the primal value, if any, is the last feasible exchange master's"
+        )
+    primal_value = None if lower.measure is None else lower.value
     primal_slater = check_primal_slater(mp, config.slater_resolution)
     dual_slater = check_dual_slater(mp, **_exchange_options(config))
 
@@ -1042,10 +1092,8 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
                 f"weak duality violated: primal {primal_value!r} > dual {ex.value!r}"
             )
 
-    if primal_value is None:
+    if ex.status == "dual_unbounded":  # a ray that certifies the primal infeasible
         status = ReportStatus.PRIMAL_INFEASIBLE
-    elif ex.status == "dual_unbounded":
-        status = ReportStatus.DUAL_UNBOUNDED
     elif ex.status == "not_converged":
         status = ReportStatus.NOT_CONVERGED
     elif gap is not None and gap <= config.gap_rtol * (1.0 + abs(ex.value)):
@@ -1060,7 +1108,7 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
         gap=gap,
         max_dual_violation=max_violation,
         iterations=ex.iterations,
-        atoms=first.measure,
+        atoms=lower.measure,
         dual=ex.dual,
         primal_slater=primal_slater,
         dual_slater=dual_slater,

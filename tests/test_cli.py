@@ -51,6 +51,18 @@ class TestExitCodes:
         assert any(note.startswith("the dual is a ray") for note in doc["notes"])
         assert "note: the dual is a ray" in capsys.readouterr().out
 
+    def test_infeasible_grid_with_a_feasible_exchange(self, tmp_path, capsys):
+        # the grid primal at 2 points per axis is infeasible, the problem is not
+        path = tmp_path / "report.json"
+        assert run_cli(["solve", fixture("coarse_grid_feasible.json"), "--report", str(path)]) == 0
+        doc = load_report(path)
+        assert doc["status"] == "strong_duality_numerically"
+        assert abs(doc["primal_value"] - 1.0) <= 1e-9
+        assert "note: the grid primal is infeasible" in capsys.readouterr().out
+        argv = ["solve", fixture("coarse_grid_feasible.json"), "--max-iters", "1"]
+        assert run_cli(argv) == 2
+        assert "status: not_converged" in capsys.readouterr().out
+
     def test_barely_infeasible_exits_3(self, capsys):
         # mean 1 + 1e-4 on [0, 1]: the phase-1 verdict on the Slater margin
         # LP, scaled by its t <= 1e6 row, once stopped both commands with exit 2

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -28,6 +30,7 @@ from measurelp import (
     parse_expression,
     solve_grid_primal,
 )
+import measurelp.expressions as expressions
 import measurelp.moment as moment
 import measurelp.simplex as simplex
 from measurelp.expressions import _Program
@@ -683,6 +686,108 @@ class TestBoxTable:
             assert sorted(key for key in compiled if len(key) > 1) == sorted(boxes)
 
 
+def grid_calls(monkeypatch) -> list:
+    """The resolution of every ``moment._grid`` call from now on, with the cache emptied."""
+    calls, real = [], moment._grid
+
+    def counted(mp, resolution):
+        calls.append(resolution)
+        return real(mp, resolution)
+
+    monkeypatch.setattr(moment, "_grid", counted)
+    monkeypatch.setattr(expressions, "_PROGRAMS", (None, {}))
+    return calls
+
+
+def cut_arrays(cuts):
+    return cuts.box_index, cuts.points, cuts.rows, cuts.h
+
+
+def loop_cases():
+    """(problem, exchange options): ``tests/problems.py``'s instances, then the moment fixtures."""
+    rng = np.random.default_rng(11)
+    made = [cauchy_schwarz_problem(), piecewise_problem(), contradictory_problem()]
+    made += [random_moment_problem(rng)[0] for _ in range(4)]
+    cases = [(mp, {"scan_resolution": 257}) for mp in made]
+    for name in (
+        "cauchy_schwarz.json", "piecewise.json", "contradictory.json",
+        "barely_infeasible.json", "coarse_grid_feasible.json", "moment_square_2d.json",
+    ):
+        loaded = load_problem(FIXTURES / name)
+        cases.append((loaded.problem, moment._exchange_options(loaded.config)))
+    return cases
+
+
+class TestSharedScanMesh:
+    """Both exchange loops of a problem share one scan mesh and one seed table."""
+
+    def test_both_loops_build_one_mesh_and_one_seed_table(self, monkeypatch):
+        mp = cauchy_schwarz_problem()
+        calls = grid_calls(monkeypatch)
+        seeds, real = [], moment._seed_arrays
+        monkeypatch.setattr(moment, "_seed_arrays", lambda *a: seeds.append(1) or real(*a))
+        res = exchange_solve(mp, scan_resolution=257)
+        slater = check_dual_slater(mp, scan_resolution=257)
+        assert res.iterations > 1 and slater.iterations > 1
+        assert calls == [[257]] and len(seeds) == 1
+
+    def test_duality_report_builds_four_grids(self, monkeypatch):
+        # grid primal, scan mesh, primal Slater grid and verification mesh:
+        # check_dual_slater reads the exchange's scan mesh
+        calls = grid_calls(monkeypatch)
+        duality_report(cauchy_schwarz_problem(), FAST)
+        assert calls == [257, [257], 65, [4 * 257]]
+
+    def test_another_problem_empties_the_cache(self, monkeypatch):
+        first, other = cauchy_schwarz_problem(), piecewise_problem()
+        calls = grid_calls(monkeypatch)
+        exchange_solve(first, scan_resolution=257)
+        exchange_solve(other, scan_resolution=257)
+        check_dual_slater(first, scan_resolution=257)
+        assert calls == [[257]] * 3
+        check_dual_slater(other, scan_resolution=257)
+        assert len(calls) == 4 and expressions._PROGRAMS[0] is other
+        gone = weakref.ref(first)
+        del first
+        gc.collect()
+        assert gone() is None
+
+    @pytest.mark.parametrize("case", range(len(loop_cases())))
+    def test_cold_runs_equal_warm_runs(self, monkeypatch, case):
+        mp, options = loop_cases()[case]
+
+        def cold(fn):
+            monkeypatch.setattr(expressions, "_PROGRAMS", (None, {}))
+            return fn(mp, **options)
+
+        runs = [(cold(exchange_solve), cold(check_dual_slater))]
+        monkeypatch.setattr(expressions, "_PROGRAMS", (None, {}))
+        for _ in range(2):  # the first pair fills the cache, the second reads it only
+            runs.append((exchange_solve(mp, **options), check_dual_slater(mp, **options)))
+        for ex, slater in runs[1:]:
+            assert repr(ex) == repr(runs[0][0]) and repr(slater) == repr(runs[0][1])
+            for got, want in zip(cut_arrays(ex.cuts), cut_arrays(runs[0][0].cuts)):
+                assert np.array_equal(got, want)
+
+    def test_cut_store_of_a_loop_with_no_cut_is_read_only(self):
+        mp = interval_problem(0.0, 1.0, "0", equalities=(("1", 1.0),))
+        res = exchange_solve(mp, scan_resolution=64)
+        assert res.status == "converged" and res.iterations == 1
+        for array in cut_arrays(res.cuts):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 5.0
+        assert exchange_solve(mp, scan_resolution=64).cuts == res.cuts
+
+    def test_a_loop_that_appends_writes_its_own_copy(self):
+        mp = cauchy_schwarz_problem()
+        res = exchange_solve(mp, scan_resolution=257)
+        assert res.iterations > 1
+        res.cuts.rows[0] = 5.0
+        again = exchange_solve(mp, scan_resolution=257).cuts
+        assert not np.array_equal(again.rows, res.cuts.rows)
+        assert np.array_equal(again.rows[1:], res.cuts.rows[1:])
+
+
 class TestSlaterChecks:
     def test_dual_margin_caps_with_mass_constraint(self):
         mp = interval_problem(0.0, 1.0, "0", equalities=(("1", 1.0),))
@@ -858,6 +963,24 @@ class TestDualityReport:
         )
         report = duality_report(cauchy_schwarz_problem(), config)
         assert report.status == ReportStatus.NOT_CONVERGED
+
+    @pytest.mark.parametrize("max_iters, status", [
+        (200, ReportStatus.STRONG_DUALITY), (1, ReportStatus.NOT_CONVERGED),
+    ])
+    def test_infeasible_grid_is_not_an_infeasible_primal(self, max_iters, status):
+        # at 2 points per axis the grid is {-2, 2}, where no measure has mean
+        # 0 and second moment 1; the exchange's later masters take in x = 1
+        loaded = load_problem(FIXTURES / "coarse_grid_feasible.json")
+        mp, config = loaded.problem, replace(loaded.config, max_iters=max_iters)
+        assert solve_grid_primal(mp, config.grid_resolution).status == LPStatus.INFEASIBLE
+        report = duality_report(mp, config)
+        assert report.status == status
+        assert report.notes[0].startswith("the grid primal is infeasible at grid resolution 2")
+        if max_iters == 1:
+            assert report.primal_value is None and report.atoms is None
+            return
+        assert abs(report.primal_value - 1.0) <= 1e-9 and report.gap == 0.0
+        assert_feasible_atoms(mp, report.atoms, report.primal_value)
 
     def test_missing_mass_bound_is_flagged(self):
         mp = interval_problem(1.0, 2.0, "x1", inequalities=(("x1 ^ 2", 1.0),))
