@@ -63,7 +63,6 @@ _STATUS_EXIT = {
     ReportStatus.NOT_CONVERGED: EXIT_NOT_CONVERGED,
     ReportStatus.PRIMAL_INFEASIBLE: EXIT_INFEASIBLE,
     ReportStatus.PRIMAL_UNBOUNDED: EXIT_INFEASIBLE,
-    ReportStatus.DUAL_UNBOUNDED: EXIT_INFEASIBLE,
 }
 
 _LP_EXIT = {
@@ -161,7 +160,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             f" [{report.iterations} iteration(s)]"
         )
         print(f"gap (dual - primal): {_fmt(report.gap)}")
-        print(f"max dual violation on verification mesh: {_fmt(report.max_dual_violation)}")
+        print(f"max dual violation (verification): {_fmt(report.max_dual_violation)}")
         document = partial(moment_report_document, report, loaded.name, config, timings)
     else:
         report = collocation_report(loaded.problem, **config.report_options())

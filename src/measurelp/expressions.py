@@ -22,10 +22,12 @@ computed once, and values them all at a batch of points in one pass.
 ``moment`` values all of a box's functions with one program per box, and
 ``density`` each expression with its own; both run them through
 ``_problem_table``, which rejects a non-finite value naming the box or
-expression.  The programs live in ``_problem_cache``, one cache of what is
-built from the last problem valued, emptied when another is valued; it also
-holds ``moment``'s exchange scan mesh and seed cuts, which both exchange
-loops of a problem share.
+expression.  A program of one variable also has a second reading of the
+same steps, ``_Program.polynomial``: each row as a piecewise polynomial on
+an interval, where it is one.  The programs live in ``_problem_cache``, one
+cache of what is built from the last problem valued, emptied when another
+is valued; it also holds ``moment``'s exchange scan mesh, seed cuts and
+polynomial pieces, which both exchange loops of a problem share.
 """
 
 from __future__ import annotations
@@ -416,6 +418,19 @@ _UFUNCS = {
 _IN_PLACE = frozenset(("neg", "+", "-", "*", "min", "max", "abs"))
 # the ops that can fail on finite input; each failure gives a non-finite value
 _CHECKED = frozenset(("/", "^", "exp", "log", "sqrt"))
+_OPS = {ufunc: op for op, ufunc in _UFUNCS.items()}
+
+# the highest degree ``_Program.polynomial`` reads a row at
+MAX_POLYNOMIAL_DEGREE = 16
+# the most pieces it reads a register or a program as: each ``min``, ``max``
+# or ``abs`` can double them, so a short nest of ``abs`` could ask for 2^33
+MAX_POLYNOMIAL_PIECES = 1024
+_EPS = np.finfo(float).eps
+# ``_real_roots``: a coefficient this small against its row's largest is a
+# zero, and an eigenvalue this close to the real axis a real root
+_ROOT_TRIM = 1e-13
+_REAL_ROOT_IMAG = 1e-6
+_NO_BREAKS = np.zeros(0)
 
 
 class _Program:
@@ -606,6 +621,211 @@ class _Program:
                         raise DomainError(message, format_node(node))
                 raise DomainError("evaluation produced NaN", format_node(self.roots[row]))
 
+    def polynomial(self, lo: float, hi: float):
+        """Every row as a piecewise polynomial in ``t = (x - lo) / (hi - lo)``, or None.
+
+        A second reading of ``_steps`` for a program of one variable on
+        ``[lo, hi]``: a register holds breakpoints inside (0, 1), one array
+        of power coefficients in t per piece between them, and two floats,
+        its size (a bound on every term it sums, for t in [0, 1]) and the
+        rounding its coefficients carry, to first order.  ``+ - *`` and
+        negation act piece by piece, and ``^`` by an integer constant from
+        0 up repeats ``*``; ``min``, ``max`` and ``abs`` add the real roots
+        of the difference (of the operand, for ``abs``) as breakpoints and
+        keep, on each piece, the operand that wins at its midpoint.
+
+        Returns ``(breaks, coeffs, error)``: ``breaks`` every row's
+        breakpoints, sorted; ``coeffs`` of shape (rows, pieces, degree + 1),
+        with row r's coefficients on the piece from ``breaks[k - 1]`` to
+        ``breaks[k]`` (0 and 1 at the ends) in ``coeffs[r, k]``; and
+        ``error[r]`` a first-order bound on how far Horner's rule on row r's
+        coefficients may be from the row anywhere on ``[lo, hi]``.  None
+        for more than one variable, ``/``, ``exp``, ``log``, ``sqrt``, a
+        power that is not such an integer, a degree above
+        ``MAX_POLYNOMIAL_DEGREE``, or ``MAX_POLYNOMIAL_PIECES`` pieces or
+        more in a register or in all rows together.
+
+        The bound grows with the size of the terms that cancel: for
+        ``1 - (1000*(x1 - 0.7))^6`` on [0, 1] it is about 1.5e5, though the
+        row is near 1 at 0.7.  So the coefficients locate points (a minimum, say),
+        ``run`` values them, and a caller checks ``error`` before trusting
+        a value read from them.
+        """
+        if self.arity != 1:
+            return None
+        regs: list = [None if c is None else _constant(c) for c in self._constants]
+        size = abs(lo) + abs(hi - lo)
+        for reg, _ in self._slots:
+            regs[reg] = _NO_BREAKS, np.array([[lo, hi - lo]]), size, _EPS * size
+        rows: list = [None] * len(self.roots)
+        for ufunc, a, b, reg, _, _, _, stored, _ in self._steps:
+            value = _polynomial_step(_OPS[ufunc], regs[a], regs[b] if b >= 0 else None)
+            if value is None or len(value[0]) >= MAX_POLYNOMIAL_PIECES:
+                return None
+            regs[reg] = value
+            for row in stored:
+                rows[row] = value
+        for row, r in self._leaf_rows:
+            rows[row] = regs[r]
+        breaks = np.unique(np.concatenate([r[0] for r in rows]))
+        if len(breaks) >= MAX_POLYNOMIAL_PIECES:
+            return None
+        width = max(r[1].shape[1] for r in rows)
+        left = np.concatenate([[0.0], breaks])
+        return (
+            breaks,
+            np.stack([_padded(c, width)[np.searchsorted(b, left, "right")] for b, c, *_ in rows]),
+            np.array([r[3] for r in rows]),
+        )
+
+
+def _constant(value) -> tuple:
+    return _NO_BREAKS, np.array([[float(value)]]), abs(float(value)), 0.0
+
+
+def _padded(coeffs: np.ndarray, width: int) -> np.ndarray:
+    """``coeffs`` with zero columns appended up to ``width``."""
+    extra = width - coeffs.shape[1]
+    return np.concatenate([coeffs, np.zeros((len(coeffs), extra))], axis=1) if extra else coeffs
+
+
+def _aligned(a: tuple, b: tuple) -> tuple:
+    """(breaks, a's pieces, b's pieces) on the union of two registers' breakpoints."""
+    (ba, ca, *_), (bb, cb, *_) = a, b
+    if ba is bb or not (len(ba) or len(bb)):
+        return ba, ca, cb
+    breaks = np.union1d(ba, bb)
+    left = np.concatenate([[0.0], breaks])
+    return breaks, ca[np.searchsorted(ba, left, "right")], cb[np.searchsorted(bb, left, "right")]
+
+
+def _times(ca: np.ndarray, cb: np.ndarray) -> np.ndarray:
+    """The product of two polynomials on each piece: (pieces, wa + wb - 1)."""
+    if ca.shape[1] == 1 or cb.shape[1] == 1:  # a constant on each piece
+        return ca * cb
+    if len(ca) == 1:
+        return np.convolve(ca[0], cb[0])[None]
+    out = np.zeros((len(ca), ca.shape[1] + cb.shape[1] - 1))
+    for i in range(ca.shape[1]):
+        out[:, i:i + cb.shape[1]] += ca[:, i:i + 1] * cb
+    return out
+
+
+def _product(ca, sa: float, ea: float, cb, sb: float, eb: float) -> tuple:
+    """(coeffs, size, error) of the product of two polynomials on the same pieces.
+
+    Each product coefficient sums at most min(wa, wb) rounded products.
+    """
+    terms = min(ca.shape[1], cb.shape[1])
+    return _times(ca, cb), sa * sb, ea * (sb + eb) + eb * sa + terms * _EPS * sa * sb
+
+
+def _horner(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Each row's power series at its own t, by Horner's rule."""
+    value = coeffs[:, -1]
+    for j in range(coeffs.shape[1] - 2, -1, -1):
+        value = value * t + coeffs[:, j]
+    return value
+
+
+def _polynomial_step(op: str, a: tuple, b: tuple | None):
+    """``_Program.polynomial``'s register for one step, or None."""
+    breaks, ca, sa, ea = a
+    if op == "neg":
+        return breaks, -ca, sa, ea
+    if op == "abs":
+        return _select("max", a, (breaks, -ca, sa, ea))
+    if op in ("min", "max"):
+        return _select(op, a, b)
+    if op == "^":
+        cb = b[1]
+        k = cb[0, 0] if cb.shape == (1, 1) else -1.0  # (1, 1): one constant piece
+        top = MAX_POLYNOMIAL_DEGREE
+        if not (0 <= k <= top and k == int(k) and (ca.shape[1] - 1) * k <= top):
+            return None
+        out = np.ones((len(ca), 1)), 1.0, 0.0
+        for _ in range(int(k)):
+            out = _product(*out, ca, sa, ea)
+        return (breaks,) + out
+    if op not in ("+", "-", "*"):
+        return None  # /, exp, log or sqrt
+    breaks, ca, cb = _aligned(a, b)
+    sb, eb = b[2], b[3]
+    if op == "*":
+        out = _product(ca, sa, ea, cb, sb, eb)
+        return (breaks,) + out if out[0].shape[1] - 1 <= MAX_POLYNOMIAL_DEGREE else None
+    out = np.zeros((len(ca), max(ca.shape[1], cb.shape[1])))
+    out[:, : ca.shape[1]] = ca
+    if op == "+":
+        out[:, : cb.shape[1]] += cb
+    else:
+        out[:, : cb.shape[1]] -= cb
+    return breaks, out, sa + sb, ea + eb + _EPS * (sa + sb)
+
+
+def _select(op: str, a: tuple, b: tuple) -> tuple:
+    """``min`` or ``max`` of two registers: new breakpoints where they cross.
+
+    ``min`` and ``max`` move no value by more than the larger of the
+    operands' errors; where a rounded breakpoint keeps the losing operand,
+    the two differ by no more than the rounding of their difference, so
+    that is added.
+    """
+    breaks, ca, cb = _aligned(a, b)
+    width = max(ca.shape[1], cb.shape[1])
+    ca, cb = _padded(ca, width), _padded(cb, width)
+    diff = ca - cb
+    left, right = np.concatenate([[0.0], breaks]), np.concatenate([breaks, [1.0]])
+    piece, roots = _real_roots(diff)
+    inside = (roots > left[piece]) & (roots < right[piece])
+    split = np.unique(np.concatenate([breaks, roots[inside]]))
+    left, right = np.concatenate([[0.0], split]), np.concatenate([split, [1.0]])
+    source = np.searchsorted(breaks, left, "right")  # the piece each new one lies in
+    lower = _horner(diff[source], (left + right) / 2.0) <= 0.0
+    take_a = lower if op == "min" else ~lower
+    (sa, ea), (sb, eb) = a[2:], b[2:]
+    error = max(ea, eb) + width * _EPS * (sa + sb)
+    return split, np.where(take_a[:, None], ca[source], cb[source]), max(sa, sb), error
+
+
+def _real_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, root)`` for every real root of every row's power series.
+
+    A row's degree is that of its last coefficient above ``_ROOT_TRIM``
+    times its largest, and a row of degree k gives the eigenvalues of its
+    k x k companion matrix, the rows of one degree in one batched
+    ``np.linalg.eigvals``; an eigenvalue within ``_REAL_ROOT_IMAG`` of the
+    real axis counts as a real root, by its real part.
+    """
+    n, width = coeffs.shape
+    rows, roots = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    if width < 2 or not n:
+        return rows[0], roots[0]
+    size = np.abs(coeffs)
+    live = size > _ROOT_TRIM * size.max(axis=1, keepdims=True)
+    if live[:, -1].all():  # every row of the full degree, the usual case
+        return _companion_roots(coeffs)
+    degree = np.where(live.any(axis=1), width - 1 - np.argmax(live[:, ::-1], axis=1), 0)
+    for k in sorted(set(degree.tolist()) - {0}):
+        sel = np.flatnonzero(degree == k)
+        r, found = _companion_roots(coeffs[sel, : k + 1])
+        rows.append(sel[r])
+        roots.append(found)
+    return np.concatenate(rows), np.concatenate(roots)
+
+
+def _companion_roots(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``_real_roots`` of rows whose last coefficients are all nonzero."""
+    n, k = coeffs.shape[0], coeffs.shape[1] - 1
+    if k == 1:
+        return np.arange(n), -coeffs[:, 0] / coeffs[:, 1]
+    companion = np.zeros((n, k, k))
+    companion[:, 1:, :-1] = np.eye(k - 1)
+    companion[:, :, -1] = coeffs[:, :k] / -coeffs[:, k:]
+    eig = np.linalg.eigvals(companion)
+    r, j = np.nonzero(np.abs(eig.imag) <= _REAL_ROOT_IMAG)
+    return r, eig.real[r, j]
+
 
 # what is kept for the last problem valued: (problem, {key: entry}); an int
 # key holds a compiled program, a tuple key a caller's read-only arrays
@@ -628,19 +848,26 @@ def _problem_cache(problem) -> dict:
     return entries
 
 
-def _problem_table(problem, key, exprs: Callable, points, where: str) -> np.ndarray:
-    """The table of ``exprs()`` at ``points``, run on ``problem``'s program under ``key``.
+def _problem_program(problem, key, exprs: Callable) -> _Program:
+    """``problem``'s program of ``exprs()`` under ``key``, compiled on first use.
 
-    The program is compiled on first use and kept in ``_problem_cache``
-    under the int ``key`` (a box index, or an expression's ``id``); the
-    tuple keys there are the callers' own, such as ``moment``'s scan mesh
-    and seed cuts.  A non-finite value raises ValueError naming ``where``.
+    It is kept in ``_problem_cache`` under the int ``key`` (a box index, or
+    an expression's ``id``); the tuple keys there are the callers' own, such
+    as ``moment``'s scan mesh, seed cuts and polynomial pieces.
     """
     programs = _problem_cache(problem)
     program = programs.get(key)
     if program is None:
         program = programs[key] = _Program(exprs())
-    table, finite = program.run(points)
+    return program
+
+
+def _problem_table(problem, key, exprs: Callable, points, where: str) -> np.ndarray:
+    """The table of ``exprs()`` at ``points``, run on ``_problem_program``'s program.
+
+    A non-finite value raises ValueError naming ``where``.
+    """
+    table, finite = _problem_program(problem, key, exprs).run(points)
     if not finite:
         raise ValueError(f"non-finite function value in {where}")
     return table

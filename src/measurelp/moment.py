@@ -10,11 +10,16 @@ domain, subject to  ∫ φ_s dF <= a_s  and  ∫ ψ_t dF = b_t.  Two routes:
 * dual: find multipliers (y >= 0, z) with  Σ y_s φ_s + Σ z_t ψ_t >= h
   pointwise; the value  a.y + b.z  bounds the supremum from above.  The
   pointwise constraint is handled by an exchange method: solve a master LP
-  over a working set of points, scan the boxes for the worst violation,
-  zoom in on it, add it as a cut, repeat.  The dual Slater check runs the
-  same loop with a different master LP, on the same scan mesh and corner
-  and center cuts: both are built once per problem and kept, read-only,
-  in the per-problem cache of ``expressions`` (``_kept``).
+  over a working set of points, find the worst violation, add it as a cut,
+  repeat.  On a 1-D box whose functions are piecewise polynomials the
+  worst violation is exact: the least slack over the box's ends, its
+  breakpoints and the real roots of the slack's derivative, while the
+  rounding of those pieces allows.  Other boxes are scanned on a mesh, and
+  the scan's argmin is zoomed in on.  The dual Slater check runs the same
+  loop with a different master LP, on the same polynomial pieces, scan
+  meshes and corner and center cuts: they are built
+  once per problem and kept, read-only, in the per-problem cache of
+  ``expressions`` (``_kept``).
 
 The working cuts live in a ``CutSet``: one array per field (box index,
 point, the (phi, psi) row, h), which the master LPs read directly.  The
@@ -43,7 +48,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -52,8 +57,11 @@ from .expressions import (
     Expression,
     Literal,
     Variable,
+    _horner,
     _problem_cache,
+    _problem_program,
     _problem_table,
+    _real_roots,
     evaluate,
     free_variables,
     substitute_variables,
@@ -76,7 +84,15 @@ class ExchangeError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Settings of ``duality_report``; an out-of-range one raises ValueError naming it."""
+    """Settings of ``duality_report``; an out-of-range one raises ValueError naming it.
+
+    ``scan_resolution``, ``refine_steps`` and ``verification_factor`` act
+    only on the boxes that are scanned: a 1-D box whose functions are
+    piecewise polynomials is separated exactly (see ``separation_oracle``),
+    with no mesh, zoom or verification grid, unless the rounding of its
+    pieces sends it to the scan.  They are accepted whatever the boxes,
+    since a problem may mix both kinds.
+    """
 
     grid_resolution: int | tuple[int, ...] = 1025
     tol: float = 1e-6
@@ -282,10 +298,12 @@ def _box_table(mp: MomentProblem, box_index: int, points: np.ndarray) -> np.ndar
     of the first failing row; a value that is infinite without one (an
     overflow in ``*``, say) raises ValueError naming the box.
     """
-    return _problem_table(
-        mp, box_index, lambda: tuple(fn.pieces[box_index] for fn in mp._functions()),
-        points, f"box {box_index}",
-    )
+    return _problem_table(mp, box_index, _box_functions(mp, box_index), points, f"box {box_index}")
+
+
+def _box_functions(mp: MomentProblem, box_index: int):
+    """The pieces of ``_box_table``'s rows in box ``box_index``, as the cache compiles them."""
+    return lambda: tuple(fn.pieces[box_index] for fn in mp._functions())
 
 
 def _kept(mp: MomentProblem, key: tuple, build) -> tuple:
@@ -320,9 +338,10 @@ def _slack(yz: np.ndarray, table: np.ndarray, ray: bool = False) -> np.ndarray:
 _GRID_BYTES = 2**30
 
 
-def _check_grid_bytes(mp: MomentProblem, resolution) -> None:
+def _check_grid_bytes(mp: MomentProblem, resolution, boxes=None) -> None:
     """Raise ValueError if ``_grid``'s points and table would take more than ``_GRID_BYTES``."""
-    count = sum(math.prod(_axis_counts(box.dim, resolution)) for box in mp.domain.boxes)
+    boxes = mp.domain.boxes if boxes is None else [mp.domain.boxes[i] for i in boxes]
+    count = sum(math.prod(_axis_counts(box.dim, resolution)) for box in boxes)
     need = 8 * count * (mp.n_ineq + mp.n_eq + 1 + mp.domain.dim)
     if need > _GRID_BYTES:
         raise ValueError(
@@ -331,18 +350,20 @@ def _check_grid_bytes(mp: MomentProblem, resolution) -> None:
         )
 
 
-def _grid(mp: MomentProblem, resolution):
+def _grid(mp: MomentProblem, resolution, boxes=None):
     """Every box's closed tensor grid, box by box: ``(points, box_idx, table)``.
 
     ``points`` is (G, dim), ``box_idx`` (G,) names each point's box, and
-    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side.  A
-    grid over ``_check_grid_bytes``'s limit raises ValueError before
-    anything is allocated.
+    ``table`` (M + N + 1, G) is the boxes' ``_box_table`` side by side;
+    ``boxes``, a sequence of box indices, limits it to those.  A grid over
+    ``_check_grid_bytes``'s limit raises ValueError before anything is
+    allocated.
     """
-    _check_grid_bytes(mp, resolution)
-    blocks = [grid_array(box, resolution) for box in mp.domain.boxes]
-    box_idx = np.concatenate([np.full(len(pts), i) for i, pts in enumerate(blocks)])
-    table = np.hstack([_box_table(mp, i, pts) for i, pts in enumerate(blocks)])
+    _check_grid_bytes(mp, resolution, boxes)
+    boxes = range(len(mp.domain.boxes)) if boxes is None else boxes
+    blocks = [grid_array(mp.domain.boxes[i], resolution) for i in boxes]
+    box_idx = np.concatenate([np.full(len(pts), i) for i, pts in zip(boxes, blocks)])
+    table = np.hstack([_box_table(mp, i, pts) for i, pts in zip(boxes, blocks)])
     return np.vstack(blocks), box_idx, table
 
 
@@ -623,23 +644,115 @@ def _scan_axes(dim: int, scan_resolution) -> list[int]:
     return _axis_counts(dim, scan_resolution)
 
 
-class _ScanOracle:
-    """Separation oracle: a scan of a grid of every box, then a zoom on the argmin.
+# a piece's slack is read from its power coefficients only while their
+# rounding (``expressions._Program.polynomial``'s error, weighted by the
+# multipliers) is bounded by this, a hundredth of the default tol; past it
+# (a steep power whose terms cancel where the slack is least, say) the box
+# is scanned for that dual
+EXACT_SLACK_ERROR = 1e-8
+_EPS = np.finfo(float).eps
 
-    ``mesh`` is ``_grid(mp, res)``, valued before the first ``find``: the
-    exchange loops pass the one ``_kept`` per problem at their scan
-    resolution, so ``exchange_solve`` and ``check_dual_slater`` share it,
-    while ``separation_oracle`` builds its own.  A scan is one argmin of
-    the slack over its table, in box order, so of equal slacks (on a shared
-    face, say) the lower box wins.  The zoom scores points with the scan's
-    slack formula, on ``_box_table`` columns, so the column it returns is
-    the cut.
+
+class _Exact(NamedTuple):
+    """The polynomial pieces of a problem's 1-D boxes, side by side (see ``_exact_pieces``).
+
+    Piece p lies in box ``box[p]`` from ``lower[p]`` to ``upper[p]`` in that
+    box's ``t = (x - lo) / (hi - lo)``, with ``lo[p]`` and ``hi[p]`` the box's
+    ends; ``coeffs[:, p]`` holds the power coefficients in t of every
+    ``_box_table`` row there, padded to one width.  ``error[:, i]`` bounds
+    each row's rounding on box i: its ``_Program.polynomial`` error plus
+    what a weighted sum of the rows and Horner's rule add, per unit of the
+    row's weight (0 on a box that is not exact).  ``fixed_x`` are every
+    exact box's ends and breakpoints, in boxes ``fixed_box``, with their
+    ``_box_table`` columns ``fixed_table``.
     """
 
-    def __init__(self, mp: MomentProblem, res: list[int], refine_steps: int, mesh: tuple):
+    exact: np.ndarray        # (B,) whether box i is read as polynomial pieces
+    box: np.ndarray          # (P,)
+    lower: np.ndarray        # (P,)
+    upper: np.ndarray        # (P,)
+    lo: np.ndarray           # (P,)
+    hi: np.ndarray           # (P,)
+    coeffs: np.ndarray       # (M + N + 1, P, W)
+    error: np.ndarray        # (M + N + 1, B)
+    fixed_box: np.ndarray    # (F,)
+    fixed_x: np.ndarray      # (F,)
+    fixed_table: np.ndarray  # (M + N + 1, F)
+
+
+def _exact_pieces(mp: MomentProblem) -> _Exact:
+    """``_Program.polynomial`` of every 1-D box's program, where it has one.
+
+    A box is exact when its program reads as piecewise polynomials (see
+    ``expressions._Program.polynomial``); a box of a problem in more than
+    one dimension never is.
+    """
+    boxes = mp.domain.boxes
+    exact = np.zeros(len(boxes), dtype=bool)
+    found = []
+    if mp.domain.dim == 1:
+        for i, box in enumerate(boxes):
+            lo, hi = box.lower[0], box.upper[0]
+            reading = _problem_program(mp, i, _box_functions(mp, i)).polynomial(lo, hi)
+            if reading is not None:
+                exact[i] = True
+                found.append((i, lo, hi) + reading)
+    # one row (box, t from, t to, box lower end, box upper end) per piece
+    spans = np.array([
+        (i, t0, t1, lo, hi)
+        for i, lo, hi, breaks, _, _ in found
+        for t0, t1 in zip(np.concatenate([[0.0], breaks]), np.concatenate([breaks, [1.0]]))
+    ]).reshape(-1, 5)
+    rows = mp.n_ineq + mp.n_eq + 1
+    coeffs = np.zeros((rows, len(spans), max((c.shape[2] for *_, c, _ in found), default=1)))
+    error = np.zeros((rows, len(boxes)))
+    fixed = [(np.zeros(0, dtype=int), np.zeros(0), np.zeros((rows, 0)))]
+    first = 0
+    for i, lo, hi, breaks, c, e in found:
+        coeffs[:, first:first + c.shape[1], : c.shape[2]] = c
+        first += c.shape[1]
+        # summing the rows and Horner's rule: a rounding of each term each
+        size = np.abs(c).sum(axis=2).max(axis=1)
+        error[:, i] = e + (rows + c.shape[2]) * _EPS * size
+        x = np.concatenate([[lo], np.clip(lo + (hi - lo) * breaks, lo, hi), [hi]])
+        fixed.append((np.full(len(x), i), x, _box_table(mp, i, x[:, None])))
+    fixed_box, fixed_x, fixed_table = (np.concatenate(a, axis=-1) for a in zip(*fixed))
+    return _Exact(
+        exact, spans[:, 0].astype(int), *spans[:, 1:].T, coeffs, error,
+        fixed_box, fixed_x, fixed_table,
+    )
+
+
+class _ScanOracle:
+    """Separation oracle: exact on polynomial 1-D boxes, a scan and a zoom on the rest.
+
+    On an exact box (``_exact_pieces``, ``_kept`` per problem) the slack is
+    a polynomial on each piece, so its minimum lies at an end of the box, a
+    breakpoint, or a real root of its derivative.  The roots of every piece
+    of every box come from one ``expressions._real_roots``, and the point
+    returned is valued with ``_box_table``, so its column is the cut and the
+    slack is computed from it.  Of equal slacks the lower box wins, then the
+    lower point.  An exact box is read so only while every piece's slack
+    coefficients carry at most ``EXACT_SLACK_ERROR`` of rounding at this
+    dual (see ``scanned``); within that bound Horner's rule ranks the
+    roots, and those within twice the bound of the least are valued.
+
+    The other boxes are scanned: ``mesh(i)`` returns box i's ``_grid(mp,
+    res, (i,))``, built only when box i is scanned; the exchange loops pass
+    one ``_kept`` per problem, box and scan resolution, so
+    ``exchange_solve`` and ``check_dual_slater`` share it, while
+    ``separation_oracle`` builds its own.  The scan takes each box's argmin
+    of the slack in box order, the lower box winning a tie, and zooms in on
+    the least; the zoom scores points with the scan's slack formula, on
+    ``_box_table`` columns, so the column it returns is the cut.
+    """
+
+    def __init__(self, mp: MomentProblem, res: list[int], refine_steps: int, mesh):
+        _check_grid_bytes(mp, res)  # any box may be scanned, so all must fit
         self.mp = mp
         self.refine_steps = refine_steps
-        self.points, self.box_idx, self.table = mesh
+        self.mesh = mesh
+        self.exact = _kept(mp, ("exact",), lambda: _exact_pieces(mp))
         self.steps = [  # per box: scan step per axis
             [(u - l) / (r - 1) for l, u, r in zip(box.lower, box.upper, res)]
             for box in mp.domain.boxes
@@ -647,13 +760,94 @@ class _ScanOracle:
 
     def find(self, dual: DualPoint) -> SeparationResult:
         yz = np.concatenate([dual.y, dual.z])
-        slack = _slack(yz, self.table, dual.ray)
-        g = int(np.argmin(slack))
-        box_index, point, column = int(self.box_idx[g]), self.points[g], self.table[:, g]
-        slack = float(slack[g])
-        if self.refine_steps > 0:
-            slack, point, column = self._zoom(yz, dual.ray, box_index, point, slack, column)
+        s, scan = self._read(yz, dual.ray)
+        found = []
+        if len(self.exact.box):
+            found.append(self._exact_min(yz, dual.ray, s, ~scan[self.exact.box]))
+        if scan.any():
+            found.append(self._scan(yz, dual.ray, np.flatnonzero(scan)))
+        slack, box_index, point, column = min(found, key=lambda f: (f[0], f[1]))
         return SeparationResult(box_index, tuple(point.tolist()), slack, column)
+
+    def scanned(self, dual: DualPoint) -> np.ndarray:
+        """(B,) which boxes ``find(dual)`` scans: those not exact, and those it may not read so."""
+        return self._read(np.concatenate([dual.y, dual.z]), dual.ray)[1]
+
+    def _read(self, yz, ray):
+        """The slack's power coefficients on every exact piece, and the boxes to scan.
+
+        A box's bound on the rounding of its slack is the multipliers'
+        weighting of its rows' ``error``.
+        """
+        ex = self.exact
+        if not len(ex.box):
+            return None, ~ex.exact
+        s = yz @ ex.coeffs[:-1].reshape(len(yz), -1)
+        bound = np.abs(yz) @ ex.error[:-1]
+        if not ray:
+            s -= ex.coeffs[-1].reshape(-1)
+            bound += ex.error[-1]
+        return s.reshape(-1, ex.coeffs.shape[2]), ~ex.exact | (bound > EXACT_SLACK_ERROR)
+
+    def _scan(self, yz, ray, boxes):
+        """(slack, box, point, column) of the least of ``boxes``' scan argmins, zoomed in on."""
+        best = None
+        for i in boxes.tolist():
+            points, _, table = self.mesh(i)
+            slack = _slack(yz, table, ray)
+            g = int(np.argmin(slack))
+            if best is None or slack[g] < best[0]:
+                best = float(slack[g]), i, points[g], table[:, g]
+        slack, box_index, point, column = best
+        if self.refine_steps > 0:
+            slack, point, column = self._zoom(yz, ray, box_index, point, slack, column)
+        return slack, box_index, point, column
+
+    def _exact_min(self, yz, ray, s, read):
+        """(slack, box, point, column) of the least slack over the exact boxes.
+
+        The fixed candidates' slacks come from their kept columns; the
+        roots are taken on the pieces ``read`` only and ranked by the
+        slack's coefficients ``s``, and those that may be the least are
+        valued with ``_box_table``, one call per box; the slack returned is
+        its column's.
+        """
+        ex = self.exact
+        g = int(np.argmin(_slack(yz, ex.fixed_table, ray)))  # ties: lower box, then point
+        column = ex.fixed_table[:, g]
+        slack = float(_slack(yz, column[:, None], ray)[0])  # as the column alone gives it
+        best = slack, int(ex.fixed_box[g]), ex.fixed_x[g:g + 1], column
+        width = s.shape[1]
+        derivative = s[:, 1:] * np.arange(1, width)
+        if read.all():
+            piece, t = _real_roots(derivative)
+        else:
+            live = np.flatnonzero(read)
+            piece, t = _real_roots(derivative[live])
+            piece = live[piece]
+        inside = (t > ex.lower[piece]) & (t < ex.upper[piece])
+        if not inside.any():
+            return best
+        piece, t = piece[inside], t[inside]
+        values = _horner(s[piece], t)
+        least = values.min()
+        if least >= best[0] + EXACT_SLACK_ERROR:  # no root is lower than the ends and breakpoints
+            return best
+        # each value is within the bound of its root's slack, so any root
+        # within twice the bound of the least may be the least
+        near = values <= least + 2.0 * EXACT_SLACK_ERROR
+        piece, t = piece[near], t[near]
+        lo, hi, box = ex.lo[piece], ex.hi[piece], ex.box[piece]
+        x = np.minimum(np.maximum(lo + (hi - lo) * t, lo), hi)
+        for i in sorted(set(box.tolist())):  # ties: lower box, then point
+            pts = np.sort(x[box == i])[:, None]
+            table = _box_table(self.mp, i, pts)
+            slack = _slack(yz, table, ray)
+            k = int(np.argmin(slack))
+            least = float(_slack(yz, table[:, k:k + 1], ray)[0])  # as the column alone gives it
+            if least < best[0]:
+                best = least, i, pts[k], table[:, k]
+        return best
 
     def _zoom(self, yz, ray, box_index, x, slack, column):
         """Coordinate-wise zoom around the scan argmin ``x``; returns the best point seen.
@@ -691,16 +885,25 @@ def separation_oracle(
 ) -> SeparationResult:
     """Most-violated point of the dual constraint: argmin of the slack.
 
-    Scans a per-box tensor grid, then zooms in coordinate-wise: each round
-    values a bracket of equally spaced points in one batch and shrinks it to
-    the best point's neighbours, until it is no wider than a golden-section
-    bracket after ``refine_steps`` steps (0 turns the zoom off).  The
+    On a 1-D box whose functions are piecewise polynomials of degree at
+    most ``expressions.MAX_POLYNOMIAL_DEGREE`` (``+ - *``, integer powers,
+    ``min``, ``max`` and ``abs``; see ``expressions._Program.polynomial``)
+    the minimum is exact, up to rounding: the least slack over the box's
+    ends, its breakpoints and the real roots of the slack's derivative.
+    Such a box is scanned after all at a dual where the rounding of its
+    slack's power coefficients may pass ``EXACT_SLACK_ERROR``.
+    ``scan_resolution`` and ``refine_steps`` act only on the boxes that are
+    scanned, on a per-box tensor grid, and then zoomed in on
+    coordinate-wise: each round values a bracket of equally spaced points
+    in one batch and shrinks it to the best point's neighbours, until it is
+    no wider than a golden-section bracket after ``refine_steps`` steps (0
+    turns the zoom off).  The
     returned point is the best point actually evaluated, so it is never
     worse than the scan argmin.  slack < 0 means the dual point is
     infeasible at that point.
     """
     res = _scan_axes(mp.domain.dim, scan_resolution)
-    return _ScanOracle(mp, res, refine_steps, _grid(mp, res)).find(dual)
+    return _ScanOracle(mp, res, refine_steps, lambda i: _grid(mp, res, (i,))).find(dual)
 
 
 @dataclass
@@ -747,11 +950,12 @@ def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     returns (value, dual point, primal measure or None, target); the loop
     stops once the oracle's worst slack is >= target - tol, else appends
     that point's cut.  Returns (converged, one IterationRecord per
-    iteration).  The oracle's scan mesh is ``_kept`` per problem and
-    resolution, so the two loops on one problem build it once.
+    iteration).  The oracle's polynomial pieces and scan meshes are
+    ``_kept`` per problem (a mesh per box and resolution), so the two loops
+    on one problem build them once, and a box's mesh only if it is scanned.
     """
     res = _scan_axes(mp.domain.dim, scan_resolution)
-    mesh = _kept(mp, ("scan", *res), lambda: _grid(mp, res))
+    mesh = lambda i: _kept(mp, ("scan", *res, i), lambda: _grid(mp, res, (i,)))
     oracle = _ScanOracle(mp, res, refine_steps, mesh)
     history: list[IterationRecord] = []
     for _ in range(max(1, int(max_iters))):
@@ -897,19 +1101,22 @@ def check_dual_slater(
     scan_resolution=None,
     refine_steps: int = 0,
 ) -> DualSlaterReport:
-    """Maximize the uniform dual slack t over the scan mesh (exchange loop).
+    """Maximize the uniform dual slack t over the domain (exchange loop).
 
     The master is the margin LP over (y >= 0, z split into two nonnegative
     parts, t <= SLATER_CAP) with one row per cut, one ``simplex._Master``
-    that each new cut joins as a row, by dual simplex; the margin is
+    that each new cut joins as a row, by dual simplex.  The oracle is
+    ``exchange_solve``'s: exact on polynomial 1-D boxes, where the margin is
+    certified on the whole box up to rounding; on the boxes it scans it is
     certified against the scan points, so refinement is off by default,
     though ``duality_report`` and ``measurelp slater`` pass the config's
     ``refine_steps``, which is 40.  Margin > 0 certifies the
-    strict-positivity hypothesis on the mesh.  Whenever a constraint can
-    lift the slack uniformly (any problem with a total-mass constraint), the
-    margin is unbounded and reports the cap.  Its seed cuts and scan mesh
-    are ``exchange_solve``'s, built once while ``mp`` is the last problem
-    valued (see ``_kept``), so the two loops on one problem value them once.
+    strict-positivity hypothesis there.  Whenever a constraint can lift the
+    slack uniformly (any problem with a total-mass constraint), the margin
+    is unbounded and reports the cap.  Its seed cuts, polynomial pieces and
+    scan meshes are ``exchange_solve``'s, built once while ``mp`` is the last
+    problem valued (see ``_kept``), so the two loops on one problem value
+    them once.
 
     A tiny penalty on the multiplier norm breaks the master's degeneracy:
     once t sits at the cap every feasible (y, z) is optimal, and without
@@ -996,7 +1203,6 @@ class ReportStatus(str, Enum):
     GAP_REMAINS = "gap_remains"
     PRIMAL_INFEASIBLE = "primal_infeasible"
     PRIMAL_UNBOUNDED = "primal_unbounded"
-    DUAL_UNBOUNDED = "dual_unbounded_below"
     NOT_CONVERGED = "not_converged"
 
 
@@ -1024,11 +1230,18 @@ class DualityReport:
     notes: tuple[str, ...]
 
 
-def _verification_scan(mp, dual, config) -> float:
-    """Max violation of the dual constraint on a mesh finer than the oracle's."""
-    fine = config.verification_resolution(mp.domain.dim)
-    sep = separation_oracle(mp, dual, fine, config.refine_steps)
-    return max(0.0, -sep.slack)
+def _verification_scan(mp, last: IterationRecord, config) -> float:
+    """Max violation of the dual constraint at the exchange's ``last`` dual, on a finer mesh.
+
+    An exact box's violation is its exact maximum; only the boxes scanned
+    at that dual are valued on a mesh ``verification_factor`` times the
+    scan's.  Where no box is, the finer mesh changes nothing, and the
+    exchange's own last oracle call on that dual gives the answer.
+    """
+    fine = _scan_axes(mp.domain.dim, config.verification_resolution(mp.domain.dim))
+    oracle = _ScanOracle(mp, fine, config.refine_steps, lambda i: _grid(mp, fine, (i,)))
+    scanned = oracle.scanned(last.dual).any()
+    return max(0.0, -(oracle.find(last.dual).slack if scanned else last.slack))
 
 
 def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> DualityReport:
@@ -1042,7 +1255,7 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
     feasible: the primal value and atoms are then the last such measure's,
     and a note says that the grid primal was infeasible.  The primal is
     infeasible only when the exchange ends "dual_unbounded", on a ray
-    (``DualPoint.ray``) that no mesh point cuts off; the report's dual is
+    (``DualPoint.ray``) that the oracle does not cut off; the report's dual is
     that ray, a note says so, and ``max_dual_violation`` is the ray's own,
     with no h term.  Later masters only add columns, so the dual value
     dominates the primal; WeakDualityError is raised if a converged dual
@@ -1077,11 +1290,12 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
 
     max_violation = None
     if ex.dual is not None:
-        max_violation = _verification_scan(mp, ex.dual, config)
+        max_violation = _verification_scan(mp, ex.history[-1], config)
         if ex.dual.ray:
             notes.append(
-                "the dual is a ray (a.y + b.z < 0 and Σ y φ + Σ z ψ >= 0 on the scan "
-                "mesh): the dual is unbounded below, and its max violation drops h"
+                "the dual is a ray (a.y + b.z < 0, and Σ y φ + Σ z ψ >= 0 on every "
+                "box read as polynomial pieces and at the scan points of the others): "
+                "the dual is unbounded below, and its max violation drops h"
             )
 
     gap = None

@@ -10,6 +10,11 @@ midpoint quadrature with refinement, expressions by a scalar tree-walker
 over Python's ``math`` module, and partition coverage by testing every
 breakpoint cell's exact midpoint against every box.
 
+Polynomial pieces are checked by Horner's rule written out here, against
+``evaluate_many`` on a fine mesh, and the exact separation oracle's
+minimum against the least slack on a mesh of every box, valued by
+``evaluate_many`` one function at a time.
+
 The exceptions are the Slater margin LPs, a dual point's slack at one
 point and the oracle's scan.  Each check's margin LP is kept here as it was
 first built, by hand and separately per check, and solved with the
@@ -520,6 +525,80 @@ def hand_built_lp_slater(pb, x_resolution=33, y_resolution=None, z_resolution=No
         margin=margin, feasible=feasible, capped=margin >= cap * (1.0 - 1e-6),
         equality_rank=rank, n_equality_rows=n_z, x_resolution=x_resolution,
     )
+
+
+# ---------------------------------------------------------------------------
+# piecewise polynomials: random sources, and their pieces by Horner's rule
+
+
+def random_polynomial_source(rng, degree: int = 6, depth: int = 4) -> str:
+    """A random expression in x1 of degree at most ``degree``, fully parenthesised.
+
+    It is built from x1, constants in [-1, 1], ``+ - *``, integer powers,
+    negation, ``min``, ``max`` and ``abs``, so it is a piecewise polynomial.
+    """
+    return _random_source(rng, degree, depth)[0]
+
+
+def _random_source(rng, budget: int, depth: int) -> tuple[str, int]:
+    if depth == 0 or rng.random() < 0.2:
+        if budget >= 1 and rng.random() < 0.6:
+            return "x1", 1
+        return f"({round(float(rng.uniform(-1.0, 1.0)), 4)!r})", 0
+    kind = int(rng.integers(7))
+    a, da = _random_source(rng, budget, depth - 1)
+    if kind == 0:
+        return f"(-{a})", da
+    if kind == 1:
+        return f"abs({a})", da
+    if kind == 2 and da:
+        k = int(rng.integers(0, budget // da + 1))
+        return f"(({a}) ^ {k})", da * k
+    if kind == 3 and da < budget:
+        b, db = _random_source(rng, budget - da, depth - 1)
+        return f"({a} * {b})", da + db
+    b, db = _random_source(rng, budget, depth - 1)
+    if kind == 4:
+        return f"min({a}, {b})", max(da, db)
+    if kind == 5:
+        return f"max({a}, {b})", max(da, db)
+    return f"({a} {'+' if rng.random() < 0.5 else '-'} {b})", max(da, db)
+
+
+def piecewise_horner(breaks, coeffs, lo: float, hi: float, x: np.ndarray) -> np.ndarray:
+    """Every row of ``_Program.polynomial``'s ``(breaks, coeffs)`` at ``x``, by Horner's rule.
+
+    A point takes t = (x - lo) / (hi - lo) and the piece whose interval
+    holds t, the right-hand one at a breakpoint.  Returns (rows, len(x)).
+    """
+    t = (np.asarray(x, dtype=float) - lo) / (hi - lo)
+    piece = np.searchsorted(breaks, t, side="right")
+    out = np.empty((coeffs.shape[0], len(t)))
+    for r in range(coeffs.shape[0]):
+        c = coeffs[r][piece]
+        value = np.zeros(len(t))
+        for j in range(c.shape[1] - 1, -1, -1):
+            value = value * t + c[:, j]
+        out[r] = value
+    return out
+
+
+def mesh_min_slack(mp, dual, points_per_box: int) -> float:
+    """The least Σ y φ + Σ z ψ - h over an even mesh of every box's closure.
+
+    Each function is valued on its own by ``evaluate_many``, not by the
+    box programs the oracle runs.
+    """
+    yz = np.concatenate([dual.y, dual.z])
+    fns = [fn for fn, _ in mp.inequalities + mp.equalities]
+    worst = math.inf
+    for i, box in enumerate(mp.domain.boxes):
+        x = np.linspace(box.lower[0], box.upper[0], points_per_box)[:, None]
+        slack = -evaluate_many(mp.objective.pieces[i], x)
+        for weight, fn in zip(yz, fns):
+            slack = slack + weight * evaluate_many(fn.pieces[i], x)
+        worst = min(worst, float(slack.min()))
+    return worst
 
 
 # ---------------------------------------------------------------------------

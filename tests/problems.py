@@ -46,6 +46,17 @@ def cauchy_schwarz_problem() -> MomentProblem:
     )
 
 
+def jensen_problem(function: str = "exp(x1)", bound: float = 1.5) -> MomentProblem:
+    """max E[x] with unit mass and E[f(x)] pinned on [-2, 2], for a non-polynomial f.
+
+    Its box stays on the separation oracle's scan.  For the default f = exp,
+    Jensen's inequality makes the value log(1.5), at one atom.
+    """
+    return interval_problem(
+        -2.0, 2.0, "x1", equalities=(("1", 1.0), (function, bound)), name="jensen",
+    )
+
+
 def piecewise_problem() -> MomentProblem:
     """Tent objective over a two-box partition of [0, 2), unit mass."""
     hull = Box((0.0,), (2.0,))

@@ -63,6 +63,16 @@ class TestExitCodes:
         assert run_cli(argv) == 2
         assert "status: not_converged" in capsys.readouterr().out
 
+    def test_spike_is_a_gap_not_strong_duality(self, tmp_path, capsys):
+        # no grid point reaches the 2e-5-wide spike, so the primal is 0; the
+        # exact oracle cuts it off, so the dual is 1 and the gap remains
+        # (the scan missed it, and this exited 0 at primal = dual = 0)
+        path = tmp_path / "report.json"
+        assert run_cli(["solve", fixture("spike.json"), "--report", str(path)]) == 2
+        doc = load_report(path)
+        assert doc["status"] == "gap_remains" and doc["dual_value"] >= 1.0 - 1e-6
+        assert "status: gap_remains" in capsys.readouterr().out
+
     def test_barely_infeasible_exits_3(self, capsys):
         # mean 1 + 1e-4 on [0, 1]: the phase-1 verdict on the Slater margin
         # LP, scaled by its t <= 1e6 row, once stopped both commands with exit 2

@@ -17,8 +17,18 @@ from measurelp import (
     free_variables,
     parse_expression,
 )
-from measurelp.expressions import MAX_DEPTH, Binary, Call, Literal, Negate, Variable, _Program
-from oracles import reference_evaluate
+from measurelp.expressions import (
+    MAX_DEPTH,
+    MAX_POLYNOMIAL_DEGREE,
+    MAX_POLYNOMIAL_PIECES,
+    Binary,
+    Call,
+    Literal,
+    Negate,
+    Variable,
+    _Program,
+)
+from oracles import piecewise_horner, random_polynomial_source, reference_evaluate
 
 
 def ev(source: str, *point: float, arity: int | None = None) -> float:
@@ -444,3 +454,88 @@ class TestProgram:
         assert finite
         for g in (0, 123_456, 999_999):
             assert table[0, g] == reference_evaluate(e, pts[g])
+
+
+class TestPolynomialReading:
+    """``_Program.polynomial``: a program of one variable as polynomial pieces."""
+
+    def test_pieces_match_evaluate_many(self):
+        # seeded piecewise polynomials (min, max, abs) of degree up to 8 on
+        # intervals within [-1.5, 2.5], each read with a shared program
+        rng = np.random.default_rng(97)
+        for _ in range(60):
+            exprs = [
+                parse_expression(random_polynomial_source(rng, int(rng.integers(1, 9))), 1)
+                for _ in range(3)
+            ]
+            lo = float(rng.uniform(-1.5, 0.5))
+            hi = lo + float(rng.uniform(0.5, 2.0))
+            breaks, coeffs, error = _Program(exprs).polynomial(lo, hi)
+            assert np.all(np.diff(breaks) > 0) and np.all((breaks > 0) & (breaks < 1))
+            x = np.linspace(lo, hi, 100_000)
+            got = piecewise_horner(breaks, coeffs, lo, hi, x)
+            piece = np.searchsorted(breaks, (x - lo) / (hi - lo), side="right")
+            for row, e in enumerate(exprs):
+                want = evaluate_many(e, x[:, None])
+                assert np.all(np.abs(got[row] - want) <= 1e-12 * (1.0 + np.abs(want)))
+                # the error bound, plus Horner's own rounding, covers the gap
+                c = coeffs[row][piece]
+                horner = c.shape[1] * np.finfo(float).eps * np.abs(c).sum(axis=1)
+                assert np.all(np.abs(got[row] - want) <= error[row] + horner)
+
+    def test_cancelling_terms_give_a_large_error_bound(self):
+        # (1000*(x1 - 0.7))^6 has power coefficients near 1e18 on [0, 1],
+        # which cancel to about 0 near 0.7: Horner's rule on them is off by
+        # far more than 1 there, and the bound says so
+        e = parse_expression("1 - (1000*(x1 - 0.7))^6", 1)
+        breaks, coeffs, error = _Program((e,)).polynomial(0.0, 1.0)
+        x = np.linspace(0.6999, 0.7001, 101)
+        off = np.abs(piecewise_horner(breaks, coeffs, 0.0, 1.0, x)[0] - evaluate_many(e, x[:, None]))
+        assert off.max() > 10.0 and error[0] >= off.max()
+        assert _Program((parse_expression("x1^4 - x1", 1),)).polynomial(0.0, 1.0)[2].max() < 1e-14
+
+    def test_nested_abs_past_the_piece_cap_reads_none(self):
+        # each level of the tent map doubles the pieces: level k has 2^k,
+        # so level 10 is read and level 11 passes MAX_POLYNOMIAL_PIECES;
+        # the 33-level nest that would ask for 2^33 stops there too
+        def tent(levels: int) -> str:
+            source = "x1"
+            for _ in range(levels):
+                source = f"abs(2*{source} - 1)"
+            return source
+
+        assert MAX_POLYNOMIAL_PIECES == 1024
+        breaks, _, _ = _Program((parse_expression(tent(10), 1),)).polynomial(0.0, 1.0)
+        assert len(breaks) == 1023
+        for levels in (11, 33):
+            assert _Program((parse_expression(tent(levels), 1),)).polynomial(0.0, 1.0) is None
+
+    def test_kinks_become_breakpoints(self):
+        e = parse_expression("max(0, 1 - 100000*abs(x1 - 0.300049))", 1)
+        breaks, coeffs, _ = _Program((e,)).polynomial(0.0, 1.0)
+        assert breaks == pytest.approx([0.300039, 0.300049, 0.300059], abs=1e-15)
+        assert coeffs.shape == (1, 4, 2)
+        assert np.all(coeffs[0, [0, 3]] == 0.0)  # zero outside the spike
+
+    @pytest.mark.parametrize("source", [
+        "exp(x1)", "log(x1 + 2)", "sqrt(x1 + 2)", "1 / x1", "x1 / x1", "x1 ^ 0.5",
+        "x1 ^ (-1)", "x1 ^ x1", "2 ^ x1", "x1 ^ 1e300", f"x1 ^ {MAX_POLYNOMIAL_DEGREE + 1}",
+        "(x1 ^ 4) ^ 5", "x1 ^ 9 * x1 ^ 8", "x1 + 0 * exp(x1)",
+    ])
+    def test_what_is_not_a_polynomial_reads_none(self, source):
+        program = _Program((parse_expression("x1", 1), parse_expression(source, 1)))
+        assert program.polynomial(-1.0, 1.0) is None
+
+    def test_more_than_one_variable_reads_none(self):
+        assert _Program((parse_expression("x1 + x2", 2),)).polynomial(0.0, 1.0) is None
+
+    def test_constant_subexpressions(self):
+        # an op on constants is one constant piece, but / and exp are not
+        # read even then
+        exprs = [parse_expression(s, 1) for s in ("2 ^ 3 - min(1, 2) * x1", "x1 ^ 16", "abs(-2)")]
+        breaks, coeffs, _ = _Program(exprs).polynomial(0.0, 1.0)
+        assert len(breaks) == 0 and coeffs.shape == (3, 1, MAX_POLYNOMIAL_DEGREE + 1)
+        assert coeffs[0, 0, :3].tolist() == [8.0, -1.0, 0.0]
+        assert coeffs[1, 0, -1] == 1.0 and coeffs[2, 0, 0] == 2.0
+        for source in ("x1 / 2", "exp(1) * x1", "x1 ^ 0.5"):
+            assert _Program((parse_expression(source, 1),)).polynomial(0.0, 1.0) is None

@@ -47,13 +47,14 @@ from measurelp.moment import (
 )
 from measurelp.simplex import solve_lp
 from oracles import (
-    dual_slack_at, hand_built_dual_slater, hand_built_primal_slater, per_box_scan,
-    whole_table_dual_slater,
+    dual_slack_at, hand_built_dual_slater, hand_built_primal_slater, mesh_min_slack,
+    per_box_scan, random_polynomial_source, whole_table_dual_slater,
 )
 from problems import (
     cauchy_schwarz_problem,
     contradictory_problem,
     interval_problem,
+    jensen_problem,
     piecewise_problem,
     pw,
     random_moment_problem,
@@ -264,10 +265,11 @@ class TestSeparationOracle:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_refinement_lands_on_kink_off_the_mesh(self, dim):
-        # slack 1 + Σ |x_j - c_j| on the unit box: a kink at c, between the
-        # points of an 8-point scan on every axis
+        # slack 1 + Σ sqrt|x_j - c_j| on the unit box: a cusp at c, between
+        # the points of an 8-point scan on every axis (sqrt keeps the 1-D box
+        # on the scan; see test_exact_box_lands_on_kink_with_no_mesh)
         c = (0.3141592653589793, 0.7071067811865476)[:dim]
-        objective = " - ".join(["0"] + [f"abs(x{j + 1} - {c[j]!r})" for j in range(dim)])
+        objective = " - ".join(["0"] + [f"sqrt(abs(x{j + 1} - {c[j]!r}))" for j in range(dim)])
         box = Box((0.0,) * dim, (1.0,) * dim)
         part = Partition((box,))
         mp = MomentProblem(
@@ -276,7 +278,7 @@ class TestSeparationOracle:
         )
         d = DualPoint(y=(1.0,), z=())
         mesh = grid_array(box, 8)
-        scan = 1.0 + np.abs(mesh - c).sum(axis=1)
+        scan = 1.0 + np.sqrt(np.abs(mesh - c)).sum(axis=1)
         g = int(np.argmin(scan))
         off = separation_oracle(mp, d, scan_resolution=8, refine_steps=0)
         assert off.point == tuple(mesh[g]) and off.slack == scan[g]
@@ -285,6 +287,15 @@ class TestSeparationOracle:
         width = 2.0 / 7.0 * ((5.0 ** 0.5 - 1.0) / 2.0) ** 40
         assert np.all(np.abs(np.array(sep.point) - c) <= width)
         assert sep.slack == dual_slack_at(mp, d, sep.point, 0) < off.slack
+
+    def test_exact_box_lands_on_kink_with_no_mesh(self, monkeypatch):
+        # slack 1 + |x - c|: the kink is a breakpoint of the polynomial
+        # pieces, so the oracle finds it with no scan and no zoom
+        c = 0.3141592653589793
+        mp = interval_problem(0.0, 1.0, f"0 - abs(x1 - {c!r})", inequalities=(("1", 1.0),))
+        calls = grid_calls(monkeypatch)
+        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()), scan_resolution=8, refine_steps=0)
+        assert sep.point == (c,) and sep.slack == 1.0 and calls == []
 
     def test_refinement_never_worse_than_scan(self):
         mp = piecewise_problem()
@@ -690,9 +701,9 @@ def grid_calls(monkeypatch) -> list:
     """The resolution of every ``moment._grid`` call from now on, with the cache emptied."""
     calls, real = [], moment._grid
 
-    def counted(mp, resolution):
+    def counted(mp, resolution, boxes=None):
         calls.append(resolution)
-        return real(mp, resolution)
+        return real(mp, resolution, boxes)
 
     monkeypatch.setattr(moment, "_grid", counted)
     monkeypatch.setattr(expressions, "_PROGRAMS", (None, {}))
@@ -719,10 +730,14 @@ def loop_cases():
 
 
 class TestSharedScanMesh:
-    """Both exchange loops of a problem share one scan mesh and one seed table."""
+    """Both exchange loops of a problem share one scan mesh and one seed table.
+
+    The instances have an ``exp`` or ``sqrt`` piece, so their boxes stay on
+    the scan: a polynomial 1-D box is separated exactly, with no mesh.
+    """
 
     def test_both_loops_build_one_mesh_and_one_seed_table(self, monkeypatch):
-        mp = cauchy_schwarz_problem()
+        mp = jensen_problem()
         calls = grid_calls(monkeypatch)
         seeds, real = [], moment._seed_arrays
         monkeypatch.setattr(moment, "_seed_arrays", lambda *a: seeds.append(1) or real(*a))
@@ -735,11 +750,22 @@ class TestSharedScanMesh:
         # grid primal, scan mesh, primal Slater grid and verification mesh:
         # check_dual_slater reads the exchange's scan mesh
         calls = grid_calls(monkeypatch)
-        duality_report(cauchy_schwarz_problem(), FAST)
+        duality_report(jensen_problem(), FAST)
         assert calls == [257, [257], 65, [4 * 257]]
 
+    def test_an_exact_report_builds_only_the_primal_grids(self, monkeypatch):
+        # a polynomial 1-D problem: no scan mesh and no verification mesh,
+        # only the grid primal's and the primal Slater check's grids
+        calls = grid_calls(monkeypatch)
+        mp = cauchy_schwarz_problem()
+        rep = duality_report(mp, FAST)
+        assert calls == [257, 65]
+        # the verification reads the exchange's last oracle call
+        assert rep.max_dual_violation == max(0.0, -separation_oracle(mp, rep.dual).slack)
+
     def test_another_problem_empties_the_cache(self, monkeypatch):
-        first, other = cauchy_schwarz_problem(), piecewise_problem()
+        first = jensen_problem()
+        other = interval_problem(0.0, 1.0, "sqrt(x1)", equalities=(("1", 1.0), ("x1", 0.25)))
         calls = grid_calls(monkeypatch)
         exchange_solve(first, scan_resolution=257)
         exchange_solve(other, scan_resolution=257)
@@ -786,6 +812,107 @@ class TestSharedScanMesh:
         again = exchange_solve(mp, scan_resolution=257).cuts
         assert not np.array_equal(again.rows, res.cuts.rows)
         assert np.array_equal(again.rows[1:], res.cuts.rows[1:])
+
+
+def random_polynomial_problem(rng) -> MomentProblem:
+    """One to three boxes of an interval, each function a random piecewise polynomial."""
+    n = int(rng.integers(1, 4))
+    lo = float(rng.uniform(-1.5, 0.5))
+    edges = lo + np.cumsum(np.concatenate([[0.0], rng.uniform(0.3, 0.8, n)]))
+    part = Partition(tuple(Box((float(a),), (float(b),)) for a, b in zip(edges[:-1], edges[1:])))
+
+    def fn():
+        return pw(part, *(random_polynomial_source(rng, int(rng.integers(1, 7))) for _ in range(n)))
+
+    return MomentProblem(
+        domain=part, hull=Box((float(edges[0]),), (float(edges[-1]),)), objective=fn(),
+        inequalities=((fn(), 1.0),), equalities=((pw(part, *["1"] * n), 1.0), (fn(), 0.0)),
+    )
+
+
+class TestExactOracle:
+    """Polynomial 1-D boxes are separated exactly, from their polynomial pieces."""
+
+    def test_minimum_is_at_or_below_the_mesh_minimum(self):
+        rng = np.random.default_rng(31)
+        for _ in range(40):
+            mp = random_polynomial_problem(rng)
+            assert moment._exact_pieces(mp).exact.all()
+            for _ in range(5):
+                dual = DualPoint(y=rng.uniform(0.0, 2.0, 1), z=rng.normal(size=2))
+                sep = separation_oracle(mp, dual)
+                mesh = mesh_min_slack(mp, dual, 100_000 // len(mp.domain.boxes))
+                assert sep.slack <= mesh + 1e-12 * (1.0 + abs(mesh))
+                # the column is the cut: its slack is the point's, valued alone
+                assert sep.slack == dual_slack_at(mp, dual, sep.point, sep.box_index)
+
+    def test_a_mixed_problem_scans_only_its_other_boxes(self, monkeypatch):
+        # box 0 is polynomial, box 1 has exp: the mesh is built, and box 0's
+        # minimum at x = 0.3, off the 64-point mesh, is found exactly
+        part = Partition((Box((0.0,), (1.0,)), Box((1.0,), (2.0,))))
+        mp = MomentProblem(
+            domain=part, hull=Box((0.0,), (2.0,)),
+            objective=pw(part, "0 - 9*(x1 - 0.3)^2", "exp(x1) - 10"),
+            inequalities=(), equalities=((pw(part, "1", "1"), 1.0),),
+        )
+        calls, meshes = grid_calls(monkeypatch), []
+        oracle = moment._ScanOracle(
+            mp, [64], 40, lambda i: meshes.append(i) or moment._grid(mp, [64], (i,))
+        )
+        dual = DualPoint(y=(), z=(1.0,))
+        assert oracle.scanned(dual).tolist() == [False, True] and calls == []
+        sep = oracle.find(dual)
+        assert calls == [[64]] and meshes == [1]
+        assert sep.box_index == 0 and sep.point[0] == pytest.approx(0.3, abs=1e-12)
+        assert sep.slack == dual_slack_at(mp, dual, sep.point, 0)
+
+    def test_spike_is_cut_off(self):
+        # the spike is 2e-5 wide; no point of the 1025-point grid or the
+        # old 1024-point scan reaches it, so the report claimed strong
+        # duality at 0; the true value is 1 at one atom
+        loaded = load_problem(FIXTURES / "spike.json")
+        rep = duality_report(loaded.problem, loaded.config)
+        assert rep.dual_value >= 1.0 - 1e-6
+        assert rep.status == ReportStatus.GAP_REMAINS
+        assert rep.max_dual_violation <= 1e-6
+
+    def test_a_steep_power_is_scanned_where_its_coefficients_cancel(self):
+        # 1 - (1000*(x1 - 0.7))^6 peaks at 1 at 0.7, where its power
+        # coefficients (near 1e18) cancel: their rounding bound is about
+        # 1e5, so the box is scanned and zoomed at every dual, and the dual
+        # reaches 1 (read from the coefficients, it stopped near 0.99994)
+        mp = interval_problem(0.0, 1.0, "1 - (1000*(x1 - 0.7))^6", equalities=(("1", 1.0),))
+        assert moment._exact_pieces(mp).exact.all()
+        rep = duality_report(mp)
+        assert rep.dual_value >= 1.0 - 1e-6
+        oracle = moment._ScanOracle(mp, [1024], 40, None)
+        assert oracle.scanned(rep.dual).all()
+
+    def test_roots_that_may_be_least_are_valued_together(self, monkeypatch):
+        # the slack 1 + (x - 0.25)^2 (x - 0.75)^2 has two equal interior
+        # minima; both are valued in one _box_table call (the third root,
+        # a maximum at 0.5, is ranked out), and the lower point wins the tie
+        mp = interval_problem(
+            0.0, 1.0, "0 - (x1 - 0.25)^2 * (x1 - 0.75)^2", equalities=(("1", 1.0),)
+        )
+        batches, real = [], moment._box_table
+        monkeypatch.setattr(
+            moment, "_box_table", lambda mp, i, pts: batches.append(pts[:, 0]) or real(mp, i, pts)
+        )
+        sep = separation_oracle(mp, DualPoint(y=(), z=(1.0,)))
+        assert batches[-1] == pytest.approx([0.25, 0.75], abs=1e-7)
+        assert sep.point[0] == pytest.approx(0.25, abs=1e-7) and sep.slack == pytest.approx(1.0)
+
+    def test_a_nest_past_the_piece_cap_stays_on_the_scan(self):
+        # a 33-level tent map would read as 2^33 pieces; it reads None past
+        # MAX_POLYNOMIAL_PIECES, and its box is scanned
+        source = "x1"
+        for _ in range(33):
+            source = f"abs(2*{source} - 1)"
+        mp = interval_problem(0.0, 1.0, source, equalities=(("1", 1.0),))
+        assert not moment._exact_pieces(mp).exact.any()
+        rep = duality_report(mp, FAST)
+        assert rep.status == ReportStatus.STRONG_DUALITY and rep.dual_value == pytest.approx(1.0)
 
 
 class TestSlaterChecks:

@@ -93,8 +93,5 @@ class TestBounds:
         out = solve_option_bound(
             (0.0, 4.0), 1.0, [(1.0, 2.0)], "max(x1 - 1, 0)", "sup", FAST
         )
-        assert out.report.status in (
-            ReportStatus.PRIMAL_INFEASIBLE,
-            ReportStatus.DUAL_UNBOUNDED,
-        )
+        assert out.report.status in (ReportStatus.PRIMAL_INFEASIBLE,)
         assert out.bound is None
