@@ -37,6 +37,7 @@ from .moment import (
     PrimalSlaterReport,
     SolverConfig,
     _check_grid_bytes,
+    _verification_axes,
 )
 
 FORMAT_VERSION = "1"
@@ -201,8 +202,8 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
 
     A resolution written there is checked against the box it sizes, and so
     is the grid the solve derives from it: the verification scan at
-    ``verification_factor`` times the scan resolution, and the density
-    refinement at twice ``x_resolution``.  Then the grids of a moment solve
+    ``moment._VERIFICATION_FACTOR`` times ``scan_resolution``, and the
+    density refinement at twice ``x_resolution``.  Then the grids of a moment solve
     and a density Slater check's equality rank table that those keys imply
     are held to the solves' byte limit (``moment._check_grid_bytes`` and
     ``density._check_rank_bytes``), with the solve's own message.  A
@@ -241,10 +242,10 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
     keys = [key for key in overrides if key.endswith("_resolution")]
     for key in keys:
         check(key, getattr(problem, sizes.get(key, "domain")), overrides[key])
-    scan = [key for key in ("verification_factor", "scan_resolution") if key in overrides]
+    scan = "scan_resolution" in overrides
     if scan:
-        fine = built.verification_resolution(problem.domain.dim)
-        check(scan[0], problem.domain, fine, "the verification scan's ")
+        fine = _verification_axes(problem.domain.dim, built.scan_resolution)
+        check("scan_resolution", problem.domain, fine, "the verification scan's ")
     if "x_resolution" in overrides:
         check("x_resolution", problem.domain, 2 * built.x_resolution, "the refinement's ")
     # the byte limits of the tables the solve holds whole

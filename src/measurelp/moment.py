@@ -86,38 +86,31 @@ class ExchangeError(RuntimeError):
 class SolverConfig:
     """Settings of ``duality_report``; an out-of-range one raises ValueError naming it.
 
-    ``scan_resolution``, ``refine_steps`` and ``verification_factor`` act
-    only on the boxes that are scanned: a 1-D box whose functions are
-    piecewise polynomials is separated exactly (see ``separation_oracle``),
-    with no mesh, zoom or verification grid, unless the rounding of its
-    pieces sends it to the scan.  They are accepted whatever the boxes,
-    since a problem may mix both kinds.
+    ``scan_resolution`` acts only on the boxes that are scanned: a 1-D box
+    whose functions are piecewise polynomials is separated exactly (see
+    ``separation_oracle``), with no mesh, zoom or verification grid, unless
+    the rounding of its pieces sends it to the scan.  It is accepted
+    whatever the boxes, since a problem may mix both kinds.  The zoom's
+    depth (``_ZOOM_DEPTH``) and the verification mesh's factor
+    (``_VERIFICATION_FACTOR``) are fixed, the same for every caller.
     """
 
     grid_resolution: int | tuple[int, ...] = 1025
     tol: float = 1e-6
     max_iters: int = 200
     scan_resolution: int | tuple[int, ...] | None = None
-    refine_steps: int = 40
     gap_rtol: float = 1e-3
-    verification_factor: int = 4
     slater_resolution: int = 129
 
     def __post_init__(self):
         _check_tolerance("tol", self.tol)
         _check_tolerance("gap_rtol", self.gap_rtol)
-        for name, least in (("max_iters", 1), ("verification_factor", 1), ("refine_steps", 0)):
-            value = getattr(self, name)
-            if not value >= least:
-                raise ValueError(f"{name} must be at least {least}, got {value!r}")
+        if not self.max_iters >= 1:
+            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
         for name in ("grid_resolution", "slater_resolution", "scan_resolution"):
             value = getattr(self, name)
             if value is not None and any(r < 2 for r in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
-
-    def verification_resolution(self, dim: int) -> list[int]:
-        """Points per axis of the final verification scan: ``verification_factor`` x the scan's."""
-        return [self.verification_factor * r for r in _scan_axes(dim, self.scan_resolution)]
 
 
 def _check_tolerance(name: str, value: float) -> None:
@@ -158,12 +151,15 @@ class PiecewiseFunction:
                 raise ValueError(f"point {tuple(x)} lies outside the partition")
         return evaluate(self.pieces[box_index], x)
 
-    def is_constant_one(self) -> bool:
-        """True when every piece is the constant 1 (a total-mass integrand)."""
+    def is_positive_constant(self) -> bool:
+        """True when every piece is a constant > 0, which may differ by box.
+
+        Its integral bounds the total mass: ∫ dF <= ∫ ψ dF / min ψ.
+        """
         for i, e in enumerate(self.pieces):
             if free_variables(e):
                 return False
-            if evaluate(e, self.partition.boxes[i].center()) != 1.0:
+            if not evaluate(e, self.partition.boxes[i].center()) > 0.0:
                 return False
         return True
 
@@ -208,9 +204,9 @@ class MomentProblem:
         return len(self.equalities)
 
     def has_mass_bound(self) -> bool:
-        """Whether some constraint integrates the constant 1 (bounds total mass)."""
+        """Whether some constraint integrates a positive constant (bounds total mass)."""
         return any(
-            fn.is_constant_one() for fn, _ in self.inequalities + self.equalities
+            fn.is_positive_constant() for fn, _ in self.inequalities + self.equalities
         )
 
 
@@ -588,14 +584,11 @@ def _seed_arrays(mp: MomentProblem, extra: list) -> tuple:
     return box_idx, points, table[:-1].T, table[-1]
 
 
-def restricted_dual_lp(
-    mp: MomentProblem, cuts: Sequence[Cut], cap: float | None = None
-) -> FiniteLP:
+def restricted_dual_lp(mp: MomentProblem, cuts: Sequence[Cut]) -> FiniteLP:
     """The (y, z)-variable form: min a.y + b.z s.t. one >= row per cut.
 
     No solver builds it (the masters solve the cut-supported primal); it is
-    the reference the masters' values are checked against.  ``cap`` bounds
-    every multiplier's magnitude, for a caller that needs a bounded LP.
+    the reference the masters' values are checked against.
     """
     M, N = mp.n_ineq, mp.n_eq
     A = np.empty((len(cuts), M + N))
@@ -607,9 +600,8 @@ def restricted_dual_lp(
     obj = np.array(
         [bound for _, bound in mp.inequalities] + [bound for _, bound in mp.equalities]
     )
-    lower = np.concatenate([np.zeros(M), np.full(N, -np.inf if cap is None else -cap)])
-    upper = np.inf if cap is None else cap
-    return make_lp("min", obj, A, (">=",) * len(cuts), rhs, lower=lower, upper=upper)
+    lower = np.concatenate([np.zeros(M), np.full(N, -np.inf)])
+    return make_lp("min", obj, A, (">=",) * len(cuts), rhs, lower=lower)
 
 
 @dataclass(frozen=True)
@@ -624,6 +616,7 @@ class SeparationResult:
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _ZOOM_POINTS = 129  # points per zoom round; a round keeps 2 of their 128 gaps
 _ZOOM_STEPS = np.arange(_ZOOM_POINTS, dtype=float)
+_ZOOM_DEPTH = 40  # the zoom ends no wider than a golden-section bracket after this many steps
 
 
 def _zoom_axis(lo: float, hi: float) -> np.ndarray:
@@ -642,6 +635,14 @@ def _scan_axes(dim: int, scan_resolution) -> list[int]:
         # default budget of ~1024 scan points per box, spread across the axes
         scan_resolution = max(2, int(round(1024 ** (1.0 / dim))))
     return _axis_counts(dim, scan_resolution)
+
+
+_VERIFICATION_FACTOR = 4
+
+
+def _verification_axes(dim: int, scan_resolution) -> list[int]:
+    """Points per axis of the final verification scan: ``_VERIFICATION_FACTOR`` x the scan's."""
+    return [_VERIFICATION_FACTOR * r for r in _scan_axes(dim, scan_resolution)]
 
 
 # a piece's slack is read from its power coefficients only while their
@@ -747,10 +748,9 @@ class _ScanOracle:
     ``_box_table`` columns, so the column it returns is the cut.
     """
 
-    def __init__(self, mp: MomentProblem, res: list[int], refine_steps: int, mesh):
+    def __init__(self, mp: MomentProblem, res: list[int], mesh):
         _check_grid_bytes(mp, res)  # any box may be scanned, so all must fit
         self.mp = mp
-        self.refine_steps = refine_steps
         self.mesh = mesh
         self.exact = _kept(mp, ("exact",), lambda: _exact_pieces(mp))
         self.steps = [  # per box: scan step per axis
@@ -799,8 +799,7 @@ class _ScanOracle:
             if best is None or slack[g] < best[0]:
                 best = float(slack[g]), i, points[g], table[:, g]
         slack, box_index, point, column = best
-        if self.refine_steps > 0:
-            slack, point, column = self._zoom(yz, ray, box_index, point, slack, column)
+        slack, point, column = self._zoom(yz, ray, box_index, point, slack, column)
         return slack, box_index, point, column
 
     def _exact_min(self, yz, ray, s, read):
@@ -856,12 +855,12 @@ class _ScanOracle:
         clipped to the box.  Each round values ``_ZOOM_POINTS`` equally
         spaced points in one ``_box_table`` call and keeps the gaps either
         side of the best one, until the bracket is no wider than a
-        golden-section search's after ``refine_steps`` steps.
+        golden-section search's after ``_ZOOM_DEPTH`` steps (none at 0).
         """
         box = self.mp.domain.boxes[box_index]
         for j, step in enumerate(self.steps[box_index]):
             lo, hi = max(box.lower[j], x[j] - step), min(box.upper[j], x[j] + step)
-            width = (hi - lo) * _INVPHI ** self.refine_steps
+            width = (hi - lo) * _INVPHI ** _ZOOM_DEPTH
             while hi - lo > width:
                 trial = np.repeat([x], _ZOOM_POINTS, axis=0)
                 trial[:, j] = _zoom_axis(lo, hi)
@@ -881,7 +880,6 @@ def separation_oracle(
     mp: MomentProblem,
     dual: DualPoint,
     scan_resolution=None,
-    refine_steps: int = SolverConfig.refine_steps,
 ) -> SeparationResult:
     """Most-violated point of the dual constraint: argmin of the slack.
 
@@ -892,18 +890,17 @@ def separation_oracle(
     ends, its breakpoints and the real roots of the slack's derivative.
     Such a box is scanned after all at a dual where the rounding of its
     slack's power coefficients may pass ``EXACT_SLACK_ERROR``.
-    ``scan_resolution`` and ``refine_steps`` act only on the boxes that are
-    scanned, on a per-box tensor grid, and then zoomed in on
-    coordinate-wise: each round values a bracket of equally spaced points
-    in one batch and shrinks it to the best point's neighbours, until it is
-    no wider than a golden-section bracket after ``refine_steps`` steps (0
-    turns the zoom off).  The
-    returned point is the best point actually evaluated, so it is never
-    worse than the scan argmin.  slack < 0 means the dual point is
-    infeasible at that point.
+    ``scan_resolution`` acts only on the boxes that are scanned, on a
+    per-box tensor grid, and then zoomed in on coordinate-wise: each round
+    values a bracket of equally spaced points in one batch and shrinks it
+    to the best point's neighbours, until it is no wider than a
+    golden-section bracket after ``_ZOOM_DEPTH`` steps, the same depth for
+    every caller.  The returned point is the best point actually
+    evaluated, so it is never worse than the scan argmin.  slack < 0 means
+    the dual point is infeasible at that point.
     """
     res = _scan_axes(mp.domain.dim, scan_resolution)
-    return _ScanOracle(mp, res, refine_steps, lambda i: _grid(mp, res, (i,))).find(dual)
+    return _ScanOracle(mp, res, lambda i: _grid(mp, res, (i,))).find(dual)
 
 
 @dataclass
@@ -943,7 +940,7 @@ class ExchangeResult:
     final_slack: float | None
 
 
-def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
+def _exchange(mp, cuts, master, tol, max_iters, scan_resolution):
     """The exchange loop of both the dual and the dual Slater check.
 
     ``cuts`` is the working CutSet.  ``master(cuts)`` solves on it and
@@ -956,7 +953,7 @@ def _exchange(mp, cuts, master, tol, max_iters, scan_resolution, refine_steps):
     """
     res = _scan_axes(mp.domain.dim, scan_resolution)
     mesh = lambda i: _kept(mp, ("scan", *res, i), lambda: _grid(mp, res, (i,)))
-    oracle = _ScanOracle(mp, res, refine_steps, mesh)
+    oracle = _ScanOracle(mp, res, mesh)
     history: list[IterationRecord] = []
     for _ in range(max(1, int(max_iters))):
         value, dual, measure, target = master(cuts)
@@ -973,7 +970,6 @@ def exchange_solve(
     tol: float = SolverConfig.tol,
     max_iters: int = SolverConfig.max_iters,
     scan_resolution=None,
-    refine_steps: int = SolverConfig.refine_steps,
     extra_cuts: Sequence[tuple[int, Sequence[float]]] | GridPrimal = (),
 ) -> ExchangeResult:
     """Exchange method for the dual: master LP on a working cut set + oracle.
@@ -1039,9 +1035,7 @@ def exchange_solve(
         dual = DualPoint(y=tuple(_clip_duals(out.duals, M)), z=tuple(out.duals[M:]))
         return float(out.value), dual, measure, 0.0
 
-    converged, history = _exchange(
-        mp, cuts, master, tol, max_iters, scan_resolution, refine_steps
-    )
+    converged, history = _exchange(mp, cuts, master, tol, max_iters, scan_resolution)
     last, ray = history[-1], history[-1].dual.ray
     status = "not_converged" if not converged else "dual_unbounded" if ray else "converged"
     return ExchangeResult(
@@ -1099,7 +1093,6 @@ def check_dual_slater(
     tol: float = SolverConfig.tol,
     max_iters: int = SolverConfig.max_iters,
     scan_resolution=None,
-    refine_steps: int = 0,
 ) -> DualSlaterReport:
     """Maximize the uniform dual slack t over the domain (exchange loop).
 
@@ -1108,9 +1101,8 @@ def check_dual_slater(
     that each new cut joins as a row, by dual simplex.  The oracle is
     ``exchange_solve``'s: exact on polynomial 1-D boxes, where the margin is
     certified on the whole box up to rounding; on the boxes it scans it is
-    certified against the scan points, so refinement is off by default,
-    though ``duality_report`` and ``measurelp slater`` pass the config's
-    ``refine_steps``, which is 40.  Margin > 0 certifies the
+    certified against the scan points and the zoom's, which goes as deep
+    as for every other caller.  Margin > 0 certifies the
     strict-positivity hypothesis there.  Whenever a constraint can lift the
     slack uniformly (any problem with a total-mass constraint), the margin
     is unbounded and reports the cap.  Its seed cuts, polynomial pieces and
@@ -1145,9 +1137,7 @@ def check_dual_slater(
         z = x[M:M + N] - x[M + N:M + 2 * N]
         return t, DualPoint(y=tuple(_clip_duals(x, M)), z=tuple(z)), None, t
 
-    converged, history = _exchange(
-        mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
-    )
+    converged, history = _exchange(mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution)
     margin = history[-1].value
     return DualSlaterReport(
         margin=margin, witness=history[-1].dual, converged=converged,
@@ -1210,7 +1200,7 @@ def _exchange_options(config: SolverConfig) -> dict:
     """The config fields that exchange_solve and check_dual_slater take."""
     return {
         "tol": config.tol, "max_iters": config.max_iters,
-        "scan_resolution": config.scan_resolution, "refine_steps": config.refine_steps,
+        "scan_resolution": config.scan_resolution,
     }
 
 
@@ -1234,12 +1224,12 @@ def _verification_scan(mp, last: IterationRecord, config) -> float:
     """Max violation of the dual constraint at the exchange's ``last`` dual, on a finer mesh.
 
     An exact box's violation is its exact maximum; only the boxes scanned
-    at that dual are valued on a mesh ``verification_factor`` times the
-    scan's.  Where no box is, the finer mesh changes nothing, and the
-    exchange's own last oracle call on that dual gives the answer.
+    at that dual are valued on a mesh ``_VERIFICATION_FACTOR`` times the
+    scan's per axis.  Where no box is, the finer mesh changes nothing, and
+    the exchange's own last oracle call on that dual gives the answer.
     """
-    fine = _scan_axes(mp.domain.dim, config.verification_resolution(mp.domain.dim))
-    oracle = _ScanOracle(mp, fine, config.refine_steps, lambda i: _grid(mp, fine, (i,)))
+    fine = _scan_axes(mp.domain.dim, _verification_axes(mp.domain.dim, config.scan_resolution))
+    oracle = _ScanOracle(mp, fine, lambda i: _grid(mp, fine, (i,)))
     scanned = oracle.scanned(last.dual).any()
     return max(0.0, -(oracle.find(last.dual).slack if scanned else last.slack))
 

@@ -367,7 +367,7 @@ def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
 # the three Slater margin LPs, each built by hand as its check first did
 
 
-def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, refine_steps=0):
+def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
     """``check_dual_slater`` with its master LP assembled column block by column block."""
     cap = moment.SLATER_CAP
     M, N = mp.n_ineq, mp.n_eq
@@ -389,7 +389,7 @@ def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, re
         return t, moment.DualPoint(y=y, z=tuple(z)), None, t
 
     converged, history = moment._exchange(
-        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution
     )
     margin = history[-1].value
     return moment.DualSlaterReport(
@@ -398,7 +398,7 @@ def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, re
     )
 
 
-def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, refine_steps=0):
+def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
     """``check_dual_slater`` on its kept master, with ``K`` built from every cut each call.
 
     The margin LP's table is the whole ``K`` of the cut set, negated into
@@ -421,7 +421,7 @@ def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None, r
         return t, moment.DualPoint(y=tuple(moment._clip_duals(x, M)), z=tuple(z)), None, t
 
     converged, history = moment._exchange(
-        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution, refine_steps
+        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution
     )
     margin = history[-1].value
     return moment.DualSlaterReport(

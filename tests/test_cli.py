@@ -420,8 +420,6 @@ class TestInvalidSettings:
         ("tol", float("inf")),  # written as Infinity; it certified from the first master
         ("gap_rtol", float("nan")),
         ("max_iters", 0),
-        ("verification_factor", 0),  # failed only after the solve, without the key
-        ("refine_steps", -3),  # quietly meant 0
         ("grid_resolution", 1),  # these three named no key; slater_resolution
         ("scan_resolution", 1),  # failed only after the exchange had run
         ("slater_resolution", 1),
@@ -432,6 +430,18 @@ class TestInvalidSettings:
         for command in ("solve", "validate"):  # validate exited 0 on each
             assert run_cli([command, path]) == 4
             assert f"input error: {key} must be" in capsys.readouterr().err
+        assert calls == []
+
+    @pytest.mark.parametrize("key, value", [
+        ("refine_steps", 40), ("refine_steps", -3),  # the zoom depth is fixed
+        ("verification_factor", 4), ("verification_factor", 0),  # so is the verification mesh
+    ])
+    def test_retired_moment_solver_key(self, tmp_path, monkeypatch, capsys, key, value):
+        calls = spy(monkeypatch, "duality_report")
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", **{key: value})
+        for command in ("solve", "validate"):
+            assert run_cli([command, path]) == 4
+            assert f"input error: solver.{key}: unknown solver option" in capsys.readouterr().err
         assert calls == []
 
     @pytest.mark.parametrize("command", ["solve", "slater", "validate"])
@@ -533,7 +543,6 @@ class TestInvalidSettings:
 
     @pytest.mark.parametrize("name, key, value, grid, points", [
         # validate exited 0, and solve exited 4 after the exchange naming no key
-        ("cauchy_schwarz.json", "verification_factor", 300000, "verification scan", 513 * 300000),
         ("cauchy_schwarz.json", "scan_resolution", 3 * 10**7, "verification scan", 12 * 10**7),
         ("density_flat.json", "x_resolution", 6 * 10**7, "refinement", 12 * 10**7),
     ])

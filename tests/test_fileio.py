@@ -141,8 +141,7 @@ class TestProblemFiles:
     def test_solver_keys_follow_the_config_fields(self):
         assert MOMENT_SOLVER_KEYS == {
             "grid_resolution": int, "tol": float, "max_iters": int, "scan_resolution": int,
-            "refine_steps": int, "gap_rtol": float, "verification_factor": int,
-            "slater_resolution": int,
+            "gap_rtol": float, "slater_resolution": int,
         }
         assert DENSITY_SOLVER_KEYS == {
             "x_resolution": int, "y_resolution": int, "z_resolution": int,

@@ -117,12 +117,18 @@ class TestPiecewiseFunction:
         with pytest.raises(ValueError):
             fn.value_at((5.0,))
 
-    def test_is_constant_one(self):
+    def test_is_positive_constant(self):
         part = Partition((Box((0.0,), (1.0,)),))
-        assert pw(part, "1").is_constant_one()
-        assert pw(part, "0.5 + 0.5").is_constant_one()
-        assert not pw(part, "x1").is_constant_one()
-        assert not pw(part, "2").is_constant_one()
+        assert pw(part, "1").is_positive_constant()
+        assert pw(part, "0.5 + 0.5").is_positive_constant()
+        assert pw(part, "2").is_positive_constant()
+        assert not pw(part, "x1").is_positive_constant()
+        assert not pw(part, "0").is_positive_constant()
+        assert not pw(part, "-1").is_positive_constant()
+        two = Partition((Box((0.0,), (1.0,)), Box((1.0,), (2.0,))))
+        assert pw(two, "1", "3").is_positive_constant()
+        assert not pw(two, "1", "0").is_positive_constant()
+        assert not pw(two, "3", "x1").is_positive_constant()
 
 
 class TestProblemTypes:
@@ -171,6 +177,14 @@ class TestProblemTypes:
 
     def test_has_mass_bound(self):
         assert cauchy_schwarz_problem().has_mass_bound()
+        # a positive constant bounds the mass too, even one that differs by box
+        assert interval_problem(0.0, 1.0, "x1", equalities=(("2", 2.0),)).has_mass_bound()
+        part = Partition((Box((0.0,), (1.0,)), Box((1.0,), (2.0,))))
+        per_box = MomentProblem(
+            domain=part, hull=Box((0.0,), (2.0,)), objective=pw(part, "x1", "x1"),
+            inequalities=((pw(part, "1", "3"), 1.0),), equalities=(),
+        )
+        assert per_box.has_mass_bound()
         no_mass = interval_problem(1.0, 2.0, "x1", inequalities=(("x1 ^ 2", 1.0),))
         assert not no_mass.has_mass_bound()
 
@@ -264,7 +278,7 @@ class TestSeparationOracle:
         assert -1e-12 <= sep.slack <= 1e-6
 
     @pytest.mark.parametrize("dim", [1, 2])
-    def test_refinement_lands_on_kink_off_the_mesh(self, dim):
+    def test_refinement_lands_on_kink_off_the_mesh(self, dim, monkeypatch):
         # slack 1 + Σ sqrt|x_j - c_j| on the unit box: a cusp at c, between
         # the points of an 8-point scan on every axis (sqrt keeps the 1-D box
         # on the scan; see test_exact_box_lands_on_kink_with_no_mesh)
@@ -280,7 +294,9 @@ class TestSeparationOracle:
         mesh = grid_array(box, 8)
         scan = 1.0 + np.sqrt(np.abs(mesh - c)).sum(axis=1)
         g = int(np.argmin(scan))
-        off = separation_oracle(mp, d, scan_resolution=8, refine_steps=0)
+        with monkeypatch.context() as m:
+            m.setattr(moment, "_ZOOM_DEPTH", 0)  # the scan alone
+            off = separation_oracle(mp, d, scan_resolution=8)
         assert off.point == tuple(mesh[g]) and off.slack == scan[g]
         sep = separation_oracle(mp, d, scan_resolution=8)
         # two scan steps, shrunk as 40 golden-section steps would
@@ -294,21 +310,24 @@ class TestSeparationOracle:
         c = 0.3141592653589793
         mp = interval_problem(0.0, 1.0, f"0 - abs(x1 - {c!r})", inequalities=(("1", 1.0),))
         calls = grid_calls(monkeypatch)
-        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()), scan_resolution=8, refine_steps=0)
+        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()), scan_resolution=8)
         assert sep.point == (c,) and sep.slack == 1.0 and calls == []
 
-    def test_refinement_never_worse_than_scan(self):
+    def test_refinement_never_worse_than_scan(self, monkeypatch):
         mp = piecewise_problem()
         d = DualPoint(y=(), z=(0.9,))
-        coarse = separation_oracle(mp, d, scan_resolution=8, refine_steps=0)
-        refined = separation_oracle(mp, d, scan_resolution=8, refine_steps=40)
+        with monkeypatch.context() as m:
+            m.setattr(moment, "_ZOOM_DEPTH", 0)  # the scan alone
+            coarse = separation_oracle(mp, d, scan_resolution=8)
+        refined = separation_oracle(mp, d, scan_resolution=8)
         assert refined.slack <= coarse.slack + 1e-15
 
     @pytest.mark.parametrize("source, scan_resolution", [
         ("piecewise.json", None), ("piecewise.json", 9),
         ("plane", None), ("plane", 9), ("plane", (17, 5)),
     ])
-    def test_flat_scan_matches_per_box_scan(self, source, scan_resolution):
+    def test_flat_scan_matches_per_box_scan(self, source, scan_resolution, monkeypatch):
+        monkeypatch.setattr(moment, "_ZOOM_DEPTH", 0)  # per_box_scan does not zoom
         mp = two_box_plane() if source == "plane" else load_problem(FIXTURES / source).problem
         rng = np.random.default_rng(61)
         duals = [DualPoint(y=(0.0,) * mp.n_ineq, z=(0.0,) * mp.n_eq)]
@@ -317,13 +336,13 @@ class TestSeparationOracle:
             for _ in range(20)
         ]
         for dual in duals:
-            sep = separation_oracle(mp, dual, scan_resolution, refine_steps=0)
+            sep = separation_oracle(mp, dual, scan_resolution)
             ref = per_box_scan(mp, dual, scan_resolution)
             assert sep == ref and type(sep.box_index) is int
             assert sep.column.tobytes() == ref.column.tobytes()
 
     @pytest.mark.parametrize("source", ["piecewise.json", "plane"])
-    def test_flat_scan_tie_on_a_shared_face_goes_to_the_lower_box(self, source):
+    def test_flat_scan_tie_on_a_shared_face_goes_to_the_lower_box(self, source, monkeypatch):
         # the tent's peak x1 = 1, and the plane's ridge x1 = 1.25, lie on the
         # face the two boxes share, where both boxes' pieces take one value
         if source == "plane":
@@ -333,7 +352,8 @@ class TestSeparationOracle:
             mp = load_problem(FIXTURES / source).problem
             dual = DualPoint(y=(), z=(0.25,))
         face = mp.domain.boxes[0].upper[0]
-        sep = separation_oracle(mp, dual, 9, refine_steps=0)
+        monkeypatch.setattr(moment, "_ZOOM_DEPTH", 0)  # per_box_scan does not zoom
+        sep = separation_oracle(mp, dual, 9)
         assert sep.box_index == 0 and sep.point[0] == face
         assert dual_slack_at(mp, dual, sep.point, 1) == sep.slack
         ref = per_box_scan(mp, dual, 9)
@@ -542,8 +562,8 @@ class TestExchange:
         head = cuts[: start + 1]
         assert isinstance(head, CutSet) and list(head) == listed[: start + 1]
         assert head == cuts[: start + 1] and head != cuts[: start + 2]
-        from_set = restricted_dual_lp(mp, head, cap=10.0)
-        from_list = restricted_dual_lp(mp, listed[: start + 1], cap=10.0)
+        from_set = restricted_dual_lp(mp, head)
+        from_list = restricted_dual_lp(mp, listed[: start + 1])
         assert from_set.sense == from_list.sense
         assert from_set.row_senses == from_list.row_senses
         for field in ("objective", "rows", "rhs", "lower", "upper"):
@@ -857,7 +877,7 @@ class TestExactOracle:
         )
         calls, meshes = grid_calls(monkeypatch), []
         oracle = moment._ScanOracle(
-            mp, [64], 40, lambda i: meshes.append(i) or moment._grid(mp, [64], (i,))
+            mp, [64], lambda i: meshes.append(i) or moment._grid(mp, [64], (i,))
         )
         dual = DualPoint(y=(), z=(1.0,))
         assert oracle.scanned(dual).tolist() == [False, True] and calls == []
@@ -885,7 +905,7 @@ class TestExactOracle:
         assert moment._exact_pieces(mp).exact.all()
         rep = duality_report(mp)
         assert rep.dual_value >= 1.0 - 1e-6
-        oracle = moment._ScanOracle(mp, [1024], 40, None)
+        oracle = moment._ScanOracle(mp, [1024], None)
         assert oracle.scanned(rep.dual).all()
 
     def test_roots_that_may_be_least_are_valued_together(self, monkeypatch):
@@ -1017,6 +1037,17 @@ class TestSlaterChecks:
             report = check_dual_slater(loaded.problem, **options)
             assert repr(report) == repr(whole_table_dual_slater(loaded.problem, **options))
 
+    def test_check_alone_zooms_as_the_report_does(self):
+        # a cusp off the scan mesh of a box that stays scanned (sqrt): the
+        # check called alone and the report's check share one oracle, zoom
+        # included, so they settle on one witness
+        mp = interval_problem(0, 1, "-sqrt(abs(x1 - 0.30017))", inequalities=(("x1", 0.5),))
+        cfg = SolverConfig(grid_resolution=65, slater_resolution=17)
+        alone = check_dual_slater(
+            mp, tol=cfg.tol, max_iters=cfg.max_iters, scan_resolution=cfg.scan_resolution
+        )
+        assert duality_report(mp, cfg).dual_slater == alone
+
 
 class TestUnitNormalization:
     def test_single_unit_box_is_identity(self):
@@ -1108,6 +1139,13 @@ class TestDualityReport:
             return
         assert abs(report.primal_value - 1.0) <= 1e-9 and report.gap == 0.0
         assert_feasible_atoms(mp, report.atoms, report.primal_value)
+
+    def test_scaled_mass_constraint_is_a_mass_bound(self):
+        # ψ = 2 pins the mass at 1, and the dual Slater margin hits the cap
+        mp = interval_problem(0.0, 1.0, "x1", equalities=(("2", 2.0),))
+        report = duality_report(mp, FAST)
+        assert report.has_mass_bound and report.dual_slater.capped
+        assert not any("total-mass" in note for note in report.notes)
 
     def test_missing_mass_bound_is_flagged(self):
         mp = interval_problem(1.0, 2.0, "x1", inequalities=(("x1 ^ 2", 1.0),))
