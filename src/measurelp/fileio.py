@@ -37,7 +37,6 @@ from .moment import (
     PrimalSlaterReport,
     SolverConfig,
     _check_grid_bytes,
-    _verification_axes,
 )
 
 FORMAT_VERSION = "1"
@@ -201,9 +200,9 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
     """The ``solver`` block's overrides, and the kind's config built from them.
 
     A resolution written there is checked against the box it sizes, and so
-    is the grid the solve derives from it: the verification scan at
-    ``moment._VERIFICATION_FACTOR`` times ``scan_resolution``, and the
-    density refinement at twice ``x_resolution``.  Then the grids of a moment solve
+    is the grid the solve derives from it: the density refinement at twice
+    ``x_resolution``.  No setting sizes the separation oracle's meshes, so
+    the solve checks them.  Then the grids of a moment solve
     and a density Slater check's equality rank table that those keys imply
     are held to the solves' byte limit (``moment._check_grid_bytes`` and
     ``density._check_rank_bytes``), with the solve's own message.  A
@@ -232,28 +231,22 @@ def _solver_block(doc: Mapping, kind: str, problem) -> tuple[dict, SolverConfig 
         except ValueError as e:
             raise ProblemFormatError(derived + str(e), f"solver.{key}") from e
 
-    def fits(limit, resolution, derived=""):
+    def fits(limit, resolution):
         try:
             limit(problem, resolution)
         except ValueError as e:  # the solve's own message, which sizes the grid
-            raise ProblemFormatError(derived + str(e)) from e
+            raise ProblemFormatError(str(e)) from e
 
     sizes = {"y_resolution": "ineq_domain", "z_resolution": "eq_domain"}  # else the domain
     keys = [key for key in overrides if key.endswith("_resolution")]
     for key in keys:
         check(key, getattr(problem, sizes.get(key, "domain")), overrides[key])
-    scan = "scan_resolution" in overrides
-    if scan:
-        fine = _verification_axes(problem.domain.dim, built.scan_resolution)
-        check("scan_resolution", problem.domain, fine, "the verification scan's ")
     if "x_resolution" in overrides:
         check("x_resolution", problem.domain, 2 * built.x_resolution, "the refinement's ")
     # the byte limits of the tables the solve holds whole
     if kind == "moment":
         for key in keys:
             fits(_check_grid_bytes, overrides[key])
-        if scan:
-            fits(_check_grid_bytes, fine, "the verification scan's ")
     elif {"x_resolution", "z_resolution", "slater_resolution"} & set(keys):
         fits(_check_rank_bytes, DensityConfig(**built.slater_options()).grids())
     return overrides, built

@@ -86,30 +86,24 @@ class ExchangeError(RuntimeError):
 class SolverConfig:
     """Settings of ``duality_report``; an out-of-range one raises ValueError naming it.
 
-    ``scan_resolution`` acts only on the boxes that are scanned: a 1-D box
-    whose functions are piecewise polynomials is separated exactly (see
-    ``separation_oracle``), with no mesh, zoom or verification grid, unless
-    the rounding of its pieces sends it to the scan.  It is accepted
-    whatever the boxes, since a problem may mix both kinds.  The zoom's
-    depth (``_ZOOM_DEPTH``) and the verification mesh's factor
-    (``_VERIFICATION_FACTOR``) are fixed, the same for every caller.
+    The separation oracle takes no setting: its scan mesh (``_scan_axes``),
+    its zoom's depth (``_ZOOM_DEPTH``) and the verification mesh
+    (``_verification_axes``) follow from the problem alone, the same for
+    every caller.
     """
 
     grid_resolution: int | tuple[int, ...] = 1025
     tol: float = 1e-6
     max_iters: int = 200
-    scan_resolution: int | tuple[int, ...] | None = None
     gap_rtol: float = 1e-3
     slater_resolution: int = 129
 
     def __post_init__(self):
-        _check_tolerance("tol", self.tol)
+        _check_loop(self.tol, self.max_iters)
         _check_tolerance("gap_rtol", self.gap_rtol)
-        if not self.max_iters >= 1:
-            raise ValueError(f"max_iters must be at least 1, got {self.max_iters!r}")
-        for name in ("grid_resolution", "slater_resolution", "scan_resolution"):
+        for name in ("grid_resolution", "slater_resolution"):
             value = getattr(self, name)
-            if value is not None and any(r < 2 for r in np.atleast_1d(value)):
+            if any(r < 2 for r in np.atleast_1d(value)):
                 raise ValueError(f"{name} must be >= 2 per axis, got {value!r}")
 
 
@@ -117,6 +111,13 @@ def _check_tolerance(name: str, value: float) -> None:
     """Raise ValueError naming ``name`` unless ``value`` is finite and >= 0."""
     if not (math.isfinite(value) and value >= 0.0):
         raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
+def _check_loop(tol: float, max_iters: int) -> None:
+    """Raise ValueError naming the argument unless the exchange loop can run on these."""
+    _check_tolerance("tol", tol)
+    if not max_iters >= 1:
+        raise ValueError(f"max_iters must be at least 1, got {max_iters!r}")
 
 
 @dataclass(frozen=True)
@@ -334,15 +335,17 @@ def _slack(yz: np.ndarray, table: np.ndarray, ray: bool = False) -> np.ndarray:
 _GRID_BYTES = 2**30
 
 
-def _check_grid_bytes(mp: MomentProblem, resolution, boxes=None) -> None:
-    """Raise ValueError if ``_grid``'s points and table would take more than ``_GRID_BYTES``."""
-    boxes = mp.domain.boxes if boxes is None else [mp.domain.boxes[i] for i in boxes]
-    count = sum(math.prod(_axis_counts(box.dim, resolution)) for box in boxes)
+def _check_grid_bytes(
+    mp: MomentProblem, resolution, boxes=None,
+    grid: str = "grid", advice: str = "lower the grid resolution",
+) -> None:
+    """Raise ValueError naming ``grid`` if its points and table would pass ``_GRID_BYTES``."""
+    boxes = mp.domain.boxes if boxes is None else boxes
+    count = math.prod(_axis_counts(mp.domain.dim, resolution)) * len(boxes)
     need = 8 * count * (mp.n_ineq + mp.n_eq + 1 + mp.domain.dim)
     if need > _GRID_BYTES:
         raise ValueError(
-            f"grid of {count} points needs {need} bytes, over the limit {_GRID_BYTES}; "
-            "lower the grid resolution"
+            f"{grid} of {count} points needs {need} bytes, over the limit {_GRID_BYTES}; {advice}"
         )
 
 
@@ -630,19 +633,28 @@ def _zoom_axis(lo: float, hi: float) -> np.ndarray:
     return axis
 
 
-def _scan_axes(dim: int, scan_resolution) -> list[int]:
-    if scan_resolution is None:
-        # default budget of ~1024 scan points per box, spread across the axes
-        scan_resolution = max(2, int(round(1024 ** (1.0 / dim))))
-    return _axis_counts(dim, scan_resolution)
+def _scan_axes(dim: int) -> list[int]:
+    """Points per axis of the oracle's scan mesh: about 1024 per box, spread across the axes."""
+    return _axis_counts(dim, max(2, int(round(1024 ** (1.0 / dim)))))
 
 
 _VERIFICATION_FACTOR = 4
 
 
-def _verification_axes(dim: int, scan_resolution) -> list[int]:
-    """Points per axis of the final verification scan: ``_VERIFICATION_FACTOR`` x the scan's."""
-    return [_VERIFICATION_FACTOR * r for r in _scan_axes(dim, scan_resolution)]
+def _verification_axes(mp: MomentProblem) -> list[int]:
+    """Points per axis of the verification scan, worked out from the problem.
+
+    ``_VERIFICATION_FACTOR`` times the scan's where that mesh on every box
+    passes ``_check_grid_bytes``; else the most that do, at least the scan's.
+    """
+    dim, scan = mp.domain.dim, _scan_axes(mp.domain.dim)[0]
+    for r in range(_VERIFICATION_FACTOR * scan, scan, -1):
+        try:
+            _check_grid_bytes(mp, r)
+            return _axis_counts(dim, r)
+        except ValueError:
+            pass
+    return _axis_counts(dim, scan)
 
 
 # a piece's slack is read from its power coefficients only while their
@@ -740,7 +752,7 @@ class _ScanOracle:
 
     The other boxes are scanned: ``mesh(i)`` returns box i's ``_grid(mp,
     res, (i,))``, built only when box i is scanned; the exchange loops pass
-    one ``_kept`` per problem, box and scan resolution, so
+    one ``_kept`` per problem and box, so
     ``exchange_solve`` and ``check_dual_slater`` share it, while
     ``separation_oracle`` builds its own.  The scan takes each box's argmin
     of the slack in box order, the lower box winning a tie, and zooms in on
@@ -749,7 +761,8 @@ class _ScanOracle:
     """
 
     def __init__(self, mp: MomentProblem, res: list[int], mesh):
-        _check_grid_bytes(mp, res)  # any box may be scanned, so all must fit
+        advice = "no setting sizes it: use fewer boxes or dimensions"  # any box may be scanned
+        _check_grid_bytes(mp, res, grid="the separation oracle's mesh", advice=advice)
         self.mp = mp
         self.mesh = mesh
         self.exact = _kept(mp, ("exact",), lambda: _exact_pieces(mp))
@@ -876,11 +889,7 @@ class _ScanOracle:
         return slack, x, column
 
 
-def separation_oracle(
-    mp: MomentProblem,
-    dual: DualPoint,
-    scan_resolution=None,
-) -> SeparationResult:
+def separation_oracle(mp: MomentProblem, dual: DualPoint) -> SeparationResult:
     """Most-violated point of the dual constraint: argmin of the slack.
 
     On a 1-D box whose functions are piecewise polynomials of degree at
@@ -890,8 +899,8 @@ def separation_oracle(
     ends, its breakpoints and the real roots of the slack's derivative.
     Such a box is scanned after all at a dual where the rounding of its
     slack's power coefficients may pass ``EXACT_SLACK_ERROR``.
-    ``scan_resolution`` acts only on the boxes that are scanned, on a
-    per-box tensor grid, and then zoomed in on coordinate-wise: each round
+    Other boxes are scanned on ``_scan_axes``' per-box tensor grid, the
+    same for every caller, then zoomed in on coordinate-wise: each round
     values a bracket of equally spaced points in one batch and shrinks it
     to the best point's neighbours, until it is no wider than a
     golden-section bracket after ``_ZOOM_DEPTH`` steps, the same depth for
@@ -899,7 +908,7 @@ def separation_oracle(
     evaluated, so it is never worse than the scan argmin.  slack < 0 means
     the dual point is infeasible at that point.
     """
-    res = _scan_axes(mp.domain.dim, scan_resolution)
+    res = _scan_axes(mp.domain.dim)
     return _ScanOracle(mp, res, lambda i: _grid(mp, res, (i,))).find(dual)
 
 
@@ -940,22 +949,24 @@ class ExchangeResult:
     final_slack: float | None
 
 
-def _exchange(mp, cuts, master, tol, max_iters, scan_resolution):
+def _exchange(mp, cuts, master, tol, max_iters):
     """The exchange loop of both the dual and the dual Slater check.
 
     ``cuts`` is the working CutSet.  ``master(cuts)`` solves on it and
     returns (value, dual point, primal measure or None, target); the loop
     stops once the oracle's worst slack is >= target - tol, else appends
     that point's cut.  Returns (converged, one IterationRecord per
-    iteration).  The oracle's polynomial pieces and scan meshes are
-    ``_kept`` per problem (a mesh per box and resolution), so the two loops
-    on one problem build them once, and a box's mesh only if it is scanned.
+    iteration); a bad ``tol`` or ``max_iters`` raises ValueError naming it.
+    The oracle's polynomial pieces and scan meshes are ``_kept`` per
+    problem, so the two loops on one problem build them once, and a box's
+    mesh only if it is scanned.
     """
-    res = _scan_axes(mp.domain.dim, scan_resolution)
-    mesh = lambda i: _kept(mp, ("scan", *res, i), lambda: _grid(mp, res, (i,)))
+    _check_loop(tol, max_iters)
+    res = _scan_axes(mp.domain.dim)
+    mesh = lambda i: _kept(mp, ("scan", i), lambda: _grid(mp, res, (i,)))
     oracle = _ScanOracle(mp, res, mesh)
     history: list[IterationRecord] = []
-    for _ in range(max(1, int(max_iters))):
+    for _ in range(int(max_iters)):
         value, dual, measure, target = master(cuts)
         sep = oracle.find(dual)
         history.append(IterationRecord(value, dual, measure, sep.point, sep.box_index, sep.slack))
@@ -969,7 +980,6 @@ def exchange_solve(
     mp: MomentProblem,
     tol: float = SolverConfig.tol,
     max_iters: int = SolverConfig.max_iters,
-    scan_resolution=None,
     extra_cuts: Sequence[tuple[int, Sequence[float]]] | GridPrimal = (),
 ) -> ExchangeResult:
     """Exchange method for the dual: master LP on a working cut set + oracle.
@@ -1035,7 +1045,7 @@ def exchange_solve(
         dual = DualPoint(y=tuple(_clip_duals(out.duals, M)), z=tuple(out.duals[M:]))
         return float(out.value), dual, measure, 0.0
 
-    converged, history = _exchange(mp, cuts, master, tol, max_iters, scan_resolution)
+    converged, history = _exchange(mp, cuts, master, tol, max_iters)
     last, ray = history[-1], history[-1].dual.ray
     status = "not_converged" if not converged else "dual_unbounded" if ray else "converged"
     return ExchangeResult(
@@ -1092,7 +1102,6 @@ def check_dual_slater(
     mp: MomentProblem,
     tol: float = SolverConfig.tol,
     max_iters: int = SolverConfig.max_iters,
-    scan_resolution=None,
 ) -> DualSlaterReport:
     """Maximize the uniform dual slack t over the domain (exchange loop).
 
@@ -1101,8 +1110,8 @@ def check_dual_slater(
     that each new cut joins as a row, by dual simplex.  The oracle is
     ``exchange_solve``'s: exact on polynomial 1-D boxes, where the margin is
     certified on the whole box up to rounding; on the boxes it scans it is
-    certified against the scan points and the zoom's, which goes as deep
-    as for every other caller.  Margin > 0 certifies the
+    certified against the scan points and the zoom's, on the mesh and to
+    the depth of every other caller.  Margin > 0 certifies the
     strict-positivity hypothesis there.  Whenever a constraint can lift the
     slack uniformly (any problem with a total-mass constraint), the margin
     is unbounded and reports the cap.  Its seed cuts, polynomial pieces and
@@ -1137,7 +1146,7 @@ def check_dual_slater(
         z = x[M:M + N] - x[M + N:M + 2 * N]
         return t, DualPoint(y=tuple(_clip_duals(x, M)), z=tuple(z)), None, t
 
-    converged, history = _exchange(mp, _seed_cuts(mp), master, tol, max_iters, scan_resolution)
+    converged, history = _exchange(mp, _seed_cuts(mp), master, tol, max_iters)
     margin = history[-1].value
     return DualSlaterReport(
         margin=margin, witness=history[-1].dual, converged=converged,
@@ -1198,10 +1207,7 @@ class ReportStatus(str, Enum):
 
 def _exchange_options(config: SolverConfig) -> dict:
     """The config fields that exchange_solve and check_dual_slater take."""
-    return {
-        "tol": config.tol, "max_iters": config.max_iters,
-        "scan_resolution": config.scan_resolution,
-    }
+    return {"tol": config.tol, "max_iters": config.max_iters}
 
 
 @dataclass
@@ -1220,15 +1226,15 @@ class DualityReport:
     notes: tuple[str, ...]
 
 
-def _verification_scan(mp, last: IterationRecord, config) -> float:
+def _verification_scan(mp, last: IterationRecord) -> float:
     """Max violation of the dual constraint at the exchange's ``last`` dual, on a finer mesh.
 
     An exact box's violation is its exact maximum; only the boxes scanned
-    at that dual are valued on a mesh ``_VERIFICATION_FACTOR`` times the
-    scan's per axis.  Where no box is, the finer mesh changes nothing, and
-    the exchange's own last oracle call on that dual gives the answer.
+    at that dual are valued, on the ``_verification_axes`` mesh.  Where no
+    box is, the finer mesh changes nothing, and the exchange's own last
+    oracle call on that dual gives the answer.
     """
-    fine = _scan_axes(mp.domain.dim, _verification_axes(mp.domain.dim, config.scan_resolution))
+    fine = _verification_axes(mp)
     oracle = _ScanOracle(mp, fine, lambda i: _grid(mp, fine, (i,)))
     scanned = oracle.scanned(last.dual).any()
     return max(0.0, -(oracle.find(last.dual).slack if scanned else last.slack))
@@ -1280,7 +1286,7 @@ def duality_report(mp: MomentProblem, config: SolverConfig | None = None) -> Dua
 
     max_violation = None
     if ex.dual is not None:
-        max_violation = _verification_scan(mp, ex.history[-1], config)
+        max_violation = _verification_scan(mp, ex.history[-1])
         if ex.dual.ray:
             notes.append(
                 "the dual is a ray (a.y + b.z < 0, and Σ y φ + Σ z ψ >= 0 on every "

@@ -367,7 +367,7 @@ def loop_kkt_residuals(p, out, active_tol: float = 1e-7) -> KKTReport:
 # the three Slater margin LPs, each built by hand as its check first did
 
 
-def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
+def hand_built_dual_slater(mp, tol=1e-6, max_iters=200):
     """``check_dual_slater`` with its master LP assembled column block by column block."""
     cap = moment.SLATER_CAP
     M, N = mp.n_ineq, mp.n_eq
@@ -388,9 +388,7 @@ def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
         y = tuple(moment._clip_duals(out.x, M))
         return t, moment.DualPoint(y=y, z=tuple(z)), None, t
 
-    converged, history = moment._exchange(
-        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution
-    )
+    converged, history = moment._exchange(mp, moment._seed_cuts(mp), master, tol, max_iters)
     margin = history[-1].value
     return moment.DualSlaterReport(
         margin=margin, witness=history[-1].dual, converged=converged,
@@ -398,7 +396,7 @@ def hand_built_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
     )
 
 
-def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
+def whole_table_dual_slater(mp, tol=1e-6, max_iters=200):
     """``check_dual_slater`` on its kept master, with ``K`` built from every cut each call.
 
     The margin LP's table is the whole ``K`` of the cut set, negated into
@@ -420,9 +418,7 @@ def whole_table_dual_slater(mp, tol=1e-6, max_iters=200, scan_resolution=None):
         z = x[M:M + N] - x[M + N:M + 2 * N]
         return t, moment.DualPoint(y=tuple(moment._clip_duals(x, M)), z=tuple(z)), None, t
 
-    converged, history = moment._exchange(
-        mp, moment._seed_cuts(mp), master, tol, max_iters, scan_resolution
-    )
+    converged, history = moment._exchange(mp, moment._seed_cuts(mp), master, tol, max_iters)
     margin = history[-1].value
     return moment.DualSlaterReport(
         margin=margin, witness=history[-1].dual, converged=converged,
@@ -615,7 +611,7 @@ def dual_slack_at(mp, dual, x, box_index) -> float:
     return float(moment._slack(np.concatenate([dual.y, dual.z]), table)[0])
 
 
-def per_box_scan(mp, dual, scan_resolution=None):
+def per_box_scan(mp, dual):
     """The separation oracle's scan, without its zoom, one box at a time.
 
     Each box's grid is valued as one ``moment._box_table`` and scanned on
@@ -623,7 +619,7 @@ def per_box_scan(mp, dual, scan_resolution=None):
     smaller slack, so of equal slacks the lower box wins.
     """
     yz = np.concatenate([dual.y, dual.z])
-    res = moment._scan_axes(mp.domain.dim, scan_resolution)
+    res = moment._scan_axes(mp.domain.dim)
     best = None
     for i, box in enumerate(mp.domain.boxes):
         points = grid_array(box, res)

@@ -317,10 +317,10 @@ def spy(monkeypatch, name: str) -> list[dict]:
 
 class TestSolverBlock:
     def test_moment_config_applies_file_overrides(self):
-        solver = {"grid_resolution": 65, "scan_resolution": 513}
+        solver = {"grid_resolution": 65, "slater_resolution": 17}
         no_flags = argparse.Namespace(grid=None, tol=None, max_iters=None)
         config = cli._config(cli.SolverConfig(**solver), no_flags)
-        assert (config.grid_resolution, config.scan_resolution) == (65, 513)
+        assert (config.grid_resolution, config.slater_resolution) == (65, 17)
         assert config.tol == cli.SolverConfig().tol
         flags = argparse.Namespace(grid=33, tol=1e-4, max_iters=None)
         config = cli._config(cli.SolverConfig(**solver), flags)
@@ -339,12 +339,13 @@ class TestSolverBlock:
         assert run_cli(["dual", path, "--tol", "1e-6"]) == 2
         assert "not_converged after 1 iteration(s)" in capsys.readouterr().out
 
-    def test_slater_honours_file_block(self, monkeypatch, capsys):
+    def test_slater_honours_file_block(self, tmp_path, monkeypatch, capsys):
         primal = spy(monkeypatch, "check_primal_slater")
         dual = spy(monkeypatch, "check_dual_slater")
-        assert run_cli(["slater", fixture("cauchy_schwarz.json")]) == 0
-        assert primal[0]["resolution"] == 65
-        assert dual[0]["scan_resolution"] == 513
+        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", slater_resolution=17, tol=1e-5)
+        assert run_cli(["slater", path]) == 0
+        assert primal[0]["resolution"] == 17
+        assert dual[0]["tol"] == 1e-5
 
     def test_quad_resolution_rejected(self, tmp_path, capsys):
         path = fixture_with_solver(tmp_path, "density_flat.json", quad_resolution=32)
@@ -420,9 +421,8 @@ class TestInvalidSettings:
         ("tol", float("inf")),  # written as Infinity; it certified from the first master
         ("gap_rtol", float("nan")),
         ("max_iters", 0),
-        ("grid_resolution", 1),  # these three named no key; slater_resolution
-        ("scan_resolution", 1),  # failed only after the exchange had run
-        ("slater_resolution", 1),
+        ("grid_resolution", 1),  # these two named no key; slater_resolution
+        ("slater_resolution", 1),  # failed only after the exchange had run
     ])
     def test_moment_solver_key(self, tmp_path, monkeypatch, capsys, key, value):
         calls = spy(monkeypatch, "duality_report")
@@ -435,6 +435,7 @@ class TestInvalidSettings:
     @pytest.mark.parametrize("key, value", [
         ("refine_steps", 40), ("refine_steps", -3),  # the zoom depth is fixed
         ("verification_factor", 4), ("verification_factor", 0),  # so is the verification mesh
+        ("scan_resolution", 513), ("scan_resolution", 1),  # and the scan mesh
     ])
     def test_retired_moment_solver_key(self, tmp_path, monkeypatch, capsys, key, value):
         calls = spy(monkeypatch, "duality_report")
@@ -482,7 +483,6 @@ class TestInvalidSettings:
     @pytest.mark.parametrize("name, key, points", [
         # validate exited 0 on each, and solve named no key
         ("cauchy_schwarz.json", "grid_resolution", 10**9),
-        ("cauchy_schwarz.json", "scan_resolution", 10**9),
         ("cauchy_schwarz.json", "slater_resolution", 10**9),
         ("density_gauss_2d.json", "x_resolution", 20000**2),
         ("density_gauss_2d.json", "slater_resolution", 20000**2),
@@ -527,23 +527,8 @@ class TestInvalidSettings:
         assert code == 4 and peak < 50e6
         assert capsys.readouterr().err == f"input error: {message}\n"
 
-    def test_verification_scan_over_the_byte_limit(self, tmp_path, monkeypatch, capsys):
-        # 10^7 scan points fit, but not the verification scan's 4 x 10^7;
-        # validate exited 0
-        calls = spy(monkeypatch, "duality_report")
-        path = fixture_with_solver(tmp_path, "cauchy_schwarz.json", scan_resolution=10**7)
-        message = (
-            "the verification scan's grid of 40000000 points needs 1280000000 bytes, "
-            "over the limit 1073741824; lower the grid resolution"
-        )
-        for command in ("validate", "solve"):
-            assert run_cli([command, path]) == 4
-            assert capsys.readouterr().err == f"input error: {message}\n"
-        assert calls == []
-
     @pytest.mark.parametrize("name, key, value, grid, points", [
-        # validate exited 0, and solve exited 4 after the exchange naming no key
-        ("cauchy_schwarz.json", "scan_resolution", 3 * 10**7, "verification scan", 12 * 10**7),
+        # validate exited 0
         ("density_flat.json", "x_resolution", 6 * 10**7, "refinement", 12 * 10**7),
     ])
     def test_derived_grid_over_the_point_limit(

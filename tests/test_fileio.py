@@ -42,7 +42,7 @@ def moment_doc(**overrides):
         "objective": ["x1"],
         "inequalities": [{"pieces": ["x1^2"], "bound": 1.0}],
         "equalities": [{"pieces": ["1"], "bound": 1.0}],
-        "solver": {"grid_resolution": 65, "scan_resolution": 65, "slater_resolution": 33},
+        "solver": {"grid_resolution": 65, "slater_resolution": 33},
     }
     doc.update(overrides)
     return doc
@@ -140,7 +140,7 @@ class TestProblemFiles:
 
     def test_solver_keys_follow_the_config_fields(self):
         assert MOMENT_SOLVER_KEYS == {
-            "grid_resolution": int, "tol": float, "max_iters": int, "scan_resolution": int,
+            "grid_resolution": int, "tol": float, "max_iters": int,
             "gap_rtol": float, "slater_resolution": int,
         }
         assert DENSITY_SOLVER_KEYS == {

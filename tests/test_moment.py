@@ -60,7 +60,7 @@ from problems import (
     random_moment_problem,
 )
 
-FAST = SolverConfig(grid_resolution=257, scan_resolution=257, slater_resolution=65)
+FAST = SolverConfig(grid_resolution=257, slater_resolution=65)
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -85,7 +85,6 @@ def seeded_exchange(mp, resolution, **kwargs):
     seeds = tuple(
         (int(i), tuple(p)) for i, p in zip(primal.grid.box_indices, primal.grid.points)
     )
-    kwargs.setdefault("scan_resolution", 257)
     return primal, exchange_solve(mp, extra_cuts=seeds, **kwargs)
 
 
@@ -262,26 +261,26 @@ class TestGridPrimal:
 class TestSeparationOracle:
     def test_constant_slack(self):
         mp = interval_problem(0.0, 1.0, "0.5", inequalities=(("1", 1.0),))
-        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()), scan_resolution=64)
+        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()))
         assert sep.slack == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_multipliers_find_objective_max(self):
         mp = interval_problem(0.0, 1.0, "x1", inequalities=(("1", 2.0),))
-        sep = separation_oracle(mp, DualPoint(y=(0.0,), z=()), scan_resolution=64)
+        sep = separation_oracle(mp, DualPoint(y=(0.0,), z=()))
         assert sep.point[0] == pytest.approx(1.0, abs=1e-9)
         assert sep.slack == pytest.approx(-1.0, abs=1e-9)
 
     def test_certificate_slack_minimum(self):
         mp = cauchy_schwarz_problem()
-        sep = separation_oracle(mp, DualPoint(y=(), z=(0.5, 0.5)), scan_resolution=512)
+        sep = separation_oracle(mp, DualPoint(y=(), z=(0.5, 0.5)))
         assert sep.point[0] == pytest.approx(1.0, abs=1e-4)
         assert -1e-12 <= sep.slack <= 1e-6
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_refinement_lands_on_kink_off_the_mesh(self, dim, monkeypatch):
         # slack 1 + Σ sqrt|x_j - c_j| on the unit box: a cusp at c, between
-        # the points of an 8-point scan on every axis (sqrt keeps the 1-D box
-        # on the scan; see test_exact_box_lands_on_kink_with_no_mesh)
+        # the points of the default scan mesh on every axis (sqrt keeps the
+        # 1-D box on the scan; see test_exact_box_lands_on_kink_with_no_mesh)
         c = (0.3141592653589793, 0.7071067811865476)[:dim]
         objective = " - ".join(["0"] + [f"sqrt(abs(x{j + 1} - {c[j]!r}))" for j in range(dim)])
         box = Box((0.0,) * dim, (1.0,) * dim)
@@ -291,16 +290,17 @@ class TestSeparationOracle:
             inequalities=((pw(part, "1"), 1.0),), equalities=(),
         )
         d = DualPoint(y=(1.0,), z=())
-        mesh = grid_array(box, 8)
+        res = moment._scan_axes(dim)
+        mesh = grid_array(box, res)
         scan = 1.0 + np.sqrt(np.abs(mesh - c)).sum(axis=1)
         g = int(np.argmin(scan))
         with monkeypatch.context() as m:
             m.setattr(moment, "_ZOOM_DEPTH", 0)  # the scan alone
-            off = separation_oracle(mp, d, scan_resolution=8)
+            off = separation_oracle(mp, d)
         assert off.point == tuple(mesh[g]) and off.slack == scan[g]
-        sep = separation_oracle(mp, d, scan_resolution=8)
+        sep = separation_oracle(mp, d)
         # two scan steps, shrunk as 40 golden-section steps would
-        width = 2.0 / 7.0 * ((5.0 ** 0.5 - 1.0) / 2.0) ** 40
+        width = 2.0 / (np.array(res) - 1.0) * ((5.0 ** 0.5 - 1.0) / 2.0) ** 40
         assert np.all(np.abs(np.array(sep.point) - c) <= width)
         assert sep.slack == dual_slack_at(mp, d, sep.point, 0) < off.slack
 
@@ -310,7 +310,7 @@ class TestSeparationOracle:
         c = 0.3141592653589793
         mp = interval_problem(0.0, 1.0, f"0 - abs(x1 - {c!r})", inequalities=(("1", 1.0),))
         calls = grid_calls(monkeypatch)
-        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()), scan_resolution=8)
+        sep = separation_oracle(mp, DualPoint(y=(1.0,), z=()))
         assert sep.point == (c,) and sep.slack == 1.0 and calls == []
 
     def test_refinement_never_worse_than_scan(self, monkeypatch):
@@ -318,15 +318,12 @@ class TestSeparationOracle:
         d = DualPoint(y=(), z=(0.9,))
         with monkeypatch.context() as m:
             m.setattr(moment, "_ZOOM_DEPTH", 0)  # the scan alone
-            coarse = separation_oracle(mp, d, scan_resolution=8)
-        refined = separation_oracle(mp, d, scan_resolution=8)
+            coarse = separation_oracle(mp, d)
+        refined = separation_oracle(mp, d)
         assert refined.slack <= coarse.slack + 1e-15
 
-    @pytest.mark.parametrize("source, scan_resolution", [
-        ("piecewise.json", None), ("piecewise.json", 9),
-        ("plane", None), ("plane", 9), ("plane", (17, 5)),
-    ])
-    def test_flat_scan_matches_per_box_scan(self, source, scan_resolution, monkeypatch):
+    @pytest.mark.parametrize("source", ["piecewise.json", "plane"])
+    def test_flat_scan_matches_per_box_scan(self, source, monkeypatch):
         monkeypatch.setattr(moment, "_ZOOM_DEPTH", 0)  # per_box_scan does not zoom
         mp = two_box_plane() if source == "plane" else load_problem(FIXTURES / source).problem
         rng = np.random.default_rng(61)
@@ -336,8 +333,8 @@ class TestSeparationOracle:
             for _ in range(20)
         ]
         for dual in duals:
-            sep = separation_oracle(mp, dual, scan_resolution)
-            ref = per_box_scan(mp, dual, scan_resolution)
+            sep = separation_oracle(mp, dual)
+            ref = per_box_scan(mp, dual)
             assert sep == ref and type(sep.box_index) is int
             assert sep.column.tobytes() == ref.column.tobytes()
 
@@ -353,10 +350,10 @@ class TestSeparationOracle:
             dual = DualPoint(y=(), z=(0.25,))
         face = mp.domain.boxes[0].upper[0]
         monkeypatch.setattr(moment, "_ZOOM_DEPTH", 0)  # per_box_scan does not zoom
-        sep = separation_oracle(mp, dual, 9)
+        sep = separation_oracle(mp, dual)
         assert sep.box_index == 0 and sep.point[0] == face
         assert dual_slack_at(mp, dual, sep.point, 1) == sep.slack
-        ref = per_box_scan(mp, dual, 9)
+        ref = per_box_scan(mp, dual)
         assert sep == ref and sep.column.tobytes() == ref.column.tobytes()
 
     def test_zoom_axis_is_linspace_bit_for_bit(self):
@@ -368,17 +365,74 @@ class TestSeparationOracle:
             assert moment._zoom_axis(lo, hi).tobytes() == expected.tobytes()
 
 
+def unit_cube_problem(dim: int, boxes: int = 1) -> MomentProblem:
+    """Mass 1 over [0, 1]^dim, cut into ``boxes`` slabs along x1, with mean 0.5 in x1.
+
+    The objective is Σ x_j, so the supremum is 0.5 + (dim - 1).
+    """
+    part = Partition(tuple(
+        Box((k / boxes,) + (0.0,) * (dim - 1), ((k + 1) / boxes,) + (1.0,) * (dim - 1))
+        for k in range(boxes)
+    ))
+    piece = lambda source: PiecewiseFunction(part, (parse_expression(source, dim),) * boxes)
+    return MomentProblem(
+        domain=part, hull=Box((0.0,) * dim, (1.0,) * dim),
+        objective=piece(" + ".join(f"x{j + 1}" for j in range(dim))),
+        inequalities=(), equalities=((piece("1"), 1.0), (piece("x1"), 0.5)),
+    )
+
+
+class TestOracleMeshes:
+    """The scan and verification meshes are worked out from the problem; no setting sizes them."""
+
+    @pytest.mark.parametrize("dim, scan, fine", [(1, 1024, 4096), (2, 32, 128), (3, 10, 40)])
+    def test_meshes_are_the_former_defaults(self, dim, scan, fine):
+        # about 1024 scan points per box, and 4 x as many per axis to verify
+        assert moment._scan_axes(dim) == [scan] * dim
+        assert moment._verification_axes(unit_cube_problem(dim)) == [fine] * dim
+
+    def test_a_7d_report_verifies_on_the_finest_mesh_that_fits(self):
+        # 4 x the scan's 3 points per axis is 12^7 points and 2.9 GB: the
+        # report raised ValueError naming the grid resolution, already 3
+        loaded = load_problem(FIXTURES / "moment_cube_7d.json")
+        mp = loaded.problem
+        assert moment._scan_axes(7) == [3] * 7
+        assert moment._verification_axes(mp) == [10] * 7
+        moment._check_grid_bytes(mp, 10)
+        with pytest.raises(ValueError, match="over the limit"):
+            moment._check_grid_bytes(mp, 11)
+        report = duality_report(mp, loaded.config)
+        assert report.status == ReportStatus.STRONG_DUALITY
+        assert abs(report.dual_value - 6.5) <= 1e-6 and abs(report.primal_value - 6.5) <= 1e-6
+
+    def test_no_fit_keeps_the_scan_mesh(self):
+        # 45,000 boxes: even the scan mesh is over the byte limit
+        assert moment._verification_axes(unit_cube_problem(1, 45_000)) == [1024]
+
+    def test_an_oracle_mesh_over_the_byte_limit_names_the_oracle(self):
+        # 45,000 boxes of 1024 scan points: the message said "lower the grid
+        # resolution", though no setting sizes this mesh
+        mp = unit_cube_problem(1, 45_000)
+        message = (
+            "the separation oracle's mesh of 46080000 points needs 1474560000 bytes, "
+            "over the limit 1073741824; no setting sizes it: use fewer boxes or dimensions"
+        )
+        with pytest.raises(ValueError) as info:
+            separation_oracle(mp, DualPoint(y=(), z=(1.0, 0.0)))
+        assert str(info.value) == message
+
+
 class TestExchange:
     def test_zero_objective(self):
         mp = interval_problem(0.0, 1.0, "0", equalities=(("1", 1.0),))
-        res = exchange_solve(mp, scan_resolution=64)
+        res = exchange_solve(mp)
         assert res.status == "converged"
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert res.dual.z[0] == pytest.approx(0.0, abs=1e-9)
 
     def test_monotone_master_values(self):
         mp = cauchy_schwarz_problem()
-        res = exchange_solve(mp, scan_resolution=257)
+        res = exchange_solve(mp)
         assert res.status == "converged"
         values = [rec.value for rec in res.history]
         for a, b in zip(values, values[1:]):
@@ -387,8 +441,8 @@ class TestExchange:
 
     def test_dual_feasibility_certificate_on_finer_mesh(self):
         mp = cauchy_schwarz_problem()
-        res = exchange_solve(mp, tol=1e-6, scan_resolution=257)
-        sep = separation_oracle(mp, res.dual, scan_resolution=4 * 257)
+        res = exchange_solve(mp, tol=1e-6)
+        sep = separation_oracle(mp, res.dual)
         assert sep.slack >= -10.0 * 1e-6
 
     def test_restricted_dual_equals_master_each_iteration(self):
@@ -417,12 +471,12 @@ class TestExchange:
             "max(x1 - 2, 0)",
             equalities=(("1", 1.0), ("x1", 1.0), ("max(x1 - 1, 0)", 0.4)),
         )
-        res = exchange_solve(mp, tol=1e-6, scan_resolution=513)
+        res = exchange_solve(mp, tol=1e-6)
         assert res.status == "converged"
         assert res.value == pytest.approx(4.0 / 15.0, abs=1e-3)
 
     def test_dual_unbounded_on_contradictory_mass(self):
-        res = exchange_solve(contradictory_problem(), scan_resolution=64)
+        res = exchange_solve(contradictory_problem())
         assert res.status == "dual_unbounded"
         assert res.value is None
         assert res.dual is not None
@@ -431,7 +485,7 @@ class TestExchange:
     def test_unbounded_primal_raises(self):
         mp = interval_problem(0.0, 2.0, "x1", inequalities=(("0 - x1", 0.0),))
         with pytest.raises(ExchangeError):
-            exchange_solve(mp, scan_resolution=64)
+            exchange_solve(mp)
         # the report's grid primal is unbounded on the same columns
         assert solve_grid_primal(mp, FAST.grid_resolution).status == LPStatus.UNBOUNDED
         with pytest.raises(ExchangeError):
@@ -439,9 +493,19 @@ class TestExchange:
 
     def test_max_iters_exhausted(self):
         mp = cauchy_schwarz_problem()
-        res = exchange_solve(mp, tol=1e-12, max_iters=2, scan_resolution=257)
+        res = exchange_solve(mp, tol=1e-12, max_iters=2)
         assert res.status == "not_converged"
         assert res.iterations == 2
+
+    @pytest.mark.parametrize("loop", [exchange_solve, check_dual_slater])
+    @pytest.mark.parametrize("name, value", [
+        ("tol", float("inf")),  # exchange_solve "converged" at 0.5, below the supremum 1
+        ("tol", float("nan")), ("tol", -1.0),  # these ran all 200 iterations
+        ("max_iters", 0), ("max_iters", -5),  # these ran one
+    ])
+    def test_loop_setting_out_of_range_raises(self, loop, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            loop(cauchy_schwarz_problem(), **{name: value})
 
     def test_extra_cut_outside_box_rejected(self):
         mp = cauchy_schwarz_problem()
@@ -467,7 +531,7 @@ class TestExchange:
             pairs = tuple(
                 (int(i), tuple(p)) for i, p in zip(grid.box_indices, grid.points)
             )
-            res = exchange_solve(mp, extra_cuts=pairs, max_iters=1, scan_resolution=257)
+            res = exchange_solve(mp, extra_cuts=pairs, max_iters=1)
             initial = initial_cuts(mp)
             assert list(res.cuts[:len(initial)]) == initial
             taken = {(c.box_index, c.point) for c in initial}
@@ -501,7 +565,7 @@ class TestExchange:
                 append(cuts, *args)
 
             monkeypatch.setattr(CutSet, "append", spy)
-            whole = exchange_solve(mp, extra_cuts=grid, max_iters=1, scan_resolution=257)
+            whole = exchange_solve(mp, extra_cuts=grid, max_iters=1)
             monkeypatch.undo()
             assert views == [True]
             assert not np.shares_memory(whole.cuts.rows, grid.lp.rows)
@@ -519,7 +583,7 @@ class TestExchange:
             assert whole.history[0].value == solve_grid_primal(mp, 1025).value
             # the priced-pool path is exact: a rebuilt grid gives the same run
             again = exchange_solve(
-                mp, extra_cuts=assemble_grid_primal(mp, 1025), max_iters=1, scan_resolution=257
+                mp, extra_cuts=assemble_grid_primal(mp, 1025), max_iters=1
             )
             assert again.cuts == whole.cuts
             assert again.history[0].value == whole.history[0].value
@@ -532,7 +596,7 @@ class TestExchange:
             -2.0, 2.0, "x1", inequalities=(("x1^2", 1.0),), equalities=(("1", 1.0),)
         )
         seeds = ((0, (0.25,)), (0, (-1.5,)))
-        res = exchange_solve(mp, extra_cuts=seeds, scan_resolution=257)
+        res = exchange_solve(mp, extra_cuts=seeds)
         assert res.status == "converged" and res.iterations >= 3
         cuts = res.cuts
         assert cuts[0].phi and cuts[0].psi
@@ -660,7 +724,7 @@ class TestFarkasRay:
             return result
 
         monkeypatch.setattr(moment, "_generate", spy)
-        res = exchange_solve(mp, tol=1e-6, scan_resolution=513)
+        res = exchange_solve(mp, tol=1e-6)
         assert res.status == "converged"
         assert any(rec.dual.ray for rec in res.history) and not res.history[-1].dual.ray
         assert len(calls) == res.iterations
@@ -739,7 +803,7 @@ def loop_cases():
     rng = np.random.default_rng(11)
     made = [cauchy_schwarz_problem(), piecewise_problem(), contradictory_problem()]
     made += [random_moment_problem(rng)[0] for _ in range(4)]
-    cases = [(mp, {"scan_resolution": 257}) for mp in made]
+    cases = [(mp, {}) for mp in made]
     for name in (
         "cauchy_schwarz.json", "piecewise.json", "contradictory.json",
         "barely_infeasible.json", "coarse_grid_feasible.json", "moment_square_2d.json",
@@ -761,17 +825,17 @@ class TestSharedScanMesh:
         calls = grid_calls(monkeypatch)
         seeds, real = [], moment._seed_arrays
         monkeypatch.setattr(moment, "_seed_arrays", lambda *a: seeds.append(1) or real(*a))
-        res = exchange_solve(mp, scan_resolution=257)
-        slater = check_dual_slater(mp, scan_resolution=257)
+        res = exchange_solve(mp)
+        slater = check_dual_slater(mp)
         assert res.iterations > 1 and slater.iterations > 1
-        assert calls == [[257]] and len(seeds) == 1
+        assert calls == [[1024]] and len(seeds) == 1
 
     def test_duality_report_builds_four_grids(self, monkeypatch):
         # grid primal, scan mesh, primal Slater grid and verification mesh:
         # check_dual_slater reads the exchange's scan mesh
         calls = grid_calls(monkeypatch)
         duality_report(jensen_problem(), FAST)
-        assert calls == [257, [257], 65, [4 * 257]]
+        assert calls == [257, [1024], 65, [4096]]
 
     def test_an_exact_report_builds_only_the_primal_grids(self, monkeypatch):
         # a polynomial 1-D problem: no scan mesh and no verification mesh,
@@ -787,11 +851,11 @@ class TestSharedScanMesh:
         first = jensen_problem()
         other = interval_problem(0.0, 1.0, "sqrt(x1)", equalities=(("1", 1.0), ("x1", 0.25)))
         calls = grid_calls(monkeypatch)
-        exchange_solve(first, scan_resolution=257)
-        exchange_solve(other, scan_resolution=257)
-        check_dual_slater(first, scan_resolution=257)
-        assert calls == [[257]] * 3
-        check_dual_slater(other, scan_resolution=257)
+        exchange_solve(first)
+        exchange_solve(other)
+        check_dual_slater(first)
+        assert calls == [[1024]] * 3
+        check_dual_slater(other)
         assert len(calls) == 4 and expressions._PROGRAMS[0] is other
         gone = weakref.ref(first)
         del first
@@ -817,19 +881,19 @@ class TestSharedScanMesh:
 
     def test_cut_store_of_a_loop_with_no_cut_is_read_only(self):
         mp = interval_problem(0.0, 1.0, "0", equalities=(("1", 1.0),))
-        res = exchange_solve(mp, scan_resolution=64)
+        res = exchange_solve(mp)
         assert res.status == "converged" and res.iterations == 1
         for array in cut_arrays(res.cuts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 5.0
-        assert exchange_solve(mp, scan_resolution=64).cuts == res.cuts
+        assert exchange_solve(mp).cuts == res.cuts
 
     def test_a_loop_that_appends_writes_its_own_copy(self):
         mp = cauchy_schwarz_problem()
-        res = exchange_solve(mp, scan_resolution=257)
+        res = exchange_solve(mp)
         assert res.iterations > 1
         res.cuts.rows[0] = 5.0
-        again = exchange_solve(mp, scan_resolution=257).cuts
+        again = exchange_solve(mp).cuts
         assert not np.array_equal(again.rows, res.cuts.rows)
         assert np.array_equal(again.rows[1:], res.cuts.rows[1:])
 
@@ -938,7 +1002,7 @@ class TestExactOracle:
 class TestSlaterChecks:
     def test_dual_margin_caps_with_mass_constraint(self):
         mp = interval_problem(0.0, 1.0, "0", equalities=(("1", 1.0),))
-        rep = check_dual_slater(mp, scan_resolution=64)
+        rep = check_dual_slater(mp)
         assert rep.converged
         assert rep.capped
         assert rep.margin >= 1e6 * (1.0 - 1e-6)
@@ -946,7 +1010,7 @@ class TestSlaterChecks:
 
     def test_dual_margin_quadratic_instance(self):
         mp = interval_problem(0.0, 1.0, "x1 ^ 2", equalities=(("1", 1.0),))
-        rep = check_dual_slater(mp, scan_resolution=64)
+        rep = check_dual_slater(mp)
         assert rep.margin > 0.0
 
     def test_primal_margin_mass_only(self):
@@ -1005,7 +1069,7 @@ class TestSlaterChecks:
             assert getattr(dual, field) == getattr(expected, field), field
         # the kept master may settle on another vertex of a degenerate
         # optimum, so the witness is checked on the scan mesh instead
-        worst = per_box_scan(mp, dual.witness, options["scan_resolution"]).slack
+        worst = per_box_scan(mp, dual.witness).slack
         assert worst >= dual.margin - options["tol"]
         for resolution in (config.slater_resolution, 33):
             primal = check_primal_slater(mp, resolution)
@@ -1043,9 +1107,7 @@ class TestSlaterChecks:
         # included, so they settle on one witness
         mp = interval_problem(0, 1, "-sqrt(abs(x1 - 0.30017))", inequalities=(("x1", 0.5),))
         cfg = SolverConfig(grid_resolution=65, slater_resolution=17)
-        alone = check_dual_slater(
-            mp, tol=cfg.tol, max_iters=cfg.max_iters, scan_resolution=cfg.scan_resolution
-        )
+        alone = check_dual_slater(mp, tol=cfg.tol, max_iters=cfg.max_iters)
         assert duality_report(mp, cfg).dual_slater == alone
 
 
@@ -1103,7 +1165,7 @@ class TestDualityReport:
         assert abs(report.gap) <= 1e-10
 
     def test_coarse_grid_reports_gap(self):
-        config = SolverConfig(grid_resolution=3, scan_resolution=257, slater_resolution=33)
+        config = SolverConfig(grid_resolution=3, slater_resolution=33)
         report = duality_report(cauchy_schwarz_problem(), config)
         assert report.status == ReportStatus.GAP_REMAINS
         assert report.gap > 0.1
@@ -1115,10 +1177,7 @@ class TestDualityReport:
         assert report.primal_slater.rank_deficient
 
     def test_iteration_cap_reports_not_converged(self):
-        config = SolverConfig(
-            grid_resolution=3, tol=1e-12, max_iters=1,
-            scan_resolution=257, slater_resolution=33,
-        )
+        config = SolverConfig(grid_resolution=3, tol=1e-12, max_iters=1, slater_resolution=33)
         report = duality_report(cauchy_schwarz_problem(), config)
         assert report.status == ReportStatus.NOT_CONVERGED
 
@@ -1160,7 +1219,7 @@ def report_cases():
     cases = []
     for _ in range(12):
         mp, resolution = random_moment_problem(rng)
-        config = SolverConfig(grid_resolution=resolution, scan_resolution=257, slater_resolution=9)
+        config = SolverConfig(grid_resolution=resolution, slater_resolution=9)
         cases.append((mp, config))
     for name in ("cauchy_schwarz.json", "piecewise.json"):
         loaded = load_problem(FIXTURES / name)
@@ -1296,7 +1355,7 @@ class TestPricedPool:
         # one master, built once; each new cut joins it and is solved once
         mp = cauchy_schwarz_problem()
         built, widths = master_builds(monkeypatch), lp_widths(monkeypatch)
-        res = exchange_solve(mp, scan_resolution=257)
+        res = exchange_solve(mp)
         assert res.status == "converged" and res.iterations > 1
         assert len(built) == 1
         assert widths == [len(prefix) for prefix in cut_prefixes(res)]
@@ -1306,7 +1365,7 @@ class TestPricedPool:
         # a row per cut, and neither is rebuilt
         mp = cauchy_schwarz_problem()
         built = master_builds(monkeypatch)
-        res = exchange_solve(mp, scan_resolution=257)
-        slater = check_dual_slater(mp, scan_resolution=257)
+        res = exchange_solve(mp)
+        slater = check_dual_slater(mp)
         assert res.iterations > 1 and slater.iterations > 1
         assert len(built) <= 2

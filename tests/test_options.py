@@ -7,7 +7,7 @@ import pytest
 from measurelp import ReportStatus, SolverConfig, build_option_bound_problem, solve_option_bound
 from oracles import two_atom_bound
 
-FAST = SolverConfig(grid_resolution=513, scan_resolution=257, slater_resolution=65)
+FAST = SolverConfig(grid_resolution=513, slater_resolution=65)
 
 
 class TestProblemConstruction:
